@@ -20,7 +20,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("efficiency_study"))
     parser.add_argument("--replications", type=int, default=1000)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--start", choices=("zero", "normal_quantile"), default="normal_quantile",
                         help="minimum stopping index rule (normal_quantile gives m0=329)")
@@ -42,7 +41,7 @@ def main():
             procedures=("plain_stop", "two_step_strong"),
         )
         started = time.time()
-        report = run_experiment(config, threads=args.threads)
+        report = run_experiment(config)
         write_records_csv(args.out / f"{name}.csv", report.records, config.to_mapping())
         print(f"{name} ({time.time() - started:.1f}s, weak oracle t={report.oracle['weak_time']:.1f}):")
         for s in report.summaries:

@@ -15,7 +15,6 @@ from svdstop.harness import ExperimentConfig, run_experiment
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--replications", type=int, default=5000)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--drifts", type=float, nargs="*", default=[-1.0, 0.0, 1.0],
                         help="threshold drifts in units of sqrt(D)*delta**2")
@@ -33,7 +32,7 @@ def main():
             base_seed=args.seed,
             procedures=("plain_stop",),
         )
-        report = run_experiment(config, threads=args.threads)
+        report = run_experiment(config)
         summary = report.summaries[0]
         overrun = 1.0 - summary.immediate_fraction
         print(

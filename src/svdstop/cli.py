@@ -25,7 +25,7 @@ from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
 from .model import NoiseModel, load_vector, replication_seed, save_vector, simulate_observation
 from .oracles import theory_bounds
-from .stopping import StopOutcome, early_stop, make_stopping_config
+from .stopping import StopOutcome, early_stop, make_stopping_config, two_step
 from .svgplot import efficiency_plot
 
 __all__ = ["main"]
@@ -150,9 +150,10 @@ def _cmd_two_step(mapping: dict, out: Path, base: Path, args) -> None:
     config = _experiment_config(mapping)
     exp = harness.resolve_experiment(config, base)
     obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, 0))
-    from .stopping import two_step
-
-    outcome, estimate = two_step(obs, exp.spectrum, exp.noise, exp.stopping, norm, penalty)
+    outcome = early_stop(obs, exp.stopping)
+    rho = two_step(outcome.tau, obs.y, exp.spectrum.values, exp.noise.delta, exp.stopping.m0, norm, penalty)
+    outcome = dataclasses.replace(outcome, rho=rho)
+    estimate = estimate_at(obs, exp.spectrum, float(rho))
     save_vector(out / "estimate.txt", estimate.values)
     print(f"wrote {out / 'estimate.txt'}")
     payload = {
@@ -168,7 +169,7 @@ def _cmd_mc(mapping: dict, out: Path, base: Path, args) -> None:
     _check_keys(mapping, _EXPERIMENT_KEYS)
     config = _experiment_config(mapping)
     csv_path = out / "replications.csv"
-    report = harness.run_experiment(config, threads=args.threads, csv_path=csv_path, base_dir=base)
+    report = harness.run_experiment(config, csv_path=csv_path, base_dir=base)
     print(f"wrote {csv_path}")
     _write_json(out / "report.json", report.as_record())
 
@@ -311,7 +312,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", default=None, help="output directory (default: $SVDSTOP_OUT or '.')")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted-path config override")
     parser.add_argument("--seed", type=int, default=None, help="override the base seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for Monte Carlo runs")
     return parser
 
 

@@ -6,8 +6,8 @@ Each replication simulates one observation, runs the configured
 procedures on it, and records truncation indices, estimation errors in
 both norms, and relative efficiencies against the exact discrete oracle
 risks computed once from the instance. Per-replication seeds are split
-off the base seed by replication index, so results are bit-identical
-for any worker count; aggregation is an ordered reduce over records.
+off the base seed by replication index and replications run in index
+order, so the same config gives bit-identical records on every run.
 
 The CSV schema is one row per (replication, procedure):
 ``rep,tau,rho,immediate,err_strong,err_weak,eff_strong,eff_weak,procedure``
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .model import (
     replication_seed,
     simulate_observation,
 )
-from .oracles import OracleSet, classical_oracle, oracle_set
+from .oracles import classical_oracle, oracle_set
 from .signals import calibrated_signal
 from .stopping import StoppingConfig, aic_select, make_stopping_config, stop_index
 
@@ -48,7 +47,6 @@ __all__ = [
     "ReplicationRecord",
     "ResolvedExperiment",
     "config_from_mapping",
-    "oracle_indices",
     "oracle_payload",
     "read_records_csv",
     "resolve_experiment",
@@ -289,12 +287,6 @@ def oracle_payload(exp: ResolvedExperiment) -> dict:
     }
 
 
-def oracle_indices(config: ExperimentConfig, base_dir: str | Path | None = None) -> OracleSet:
-    """Oracle quantities of the configured instance (no simulation)."""
-    exp = resolve_experiment(config, base_dir)
-    return oracle_set(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0)
-
-
 def _run_one(
     rep: int,
     exp: ResolvedExperiment,
@@ -316,7 +308,8 @@ def _run_one(
                 chosen, rec_tau, rec_imm = tau, tau, immediate
             elif proc in ("two_step_weak", "two_step_strong"):
                 norm = "weak" if proc == "two_step_weak" else "strong"
-                chosen = tau if tau > cfg.m0 else aic_select(obs, exp.spectrum, exp.noise, cfg.m0, norm)
+                # stopping.two_step inlined: per-layer tracing wraps the names this module calls
+                chosen = tau if tau > cfg.m0 else aic_select(obs.y, lam, exp.noise.delta, cfg.m0, norm)
                 rho, rec_tau, rec_imm = chosen, tau, immediate
             else:  # fixed_oracle
                 chosen, rec_tau, rec_imm = fixed_index, fixed_index, False
@@ -344,16 +337,10 @@ def _run_one(
 
 def run_experiment(
     config: ExperimentConfig,
-    threads: int | None = None,
     csv_path: str | Path | None = None,
     base_dir: str | Path | None = None,
 ) -> EfficiencyReport:
-    """Run all replications and aggregate; optionally write the record CSV.
-
-    ``threads`` enables a thread pool over replications; the output is
-    bit-identical for any value because seeds depend only on the
-    replication index and records are reduced in index order.
-    """
+    """Run all replications in index order and aggregate; optionally write the record CSV."""
     exp = resolve_experiment(config, base_dir)
     oracle_record = oracle_payload(exp)
     fixed_index = oracle_record["classical_index"]
@@ -362,17 +349,10 @@ def run_experiment(
         math.sqrt(oracle_record["classical_weak_risk"]),
     )
 
-    reps = range(config.replications)
-    run = lambda rep: _run_one(rep, exp, fixed_index, numerators)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, reps, chunksize=64))
-    else:
-        outcomes = [run(rep) for rep in reps]
-
     records: list[ReplicationRecord] = []
     failures: list[tuple[int, str]] = []
-    for recs, failure in outcomes:
+    for rep in range(config.replications):
+        recs, failure = _run_one(rep, exp, fixed_index, numerators)
         records.extend(recs)
         if failure is not None:
             failures.append(failure)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimator import EstimateVector
 from .model import NoiseModel
-from .stopping import StopOutcome, StoppingConfig
+from .stopping import StopOutcome, StoppingConfig, residual_rule, two_step
 
 __all__ = [
     "ConvergenceError",
@@ -232,53 +232,44 @@ def sequential_solve(
 ) -> SequentialSolveResult:
     """Solve the inverse problem lazily, stopping by the residual rule.
 
-    Triplets are computed one at a time; after the ``m``-th triplet the
-    coefficient ``Y_m = <u_m, y_raw>`` updates the running residual
-    ``|y_raw|**2 - sum_{i<=m} Y_i**2``, and the rule halts at the first
-    ``m >= m0`` where it reaches the threshold (or at the full column
-    dimension). With ``selection_norm`` set, an immediate stop triggers
-    AIC re-selection over the already computed triplets, exactly as in
-    the sequence-space two-step rule. A ``triplet_budget`` smaller than
-    the demanded stopping index raises :class:`TripletBudgetError`.
+    Triplets are computed one at a time and each feeds its coefficient
+    ``Y_m = <u_m, y_raw>`` to :func:`~svdstop.stopping.residual_rule`
+    against the squared norm ``|y_raw|**2``; the rule stops pulling at
+    ``tau``, so exactly ``tau`` triplets are computed. With
+    ``selection_norm`` set, the sequence-space
+    :func:`~svdstop.stopping.two_step` re-selects over the computed
+    triplets after an immediate stop. A ``triplet_budget`` smaller than
+    the demanded stopping index raises :class:`TripletBudgetError`; data
+    that is not finite raises ``ValueError`` before any triplet is
+    computed.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):
         raise ValueError("data vector length disagrees with the operator codomain")
+    if not np.all(np.isfinite(y_raw)):
+        raise ValueError("data vector must be finite")
     dim = operator.domain_dim
-    if config.m0 > dim:
-        raise ValueError(f"starting index {config.m0} exceeds column dimension {dim}")
-
     state = DeflationState(tolerance=tolerance, max_iterations=max_iterations)
-    y_norm_sq = float(np.dot(y_raw, y_raw))
     coeffs: list[float] = []
-    running = 0.0
-    tau: int | None = 0 if (config.m0 == 0 and y_norm_sq <= config.kappa) else None
 
-    while tau is None:
-        m = len(coeffs) + 1
-        if triplet_budget is not None and m > triplet_budget:
-            raise TripletBudgetError(
-                f"stopping rule needs more than {triplet_budget} triplets",
-                state=state,
-                coefficients=np.array(coeffs),
-            )
-        triplet = next_triplet(state, operator, seed)
-        coeff = float(np.dot(triplet.u, y_raw))
-        coeffs.append(coeff)
-        running += coeff * coeff
-        if m >= config.m0 and (y_norm_sq - running <= config.kappa or m == dim):
-            tau = m
+    def triplet_coefficients():
+        while True:
+            if triplet_budget is not None and len(coeffs) >= triplet_budget:
+                raise TripletBudgetError(
+                    f"stopping rule needs more than {triplet_budget} triplets",
+                    state=state,
+                    coefficients=np.array(coeffs),
+                )
+            triplet = next_triplet(state, operator, seed)
+            coeffs.append(float(np.dot(triplet.u, y_raw)))
+            yield coeffs[-1:]
 
+    tau = residual_rule(triplet_coefficients(), float(np.dot(y_raw, y_raw)), dim, config)
     chosen = tau
     rho: int | None = None
     if selection_norm is not None:
-        if tau > config.m0:
-            chosen = tau
-        else:
-            chosen = _aic_over_triplets(
-                np.array(coeffs), state.triplets, noise, config.m0, selection_norm, penalty_multiplier
-            )
-        rho = chosen
+        sigmas = [t.sigma for t in state.triplets]
+        chosen = rho = two_step(tau, coeffs, sigmas, noise.delta, config.m0, selection_norm, penalty_multiplier)
 
     estimate = np.zeros(dim)
     for i in range(chosen):
@@ -291,29 +282,6 @@ def sequential_solve(
         matvec_count=state.matvec_count,
         state=state,
     )
-
-
-def _aic_over_triplets(
-    coeffs: np.ndarray,
-    triplets: list[SingularTriplet],
-    noise: NoiseModel,
-    m0: int,
-    norm: str,
-    penalty_multiplier: float,
-) -> int:
-    if penalty_multiplier <= 0:
-        raise ValueError("penalty multiplier must be positive")
-    y2 = coeffs[:m0] ** 2
-    pen = 2.0 * penalty_multiplier * noise.delta**2
-    grid = np.arange(m0 + 1, dtype=float)
-    if norm == "strong":
-        inv2 = np.array([triplets[i].sigma ** -2.0 for i in range(m0)])
-        crit = np.concatenate(([0.0], np.cumsum(-inv2 * y2 + pen * inv2)))
-    elif norm == "weak":
-        crit = np.concatenate(([0.0], np.cumsum(-y2))) + pen * grid
-    else:
-        raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
-    return int(np.argmin(crit))
 
 
 def save_matrix(path, entries: np.ndarray) -> None:

@@ -6,11 +6,11 @@ forward operator, ``mu`` the unknown coefficient vector, ``delta`` the
 known noise level and ``eps`` independent standard Gaussian (or, for
 robustness experiments, Rademacher) noise.
 
-All containers are immutable and operations are pure, so they are safe to
-use from worker threads. Per-replication random streams are derived by
-splitting a base seed through :func:`replication_seed`; generator state is
-never shared between replications. The generator algorithm is NumPy's
-PCG64 as wired up by ``numpy.random.default_rng``.
+All containers are immutable and operations are pure. Per-replication
+random streams are derived by splitting a base seed through
+:func:`replication_seed`; generator state is never shared between
+replications. The generator algorithm is NumPy's PCG64 as wired up by
+``numpy.random.default_rng``.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def simulate_observation(signal: Signal, spectrum: Spectrum, noise: NoiseModel, 
     """Draw one observation ``y = lam * mu + delta * eps``.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; identical
-    seeds give bit-identical observations independent of thread count.
+    seeds give bit-identical observations.
     """
     dim = require_same_dim(signal.dim, spectrum.dim)
     rng = np.random.default_rng(seed)

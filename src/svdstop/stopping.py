@@ -1,31 +1,35 @@
 """Residual-monitored early stopping, AIC selection and the two-step rule.
 
-The stopping rule consumes coefficients strictly left to right and halts
-at the first index ``m >= m0`` whose remaining squared residual
+:func:`residual_rule` is the one implementation of the stopping rule. It
+consumes coefficients strictly left to right, in blocks of any length,
+and halts at the first index ``m >= m0`` whose remaining squared residual
 ``|Y|**2 - sum_{i<=m} Y_i**2`` drops to the threshold ``kappa``. The
 squared norm is a required header value, so the rule needs exactly
-``tau`` coefficients and never looks ahead; :func:`early_stop_stream` is
-the frugal streaming form and :func:`stop_index` the vectorised
-equivalent used by simulation loops. Both accumulate the running sum in
-the same order in double precision, so they agree exactly.
+``tau`` coefficients and pulls no block after the one holding ``Y_tau``.
+The sequence model passes its whole vector as one block
+(:func:`stop_index`); the lazy matrix solver passes one coefficient per
+computed singular triplet. The running sum is accumulated in the same
+left-to-right order in double precision however the coefficients are
+split, so every caller gets the same index from the same data.
 
-The second step re-selects a truncation index by penalised empirical
-risk (an AIC criterion) over ``0..m0`` whenever the first step stops
-immediately at ``m0``; by construction it never consumes coefficients
-beyond the ones the first step already read.
+The second step (:func:`two_step`) re-selects a truncation index by
+penalised empirical risk (an AIC criterion, :func:`aic_select`) over
+``0..m0`` whenever the first step stops immediately at ``m0``; by
+construction it never uses coefficients beyond the ones the first step
+already read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .estimator import EstimateVector, _prefix_sums, estimate_at
-from .model import NoiseModel, Observation, Spectrum, require_same_dim
+from .estimator import _prefix_sums
+from .model import Observation, require_same_dim
 
 __all__ = [
     "StopOutcome",
@@ -35,12 +39,10 @@ __all__ = [
     "conservative_start",
     "default_threshold",
     "early_stop",
-    "early_stop_stream",
-    "estimate_noise_sq",
     "make_stopping_config",
     "normal_quantile_start",
+    "residual_rule",
     "stop_index",
-    "stream_observation",
     "two_step",
 ]
 
@@ -144,89 +146,83 @@ def make_stopping_config(
     return StoppingConfig(kappa=float(kappa), m0=start, m0_mode=m0_mode)
 
 
-def stream_observation(obs: Observation) -> Iterator[tuple[int, float]]:
-    """Sequential coefficient reader over an in-memory observation (1-based indices)."""
-    return ((i + 1, float(v)) for i, v in enumerate(obs.y))
-
-
-def early_stop_stream(
-    coefficients: Iterable[tuple[int, float]],
+def residual_rule(
+    blocks: Iterable[np.ndarray],
     y_norm_sq: float,
     dim: int,
     config: StoppingConfig,
-) -> StopOutcome:
-    """Run the residual rule over a sequential coefficient stream.
+) -> int:
+    """Stopped index of the residual rule over coefficients arriving in blocks.
 
-    ``coefficients`` must yield ``(index, value)`` pairs for indices
-    ``1..dim`` in order; exactly ``tau`` of them are consumed. Raises
-    :class:`TruncatedStreamError` if the stream ends while the residual is
-    still above the threshold and coefficients remain to be read.
+    ``blocks`` yields ``Y_1, Y_2, ...`` in order, split into arrays of any
+    lengths. The rule returns the first ``m >= m0`` with
+    ``y_norm_sq - sum_{i<=m} Y_i**2 <= kappa``, or ``dim``, and pulls no
+    block after the one holding ``Y_m``. Raises
+    :class:`TruncatedStreamError` if the blocks end first.
     """
     if config.m0 > dim:
         raise ValueError(f"starting index {config.m0} exceeds dimension {dim}")
     if config.m0 == 0 and y_norm_sq <= config.kappa:
-        return StopOutcome(tau=0, rho=None, coefficients_consumed=0, immediate_stop=True)
+        return 0
+    start = max(config.m0, 1)
+    read = 0
     running = 0.0
-    reader = iter(coefficients)
-    for m in range(1, dim + 1):
-        try:
-            idx, value = next(reader)
-        except StopIteration:
-            raise TruncatedStreamError(
-                f"stream ended after {m - 1} coefficients; residual still above threshold"
-            ) from None
-        if int(idx) != m:
-            raise ValueError(f"coefficient stream out of order: expected index {m}, got {idx}")
-        running += float(value) * float(value)
-        if m >= config.m0 and (y_norm_sq - running <= config.kappa or m == dim):
-            return StopOutcome(tau=m, rho=None, coefficients_consumed=m, immediate_stop=m == config.m0)
-    raise AssertionError("unreachable: residual at full dimension is zero")
+    for block in blocks:
+        sums = np.square(np.asarray(block, dtype=float)[: dim - read])
+        # seeding the first term continues the sequential sum across blocks
+        sums[:1] += running
+        np.cumsum(sums, out=sums)
+        first = max(start - read - 1, 0)
+        hits = np.nonzero(y_norm_sq - sums[first:] <= config.kappa)[0]
+        if hits.size:
+            return read + first + int(hits[0]) + 1
+        read += sums.size
+        if read == dim:
+            return dim
+        running = sums[-1] if sums.size else running
+    raise TruncatedStreamError(f"coefficients ended after {read} of {dim}; residual still above threshold")
+
+
+def stop_index(y: np.ndarray, y_norm_sq: float, config: StoppingConfig) -> int:
+    """Stopped index of an in-memory coefficient vector: :func:`residual_rule` over one block."""
+    y = np.asarray(y, dtype=float)
+    return residual_rule((y,), y_norm_sq, y.size, config)
 
 
 def early_stop(obs: Observation, config: StoppingConfig) -> StopOutcome:
     """Residual rule over an in-memory observation."""
-    return early_stop_stream(stream_observation(obs), obs.y_norm_sq, obs.dim, config)
-
-
-def stop_index(y: np.ndarray, y_norm_sq: float, config: StoppingConfig) -> int:
-    """Vectorised stopped index, exactly matching :func:`early_stop_stream`."""
-    y = np.asarray(y, dtype=float)
-    dim = y.size
-    if config.m0 > dim:
-        raise ValueError(f"starting index {config.m0} exceeds dimension {dim}")
-    if config.m0 == 0 and y_norm_sq <= config.kappa:
-        return 0
-    below = (y_norm_sq - np.cumsum(y * y)) <= config.kappa
-    start = max(config.m0, 1)
-    hits = np.nonzero(below[start - 1 :])[0]
-    return int(start + hits[0]) if hits.size else dim
+    tau = stop_index(obs.y, obs.y_norm_sq, config)
+    return StopOutcome(tau=tau, rho=None, coefficients_consumed=tau, immediate_stop=tau == config.m0)
 
 
 def aic_select(
-    obs: Observation,
-    spectrum: Spectrum,
-    noise: NoiseModel,
+    y: np.ndarray,
+    lam: np.ndarray,
+    delta: float,
     m0: int,
     norm: str = "strong",
     penalty_multiplier: float = 1.0,
 ) -> int:
     """Penalised empirical-risk index over ``0..m0``; ties resolve to the smallest index.
 
-    The strong-norm criterion is
+    ``y`` holds the coefficients and ``lam`` the singular values, of equal
+    length at least ``m0``. The strong-norm criterion is
     ``-sum_{i<=m} lam_i**-2 Y_i**2 + 2 * delta**2 * sum_{i<=m} lam_i**-2``
     and the weak-norm criterion ``-sum_{i<=m} Y_i**2 + 2 * m * delta**2``,
     both scaled by an optional penalty multiplier.
     """
-    dim = require_same_dim(obs.dim, spectrum.dim)
+    y = np.asarray(y, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    dim = require_same_dim(y.size, lam.size)
     m0 = int(m0)
     if not 0 <= m0 <= dim:
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
     if penalty_multiplier <= 0:
         raise ValueError("penalty multiplier must be positive")
-    y2 = obs.y[:m0] ** 2
-    pen = 2.0 * penalty_multiplier * noise.delta**2
+    y2 = y[:m0] ** 2
+    pen = 2.0 * penalty_multiplier * delta**2
     if norm == "strong":
-        inv2 = spectrum.values[:m0] ** -2.0
+        inv2 = lam[:m0] ** -2.0
         crit = -_prefix_sums(inv2 * y2) + pen * _prefix_sums(inv2)
     elif norm == "weak":
         crit = -_prefix_sums(y2) + pen * np.arange(m0 + 1, dtype=float)
@@ -236,36 +232,18 @@ def aic_select(
 
 
 def two_step(
-    obs: Observation,
-    spectrum: Spectrum,
-    noise: NoiseModel,
-    config: StoppingConfig,
+    tau: int,
+    y: np.ndarray,
+    lam: np.ndarray,
+    delta: float,
+    m0: int,
     norm: str = "strong",
     penalty_multiplier: float = 1.0,
-) -> tuple[StopOutcome, EstimateVector]:
-    """Residual rule refined by AIC selection on an immediate stop.
+) -> int:
+    """Second step of the hybrid rule: the index chosen after a stop at ``tau``.
 
-    When the stop is not immediate the stopped index stands; when it is,
-    the AIC index over ``0..m0`` replaces it. The selection only reuses
-    coefficients the stopping pass already consumed.
+    A stop past ``m0`` stands; an immediate stop is replaced by the AIC
+    index over ``0..m0``, which only reuses coefficients the stopping
+    pass already read.
     """
-    outcome = early_stop(obs, config)
-    if outcome.tau > config.m0:
-        chosen = outcome.tau
-    else:
-        chosen = aic_select(obs, spectrum, noise, config.m0, norm, penalty_multiplier)
-    outcome = replace(outcome, rho=chosen)
-    return outcome, estimate_at(obs, spectrum, float(chosen))
-
-
-def estimate_noise_sq(obs: Observation, burn_in: int) -> float:
-    """Plug-in squared noise level ``R_m**2 / (dim - m)`` from a burn-in index ``m``.
-
-    Not applied automatically anywhere; callers opt in explicitly.
-    """
-    dim = obs.dim
-    m = int(burn_in)
-    if not 0 <= m < dim:
-        raise ValueError(f"burn-in index {m} outside [0, {dim})")
-    head = obs.y[:m]
-    return (obs.y_norm_sq - float(np.dot(head, head))) / (dim - m)
+    return tau if tau > m0 else aic_select(y, lam, delta, m0, norm, penalty_multiplier)

@@ -65,7 +65,7 @@ def efficiency_run(m0_mode: str, procedures: tuple) -> dict:
             base_seed=42,
             procedures=procedures,
         )
-        out[name] = run_experiment(config, threads=4)
+        out[name] = run_experiment(config)
     return out
 
 
@@ -134,7 +134,7 @@ def test_03_null_signal_calibration():
         procedures=("plain_stop",),
     )
     start = time.time()
-    rep = run_experiment(config, threads=4)
+    rep = run_experiment(config)
     elapsed = time.time() - start
     exp = resolve_experiment(config)
     overrun = 1.0 - rep.summaries[0].immediate_fraction

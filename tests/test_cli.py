@@ -63,10 +63,19 @@ def test_two_step_command(config_path, tmp_path):
     assert meta["outcome"]["rho"] is not None
     assert load_vector(out / "estimate.txt").shape == (120,)
 
+    rescue = ["--set", "stopping.kappa=1000", "--set", "stopping.m0_mode=explicit", "--set", "stopping.m0=100"]
+    assert run(["two-step", "--config", config_path, "--out", out, *rescue]) == 0
+    outcome = json.loads((out / "two_step.json").read_text())["outcome"]
+    assert outcome["tau"] == 100 and outcome["immediate_stop"]
+    estimate = load_vector(out / "estimate.txt")
+    # the estimate truncates at the AIC index, not at the stopped index
+    assert outcome["rho"] < 100
+    assert np.all(estimate[outcome["rho"] :] == 0.0)
+
 
 def test_mc_command_then_plot(config_path, tmp_path):
     out = tmp_path / "mc"
-    assert run(["mc", "--config", config_path, "--out", out, "--threads", 2]) == 0
+    assert run(["mc", "--config", config_path, "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["replications"] == 8
     assert {p["procedure"] for p in report["procedures"]} == {"plain_stop", "two_step_strong"}
@@ -83,9 +92,9 @@ def test_mc_command_then_plot(config_path, tmp_path):
 
 def test_mc_reruns_are_byte_identical(config_path, tmp_path):
     outs = []
-    for name, threads in (("one", 1), ("two", 4)):
+    for name in ("one", "two"):
         out = tmp_path / name
-        assert run(["mc", "--config", config_path, "--out", out, "--threads", threads]) == 0
+        assert run(["mc", "--config", config_path, "--out", out]) == 0
         outs.append((out / "replications.csv").read_bytes())
     assert outs[0] == outs[1]
 
@@ -162,6 +171,21 @@ def test_lazysvd_command(tmp_path):
     assert payload["matvec_count"] > 0
     assert payload["kappa"] == pytest.approx(rows * 0.05**2)
     assert load_vector(out / "estimate.txt").shape == (cols,)
+
+
+def test_lazysvd_nonfinite_data_exits_three(tmp_path, capsys):
+    save_matrix(tmp_path / "A.txt", np.random.default_rng(2).standard_normal((12, 8)))
+    y = np.ones(12)
+    y[5] = np.nan
+    np.savetxt(tmp_path / "y.txt", y)
+    config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.01}}
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    code, captured = run(["lazysvd", "--config", path, "--out", tmp_path], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert not (tmp_path / "estimate.txt").exists()
 
 
 def test_unknown_command_exits_two(capsys):

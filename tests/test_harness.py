@@ -143,12 +143,12 @@ def test_run_experiment_record_shape():
         assert record.eff_weak >= 0.0
 
 
-def test_run_experiment_is_thread_invariant():
+def test_run_experiment_is_rerun_invariant():
     config = small_config(replications=10, procedures=("plain_stop", "two_step_weak"))
-    serial = run_experiment(config, threads=None)
-    threaded = run_experiment(config, threads=3)
-    assert serial.records == threaded.records
-    assert serial.summaries == threaded.summaries
+    first = run_experiment(config)
+    second = run_experiment(config)
+    assert first.records == second.records
+    assert first.summaries == second.summaries
 
 
 def test_run_experiment_seed_sensitivity():
@@ -194,10 +194,10 @@ def test_csv_roundtrip(tmp_path):
     assert body[header_at] == CSV_HEADER
 
 
-def test_csv_bytes_are_thread_invariant(tmp_path):
+def test_csv_bytes_are_rerun_invariant(tmp_path):
     config = small_config(replications=10)
-    for name, threads in (("a.csv", 1), ("b.csv", 3)):
-        report = run_experiment(config, threads=threads)
+    for name in ("a.csv", "b.csv"):
+        report = run_experiment(config)
         write_records_csv(tmp_path / name, report.records, config.to_mapping())
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 

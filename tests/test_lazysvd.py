@@ -1,10 +1,9 @@
 """Lazy one-at-a-time SVD with deflation, and the matrix-space stopping loop."""
 
-import math
-
 import numpy as np
 import pytest
 
+from svdstop import lazysvd
 from svdstop.lazysvd import (
     ConvergenceError,
     DeflationState,
@@ -16,7 +15,7 @@ from svdstop.lazysvd import (
     save_matrix,
     sequential_solve,
 )
-from svdstop.model import NoiseModel, Observation, Spectrum
+from svdstop.model import NoiseModel
 from svdstop.stopping import StoppingConfig, aic_select, stop_index
 
 
@@ -189,19 +188,29 @@ def test_selection_reuses_computed_triplets():
     assert result.outcome.tau == 3
     assert result.outcome.immediate_stop
 
-    # rebuild the sequence-space view: only the first three triplets exist at
-    # stopping time; a fourth coordinate absorbs the unexplained mass so the
-    # observation is internally consistent
-    coeffs = np.array([abs(np.dot(t.u, y_raw)) for t in result.state.triplets])
-    total = float(np.dot(y_raw, y_raw))
-    leftover = math.sqrt(max(total - float(np.dot(coeffs, coeffs)), 0.0))
-    padded = np.append(coeffs[:3], leftover)
-    obs3 = Observation(y=padded, y_norm_sq=float(np.dot(padded, padded)), delta=0.5)
-    ref = aic_select(obs3, Spectrum(sigmas), noise, m0=3, norm="strong")
+    # only the first three triplets exist at stopping time; AIC sees their
+    # coefficients and singular values
+    assert len(result.state.triplets) == 3
+    coeffs = np.array([np.dot(t.u, y_raw) for t in result.state.triplets])
+    ref = aic_select(coeffs, sigmas[:3], noise.delta, m0=3, norm="strong")
     assert result.outcome.rho == ref
     expected = np.zeros(4)
     expected[: ref] = y_raw[: ref] / sigmas[: ref]
     assert result.estimate.values == pytest.approx(expected, abs=1e-8)
+
+
+def test_solve_rejects_nonfinite_data_before_any_triplet(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lazysvd, "next_triplet", lambda *args: calls.append(args))
+    op = MatrixOperator(random_tall(5))
+    y_raw = np.ones(60)
+    y_raw[7] = np.nan
+    with pytest.raises(ValueError):
+        sequential_solve(op, y_raw, NoiseModel(0.1), StoppingConfig(kappa=1.0))
+    y_raw[7] = np.inf
+    with pytest.raises(ValueError):
+        sequential_solve(op, y_raw, NoiseModel(0.1), StoppingConfig(kappa=1.0))
+    assert calls == []
 
 
 def test_solve_rejects_mismatched_data():

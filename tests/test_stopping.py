@@ -1,4 +1,4 @@
-"""Sequential residual stopping, streaming contract, and the two-step selector."""
+"""The residual stopping rule over coefficient blocks, AIC selection and the two-step rule."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svdstop.model import NoiseModel, Observation, Signal, Spectrum, make_polynomial_spectrum
+from svdstop.model import Observation, make_polynomial_spectrum
 from svdstop.stopping import (
     M0_MODES,
     StoppingConfig,
@@ -16,17 +16,16 @@ from svdstop.stopping import (
     conservative_start,
     default_threshold,
     early_stop,
-    early_stop_stream,
-    estimate_noise_sq,
     make_stopping_config,
     normal_quantile_start,
+    residual_rule,
     stop_index,
-    stream_observation,
     two_step,
 )
 
 Y3 = np.array([2.0, 1.0, 0.5])
 OBS3 = Observation(y=Y3, y_norm_sq=float(np.sum(Y3**2)), delta=1.0)
+LAM3 = np.array([1.0, 0.5, 0.25])
 
 
 def observations(max_dim=40):
@@ -73,34 +72,62 @@ def test_threshold_never_met_runs_to_dimension():
     assert not out.immediate_stop
 
 
+def loop_tau(y, y_norm_sq, config):
+    """The rule as a plain scalar loop: the reference for every blocking of the data."""
+    if config.m0 == 0 and y_norm_sq <= config.kappa:
+        return 0
+    running = 0.0
+    for m, value in enumerate(y, start=1):
+        running += float(value) * float(value)
+        if m >= config.m0 and (y_norm_sq - running <= config.kappa or m == len(y)):
+            return m
+
+
+def singletons(y, pulled):
+    """One-coefficient blocks of ``y``, counting in ``pulled`` how many were taken."""
+    for value in y:
+        pulled.append(value)
+        yield [value]
+
+
 def test_truncated_stream_raises():
     with pytest.raises(TruncatedStreamError):
-        early_stop_stream(iter([(1, 2.0)]), y_norm_sq=5.25, dim=3, config=StoppingConfig(kappa=0.0))
+        residual_rule([np.array([2.0])], y_norm_sq=5.25, dim=3, config=StoppingConfig(kappa=0.0))
 
 
-def test_out_of_order_stream_rejected():
-    pairs = [(1, 2.0), (3, 0.5), (2, 1.0)]
-    with pytest.raises(ValueError):
-        early_stop_stream(iter(pairs), y_norm_sq=5.25, dim=3, config=StoppingConfig(kappa=0.0))
-
-
-def test_stream_observation_yields_one_based_pairs():
-    assert list(stream_observation(OBS3)) == [(1, 2.0), (2, 1.0), (3, 0.5)]
-
-
-@given(observations())
-def test_stop_index_matches_streaming_rule(case):
+@given(observations(), st.lists(st.integers(0, 40), max_size=6))
+def test_stop_index_matches_streaming_rule(case, cuts):
+    """One block, one-coefficient blocks and random splits give the same index."""
     obs, config = case
-    out = early_stop(obs, config)
-    assert stop_index(obs.y, obs.y_norm_sq, config) == out.tau
-    assert config.m0 <= out.tau <= obs.y.size
+    tau = stop_index(obs.y, obs.y_norm_sq, config)
+    assert tau == loop_tau(obs.y, obs.y_norm_sq, config)
+    assert config.m0 <= tau <= obs.y.size
+    assert early_stop(obs, config).tau == tau
+    assert residual_rule(singletons(obs.y, []), obs.y_norm_sq, obs.dim, config) == tau
+    split = np.split(obs.y, sorted(c for c in cuts if c <= obs.dim))
+    assert residual_rule(iter(split), obs.y_norm_sq, obs.dim, config) == tau
+
+
+def test_blocks_carry_the_sum_exactly_at_the_threshold():
+    """A threshold equal to a running residual is met at the same index by every blocking."""
+    y = np.random.default_rng(3).standard_normal(1000) * np.geomspace(1e3, 1e-3, 1000)
+    y_norm_sq = float(np.dot(y, y))
+    running = np.cumsum(y * y)
+    for m in range(100, 1000, 37):
+        config = StoppingConfig(kappa=y_norm_sq - running[m - 1])
+        tau = loop_tau(y, y_norm_sq, config)
+        assert stop_index(y, y_norm_sq, config) == tau
+        assert residual_rule(singletons(y, []), y_norm_sq, y.size, config) == tau
+        assert residual_rule(np.array_split(y, 7), y_norm_sq, y.size, config) == tau
 
 
 @given(observations())
 def test_rule_reads_exactly_tau_coefficients(case):
     obs, config = case
-    out = early_stop(obs, config)
-    assert out.coefficients_consumed == out.tau
+    pulled = []
+    tau = residual_rule(singletons(obs.y, pulled), obs.y_norm_sq, obs.dim, config)
+    assert len(pulled) == tau
+    assert early_stop(obs, config).coefficients_consumed == tau
 
 
 @given(observations())
@@ -120,23 +147,18 @@ def test_decision_is_measurable_in_prefix(case):
 
 
 def test_aic_hand_example_prefers_first_coefficient():
-    spec = Spectrum(np.array([1.0, 0.5]))
-    obs = Observation(y=np.array([2.0, 0.1]), y_norm_sq=4.01, delta=1.0)
-    assert aic_select(obs, spec, NoiseModel(1.0), m0=2, norm="weak") == 1
-    assert aic_select(obs, spec, NoiseModel(1.0), m0=2, norm="strong") == 1
+    y, lam = np.array([2.0, 0.1]), np.array([1.0, 0.5])
+    assert aic_select(y, lam, 1.0, m0=2, norm="weak") == 1
+    assert aic_select(y, lam, 1.0, m0=2, norm="strong") == 1
 
 
 def test_aic_zero_noise_keeps_everything():
-    spec = Spectrum(np.array([1.0, 0.5]))
-    obs = Observation(y=np.array([2.0, 0.1]), y_norm_sq=4.01, delta=0.0)
-    assert aic_select(obs, spec, NoiseModel(0.0), m0=2, norm="strong") == 2
+    assert aic_select(np.array([2.0, 0.1]), np.array([1.0, 0.5]), 0.0, m0=2, norm="strong") == 2
 
 
 def test_aic_ties_resolve_to_smallest():
-    spec = Spectrum(np.array([1.0, 1.0]))
     # y2=0 with positive penalty: criterion strictly favours truncation at 0..
-    obs = Observation(y=np.array([0.0, 0.0]), y_norm_sq=0.0, delta=1.0)
-    assert aic_select(obs, spec, NoiseModel(1.0), m0=2, norm="strong") == 0
+    assert aic_select(np.zeros(2), np.ones(2), 1.0, m0=2, norm="strong") == 0
 
 
 def test_aic_penalty_multiplier_shrinks_selection():
@@ -144,34 +166,28 @@ def test_aic_penalty_multiplier_shrinks_selection():
     spec = make_polynomial_spectrum(d, 0.5)
     rng = np.random.default_rng(7)
     y = spec.values * (3.0 * np.arange(1, d + 1, dtype=float) ** -1.0) + 0.3 * rng.standard_normal(d)
-    obs = Observation(y=y, y_norm_sq=float(np.sum(y**2)), delta=0.3)
-    loose = aic_select(obs, spec, NoiseModel(0.3), m0=d, norm="strong", penalty_multiplier=1.0)
-    tight = aic_select(obs, spec, NoiseModel(0.3), m0=d, norm="strong", penalty_multiplier=8.0)
+    loose = aic_select(y, spec.values, 0.3, m0=d, norm="strong", penalty_multiplier=1.0)
+    tight = aic_select(y, spec.values, 0.3, m0=d, norm="strong", penalty_multiplier=8.0)
     assert tight <= loose
 
 
+
 def test_two_step_keeps_late_stop():
-    spec = Spectrum(np.array([1.0, 0.5, 0.25]))
     config = StoppingConfig(kappa=1.0, m0=1)
-    outcome, estimate = two_step(OBS3, spec, NoiseModel(1.0), config)
+    outcome = early_stop(OBS3, config)
     assert outcome.tau == 2
     assert not outcome.immediate_stop
-    assert outcome.rho == outcome.tau
-    assert estimate.values == pytest.approx(np.array([2.0, 2.0, 0.0]))
+    assert two_step(outcome.tau, OBS3.y, LAM3, 1.0, config.m0) == outcome.tau
 
 
 def test_two_step_rescues_immediate_stop():
-    spec = Spectrum(np.array([1.0, 0.5, 0.25]))
     config = StoppingConfig(kappa=50.0, m0=2)
-    outcome, estimate = two_step(OBS3, spec, NoiseModel(1.0), config)
+    outcome = early_stop(OBS3, config)
     assert outcome.tau == 2
     assert outcome.immediate_stop
-    assert outcome.rho == aic_select(OBS3, spec, NoiseModel(1.0), m0=2, norm="strong")
-    assert outcome.rho <= outcome.tau
-    # the estimate truncates at rho, not tau
-    expected = np.zeros(3)
-    expected[: outcome.rho] = OBS3.y[: outcome.rho] / spec.values[: outcome.rho]
-    assert estimate.values == pytest.approx(expected)
+    rho = two_step(outcome.tau, OBS3.y, LAM3, 1.0, config.m0)
+    assert rho == aic_select(OBS3.y, LAM3, 1.0, m0=2, norm="strong")
+    assert rho < outcome.tau
 
 
 def test_normal_quantile_start_reference_value():
@@ -204,12 +220,3 @@ def test_make_stopping_config_modes():
     with pytest.raises(ValueError):
         make_stopping_config(100, 0.1, m0_mode="quantile")
 
-
-def test_noise_estimate_from_tail():
-    rng = np.random.default_rng(0)
-    y = rng.standard_normal(4000) * 0.3
-    obs = Observation(y=y, y_norm_sq=float(np.sum(y**2)), delta=0.3)
-    est = estimate_noise_sq(obs, burn_in=1000)
-    assert est == pytest.approx(0.09, rel=0.1)
-    with pytest.raises(ValueError):
-        estimate_noise_sq(obs, burn_in=4000)

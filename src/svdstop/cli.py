@@ -23,23 +23,13 @@ from pathlib import Path
 
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
+from .harness import _EXPERIMENT_KEYS, _check_keys
 from .model import NoiseModel, load_vector, replication_seed, save_vector, simulate_observation
 from .oracles import theory_bounds
 from .stopping import StopOutcome, early_stop, make_stopping_config, two_step
 from .svgplot import efficiency_plot
 
 __all__ = ["main"]
-
-_EXPERIMENT_KEYS = {
-    "dim",
-    "spectrum",
-    "noise",
-    "signal",
-    "stopping",
-    "replications",
-    "base_seed",
-    "procedures",
-}
 
 _NUMERIC_ERRORS = (
     lowerbound.AccuracyError,
@@ -97,12 +87,6 @@ def _load_mapping(args) -> tuple[dict, Path]:
     return mapping, config_path.resolve().parent
 
 
-def _check_keys(mapping: dict, allowed: set[str]) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"config keys not understood by this command: {sorted(unknown)}")
-
-
 def _experiment_config(mapping: dict) -> harness.ExperimentConfig:
     sub = {k: v for k, v in mapping.items() if k in _EXPERIMENT_KEYS}
     return harness.config_from_mapping(sub)
@@ -145,6 +129,7 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
 def _cmd_two_step(mapping: dict, out: Path, base: Path, args) -> None:
     _check_keys(mapping, _EXPERIMENT_KEYS | {"selection"})
     selection = mapping.get("selection", {})
+    _check_keys(selection, {"norm", "penalty_multiplier"}, "selection")
     norm = selection.get("norm", "strong")
     penalty = float(selection.get("penalty_multiplier", 1.0))
     config = _experiment_config(mapping)
@@ -193,6 +178,7 @@ def _cmd_adversary(mapping: dict, out: Path, base: Path, args) -> None:
     section = mapping.get("adversary")
     if not isinstance(section, dict):
         raise ValueError("adversary command requires an 'adversary' config section")
+    _check_keys(section, {"kind", "i0", "alpha", "r_bar"}, "adversary")
     kind = section.get("kind")
     if kind not in ("hide_signal", "residual_adversary"):
         raise ValueError("adversary.kind must be 'hide_signal' or 'residual_adversary'")
@@ -222,6 +208,14 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
     for key in ("matrix", "data", "noise"):
         if key not in mapping:
             raise ValueError(f"lazysvd command requires a '{key}' config section")
+    for key, allowed in (
+        ("matrix", {"file"}),
+        ("data", {"file"}),
+        ("noise", {"delta"}),
+        ("stopping", {"kappa", "m0_mode", "m0", "level"}),
+        ("lazysvd", {"tolerance", "max_iterations", "triplet_budget", "selection_norm", "penalty_multiplier"}),
+    ):
+        _check_keys(mapping.get(key, {}), allowed, key)
 
     def _path(section: str) -> Path:
         name = mapping[section].get("file")
@@ -282,6 +276,7 @@ def _cmd_plot(mapping: dict, out: Path, base: Path, args) -> None:
     section = mapping.get("plot")
     if not isinstance(section, dict) or "csv" not in section:
         raise ValueError("plot command requires a 'plot' section with a 'csv' path")
+    _check_keys(section, {"csv", "title"}, "plot")
     csv_path = Path(section["csv"])
     csv_path = csv_path if csv_path.is_absolute() else base / csv_path
     if not csv_path.exists():

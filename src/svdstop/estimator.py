@@ -28,8 +28,6 @@ __all__ = [
     "FunctionalProfile",
     "MissingNoiseError",
     "estimate_at",
-    "expected_residual",
-    "residual_sq",
     "split_level",
     "stochastic_error",
     "strong_bias_sq",
@@ -99,16 +97,6 @@ def estimate_at(obs: Observation, spectrum: Spectrum, t: float) -> EstimateVecto
     return EstimateVector(values=values, t=float(t))
 
 
-def residual_sq(obs: Observation, t: float) -> float:
-    """Squared data residual left after truncating at level ``t``."""
-    k, frac = split_level(t, obs.dim)
-    if k >= obs.dim:
-        return 0.0
-    tail = obs.y[k + 1 :]
-    w = 1.0 - math.sqrt(frac)
-    return float(w * w * obs.y[k] ** 2 + np.dot(tail, tail))
-
-
 def strong_bias_sq(signal: Signal, t: float) -> float:
     """Squared bias of the truncated estimator in the coefficient norm."""
     k, frac = split_level(t, signal.dim)
@@ -164,15 +152,6 @@ def stochastic_error(obs: Observation, spectrum: Spectrum, t: float) -> float:
     if k < dim:
         total += frac * float(scaled[k] ** 2)
     return obs.delta**2 * total
-
-
-def expected_residual(signal: Signal, spectrum: Spectrum, noise: NoiseModel, t: float) -> float:
-    """Expectation of the squared residual at level ``t`` under the model."""
-    dim = require_same_dim(signal.dim, spectrum.dim)
-    k, frac = split_level(t, dim)
-    w = 1.0 - math.sqrt(frac)
-    noise_part = (w * w + dim - k - 1) * noise.delta**2
-    return weak_bias_sq(signal, spectrum, t) + noise_part
 
 
 class FunctionalProfile:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .model import (
     replication_seed,
     simulate_observation,
 )
-from .oracles import classical_oracle, oracle_set
+from .oracles import oracle_set
 from .signals import calibrated_signal
 from .stopping import StoppingConfig, aic_select, make_stopping_config, stop_index
 
@@ -57,6 +57,14 @@ __all__ = [
 PROCEDURES = ("plain_stop", "two_step_weak", "two_step_strong", "fixed_oracle")
 
 CSV_HEADER = "rep,tau,rho,immediate,err_strong,err_weak,eff_strong,eff_weak,procedure"
+
+_EXPERIMENT_KEYS = {"dim", "spectrum", "noise", "signal", "stopping", "replications", "base_seed", "procedures"}
+_SECTION_KEYS = {
+    "spectrum": {"p", "file"},
+    "noise": {"delta"},
+    "signal": {"name", "target", "file"},
+    "stopping": {"kappa", "kappa_drift", "m0_mode", "m0", "level"},
+}
 
 
 @dataclass(frozen=True)
@@ -123,18 +131,27 @@ class ExperimentConfig:
         }
 
 
-def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    """Parse a nested mapping (typically loaded from JSON) into a config."""
+def _check_keys(mapping: dict, allowed: set[str], where: str = "config") -> None:
+    """Reject a config section that is not a mapping or holds keys outside ``allowed``."""
     if not isinstance(mapping, dict):
-        raise ValueError("experiment config must be a mapping")
-    known = {"dim", "spectrum", "noise", "signal", "stopping", "replications", "base_seed", "procedures"}
-    unknown = set(mapping) - known
+        raise ValueError(f"{where} must be a mapping")
+    unknown = set(mapping) - allowed
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    """Parse a nested mapping (typically loaded from JSON) into a config.
+
+    Unknown keys, at the top level or inside a section, raise ``ValueError``.
+    """
+    _check_keys(mapping, _EXPERIMENT_KEYS)
     spectrum = mapping.get("spectrum", {"p": 0.5})
     noise = mapping.get("noise", {})
     signal = mapping.get("signal", {})
     stopping = mapping.get("stopping", {})
+    for name, allowed in _SECTION_KEYS.items():
+        _check_keys(mapping.get(name, {}), allowed, name)
     if "delta" not in noise:
         raise ValueError("config requires noise.delta")
     if "dim" not in mapping:
@@ -271,20 +288,7 @@ class EfficiencyReport:
 
 def oracle_payload(exp: ResolvedExperiment) -> dict:
     """All oracle quantities for a resolved experiment, as a plain dict."""
-    oracles = oracle_set(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0)
-    weak_index, weak_risk = classical_oracle(exp.signal, exp.spectrum, exp.noise, norm="weak")
-    return {
-        "balanced_discrete": oracles.balanced_discrete,
-        "weak_time": oracles.weak_time,
-        "strong_time": oracles.strong_time,
-        "proxy_time": oracles.proxy_time,
-        "classical_index": oracles.classical_index,
-        "classical_risk": oracles.classical_risk,
-        "classical_weak_index": weak_index,
-        "classical_weak_risk": weak_risk,
-        "kappa": oracles.kappa,
-        "m0": oracles.m0,
-    }
+    return asdict(oracle_set(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0))
 
 
 def _run_one(

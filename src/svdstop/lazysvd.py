@@ -314,7 +314,10 @@ def load_matrix(path) -> np.ndarray:
             magic = fh.read(4)
             if magic != _BINARY_MAGIC:
                 raise ValueError(f"{path}: not a binary matrix file")
-            rows, cols = struct.unpack("<qq", fh.read(16))
+            header = fh.read(16)
+            if len(header) != 16:
+                raise ValueError(f"{path}: truncated binary matrix header")
+            rows, cols = struct.unpack("<qq", header)
             data = np.frombuffer(fh.read(), dtype="<f8")
         if data.size != rows * cols:
             raise ValueError(f"{path}: truncated binary matrix file")

@@ -47,7 +47,6 @@ __all__ = [
     "SIMPLIFIED_NORM_THRESHOLD",
     "TailReport",
     "TvBoundResult",
-    "adaptation_ceiling",
     "adversary_conditions",
     "hide_signal",
     "laurent_massart_tails",
@@ -516,21 +515,6 @@ def overrun_check(
         implication_ok=(p_over <= 0.9 + 3.0 * p_se) if premise else None,
         replications=replications,
     )
-
-
-def adaptation_ceiling(dim: int, delta: float, p: float) -> float:
-    """Largest smoothness exponent that admits adaptation, given the setup.
-
-    Returns ``log(delta**-2) / log(dim) - p - 1/2``; above this exponent
-    the minimax truncation level would have to exceed the dimension.
-    """
-    if dim <= 1:
-        raise ValueError("dimension must exceed 1")
-    if delta <= 0:
-        raise ValueError("noise level must be positive")
-    if p < 0:
-        raise ValueError("decay exponent must be nonnegative")
-    return math.log(delta**-2.0) / math.log(dim) - p - 0.5
 
 
 @dataclass(frozen=True)

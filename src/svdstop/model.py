@@ -3,8 +3,7 @@
 Observed coefficients follow ``y_i = lam_i * mu_i + delta * eps_i`` where
 ``lam`` is the non-increasing positive singular-value sequence of the
 forward operator, ``mu`` the unknown coefficient vector, ``delta`` the
-known noise level and ``eps`` independent standard Gaussian (or, for
-robustness experiments, Rademacher) noise.
+known noise level and ``eps`` independent standard Gaussian noise.
 
 All containers are immutable and operations are pure. Per-replication
 random streams are derived by splitting a base seed through
@@ -26,20 +25,14 @@ __all__ = [
     "NoiseModel",
     "Observation",
     "Signal",
-    "SobolevClass",
     "Spectrum",
     "load_vector",
     "make_polynomial_spectrum",
     "replication_seed",
     "require_same_dim",
-    "satisfies_polynomial_decay",
     "save_vector",
     "simulate_observation",
-    "sobolev_radius",
-    "weak_norm_sq",
 ]
-
-NOISE_KINDS = ("gaussian", "rademacher")
 
 
 class DimensionMismatchError(ValueError):
@@ -66,31 +59,11 @@ def require_same_dim(*lengths: int) -> int:
     return first
 
 
-def satisfies_polynomial_decay(values: np.ndarray, p: float, c: float, rtol: float = 1e-12) -> bool:
-    """Check ``c**-1 * i**-p <= values[i-1] <= c * i**-p`` for all indices.
-
-    A small relative slack absorbs floating-point round-off so that
-    spectra constructed as exactly ``i**-p`` certify with ``c = 1``.
-    """
-    values = np.asarray(values, dtype=float)
-    idx = np.arange(1, values.size + 1, dtype=float)
-    envelope = idx ** -float(p)
-    upper = c * envelope * (1.0 + rtol)
-    lower = (envelope / c) * (1.0 - rtol)
-    return bool(np.all(values <= upper) and np.all(values >= lower))
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Singular values ``lam_1 >= ... >= lam_D > 0`` of the forward operator.
-
-    ``decay_certificate``, when present, is a pair ``(p, c)`` with
-    ``p >= 0`` and ``c >= 1`` certifying the polynomial envelope
-    ``c**-1 * i**-p <= lam_i <= c * i**-p``; it is validated eagerly.
-    """
+    """Singular values ``lam_1 >= ... >= lam_D > 0`` of the forward operator."""
 
     values: np.ndarray
-    decay_certificate: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_vector(self.values))
@@ -101,13 +74,6 @@ class Spectrum:
             raise ValueError("singular values must be finite and strictly positive")
         if np.any(np.diff(v) > 0):
             raise ValueError("singular values must be non-increasing")
-        if self.decay_certificate is not None:
-            p, c = (float(x) for x in self.decay_certificate)
-            if p < 0 or c < 1:
-                raise ValueError("decay certificate requires p >= 0 and c >= 1")
-            object.__setattr__(self, "decay_certificate", (p, c))
-            if not satisfies_polynomial_decay(v, p, c):
-                raise ValueError("spectrum violates its polynomial decay certificate")
 
     @property
     def dim(self) -> int:
@@ -134,21 +100,18 @@ class Signal:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise level and distribution of the coefficient noise.
+    """Level of the Gaussian coefficient noise.
 
     ``delta`` must be non-negative; zero is admitted for deterministic
     diagnostics.
     """
 
     delta: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "delta", float(self.delta))
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ValueError("noise level must be finite and non-negative")
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +129,6 @@ class Observation:
     y_norm_sq: float
     delta: float
     noise: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_vector(self.y))
@@ -186,33 +148,14 @@ class Observation:
         return int(self.y.size)
 
 
-@dataclass(frozen=True)
-class SobolevClass:
-    """Ellipsoid of coefficient vectors with ``sum(i**(2*beta) * mu_i**2) <= radius**2``."""
-
-    beta: float
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.beta < 0:
-            raise ValueError("smoothness must be non-negative")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def contains(self, signal: Signal) -> bool:
-        return sobolev_radius(signal, self.beta) <= self.radius
-
-
 def make_polynomial_spectrum(dim: int, p: float) -> Spectrum:
-    """Spectrum ``lam_i = i**-p`` with its own decay certificate ``(p, 1)``."""
+    """Spectrum ``lam_i = i**-p``."""
     if dim < 1:
         raise InvalidDimensionError("dimension must be at least 1")
     if p < 0:
         raise ValueError("decay exponent must be non-negative")
     idx = np.arange(1, dim + 1, dtype=float)
-    return Spectrum(idx ** -float(p), decay_certificate=(float(p), 1.0))
+    return Spectrum(idx ** -float(p))
 
 
 def replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
@@ -234,35 +177,9 @@ def simulate_observation(signal: Signal, spectrum: Spectrum, noise: NoiseModel, 
     seeds give bit-identical observations.
     """
     dim = require_same_dim(signal.dim, spectrum.dim)
-    rng = np.random.default_rng(seed)
-    if noise.kind == "gaussian":
-        eps = rng.standard_normal(dim)
-    else:
-        eps = rng.integers(0, 2, size=dim).astype(float) * 2.0 - 1.0
+    eps = np.random.default_rng(seed).standard_normal(dim)
     y = spectrum.values * signal.coefficients + noise.delta * eps
-    return Observation(
-        y=y,
-        y_norm_sq=float(np.dot(y, y)),
-        delta=noise.delta,
-        noise=eps,
-        seed=seed if isinstance(seed, int) else None,
-    )
-
-
-def weak_norm_sq(v: np.ndarray, spectrum: Spectrum) -> float:
-    """Squared image-space norm ``sum(lam_i**2 * v_i**2)``."""
-    v = np.asarray(v, dtype=float)
-    require_same_dim(v.size, spectrum.dim)
-    w = spectrum.values * v
-    return float(np.dot(w, w))
-
-
-def sobolev_radius(signal: Signal, beta: float) -> float:
-    """Smallest ellipsoid radius of smoothness ``beta`` containing the signal."""
-    if beta < 0:
-        raise ValueError("smoothness must be non-negative")
-    idx = np.arange(1, signal.dim + 1, dtype=float)
-    return float(math.sqrt(np.sum(idx ** (2.0 * beta) * signal.coefficients**2)))
+    return Observation(y=y, y_norm_sq=float(np.dot(y, y)), delta=noise.delta, noise=eps)
 
 
 def load_vector(path) -> np.ndarray:

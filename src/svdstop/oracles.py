@@ -1,7 +1,8 @@
 """Oracle truncation levels and theoretical risk-bound evaluators.
 
 The oracle quantities are deterministic functionals of a problem instance
-``(signal, spectrum, noise)``:
+``(signal, spectrum, noise)``. :func:`oracle_set` computes all of them in
+one pass over a single :class:`~svdstop.estimator.FunctionalProfile`:
 
 * the discrete strongly balanced index, the first integer ``m`` with
   ``V_m >= B_m**2``;
@@ -10,12 +11,14 @@ The oracle quantities are deterministic functionals of a problem instance
   accumulated variance;
 * the residual proxy level, the first level at which the expected
   residual falls below a stopping threshold ``kappa``; and
-* the classical discrete oracle minimising ``B_m**2 + V_m``.
+* the classical discrete oracles minimising ``B_m**2 + V_m`` in either
+  norm.
 
 Continuous levels are located by scanning the integer grid for a sign
 change and bisecting the bracketing unit interval to absolute tolerance
 1e-9 (at most 60 iterations). Ties in discrete argmins resolve to the
 smallest index, and an infimum over an empty set is the dimension ``D``.
+:func:`theory_bounds` shares the level finders with :func:`oracle_set`.
 """
 
 from __future__ import annotations
@@ -29,18 +32,7 @@ import numpy as np
 from .estimator import FunctionalProfile
 from .model import NoiseModel, Signal, Spectrum
 
-__all__ = [
-    "OracleSet",
-    "TheoryBounds",
-    "balanced_continuous",
-    "classical_oracle",
-    "minimax_rate",
-    "minimax_time",
-    "oracle_proxy",
-    "oracle_set",
-    "strongly_balanced_discrete",
-    "theory_bounds",
-]
+__all__ = ["OracleSet", "TheoryBounds", "oracle_set", "theory_bounds"]
 
 BISECTION_TOL = 1e-9
 BISECTION_MAX_ITER = 60
@@ -55,7 +47,8 @@ class OracleSet:
     are the continuous balanced levels in the respective norms;
     ``proxy_time`` is the deterministic proxy of the residual stopping
     rule for threshold ``kappa``; ``classical_index``/``classical_risk``
-    describe the discrete risk minimiser.
+    describe the discrete risk minimiser and ``classical_weak_index``/
+    ``classical_weak_risk`` its image-space analogue.
     """
 
     balanced_discrete: int
@@ -64,6 +57,8 @@ class OracleSet:
     proxy_time: float
     classical_index: int
     classical_risk: float
+    classical_weak_index: int
+    classical_weak_risk: float
     kappa: float
     m0: int
 
@@ -125,35 +120,18 @@ def _first_level_below(
     return hi
 
 
-def strongly_balanced_discrete(signal: Signal, spectrum: Spectrum, noise: NoiseModel) -> int:
-    """First integer index ``m`` with ``V_m >= B_m**2``."""
-    prof = FunctionalProfile(signal, spectrum, noise)
-    ok = prof.int_strong_variance >= prof.int_strong_bias_sq
-    hits = np.nonzero(ok)[0]
-    return int(hits[0]) if hits.size else prof.dim
-
-
-def _balanced_continuous(prof: FunctionalProfile, m0: int, norm: str) -> float:
+def _balanced_level(prof: FunctionalProfile, m0: int, norm: str) -> float:
     m0 = _validate_level_bounds(m0, prof.dim)
     if norm == "strong":
         int_vals = prof.int_strong_bias_sq - prof.int_strong_variance
         value_at = lambda t: prof.strong_bias_sq(t) - prof.strong_variance(t)
-    elif norm == "weak":
+    else:
         int_vals = prof.int_weak_bias_sq - prof.int_weak_variance
         value_at = lambda t: prof.weak_bias_sq(t) - prof.weak_variance(t)
-    else:
-        raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
     return _first_level_below(value_at, int_vals, m0, prof.dim)
 
 
-def balanced_continuous(
-    signal: Signal, spectrum: Spectrum, noise: NoiseModel, m0: int = 0, norm: str = "strong"
-) -> float:
-    """Continuous balanced level: first ``t >= m0`` where bias <= variance in ``norm``."""
-    return _balanced_continuous(FunctionalProfile(signal, spectrum, noise), m0, norm)
-
-
-def _oracle_proxy(prof: FunctionalProfile, kappa: float, m0: int) -> float:
+def _proxy_level(prof: FunctionalProfile, kappa: float, m0: int) -> float:
     if kappa < 0:
         raise ValueError("stopping threshold must be non-negative")
     offset = kappa - prof.dim * prof.delta**2
@@ -162,63 +140,24 @@ def _oracle_proxy(prof: FunctionalProfile, kappa: float, m0: int) -> float:
     return _first_level_below(value_at, int_vals, _validate_level_bounds(m0, prof.dim), prof.dim)
 
 
-def oracle_proxy(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: float, m0: int = 0) -> float:
-    """Deterministic proxy of the residual rule: first ``t >= m0`` with
-    ``B_{t,lam}**2 - t * delta**2 <= kappa - D * delta**2``.
-
-    For the default threshold ``kappa = D * delta**2`` this is exactly the
-    weakly balanced level.
-    """
-    return _oracle_proxy(FunctionalProfile(signal, spectrum, noise), kappa, m0)
-
-
-def classical_oracle(
-    signal: Signal, spectrum: Spectrum, noise: NoiseModel, norm: str = "strong"
-) -> tuple[int, float]:
-    """Discrete risk-minimising index and its risk; ties resolve to the smallest index."""
-    prof = FunctionalProfile(signal, spectrum, noise)
-    if norm == "strong":
-        risks = prof.strong_risk_at_integers()
-    elif norm == "weak":
-        risks = prof.weak_risk_at_integers()
-    else:
-        raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
-    idx = int(np.argmin(risks))
-    return idx, float(risks[idx])
-
-
-def minimax_time(beta: float, p: float, radius: float, delta: float) -> float:
-    """Truncation level attaining the minimax rate over the smoothness ellipsoid."""
-    if radius <= 0 or delta <= 0:
-        raise ValueError("radius and noise level must be positive")
-    if beta <= 0 or p < 0:
-        raise ValueError("smoothness must be positive and decay non-negative")
-    return (delta / radius) ** (-2.0 / (2.0 * beta + 2.0 * p + 1.0))
-
-
-def minimax_rate(beta: float, p: float, radius: float, delta: float) -> float:
-    """Minimax estimation accuracy over the smoothness ellipsoid."""
-    if radius <= 0 or delta <= 0:
-        raise ValueError("radius and noise level must be positive")
-    if beta <= 0 or p < 0:
-        raise ValueError("smoothness must be positive and decay non-negative")
-    return radius * (delta / radius) ** (2.0 * beta / (2.0 * beta + 2.0 * p + 1.0))
-
-
 def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: float, m0: int = 0) -> OracleSet:
     """All oracle quantities of one instance in a single pass."""
     prof = FunctionalProfile(signal, spectrum, noise)
     m0 = _validate_level_bounds(m0, prof.dim)
     risks = prof.strong_risk_at_integers()
     cls_idx = int(np.argmin(risks))
+    weak_risks = prof.weak_risk_at_integers()
+    weak_idx = int(np.argmin(weak_risks))
     balanced = np.nonzero(prof.int_strong_variance >= prof.int_strong_bias_sq)[0]
     return OracleSet(
         balanced_discrete=int(balanced[0]) if balanced.size else prof.dim,
-        weak_time=_balanced_continuous(prof, m0, "weak"),
-        strong_time=_balanced_continuous(prof, m0, "strong"),
-        proxy_time=_oracle_proxy(prof, kappa, m0),
+        weak_time=_balanced_level(prof, m0, "weak"),
+        strong_time=_balanced_level(prof, m0, "strong"),
+        proxy_time=_proxy_level(prof, kappa, m0),
         classical_index=cls_idx,
         classical_risk=float(risks[cls_idx]),
+        classical_weak_index=weak_idx,
+        classical_weak_risk=float(weak_risks[weak_idx]),
         kappa=float(kappa),
         m0=m0,
     )
@@ -241,8 +180,8 @@ def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: 
     lam = spectrum.values
     wmu = lam * signal.coefficients
 
-    t_star = _oracle_proxy(prof, kappa, m0)
-    t_strong = _balanced_continuous(prof, m0, "strong")
+    t_star = _proxy_level(prof, kappa, m0)
+    t_strong = _balanced_level(prof, m0, "strong")
 
     k_star = int(math.floor(t_star))
     tail_amp = float(np.max(np.abs(wmu[k_star:]))) if k_star < dim else 0.0

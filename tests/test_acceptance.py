@@ -40,7 +40,7 @@ from svdstop.model import (
     replication_seed,
     simulate_observation,
 )
-from svdstop.oracles import balanced_continuous, oracle_proxy, oracle_set, theory_bounds
+from svdstop.oracles import oracle_set, theory_bounds
 from svdstop.signals import NAMED_PROFILES, calibrated_signal
 from svdstop.stopping import make_stopping_config, stop_index
 
@@ -104,12 +104,11 @@ def test_02_threshold_identity_and_ordering():
         mu = Signal(rng.standard_normal(dim) * rng.uniform(0, 3))
         delta = float(rng.uniform(0.01, 1.0))
         noise = NoiseModel(delta=delta)
-        weak_time = balanced_continuous(mu, spec, noise, 0, "weak")
-        proxy = oracle_proxy(mu, spec, noise, dim * delta**2, 0)
-        worst_gap = max(worst_gap, abs(proxy - weak_time))
+        at_default = oracle_set(mu, spec, noise, dim * delta**2, 0)
+        weak_time, strong_time = at_default.weak_time, at_default.strong_time
+        worst_gap = max(worst_gap, abs(at_default.proxy_time - weak_time))
         kappa = float(rng.uniform(0, 2 * dim * delta**2))
-        strong_time = balanced_continuous(mu, spec, noise, 0, "strong")
-        proxy_k = oracle_proxy(mu, spec, noise, kappa, 0)
+        proxy_k = oracle_set(mu, spec, noise, kappa, 0).proxy_time
         slack = max(dim - kappa / delta**2, 0.0)
         if not (proxy_k - slack <= weak_time + 1e-9 and weak_time <= strong_time + 1e-9):
             chain_failures += 1

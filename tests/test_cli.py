@@ -232,6 +232,59 @@ def test_numeric_failure_exits_four(tmp_path, capsys):
     assert record["error"] == "ConvergenceError"
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("mc", ["stopping.kapa=5"]),
+        ("oracles", ["noise.delt=3"]),
+        ("two-step", ["selection.nrom=weak"]),
+        ("adversary", ["adversary.alpah=0.5"]),
+        ("plot", ["plot.csv=r.csv", "plot.titel=x"]),
+    ],
+)
+def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overrides, capsys):
+    out = tmp_path / "out"
+    args = [command, "--config", config_path, "--out", out]
+    for item in overrides:
+        args += ["--set", item]
+    code, captured = run(args, capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    misspelled = overrides[-1].split("=")[0].split(".")[-1]
+    assert misspelled in record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "section, key", [("lazysvd", "tolerence"), ("stopping", "kapa"), ("noise", "delt"), ("matrix", "fiel")]
+)
+def test_lazysvd_misspelled_key_exits_three(tmp_path, section, key, capsys):
+    save_matrix(tmp_path / "A.txt", np.eye(4))
+    np.savetxt(tmp_path / "y.txt", np.ones(4))
+    config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.01}}
+    config.setdefault(section, {})[key] = 1
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    code, captured = run(["lazysvd", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert code == 3
+    assert key in json.loads(captured.err.strip().splitlines()[-1])["message"]
+    assert not (tmp_path / "out" / "lazysvd.json").exists()
+
+
+def test_lazysvd_truncated_binary_matrix_exits_three(tmp_path, capsys):
+    (tmp_path / "A.bin").write_bytes(b"SVDM" + b"\x02\x00")
+    np.savetxt(tmp_path / "y.txt", np.ones(2))
+    config = {"matrix": {"file": "A.bin"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.01}}
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    code, captured = run(["lazysvd", "--config", path, "--out", tmp_path], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "header" in record["message"]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = dict(BASE_CONFIG)
     config["extra_section"] = {"a": 1}

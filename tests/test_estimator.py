@@ -16,8 +16,6 @@ from svdstop.estimator import (
     FunctionalProfile,
     MissingNoiseError,
     estimate_at,
-    expected_residual,
-    residual_sq,
     split_level,
     stochastic_error,
     strong_bias_sq,
@@ -59,14 +57,6 @@ def test_estimate_at_endpoints():
     assert np.allclose(estimate_at(obs, LAM3, 3.0).values, [2.0, 2.0, 2.0])
 
 
-def test_residual_hand_value():
-    obs = make_obs([2.0, 1.0, 0.5])
-    # (1 - sqrt(0.5))**2 * 1 + 0.25 = 1.75 - sqrt(2)
-    assert residual_sq(obs, 1.5) == pytest.approx(1.75 - math.sqrt(2.0))
-    assert residual_sq(obs, 0.0) == pytest.approx(5.25)
-    assert residual_sq(obs, 3.0) == 0.0
-
-
 def test_bias_hand_values():
     assert strong_bias_sq(MU3, 1.25) == pytest.approx(2.0)  # (1-0.5)**2*4 + 1
     assert weak_bias_sq(MU3, LAM3, 1.25) == pytest.approx(0.3125)
@@ -92,11 +82,6 @@ def test_stochastic_error_requires_noise():
     obs = make_obs([1.0, 1.0, 1.0])
     with pytest.raises(MissingNoiseError):
         stochastic_error(obs, LAM3, 1.0)
-
-
-def test_expected_residual_hand_value():
-    noise = NoiseModel(delta=2.0)
-    assert expected_residual(MU3, LAM3, noise, 1.25) == pytest.approx(0.3125 + 5.0)
 
 
 def instances():
@@ -178,34 +163,3 @@ def test_pathwise_error_decomposition(data, seed):
         )
     rhs = strong_bias_sq(sig, t) + stochastic_error(obs, spec, t) + cross
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-
-
-@given(instances(), st.integers(0, 2**31 - 1))
-def test_residual_plus_kept_energy_is_total(data, seed):
-    d, lam_raw, mu_raw, t = data
-    spec = Spectrum(np.sort(np.asarray(lam_raw))[::-1])
-    sig = Signal(np.asarray(mu_raw))
-    obs = simulate_observation(sig, spec, NoiseModel(delta=0.4), seed)
-    k, frac = split_level(t, d)
-    kept = float(np.dot(obs.y[:k], obs.y[:k]))
-    if k < d:
-        # the residual weights the partial coordinate by (1-sqrt(frac))**2
-        kept += (1.0 - (1.0 - math.sqrt(frac)) ** 2) * float(obs.y[k] ** 2)
-    assert kept + residual_sq(obs, t) == pytest.approx(obs.y_norm_sq, rel=1e-12)
-
-
-@given(instances())
-def test_expected_residual_matches_identity(data):
-    """E[R_t**2] = B_{t,lam}**2 - V_{t,lam} + D*delta**2 - 2*(sqrt(f)-f)*delta**2."""
-    d, lam_raw, mu_raw, t = data
-    spec = Spectrum(np.sort(np.asarray(lam_raw))[::-1])
-    sig = Signal(np.asarray(mu_raw))
-    noise = NoiseModel(delta=0.9)
-    k, frac = split_level(t, d)
-    direct = (
-        weak_bias_sq(sig, spec, t)
-        - weak_variance(noise, t)
-        + d * noise.delta**2
-        - 2.0 * (math.sqrt(frac) - frac) * noise.delta**2
-    )
-    assert expected_residual(sig, spec, noise, t) == pytest.approx(direct, rel=1e-10, abs=1e-12)

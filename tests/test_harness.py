@@ -1,5 +1,8 @@
 """Experiment configs, the Monte Carlo driver, and the CSV record format."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from svdstop.harness import (
     write_records_csv,
 )
 from svdstop.model import save_vector
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "efficiency_smooth.json"
 
 
 def small_config(**overrides):
@@ -60,6 +65,24 @@ def test_mapping_rejects_unknown_keys():
     mapping = small_config().to_mapping()
     mapping["procedure"] = ["plain_stop"]
     with pytest.raises(ValueError):
+        config_from_mapping(mapping)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("stopping", "kapa"), ("noise", "delt"), ("spectrum", "q"), ("signal", "nmae")],
+)
+def test_mapping_rejects_unknown_nested_keys(section, key):
+    mapping = small_config().to_mapping()
+    mapping[section][key] = 5
+    with pytest.raises(ValueError, match=key):
+        config_from_mapping(mapping)
+
+
+def test_mapping_rejects_non_mapping_section():
+    mapping = small_config().to_mapping()
+    mapping["noise"] = 0.1
+    with pytest.raises(ValueError, match="noise"):
         config_from_mapping(mapping)
 
 
@@ -127,6 +150,26 @@ def test_oracle_payload_keys():
     }
     assert payload["kappa"] == pytest.approx(0.8)
     assert payload["weak_time"] == pytest.approx(20.0, abs=1e-6)
+
+
+def test_oracle_payload_of_reference_config_is_pinned():
+    """The values ``svdstop oracles`` and the ``mc`` report write for the reference config."""
+    config = config_from_mapping(json.loads(REFERENCE_CONFIG.read_text()))
+    payload = oracle_payload(resolve_experiment(config, REFERENCE_CONFIG.parent))
+    integers = {"balanced_discrete": 734, "classical_index": 321, "classical_weak_index": 321, "m0": 329}
+    floats = {
+        "weak_time": 329.0,
+        "strong_time": 733.9282403495163,
+        "proxy_time": 329.0,
+        "classical_risk": 40.6704596288891,
+        "classical_weak_risk": 0.06319249263507348,
+        "kappa": 1.0,
+    }
+    assert set(payload) == set(integers) | set(floats)
+    for key, value in integers.items():
+        assert type(payload[key]) is int and payload[key] == value, key
+    for key, value in floats.items():
+        assert payload[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 def test_run_experiment_record_shape():

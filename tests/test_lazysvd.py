@@ -241,3 +241,7 @@ def test_load_matrix_rejects_bad_header(tmp_path):
     path.write_text("3 2\n1 2\n3 4\n")
     with pytest.raises(ValueError):
         load_matrix(path)
+    short = tmp_path / "m.bin"
+    short.write_bytes(b"SVDM" + b"\x02\x00")
+    with pytest.raises(ValueError, match="header"):
+        load_matrix(short)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
-    adaptation_ceiling,
     adversary_conditions,
     hide_signal,
     laurent_massart_tails,
@@ -184,13 +183,6 @@ def test_overrun_check_report_fields():
         assert isinstance(rep.implication_ok, bool)
     else:
         assert rep.implication_ok is None  # nothing to check without the premise
-
-
-def test_adaptation_ceiling_formula():
-    assert adaptation_ceiling(10_000, 0.01, 0.5) == pytest.approx(0.0)
-    assert adaptation_ceiling(10_000, 0.01, 0.0) == pytest.approx(0.5)
-    expected = math.log(0.05**-2) / math.log(2000.0) - 1.0 - 0.5
-    assert adaptation_ceiling(2000, 0.05, 1.0) == pytest.approx(expected)
 
 
 def test_weak_oracle_gap_flat_spectrum_ratio():

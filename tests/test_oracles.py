@@ -15,24 +15,23 @@ from hypothesis import strategies as st
 
 from svdstop.estimator import (
     FunctionalProfile,
+    strong_bias_sq,
     strong_variance,
     weak_bias_sq,
     weak_variance,
 )
 from svdstop.model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum
-from svdstop.oracles import (
-    balanced_continuous,
-    classical_oracle,
-    minimax_rate,
-    minimax_time,
-    oracle_proxy,
-    oracle_set,
-    strongly_balanced_discrete,
-    theory_bounds,
-)
+from svdstop.oracles import oracle_set, theory_bounds
 
 FLAT2 = Spectrum(np.array([1.0, 1.0]))
 UNIT = NoiseModel(delta=1.0)
+
+
+def oracles(sig, spec=FLAT2, noise=UNIT, kappa=None, m0=0):
+    """``oracle_set`` at the default threshold ``D * delta**2`` unless ``kappa`` is given."""
+    if kappa is None:
+        kappa = spec.dim * noise.delta**2
+    return oracle_set(sig, spec, noise, kappa, m0)
 
 
 def random_instance(seed, max_dim=60):
@@ -45,54 +44,52 @@ def random_instance(seed, max_dim=60):
 
 
 def test_weak_time_hand_root():
-    t = balanced_continuous(Signal(np.array([2.0, 0.0])), FLAT2, UNIT, 0, "weak")
+    t = oracles(Signal(np.array([2.0, 0.0]))).weak_time
     assert t == pytest.approx(4.0 / 9.0, abs=1e-9)
 
 
 def test_proxy_hand_root():
-    t = oracle_proxy(Signal(np.array([2.0, 0.0])), FLAT2, UNIT, kappa=2.5)
+    t = oracles(Signal(np.array([2.0, 0.0])), kappa=2.5).proxy_time
     assert t == pytest.approx((43.0 - 8.0 * math.sqrt(22.0)) / 18.0, abs=1e-9)
 
 
 def test_proxy_boundary_cases():
     sig = Signal(np.array([2.0, 0.0]))
     # huge threshold: the condition holds at m0 already
-    assert oracle_proxy(sig, FLAT2, UNIT, kappa=50.0, m0=0) == 0.0
-    assert oracle_proxy(sig, FLAT2, UNIT, kappa=50.0, m0=1) == 1.0
+    assert oracles(sig, kappa=50.0, m0=0).proxy_time == 0.0
+    assert oracles(sig, kappa=50.0, m0=1).proxy_time == 1.0
 
 
 def test_strongly_balanced_examples():
-    assert strongly_balanced_discrete(Signal(np.zeros(3)), make_polynomial_spectrum(3, 1.0), UNIT) == 0
-    assert strongly_balanced_discrete(Signal(np.array([2.0, 2.0])), FLAT2, UNIT) == 2
+    assert oracles(Signal(np.zeros(3)), make_polynomial_spectrum(3, 1.0)).balanced_discrete == 0
+    assert oracles(Signal(np.array([2.0, 2.0]))).balanced_discrete == 2
     spike = Signal(np.array([5.0, 0.0, 0.0]))
-    assert strongly_balanced_discrete(spike, make_polynomial_spectrum(3, 0.0), UNIT) == 1
+    assert oracles(spike, make_polynomial_spectrum(3, 0.0)).balanced_discrete == 1
 
 
 def test_classical_oracle_examples():
-    idx, risk = classical_oracle(Signal(np.array([2.0, 2.0])), FLAT2, UNIT)
-    assert (idx, risk) == (2, pytest.approx(2.0))
-    idx, risk = classical_oracle(Signal(np.zeros(4)), make_polynomial_spectrum(4, 0.5), UNIT)
-    assert (idx, risk) == (0, 0.0)
+    # on a flat unit spectrum the strong and weak risks coincide
+    os = oracles(Signal(np.array([2.0, 2.0])))
+    assert (os.classical_index, os.classical_risk) == (2, pytest.approx(2.0))
+    assert (os.classical_weak_index, os.classical_weak_risk) == (2, pytest.approx(2.0))
+    os = oracles(Signal(np.zeros(4)), make_polynomial_spectrum(4, 0.5))
+    assert (os.classical_index, os.classical_risk) == (0, 0.0)
+    assert (os.classical_weak_index, os.classical_weak_risk) == (0, 0.0)
+
+
+def test_classical_weak_oracle_differs_from_strong():
+    # lam=(1, 0.1), mu=(0, 12): strong risks 144, 145, 101 and weak risks 1.44, 2.44, 2
+    os = oracles(Signal(np.array([0.0, 12.0])), Spectrum(np.array([1.0, 0.1])))
+    assert (os.classical_index, os.classical_risk) == (2, pytest.approx(101.0))
+    assert (os.classical_weak_index, os.classical_weak_risk) == (0, pytest.approx(1.44))
 
 
 def test_classical_oracle_breaks_ties_small():
-    # mu=(1,0): risks are 1, 1, 2 -> index 0 wins the tie with index 1
-    idx, risk = classical_oracle(Signal(np.array([1.0, 0.0])), FLAT2, UNIT)
-    assert idx == 0
-    assert risk == pytest.approx(1.0)
-
-
-def test_minimax_examples():
-    assert minimax_time(1.0, 0.5, 1.0, 0.01) == pytest.approx(10.0)
-    assert minimax_rate(1.0, 0.5, 1.0, 0.01) == pytest.approx(0.1)
-    assert minimax_time(2.0, 1.0, 3.0, 3.0) == pytest.approx(1.0)
-    assert minimax_rate(2.0, 1.0, 3.0, 3.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        minimax_time(1.0, 0.5, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        minimax_rate(1.0, 0.5, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        minimax_rate(0.0, 1.0, 2.0, 0.5)
+    # mu=(1,0): risks are 1, 1, 2 in both norms -> index 0 wins the tie with index 1
+    os = oracles(Signal(np.array([1.0, 0.0])))
+    assert (os.classical_index, os.classical_weak_index) == (0, 0)
+    assert os.classical_risk == pytest.approx(1.0)
+    assert os.classical_weak_risk == pytest.approx(1.0)
 
 
 def test_weak_dev_rhs_hand_value():
@@ -121,9 +118,8 @@ def test_theory_bounds_requires_noise():
 def test_kappa_identity(seed):
     sig, spec, noise = random_instance(seed)
     d = spec.dim
-    tw = balanced_continuous(sig, spec, noise, 0, "weak")
-    tstar = oracle_proxy(sig, spec, noise, kappa=d * noise.delta**2, m0=0)
-    assert tstar == tw  # shared root-finder, so the match is exact
+    os = oracle_set(sig, spec, noise, kappa=d * noise.delta**2, m0=0)
+    assert os.proxy_time == os.weak_time  # shared root-finder, so the match is exact
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 3.0))
@@ -131,9 +127,8 @@ def test_ordering_chain(seed, kappa_scale):
     sig, spec, noise = random_instance(seed)
     d = spec.dim
     kappa = kappa_scale * d * noise.delta**2
-    tw = balanced_continuous(sig, spec, noise, 0, "weak")
-    ts = balanced_continuous(sig, spec, noise, 0, "strong")
-    tstar = oracle_proxy(sig, spec, noise, kappa, 0)
+    os = oracle_set(sig, spec, noise, kappa, 0)
+    tw, ts, tstar = os.weak_time, os.strong_time, os.proxy_time
     slack = max(d - kappa / noise.delta**2, 0.0)
     assert tstar - slack <= tw + 1e-9
     assert tw <= ts + 1e-9
@@ -146,8 +141,8 @@ def test_proxy_weak_transfer(seed, kappa_scale):
     d = spec.dim
     d2 = noise.delta**2
     kappa = kappa_scale * d * d2
-    tw = balanced_continuous(sig, spec, noise, 0, "weak")
-    tstar = oracle_proxy(sig, spec, noise, kappa, 0)
+    os = oracle_set(sig, spec, noise, kappa, 0)
+    tw, tstar = os.weak_time, os.proxy_time
     bias_gap = weak_bias_sq(sig, spec, tstar) - weak_bias_sq(sig, spec, tw)
     var_gap = weak_variance(noise, tstar) - weak_variance(noise, tw)
     assert max(bias_gap, 0.0) <= max(kappa - d * d2, 0.0) + 1e-7
@@ -161,18 +156,16 @@ def test_flat_spectrum_collapses_norms(seed):
     spec = make_polynomial_spectrum(d, 0.0)
     sig = Signal(rng.standard_normal(d) * 2.0)
     noise = NoiseModel(delta=float(rng.uniform(0.1, 1.0)))
-    tw = balanced_continuous(sig, spec, noise, 0, "weak")
-    ts = balanced_continuous(sig, spec, noise, 0, "strong")
-    assert tw == pytest.approx(ts, abs=1e-9)
+    os = oracles(sig, spec, noise)
+    assert os.weak_time == pytest.approx(os.strong_time, abs=1e-9)
 
 
 @given(st.integers(0, 10_000))
 def test_balanced_risk_vs_classical(seed):
     """V at the strongly balanced level is at most twice the classical risk."""
     sig, spec, noise = random_instance(seed)
-    ts = balanced_continuous(sig, spec, noise, 0, "strong")
-    _, risk = classical_oracle(sig, spec, noise)
-    assert strong_variance(spec, noise, ts) <= 2.0 * risk + 1e-9
+    os = oracles(sig, spec, noise)
+    assert strong_variance(spec, noise, os.strong_time) <= 2.0 * os.classical_risk + 1e-9
 
 
 @given(st.integers(0, 10_000), st.integers(0, 20))
@@ -184,18 +177,61 @@ def test_levels_respect_m0(seed, m0):
     assert m0 <= os.proxy_time <= spec.dim
 
 
-@given(st.integers(0, 10_000))
-def test_oracle_set_consistency(seed):
+def _first_index(values, tol):
+    """Brute-force first integer level with ``values[m] <= 0``, up to ``tol`` either way."""
+    hits = [m for m, v in enumerate(values) if v <= tol]
+    sure = [m for m, v in enumerate(values) if v <= -tol]
+    return hits[0], (sure[0] if sure else len(values) - 1)
+
+
+def _check_first_level(level, value_at, m0, tol):
+    """``level`` is where the non-increasing ``value_at`` first drops to zero from ``m0`` on."""
+    assert value_at(level) <= tol
+    if level > m0:
+        # the bisection brackets the sign change to 1e-9
+        assert value_at(max(level - 2e-9, float(m0))) >= -tol
+
+
+def _check_argmin(index, risk, risks, tol):
+    """``index`` is the smallest minimiser of ``risks`` and ``risk`` its value, up to ``tol``."""
+    assert risk == pytest.approx(risks[index], rel=1e-12, abs=tol)
+    assert risk <= min(risks) + tol
+    assert all(r >= risk - tol for r in risks[:index])
+
+
+@given(st.integers(0, 10_000), st.integers(0, 20), st.floats(0.0, 2.0))
+def test_oracle_set_consistency(seed, m0, kappa_scale):
+    """Every field against its definition, evaluated with the free estimator functions."""
     sig, spec, noise = random_instance(seed)
-    kappa = 0.7 * spec.dim * noise.delta**2
-    os = oracle_set(sig, spec, noise, kappa=kappa, m0=0)
-    assert os.balanced_discrete == strongly_balanced_discrete(sig, spec, noise)
-    assert os.weak_time == balanced_continuous(sig, spec, noise, 0, "weak")
-    assert os.strong_time == balanced_continuous(sig, spec, noise, 0, "strong")
-    assert os.proxy_time == oracle_proxy(sig, spec, noise, kappa, 0)
-    assert (os.classical_index, os.classical_risk) == classical_oracle(sig, spec, noise)
+    d = spec.dim
+    d2 = noise.delta**2
+    m0 = min(m0, d)
+    kappa = kappa_scale * d * d2
+    os = oracle_set(sig, spec, noise, kappa=kappa, m0=m0)
+    grid = range(d + 1)
+
+    strong_bias = np.array([strong_bias_sq(sig, float(m)) for m in grid])
+    strong_var = np.array([strong_variance(spec, noise, float(m)) for m in grid])
+    weak_bias = np.array([weak_bias_sq(sig, spec, float(m)) for m in grid])
+    weak_var = np.array([weak_variance(noise, float(m)) for m in grid])
+    tol = 1e-9 * (strong_bias[0] + strong_var[-1] + kappa + d * d2)
+
+    first, last = _first_index(strong_bias - strong_var, tol)
+    assert first <= os.balanced_discrete <= last
+
+    _check_first_level(
+        os.strong_time, lambda t: strong_bias_sq(sig, t) - strong_variance(spec, noise, t), m0, tol
+    )
+    _check_first_level(os.weak_time, lambda t: weak_bias_sq(sig, spec, t) - weak_variance(noise, t), m0, tol)
+    offset = kappa - d * d2
+    _check_first_level(
+        os.proxy_time, lambda t: weak_bias_sq(sig, spec, t) - weak_variance(noise, t) - offset, m0, tol
+    )
+
+    _check_argmin(os.classical_index, os.classical_risk, strong_bias + strong_var, tol)
+    _check_argmin(os.classical_weak_index, os.classical_weak_risk, weak_bias + weak_var, tol)
     assert os.kappa == kappa
-    assert os.m0 == 0
+    assert os.m0 == m0
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 2.0), st.floats(0.1, 3.0))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from svdstop.estimator import weak_bias_sq
 from svdstop.model import NoiseModel, Spectrum, make_polynomial_spectrum
-from svdstop.oracles import balanced_continuous
+from svdstop.oracles import oracle_set
 from svdstop.signals import (
     NAMED_PROFILES,
     REFERENCE_DIM,
@@ -17,6 +17,10 @@ from svdstop.signals import (
     calibrated_signal,
     family_shape,
 )
+
+
+def weak_time(sig, spec, noise):
+    return oracle_set(sig, spec, noise, kappa=spec.dim * noise.delta**2).weak_time
 
 
 def test_family_shape_forms():
@@ -42,7 +46,7 @@ def test_calibration_hits_target_at_reference_dim(name):
     sig = calibrated_signal(name, REFERENCE_DIM, delta, spectrum=spec)
     noise = NoiseModel(delta)
     target = NAMED_PROFILES[name][2]
-    tw = balanced_continuous(sig, spec, noise, 0, "weak")
+    tw = weak_time(sig, spec, noise)
     assert tw == pytest.approx(target, abs=1e-6)
     # balance equation at the target level, which is what calibration solves
     assert weak_bias_sq(sig, spec, target) == pytest.approx(target * delta**2, rel=1e-9)
@@ -51,7 +55,7 @@ def test_calibration_hits_target_at_reference_dim(name):
 def test_calibration_with_explicit_target():
     spec = make_polynomial_spectrum(500, 0.5)
     sig = calibrated_signal("rough", 500, 0.05, spectrum=spec, target=60.0)
-    tw = balanced_continuous(sig, spec, NoiseModel(0.05), 0, "weak")
+    tw = weak_time(sig, spec, NoiseModel(0.05))
     assert tw == pytest.approx(60.0, abs=1e-6)
 
 
@@ -80,7 +84,7 @@ def test_calibration_scales_with_dim_and_noise(name, dim, delta):
     target = 0.3 * dim
     spec = make_polynomial_spectrum(dim, 0.5)
     sig = calibrated_signal(name, dim, delta, spectrum=spec, target=target)
-    tw = balanced_continuous(sig, spec, NoiseModel(delta), 0, "weak")
+    tw = weak_time(sig, spec, NoiseModel(delta))
     assert tw == pytest.approx(target, abs=1e-5)
 
 

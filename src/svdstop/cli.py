@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
-from .harness import _EXPERIMENT_KEYS, _check_keys
+from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys
 from .model import NoiseModel, load_vector, replication_seed, save_vector, simulate_observation
 from .oracles import theory_bounds
 from .stopping import StopOutcome, early_stop, make_stopping_config, two_step
@@ -182,7 +182,7 @@ def _cmd_adversary(mapping: dict, out: Path, base: Path, args) -> None:
     kind = section.get("kind")
     if kind not in ("hide_signal", "residual_adversary"):
         raise ValueError("adversary.kind must be 'hide_signal' or 'residual_adversary'")
-    i0 = int(section["i0"])
+    i0 = _check_int(section["i0"], "adversary.i0")
     alpha = float(section.get("alpha", 0.0))
     r_bar = float(section["r_bar"])
     config = _experiment_config(mapping)
@@ -241,19 +241,20 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
         delta,
         kappa=float(kappa),
         m0_mode=stopping.get("m0_mode", "zero"),
-        m0=int(stopping["m0"]) if stopping.get("m0") is not None else None,
+        m0=_check_int(stopping["m0"], "stopping.m0") if stopping.get("m0") is not None else None,
         level=float(stopping.get("level", 0.99)),
     )
     section = mapping.get("lazysvd", {})
+    budget = section.get("triplet_budget")
     result = lazysvd.sequential_solve(
         operator,
         y_raw,
         NoiseModel(delta=delta),
         stop_config,
-        seed=int(mapping.get("base_seed", 0)),
+        seed=_check_int(mapping.get("base_seed", 0), "base_seed"),
         tolerance=float(section.get("tolerance", 1e-10)),
-        max_iterations=int(section.get("max_iterations", 10000)),
-        triplet_budget=int(section["triplet_budget"]) if section.get("triplet_budget") is not None else None,
+        max_iterations=_check_int(section.get("max_iterations", 10000), "lazysvd.max_iterations"),
+        triplet_budget=None if budget is None else _check_int(budget, "lazysvd.triplet_budget"),
         selection_norm=section.get("selection_norm"),
         penalty_multiplier=float(section.get("penalty_multiplier", 1.0)),
     )
@@ -264,6 +265,7 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
         "outcome": _outcome_record(result.outcome),
         "matvec_count": result.matvec_count,
         "iterations": list(result.state.iterations),
+        "release_residuals": list(result.state.release_residuals),
         "singular_values": [t.sigma for t in result.state.triplets],
         "kappa": stop_config.kappa,
         "m0": stop_config.m0,

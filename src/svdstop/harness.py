@@ -140,6 +140,13 @@ def _check_keys(mapping: dict, allowed: set[str], where: str = "config") -> None
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _check_int(value, where: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integral number (``1e4`` is)."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Parse a nested mapping (typically loaded from JSON) into a config.
 
@@ -160,7 +167,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     m0 = stopping.get("m0")
     target = signal.get("target")
     return ExperimentConfig(
-        dim=int(mapping["dim"]),
+        dim=_check_int(mapping["dim"], "dim"),
         delta=float(noise["delta"]),
         spectrum_p=float(spectrum["p"]) if "p" in spectrum else None,
         spectrum_file=spectrum.get("file"),
@@ -170,10 +177,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         kappa=float(kappa) if kappa is not None else None,
         kappa_drift=float(stopping.get("kappa_drift", 0.0)),
         m0_mode=stopping.get("m0_mode", "zero"),
-        m0=int(m0) if m0 is not None else None,
+        m0=_check_int(m0, "stopping.m0") if m0 is not None else None,
         level=float(stopping.get("level", 0.99)),
-        replications=int(mapping.get("replications", 1000)),
-        base_seed=int(mapping.get("base_seed", 0)),
+        replications=_check_int(mapping.get("replications", 1000), "replications"),
+        base_seed=_check_int(mapping.get("base_seed", 0), "base_seed"),
         procedures=tuple(mapping.get("procedures", ["plain_stop"])),
     )
 

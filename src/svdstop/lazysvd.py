@@ -1,26 +1,43 @@
 """Lazy singular-triplet computation driven by the stopping rule.
 
-Triplets of a dense matrix are produced strictly one at a time, largest
-singular value first, by power iteration on the deflated normal operator
-``A'A - sum_j sigma_j**2 v_j v_j'``. Iterates are re-orthogonalised
-against all previously computed right vectors on every iteration, which
-keeps deflation stable; convergence is declared when the eigen-residual
-``|(A'A)v - rho v|`` falls below ``tolerance * rho``. The residual test,
+Triplets of a dense matrix are released strictly one at a time, largest
+singular value first, from one Golub-Kahan-Lanczos bidiagonalization
+(Golub & Kahan 1965) with full reorthogonalisation, as in PROPACK (Larsen
+1998), run as a band process from a block of random start vectors (two,
+unless repeated values call for more). The Krylov basis grows in chunks
+of ten steps; every step costs exactly two matrix-vector products. With
+``A V' = U' H`` and ``H = P diag(sigma) Q'`` the Ritz triplet
+``(sigma_i, U' p_i, V' q_i)`` satisfies ``A v = sigma u`` (up to the
+residuals of earlier releases), and its residual
+``|A'u - sigma v|`` is read off the couplings of ``U`` to the next right
+vectors, so the next triplet is released once that residual is at most
+``tolerance * sigma_i``, which is the eigen-residual test
+``|(A'A)v - sigma**2 v| <= tolerance * sigma**2``. The residual test,
 unlike a Rayleigh-increment test, bounds the error of the singular
 *vector* linearly in the tolerance (residual over spectral gap), which
-downstream coefficient reconstructions rely on. Every iteration costs
-exactly two matrix-vector products, and ``sequential_solve`` couples the
-engine to the residual stopping rule so a solve computes exactly as many
-triplets as the rule consumes coefficients.
+downstream coefficient reconstructions rely on. Released triplets are
+locked: later Ritz triplets are taken orthogonal to them. ``sequential_solve``
+couples the engine to the residual stopping rule, so a solve releases
+exactly as many triplets as the rule consumes coefficients.
+
+Release order under repeated values: a Krylov space built from ``s``
+random start vectors holds at most ``s`` copies of a repeated singular
+value, and (with probability one) exactly ``min(s, multiplicity)``. Values
+within ``sqrt(tolerance)`` of each other, relatively, count as copies.
+Before a triplet is released, the released and converged copies of its
+value are counted; if there are as many as start vectors, more may lie
+outside the basis, and the basis is rebuilt from twice as many start
+vectors, orthogonal to the released triplets. A converged value larger
+than the last released one by more than that window raises
+:class:`ConvergenceError` rather than being released out of order.
 
 Sign convention: the first component of ``v`` larger than 1e-12 in
-magnitude is made positive (``u`` flips along), so converged triplets are
+magnitude is made positive (``u`` flips along), so released triplets are
 comparable across runs and to reference decompositions.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -45,10 +62,16 @@ __all__ = [
 ]
 
 _BINARY_MAGIC = b"SVDM"
+_CHUNK = 10  # Lanczos steps between release checks
+_TINY = 1e-12  # relative to |A|_F: breakdown and numerically zero singular values
+_START_WIDTH = 2  # random start vectors of a fresh basis
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration did not converge; carries the best iterate found."""
+    """The pending triplet did not converge, or converged out of order.
+
+    Carries its current Ritz approximation.
+    """
 
     def __init__(self, message: str, best: "SingularTriplet", iterations: int):
         super().__init__(message)
@@ -57,7 +80,7 @@ class ConvergenceError(RuntimeError):
 
 
 class RankDeficiencyError(RuntimeError):
-    """The deflated operator is numerically zero; no further triplet exists."""
+    """The next singular value is numerically zero; no further triplet exists."""
 
 
 class TripletBudgetError(RuntimeError):
@@ -116,15 +139,149 @@ class SingularTriplet:
             raise ValueError("singular value must be non-negative")
 
 
+class _Bidiagonalization:
+    """Band Golub-Kahan-Lanczos process ``A V' = U' H`` of one matrix.
+
+    Basis vectors are rows of ``u`` and ``v``, kept orthonormal by classical
+    Gram-Schmidt applied twice. The first ``k`` right vectors are active:
+    right vector ``j`` produced left vector ``j``, and ``H[:k, :k] = U A V'``
+    is upper triangular with ``width`` superdiagonals. The right vectors
+    ``k .. stored`` are pending: the directions of ``A'U`` outside the
+    active basis, so that ``A'U = V H'`` over all stored rows, and each step
+    expands the oldest one. ``width`` random vectors start the process.
+
+    The Ritz triplets not yet released are kept as coordinates ``p``, ``q``
+    in the active basis with values ``sigma``. A release drops the first
+    one, which locks it: the next Rayleigh-Ritz step works on ``H``
+    restricted to the span of the remaining ones and the new basis vectors,
+    so a later copy of a released value is a new direction, not a rotation
+    of a released one. Triplets released before the basis was built sit in
+    front as basis rows with ``H = diag(sigma)``, outside that span, and the
+    random starts are orthogonal to them.
+    """
+
+    def __init__(self, entries: np.ndarray, seed: int, width: int, locked: list[SingularTriplet]):
+        rows, cols = entries.shape
+        self.entries = entries
+        self.seed = seed
+        self.width = width
+        self.scale = float(np.linalg.norm(entries, ord="fro"))
+        self.u = np.empty((cols, rows))
+        self.v = np.empty((cols, cols))
+        self.h = np.zeros((cols, cols))
+        for j, triplet in enumerate(locked):
+            self.u[j], self.v[j], self.h[j, j] = triplet.u, triplet.v, triplet.sigma
+        self.released = self.k = self.stored = len(locked)
+        for _ in range(min(width, cols - self.k)):
+            self.v[self.stored] = self._fresh(self.v[: self.stored], 0)
+            self.stored += 1
+        self.p = self.q = np.zeros((self.k, 0))
+        self.sigma = self.residuals = np.zeros(0)
+
+    @staticmethod
+    def _orthogonalise(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Remove ``basis`` from ``x`` in place; return the coefficients removed."""
+        coefficients = np.zeros(basis.shape[0])
+        for _ in range(2):
+            c = basis @ x
+            x -= c @ basis
+            coefficients += c
+        return coefficients
+
+    def _fresh(self, basis: np.ndarray, side: int) -> np.ndarray:
+        """A unit vector orthogonal to ``basis``, keyed by the seed, side, width and basis size."""
+        key = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(side, self.width, basis.shape[0]))
+        x = np.random.default_rng(key).standard_normal(basis.shape[1])
+        self._orthogonalise(x, basis)
+        return x / np.linalg.norm(x)
+
+    def extend(self, limit: int) -> int:
+        """Take up to ``min(10, limit)`` steps and update the Ritz triplets.
+
+        Returns the number of steps taken (two matrix-vector products each);
+        none are left once the basis spans the whole domain. A step whose
+        new vector is numerically zero (at most ``1e-12 |A|_F``) goes on
+        from a fresh random vector orthogonal to the basis instead.
+        """
+        A = self.entries
+        cols = A.shape[1]
+        tiny = _TINY * self.scale
+        start = self.k
+        while self.k - start < min(_CHUNK, limit) and self.k < self.stored:
+            k = self.k
+            p = A @ self.v[k]
+            self.h[:k, k] = self._orthogonalise(p, self.u[:k])
+            alpha = float(np.linalg.norm(p))
+            if alpha <= tiny:  # A's range is exhausted: continue in its complement
+                alpha, p = 0.0, self._fresh(self.u[:k], 1)
+            else:
+                p /= alpha
+            self.u[k], self.h[k, k] = p, alpha
+            r = A.T @ p
+            n = self.stored
+            self.h[k, k + 1 : n] = self._orthogonalise(r, self.v[:n])[k + 1 :]
+            if n < cols:
+                beta = float(np.linalg.norm(r))
+                if beta <= tiny:  # invariant subspace: restart orthogonally to it
+                    beta, r = 0.0, self._fresh(self.v[:n], 0)
+                else:
+                    r /= beta
+                self.v[n], self.h[k, n] = r, beta
+                self.stored = n + 1
+            self.k = k + 1
+        if self.k > start:
+            self._rayleigh_ritz(start)
+        return self.k - start
+
+    def _rayleigh_ritz(self, old: int) -> None:
+        """Ritz triplets over the unreleased ones and the basis vectors from ``old`` on.
+
+        In those coordinates ``H`` is ``[[diag(sigma), P' H12], [0, H22]]``:
+        the unreleased triplets diagonalize the old block, and the new rows
+        start below the old columns. ``residuals[i] = |A'u_i - sigma_i v_i|``
+        is read off the couplings to the pending right vectors.
+        """
+        k, m = self.k, self.sigma.size
+        block = np.zeros((m + k - old, m + k - old))
+        block[:m, :m] = np.diag(self.sigma)
+        block[:m, m:] = self.p.T @ self.h[:old, old:k]
+        block[m:, m:] = self.h[old:k, old:k]
+        p, self.sigma, qt = np.linalg.svd(block)
+        self.p = np.vstack([self.p @ p[:m], p[m:]])
+        self.q = np.vstack([self.q @ qt.T[:m], qt.T[m:]])
+        self.residuals = np.linalg.norm(self.h[:k, k : self.stored].T @ self.p, axis=0)
+
+    def triplet(self) -> SingularTriplet:
+        """The largest Ritz triplet not yet released, with the sign convention applied."""
+        u, v = _fix_sign(self.p[:, 0] @ self.u[: self.k], self.q[:, 0] @ self.v[: self.k])
+        return SingularTriplet(sigma=self.sigma[0], u=u, v=v)
+
+    def release(self) -> None:
+        """Lock the largest Ritz triplet not yet released."""
+        self.p, self.q = self.p[:, 1:], self.q[:, 1:]
+        self.sigma, self.residuals = self.sigma[1:], self.residuals[1:]
+        self.released += 1
+
+
 @dataclass
 class DeflationState:
-    """Mutable bookkeeping of a lazy decomposition in progress."""
+    """Mutable bookkeeping of a lazy decomposition in progress.
+
+    ``iterations[i]`` counts the Lanczos steps taken while triplet ``i`` was
+    pending (each two matrix-vector products), and ``release_residuals[i]``
+    is its residual ``|A'u - sigma v|`` at release. A state belongs to one
+    operator: its Krylov basis is built on the first call of
+    :func:`next_triplet`, deflating any triplets the state already holds,
+    and later calls must pass the same matrix.
+    """
 
     triplets: list[SingularTriplet] = field(default_factory=list)
     matvec_count: int = 0
     iterations: list[int] = field(default_factory=list)
     tolerance: float = 1e-10
     max_iterations: int = 10000
+    release_residuals: list[float] = field(default_factory=list)
+    _basis: _Bidiagonalization | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -141,66 +298,70 @@ def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def next_triplet(state: DeflationState, operator: MatrixOperator, seed: int = 0) -> SingularTriplet:
-    """Compute the next-largest singular triplet and append it to the state.
+    """Release the next-largest singular triplet and append it to the state.
 
-    The start vector is drawn from a generator keyed by ``(seed, number of
-    triplets already computed)``, so repeated calls are deterministic.
+    The Krylov basis is extended until the largest Ritz triplet not yet
+    released meets the tolerance. If as many released or converged values
+    equal it (within ``sqrt(tolerance)``, relatively) as the basis has
+    random starts, further copies may lie outside the basis: it is rebuilt
+    from twice as many starts, orthogonal to the triplets already in the
+    state, before anything is released. Start vectors are drawn from generators keyed by
+    ``seed`` (of the call that builds the basis) and the basis size, so
+    repeated runs are deterministic. Raises :class:`RankDeficiencyError`
+    when the converged singular value is numerically zero,
+    :class:`ConvergenceError` after ``max_iterations`` steps on one pending
+    triplet or when the converged value exceeds the one released before it,
+    and ``ValueError`` when the state's basis was built for a different
+    operator or its triplets were changed outside this function.
     """
     A = operator.entries
-    dim = operator.domain_dim
-    n_done = len(state.triplets)
-    if n_done >= dim:
+    i = len(state.triplets)
+    if i >= operator.domain_dim:
         raise ValueError("all singular triplets have already been computed")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(n_done,)))
-    basis = np.array([t.v for t in state.triplets]) if n_done else None
-    sigma_sq = np.array([t.sigma**2 for t in state.triplets]) if n_done else None
-    scale = float(np.linalg.norm(A, ord="fro"))
-
-    v = rng.standard_normal(dim)
-    if basis is not None:
-        v -= basis.T @ (basis @ v)
-    norm_v = float(np.linalg.norm(v))
-    if norm_v == 0.0:
-        raise RankDeficiencyError("start vector vanished after orthogonalisation")
-    v /= norm_v
-
-    best_resid = math.inf
-    best_v = v
-    best_image = np.zeros(operator.codomain_dim)
-    for iteration in range(1, state.max_iterations + 1):
-        image = A @ v
-        w = A.T @ image
-        state.matvec_count += 2
-        if basis is not None:
-            w -= basis.T @ (sigma_sq * (basis @ v))
-            # a second projection keeps the iterate orthogonal despite round-off
-            w -= basis.T @ (basis @ w)
-        rho = float(np.dot(v, w))
-        norm_w = float(np.linalg.norm(w))
-        if rho <= (1e-12 * scale) ** 2 or norm_w == 0.0:
-            raise RankDeficiencyError(
-                f"deflated operator is numerically zero after {n_done} triplets"
-            )
-        resid = float(np.linalg.norm(w - rho * v))
-        if resid <= state.tolerance * rho:
-            sigma = float(np.linalg.norm(image))
-            u = image / sigma
-            u, v = _fix_sign(u, v)
-            triplet = SingularTriplet(sigma=sigma, u=u, v=v)
-            state.triplets.append(triplet)
-            state.iterations.append(iteration)
-            return triplet
-        if resid < best_resid:
-            best_resid, best_v, best_image = resid, v, image
-        v = w / norm_w
-
-    sigma = float(np.linalg.norm(best_image))
-    u, best_v = _fix_sign(best_image / max(sigma, 1e-300), best_v)
-    raise ConvergenceError(
-        f"power iteration did not converge within {state.max_iterations} iterations",
-        best=SingularTriplet(sigma=sigma, u=u, v=best_v),
-        iterations=state.max_iterations,
-    )
+    basis = state._basis
+    if basis is None:
+        basis = state._basis = _Bidiagonalization(A, seed, _START_WIDTH, state.triplets)
+    elif not (basis.entries is A or np.array_equal(basis.entries, A)):
+        raise ValueError("the deflation state belongs to a different operator")
+    elif basis.released != i:
+        raise ValueError("the deflation state's triplets were changed outside next_triplet")
+    tol = state.tolerance
+    steps = 0
+    while True:
+        if basis.sigma.size:
+            sigma, residuals = basis.sigma, basis.residuals
+            if residuals[0] <= tol * sigma[0]:
+                if sigma[0] <= _TINY * basis.scale:
+                    raise RankDeficiencyError(f"singular value {i + 1} is numerically zero")
+                window = np.sqrt(tol) * sigma[0]
+                released = np.array([t.sigma for t in state.triplets])
+                copies = np.count_nonzero(np.abs(released - sigma[0]) <= window) + np.count_nonzero(
+                    (np.abs(sigma - sigma[0]) <= window) & (residuals <= tol * sigma)
+                )
+                if copies >= basis.width:
+                    basis = state._basis = _Bidiagonalization(A, basis.seed, 2 * basis.width, state.triplets)
+                    continue
+                triplet = basis.triplet()
+                if i and triplet.sigma > state.triplets[-1].sigma + window:
+                    raise ConvergenceError(
+                        f"triplet {i + 1} exceeds triplet {i}: a larger singular value was found late",
+                        best=triplet,
+                        iterations=steps,
+                    )
+                state.triplets.append(triplet)
+                state.iterations.append(steps)
+                state.release_residuals.append(float(residuals[0]))
+                basis.release()
+                return triplet
+            if steps >= state.max_iterations:
+                raise ConvergenceError(
+                    f"triplet {i + 1} did not converge within {state.max_iterations} Lanczos steps",
+                    best=basis.triplet(),
+                    iterations=steps,
+                )
+        taken = basis.extend(state.max_iterations - steps)
+        state.matvec_count += 2 * taken
+        steps += taken
 
 
 @dataclass(frozen=True)

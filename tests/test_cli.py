@@ -160,7 +160,7 @@ def test_lazysvd_command(tmp_path):
         "data": {"file": "y.txt"},
         "noise": {"delta": 0.05},
         "stopping": {"m0_mode": "zero"},
-        "lazysvd": {"tolerance": 1e-12},
+        "lazysvd": {"tolerance": 1e-12, "max_iterations": 1e4},  # an integral float is accepted
     }
     path = tmp_path / "lazy.json"
     path.write_text(json.dumps(config))
@@ -168,7 +168,10 @@ def test_lazysvd_command(tmp_path):
     assert run(["lazysvd", "--config", path, "--out", out]) == 0
     payload = json.loads((out / "lazysvd.json").read_text())
     assert payload["outcome"]["tau"] == len(payload["singular_values"])
-    assert payload["matvec_count"] > 0
+    assert payload["matvec_count"] == 2 * sum(payload["iterations"]) > 0
+    assert len(payload["release_residuals"]) == len(payload["singular_values"])
+    for residual, sigma in zip(payload["release_residuals"], payload["singular_values"]):
+        assert 0 <= residual <= 1e-12 * sigma
     assert payload["kappa"] == pytest.approx(rows * 0.05**2)
     assert load_vector(out / "estimate.txt").shape == (cols,)
 
@@ -264,6 +267,62 @@ def test_lazysvd_misspelled_key_exits_three(tmp_path, section, key, capsys):
     np.savetxt(tmp_path / "y.txt", np.ones(4))
     config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.01}}
     config.setdefault(section, {})[key] = 1
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    code, captured = run(["lazysvd", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert code == 3
+    assert key in json.loads(captured.err.strip().splitlines()[-1])["message"]
+    assert not (tmp_path / "out" / "lazysvd.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("mc", "replications=1.5"),
+        ("oracles", "dim=60.5"),
+        ("stop", "base_seed=2.5"),
+        ("two-step", "stopping.m0=3.5"),
+        ("bounds", "dim=true"),
+        ("adversary", "adversary.i0=30.5"),
+    ],
+)
+def test_fractional_integer_key_exits_three(tmp_path, command, override, capsys):
+    config = dict(BASE_CONFIG, adversary={"kind": "hide_signal", "i0": 30, "alpha": 0.5, "r_bar": 2.0})
+    if command != "adversary":
+        del config["adversary"]
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, captured = run([command, "--config", path, "--out", out, "--set", override], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert override.split("=")[0] in record["message"]
+    assert not any(out.iterdir())
+
+
+def test_integral_float_is_accepted(config_path, tmp_path):
+    out = tmp_path / "mc"
+    assert run(["mc", "--config", config_path, "--out", out, "--set", "replications=3.0", "--set", "dim=1.2e2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["replications"] == 3
+    assert report["config"]["dim"] == 120
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("lazysvd", "max_iterations", 10.5),
+        ("lazysvd", "triplet_budget", 2.5),
+        ("stopping", "m0", 1.5),
+        (None, "base_seed", 0.5),
+    ],
+)
+def test_lazysvd_fractional_integer_key_exits_three(tmp_path, section, key, value, capsys):
+    save_matrix(tmp_path / "A.txt", np.eye(4))
+    np.savetxt(tmp_path / "y.txt", np.ones(4))
+    config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.01}}
+    (config.setdefault(section, {}) if section else config)[key] = value
     path = tmp_path / "lazy.json"
     path.write_text(json.dumps(config))
     code, captured = run(["lazysvd", "--config", path, "--out", tmp_path / "out"], capsys)

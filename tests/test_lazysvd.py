@@ -1,7 +1,12 @@
-"""Lazy one-at-a-time SVD with deflation, and the matrix-space stopping loop."""
+"""Lazy one-at-a-time SVD by Golub-Kahan-Lanczos, and the matrix-space stopping loop."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from svdstop import lazysvd
 from svdstop.lazysvd import (
@@ -30,6 +35,23 @@ def embedded_diagonal(sigmas, rows):
 def random_tall(seed, rows=60, cols=40):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, cols))
+
+
+def rotated(sigmas, rows, seed):
+    """Tall matrix ``Q_left diag(sigmas) Q_right'`` with random orthonormal factors."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    rng = np.random.default_rng(seed)
+    q_left, _ = np.linalg.qr(rng.standard_normal((rows, sigmas.size)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((sigmas.size, sigmas.size)))
+    return q_left @ np.diag(sigmas) @ q_right.T
+
+
+def load_demo():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_lazysvd_demo.py"
+    spec = importlib.util.spec_from_file_location("run_lazysvd_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_operator_validation():
@@ -119,10 +141,19 @@ def test_rank_deficiency_detected():
     next_triplet(state, op, seed=0)
     with pytest.raises(RankDeficiencyError):
         next_triplet(state, op, seed=0)
+    # exact zeros: A v vanishes, and the left basis goes on orthogonally
+    with pytest.raises(RankDeficiencyError):
+        next_triplet(DeflationState(), MatrixOperator(np.zeros((4, 3))), seed=0)
+    state = DeflationState()
+    op = MatrixOperator(embedded_diagonal([2.0, 0.0, 1.0], rows=4))
+    assert [next_triplet(state, op, seed=0).sigma for _ in range(2)] == pytest.approx([2.0, 1.0])
+    with pytest.raises(RankDeficiencyError):
+        next_triplet(state, op, seed=0)
 
 
 def test_convergence_error_carries_best_iterate():
-    op = MatrixOperator(random_tall(2))
+    a = random_tall(2)
+    op = MatrixOperator(a)
     state = DeflationState(tolerance=1e-15, max_iterations=2)
     with pytest.raises(ConvergenceError) as info:
         next_triplet(state, op, seed=0)
@@ -130,6 +161,190 @@ def test_convergence_error_carries_best_iterate():
     assert err.iterations == 2
     assert err.best.sigma > 0
     assert np.linalg.norm(err.best.v) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(err.best.u) == pytest.approx(1.0, abs=1e-9)
+    # the best iterate is the current Ritz triplet: A v = sigma u holds exactly,
+    # and its value is a lower bound of the true one
+    assert np.linalg.norm(a @ err.best.v - err.best.sigma * err.best.u) < 1e-12 * err.best.sigma
+    assert err.best.sigma <= np.linalg.norm(a, 2)
+    assert state.matvec_count == 4
+    assert state.triplets == [] and state.iterations == []
+
+
+def test_release_residuals_are_the_true_residuals():
+    """The residual read off the pending couplings is ``|A'u - sigma v|``; a
+    loose tolerance releases triplets whose residuals stand well above
+    round-off."""
+    a = random_tall(7)
+    state = DeflationState(tolerance=1e-6)
+    for _ in range(10):
+        next_triplet(state, MatrixOperator(a), seed=3)
+    scale = np.linalg.norm(a)
+    assert len(state.release_residuals) == 10
+    assert max(state.release_residuals) > 1e-3 * 1e-6 * state.triplets[-1].sigma
+    for triplet, recorded in zip(state.triplets, state.release_residuals):
+        assert 0 <= recorded <= 1e-6 * triplet.sigma
+        true = np.linalg.norm(a.T @ triplet.u - triplet.sigma * triplet.v)
+        assert true == pytest.approx(recorded, abs=1e-13 * scale)
+
+
+@pytest.mark.parametrize("layout", ["embedded", "rotated"])
+def test_repeated_values_found_beyond_one_chunk(layout):
+    """Ten distinct values, each twice: a single Krylov sequence becomes
+    invariant after exactly one chunk, and plain single-vector Lanczos released 9
+    second."""
+    sigmas = np.repeat(np.arange(10, 0, -1.0), 2)
+    a = embedded_diagonal(sigmas, rows=23) if layout == "embedded" else rotated(sigmas, rows=23, seed=0)
+    state = DeflationState()
+    got = [next_triplet(state, MatrixOperator(a), seed=1).sigma for _ in range(20)]
+    assert got == pytest.approx(sigmas, abs=1e-8)
+
+
+@pytest.mark.parametrize("layout", ["embedded", "rotated"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_many_copies_released_in_order(layout, seed):
+    """A value seven times over, then three more repeated ones, in 21
+    columns: one Krylov sequence sees a single copy of each, and the
+    single-vector engine released 3.5263 eighth (error 5.13)."""
+    sigmas = np.repeat([8.655, 3.5263, 1.3033, 1.1243], [7, 5, 5, 4])
+    a = embedded_diagonal(sigmas, rows=27) if layout == "embedded" else rotated(sigmas, rows=27, seed=seed)
+    state = DeflationState()
+    got = [next_triplet(state, MatrixOperator(a), seed=seed) for _ in range(21)]
+    assert [t.sigma for t in got] == pytest.approx(sigmas, abs=1e-8)
+    vmat = np.array([t.v for t in got])
+    assert vmat @ vmat.T == pytest.approx(np.eye(21), abs=1e-8)
+    with pytest.raises(ValueError):
+        next_triplet(state, MatrixOperator(a), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [12, 136, 168])
+def test_tight_cluster_released_in_order(seed):
+    """21 values within 1e-4 of each other, relatively, with gaps down to
+    the tolerance. Each of these instances fails if only values within
+    twice the tolerance count as copies of the pending one."""
+    rng = np.random.default_rng(seed)
+    sigmas = np.sort(3 * (1 + 10.0 ** rng.uniform(-9, -4, 21) * rng.standard_normal(21)))[::-1]
+    a = rotated(sigmas, rows=27, seed=seed)
+    state = DeflationState()
+    got = [next_triplet(state, MatrixOperator(a), seed=seed).sigma for _ in range(21)]
+    assert got == pytest.approx(sigmas, abs=1e-8)
+
+
+def test_state_belongs_to_one_operator():
+    a = random_tall(8, rows=12, cols=5)
+    state = DeflationState()
+    next_triplet(state, MatrixOperator(a), seed=0)
+    # an equal copy of the matrix is the same operator
+    next_triplet(state, MatrixOperator(a.copy()), seed=0)
+    with pytest.raises(ValueError):
+        next_triplet(state, MatrixOperator(2 * a), seed=0)
+    state.triplets.pop()
+    with pytest.raises(ValueError):
+        next_triplet(state, MatrixOperator(a), seed=0)
+
+
+def test_triplets_given_up_front_are_deflated():
+    """Triplets placed in a fresh state are locked out of the basis; one that
+    is not the largest makes the larger value turn up late, which raises."""
+    a = embedded_diagonal([3.0, 2.0, 1.0], rows=4)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    state = DeflationState(triplets=[lazysvd.SingularTriplet(s[0], u[:, 0], vt[0])])
+    got = [next_triplet(state, MatrixOperator(a), seed=0).sigma for _ in range(2)]
+    assert got == pytest.approx([2.0, 1.0], abs=1e-9)
+    assert state.iterations[0] > 0 and len(state.iterations) == 2
+    state = DeflationState(triplets=[lazysvd.SingularTriplet(s[2], u[:, 2], vt[2])])
+    with pytest.raises(ConvergenceError) as info:
+        next_triplet(state, MatrixOperator(a), seed=0)
+    assert info.value.best.sigma == pytest.approx(3.0)
+    assert len(state.triplets) == 1
+
+
+def test_demo_solve_is_frugal():
+    """The demo instance stops at 41 triplets for under two matrix-vector
+    products per column; power iteration spent 34,790 on it."""
+    matrix, y, _, config = load_demo().demo_instance()
+    result = sequential_solve(MatrixOperator(matrix), y, NoiseModel(0.05), config)
+    assert result.outcome.tau == 41
+    assert result.matvec_count <= 2 * matrix.shape[1]
+    assert result.matvec_count == 2 * sum(result.state.iterations)
+
+
+@st.composite
+def spectra(draw):
+    """Generic, clustered or exactly repeated singular values, largest first."""
+    kind = draw(st.sampled_from(["generic", "clustered", "repeated"]))
+    dim = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "generic":
+        return np.sort(rng.uniform(0.1, 10.0, dim))[::-1]
+    centers = rng.uniform(0.5, 10.0, rng.integers(1, 4))
+    values = centers[rng.integers(0, centers.size, dim)]
+    if kind == "clustered":
+        values = values * (1 + 10.0 ** rng.uniform(-9, -4, dim))
+    return np.sort(values)[::-1]
+
+
+def dense_truncated(a, y, config):
+    """Reference: the residual rule over the coefficients of a full dense SVD."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    coeffs = u.T @ y
+    return stop_index(coeffs, float(np.dot(y, y)), config), s, vt, coeffs
+
+
+@given(
+    sigmas=spectra(),
+    extra_rows=st.integers(0, 6),
+    seed=st.integers(0, 1000),
+    delta=st.sampled_from([0.01, 0.1, 1.0]),
+)
+@example(sigmas=np.array([3.0, 2.0, 2.0, 1.0]), extra_rows=2, seed=0, delta=0.1)
+def test_solve_matches_dense_reference(sigmas, extra_rows, seed, delta):
+    dim = sigmas.size
+    rows = dim + extra_rows
+    a = rotated(sigmas, rows, seed)
+    rng = np.random.default_rng(seed + 1)
+    mu = rng.standard_normal(dim) / np.arange(1, dim + 1)
+    y = a @ mu + delta * rng.standard_normal(rows)
+    config = StoppingConfig(kappa=rows * delta**2)
+    result = sequential_solve(MatrixOperator(a), y, NoiseModel(delta), config, seed=seed)
+    tau_ref, s, vt, coeffs = dense_truncated(a, y, config)
+
+    # within a cluster the singular vectors are not unique, and neither are the
+    # residuals between its ends: the stop may fall anywhere in the cluster
+    # that holds the reference stop, and estimates compare at cluster ends
+    ends = [0] + [i + 1 for i in range(dim - 1) if s[i] - s[i + 1] > 1e-3 * s[0]] + [dim]
+    lo = max((e for e in ends if e < tau_ref), default=0)
+    hi = min(e for e in ends if e >= tau_ref)
+    tau = result.outcome.tau
+    assert tau == tau_ref if tau_ref == 0 else lo < tau <= hi
+    got = np.array([t.sigma for t in result.state.triplets])
+    assert got.size == tau
+    assert np.max(np.abs(got - s[:tau]), initial=0.0) <= 1e-8
+
+    def lazy_estimate(m):
+        return sum(((t.u @ y) / t.sigma) * t.v for t in result.state.triplets[:m]) + np.zeros(dim)
+
+    for m in {lo, tau} & set(ends):
+        reference = vt[:m].T @ (coeffs[:m] / s[:m])
+        estimate = result.estimate.values if m == tau else lazy_estimate(m)
+        assert np.linalg.norm(estimate - reference) <= 1e-6 * np.linalg.norm(reference) + 1e-12
+
+
+@given(
+    dim=st.integers(2, 30),
+    data=st.data(),
+    extra_rows=st.integers(0, 6),
+    seed=st.integers(0, 1000),
+)
+def test_rank_deficient_spectra_raise(dim, data, extra_rows, seed):
+    rank = data.draw(st.integers(1, dim - 1))
+    sigmas = np.sort(np.random.default_rng(seed).uniform(0.1, 10.0, dim))[::-1]
+    sigmas[rank:] = 0.0
+    op = MatrixOperator(rotated(sigmas, dim + extra_rows, seed))
+    state = DeflationState()
+    got = [next_triplet(state, op, seed=seed).sigma for _ in range(rank)]
+    assert got == pytest.approx(sigmas[:rank], abs=1e-8)
+    with pytest.raises(RankDeficiencyError):
+        next_triplet(state, op, seed=seed)
 
 
 def test_sequential_solve_matches_sequence_model():

@@ -8,7 +8,8 @@ every emitted file, so re-running from an echoed config reproduces the
 outputs byte for byte.
 
 Exit codes: 0 success, 2 usage or unknown command, 3 config error,
-4 numeric failure. Failures print a one-line JSON error record to
+4 numeric failure (``mc`` exits 4 after writing its outputs when any
+replication failed). Failures print a one-line JSON error record to
 stderr.
 """
 
@@ -23,22 +24,17 @@ from pathlib import Path
 
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
-from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys
-from .model import NoiseModel, load_vector, replication_seed, save_vector, simulate_observation
+from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys, _resolve_path
+from .model import load_vector, replication_seed, save_vector, simulate_observation
 from .oracles import theory_bounds
-from .stopping import StopOutcome, early_stop, make_stopping_config, two_step
+from .stopping import StopOutcome, StoppingConfig, early_stop, two_step
 from .svgplot import efficiency_plot
 
 __all__ = ["main"]
 
-_NUMERIC_ERRORS = (
-    lowerbound.AccuracyError,
-    lazysvd.ConvergenceError,
-    lazysvd.RankDeficiencyError,
-    lazysvd.TripletBudgetError,
-    ArithmeticError,
-    RuntimeError,
-)
+# the solver and quadrature failures (ConvergenceError, RankDeficiencyError, TripletBudgetError,
+# AccuracyError) are RuntimeErrors
+_NUMERIC_ERRORS = (ArithmeticError, RuntimeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,82 +83,68 @@ def _load_mapping(args) -> tuple[dict, Path]:
     return mapping, config_path.resolve().parent
 
 
-def _experiment_config(mapping: dict) -> harness.ExperimentConfig:
-    sub = {k: v for k, v in mapping.items() if k in _EXPERIMENT_KEYS}
-    return harness.config_from_mapping(sub)
+def _section(mapping: dict, name: str, allowed: set[str], required: bool = False) -> dict:
+    """Config section ``name``, checked against its ``allowed`` keys; ``{}`` when optional and absent."""
+    if required and name not in mapping:
+        raise ValueError(f"config requires a '{name}' section")
+    section = mapping.get(name, {})
+    _check_keys(section, allowed, name)
+    return section
 
 
-def _outcome_record(outcome: StopOutcome) -> dict:
-    return {
-        "tau": outcome.tau,
-        "rho": outcome.rho,
-        "coefficients_consumed": outcome.coefficients_consumed,
-        "immediate_stop": outcome.immediate_stop,
-    }
+def _experiment(mapping: dict, base: Path, *extra_sections: str):
+    """Config and model objects; ``config_from_mapping`` checks every top-level key but ``extra_sections``."""
+    config = harness.config_from_mapping({k: v for k, v in mapping.items() if k not in extra_sections})
+    return config, harness.resolve_experiment(config, base)
+
+
+def _write_record(
+    out: Path, name: str, config: dict, outcome: StopOutcome, estimate, stopping: StoppingConfig, **extras
+) -> None:
+    """Save ``estimate.txt``, then write ``name``: config, outcome, ``kappa``, ``m0`` and ``extras``."""
+    save_vector(out / "estimate.txt", estimate.values)
+    print(f"wrote {out / 'estimate.txt'}")
+    payload = {"config": config, "outcome": dataclasses.asdict(outcome), "kappa": stopping.kappa, "m0": stopping.m0}
+    _write_json(out / name, {**payload, **extras})
 
 
 def _cmd_oracles(mapping: dict, out: Path, base: Path, args) -> None:
-    _check_keys(mapping, _EXPERIMENT_KEYS)
-    config = _experiment_config(mapping)
-    exp = harness.resolve_experiment(config, base)
+    config, exp = _experiment(mapping, base)
     _write_json(out / "oracles.json", {"config": config.to_mapping(), "oracle": harness.oracle_payload(exp)})
 
 
 def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
-    _check_keys(mapping, _EXPERIMENT_KEYS)
-    config = _experiment_config(mapping)
-    exp = harness.resolve_experiment(config, base)
+    """``stop``; ``two-step`` is the same run with the ``selection`` section's AIC re-selection."""
+    extra = {}
+    if args.command == "two-step":
+        selection = _section(mapping, "selection", {"norm", "penalty_multiplier"})
+        norm, penalty = selection.get("norm", "strong"), float(selection.get("penalty_multiplier", 1.0))
+        extra["selection"] = {"norm": norm, "penalty_multiplier": penalty}
+    config, exp = _experiment(mapping, base, *extra)
     obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, 0))
     outcome = early_stop(obs, exp.stopping)
-    estimate = estimate_at(obs, exp.spectrum, float(outcome.tau))
-    save_vector(out / "estimate.txt", estimate.values)
-    print(f"wrote {out / 'estimate.txt'}")
-    payload = {
-        "config": config.to_mapping(),
-        "outcome": _outcome_record(outcome),
-        "kappa": exp.stopping.kappa,
-        "m0": exp.stopping.m0,
-    }
-    _write_json(out / "stop.json", payload)
-
-
-def _cmd_two_step(mapping: dict, out: Path, base: Path, args) -> None:
-    _check_keys(mapping, _EXPERIMENT_KEYS | {"selection"})
-    selection = mapping.get("selection", {})
-    _check_keys(selection, {"norm", "penalty_multiplier"}, "selection")
-    norm = selection.get("norm", "strong")
-    penalty = float(selection.get("penalty_multiplier", 1.0))
-    config = _experiment_config(mapping)
-    exp = harness.resolve_experiment(config, base)
-    obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, 0))
-    outcome = early_stop(obs, exp.stopping)
-    rho = two_step(outcome.tau, obs.y, exp.spectrum.values, exp.noise.delta, exp.stopping.m0, norm, penalty)
-    outcome = dataclasses.replace(outcome, rho=rho)
-    estimate = estimate_at(obs, exp.spectrum, float(rho))
-    save_vector(out / "estimate.txt", estimate.values)
-    print(f"wrote {out / 'estimate.txt'}")
-    payload = {
-        "config": {**config.to_mapping(), "selection": {"norm": norm, "penalty_multiplier": penalty}},
-        "outcome": _outcome_record(outcome),
-        "kappa": exp.stopping.kappa,
-        "m0": exp.stopping.m0,
-    }
-    _write_json(out / "two_step.json", payload)
+    chosen = outcome.tau
+    if extra:
+        chosen = two_step(chosen, obs.y, exp.spectrum.values, exp.noise.delta, exp.stopping.m0, norm, penalty)
+        outcome = dataclasses.replace(outcome, rho=chosen)
+    estimate = estimate_at(obs, exp.spectrum, float(chosen))
+    name = "two_step.json" if extra else "stop.json"
+    _write_record(out, name, {**config.to_mapping(), **extra}, outcome, estimate, exp.stopping)
 
 
 def _cmd_mc(mapping: dict, out: Path, base: Path, args) -> None:
-    _check_keys(mapping, _EXPERIMENT_KEYS)
-    config = _experiment_config(mapping)
+    config = harness.config_from_mapping(mapping)
     csv_path = out / "replications.csv"
     report = harness.run_experiment(config, csv_path=csv_path, base_dir=base)
     print(f"wrote {csv_path}")
     _write_json(out / "report.json", report.as_record())
+    if report.failures:
+        reps = [rep for rep, _ in report.failures]
+        raise ArithmeticError(f"replications {reps} failed; report.json lists why")
 
 
 def _cmd_bounds(mapping: dict, out: Path, base: Path, args) -> None:
-    _check_keys(mapping, _EXPERIMENT_KEYS)
-    config = _experiment_config(mapping)
-    exp = harness.resolve_experiment(config, base)
+    config, exp = _experiment(mapping, base)
     bounds = theory_bounds(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0)
     payload = {
         "config": config.to_mapping(),
@@ -174,116 +156,71 @@ def _cmd_bounds(mapping: dict, out: Path, base: Path, args) -> None:
 
 
 def _cmd_adversary(mapping: dict, out: Path, base: Path, args) -> None:
-    _check_keys(mapping, _EXPERIMENT_KEYS | {"adversary"})
-    section = mapping.get("adversary")
-    if not isinstance(section, dict):
-        raise ValueError("adversary command requires an 'adversary' config section")
-    _check_keys(section, {"kind", "i0", "alpha", "r_bar"}, "adversary")
+    section = _section(mapping, "adversary", {"kind", "i0", "alpha", "r_bar"}, required=True)
     kind = section.get("kind")
     if kind not in ("hide_signal", "residual_adversary"):
         raise ValueError("adversary.kind must be 'hide_signal' or 'residual_adversary'")
     i0 = _check_int(section["i0"], "adversary.i0")
     alpha = float(section.get("alpha", 0.0))
     r_bar = float(section["r_bar"])
-    config = _experiment_config(mapping)
-    exp = harness.resolve_experiment(config, base)
+    extra = {"adversary": {"kind": kind, "i0": i0, "alpha": alpha, "r_bar": r_bar}}
+    config, exp = _experiment(mapping, base, *extra)
     if kind == "hide_signal":
         result = lowerbound.hide_signal(exp.signal, i0, alpha, r_bar)
     else:
         result = lowerbound.residual_adversary(exp.signal, exp.spectrum, exp.noise, i0, alpha, r_bar)
     save_vector(out / "mu_bar.txt", result.mu_bar.coefficients)
     print(f"wrote {out / 'mu_bar.txt'}")
-    payload = {
-        "config": {
-            **config.to_mapping(),
-            "adversary": {"kind": kind, "i0": i0, "alpha": alpha, "r_bar": r_bar},
-        },
-        "adversary": result.as_record(),
-    }
-    _write_json(out / "adversary.json", payload)
+    _write_json(out / "adversary.json", {"config": {**config.to_mapping(), **extra}, "adversary": result.as_record()})
 
 
 def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
     _check_keys(mapping, {"matrix", "data", "noise", "stopping", "lazysvd", "base_seed"})
-    for key in ("matrix", "data", "noise"):
-        if key not in mapping:
-            raise ValueError(f"lazysvd command requires a '{key}' config section")
-    for key, allowed in (
-        ("matrix", {"file"}),
-        ("data", {"file"}),
-        ("noise", {"delta"}),
-        ("stopping", {"kappa", "m0_mode", "m0", "level"}),
-        ("lazysvd", {"tolerance", "max_iterations", "triplet_budget", "selection_norm", "penalty_multiplier"}),
-    ):
-        _check_keys(mapping.get(key, {}), allowed, key)
-
-    def _path(section: str) -> Path:
-        name = mapping[section].get("file")
-        if not name:
-            raise ValueError(f"{section}.file is required")
-        path = Path(name)
-        path = path if path.is_absolute() else base / path
-        if not path.exists():
-            raise ValueError(f"referenced file not found: {path}")
-        return path
-
-    entries = lazysvd.load_matrix(_path("matrix"))
-    y_raw = load_vector(_path("data"))
-    operator = lazysvd.MatrixOperator(entries)
-    delta = float(mapping["noise"]["delta"])
-    stopping = mapping.get("stopping", {})
-    kappa = stopping.get("kappa")
-    if kappa is None:
-        # in matrix coordinates the residual keeps all raw noise directions
-        kappa = operator.codomain_dim * delta**2
-    stop_config = make_stopping_config(
-        operator.domain_dim,
-        delta,
-        kappa=float(kappa),
-        m0_mode=stopping.get("m0_mode", "zero"),
-        m0=_check_int(stopping["m0"], "stopping.m0") if stopping.get("m0") is not None else None,
-        level=float(stopping.get("level", 0.99)),
+    matrix = _section(mapping, "matrix", {"file"}, required=True)
+    data = _section(mapping, "data", {"file"}, required=True)
+    _section(mapping, "stopping", {"kappa", "m0_mode", "m0", "level"})
+    section = _section(
+        mapping, "lazysvd", {"tolerance", "max_iterations", "triplet_budget", "selection_norm", "penalty_multiplier"}
     )
-    section = mapping.get("lazysvd", {})
+    operator = lazysvd.MatrixOperator(lazysvd.load_matrix(_resolve_path(base, matrix.get("file"), "matrix.file")))
+    y_raw = load_vector(_resolve_path(base, data.get("file"), "data.file"))
+    # the solve reads an experiment's noise, stopping and seed keys; the zero signal fills a required slot
+    shared = {k: v for k, v in mapping.items() if k in ("noise", "stopping", "base_seed")}
+    config = harness.config_from_mapping({**shared, "dim": operator.domain_dim, "signal": {"name": "zero"}})
+    if config.kappa is None:  # in matrix coordinates the residual keeps all raw noise directions
+        config = dataclasses.replace(config, kappa=operator.codomain_dim * config.delta**2)
+    exp = harness.resolve_experiment(config)
     budget = section.get("triplet_budget")
     result = lazysvd.sequential_solve(
         operator,
         y_raw,
-        NoiseModel(delta=delta),
-        stop_config,
-        seed=_check_int(mapping.get("base_seed", 0), "base_seed"),
+        exp.noise,
+        exp.stopping,
+        seed=config.base_seed,
         tolerance=float(section.get("tolerance", 1e-10)),
         max_iterations=_check_int(section.get("max_iterations", 10000), "lazysvd.max_iterations"),
         triplet_budget=None if budget is None else _check_int(budget, "lazysvd.triplet_budget"),
         selection_norm=section.get("selection_norm"),
         penalty_multiplier=float(section.get("penalty_multiplier", 1.0)),
     )
-    save_vector(out / "estimate.txt", result.estimate.values)
-    print(f"wrote {out / 'estimate.txt'}")
-    payload = {
-        "config": mapping,
-        "outcome": _outcome_record(result.outcome),
-        "matvec_count": result.matvec_count,
-        "iterations": list(result.state.iterations),
-        "release_residuals": list(result.state.release_residuals),
-        "singular_values": [t.sigma for t in result.state.triplets],
-        "kappa": stop_config.kappa,
-        "m0": stop_config.m0,
-    }
-    _write_json(out / "lazysvd.json", payload)
+    _write_record(
+        out,
+        "lazysvd.json",
+        mapping,
+        result.outcome,
+        result.estimate,
+        exp.stopping,
+        matvec_count=result.matvec_count,
+        iterations=list(result.state.iterations),
+        release_residuals=list(result.state.release_residuals),
+        singular_values=[t.sigma for t in result.state.triplets],
+    )
 
 
 def _cmd_plot(mapping: dict, out: Path, base: Path, args) -> None:
     _check_keys(mapping, _EXPERIMENT_KEYS | {"plot"})
-    section = mapping.get("plot")
-    if not isinstance(section, dict) or "csv" not in section:
-        raise ValueError("plot command requires a 'plot' section with a 'csv' path")
-    _check_keys(section, {"csv", "title"}, "plot")
-    csv_path = Path(section["csv"])
-    csv_path = csv_path if csv_path.is_absolute() else base / csv_path
-    if not csv_path.exists():
-        raise ValueError(f"referenced file not found: {csv_path}")
-    records, _ = harness.read_records_csv(csv_path)
+    section = _section(mapping, "plot", {"csv", "title"}, required=True)
+    records, _ = harness.read_records_csv(_resolve_path(base, section.get("csv"), "plot.csv"))
     svg = efficiency_plot(records, config_mapping=mapping, title=section.get("title", "Relative efficiency"))
     path = out / "efficiency.svg"
     path.write_text(svg)
@@ -293,7 +230,7 @@ def _cmd_plot(mapping: dict, out: Path, base: Path, args) -> None:
 _COMMANDS = {
     "oracles": _cmd_oracles,
     "stop": _cmd_stop,
-    "two-step": _cmd_two_step,
+    "two-step": _cmd_stop,
     "mc": _cmd_mc,
     "lazysvd": _cmd_lazysvd,
     "bounds": _cmd_bounds,

@@ -185,6 +185,20 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     )
 
 
+def _resolve_path(base: Path, name: str | None, where: str) -> Path:
+    """File ``name`` from the config key ``where``, relative to ``base`` unless absolute.
+
+    ``ValueError`` when the key is empty or the file does not exist.
+    """
+    if not name:
+        raise ValueError(f"{where} is required")
+    path = Path(name)
+    path = path if path.is_absolute() else base / path
+    if not path.exists():
+        raise ValueError(f"{where}: referenced file not found: {path}")
+    return path
+
+
 @dataclass(frozen=True)
 class ResolvedExperiment:
     """Model objects materialised from an :class:`ExperimentConfig`."""
@@ -199,21 +213,13 @@ class ResolvedExperiment:
 def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = None) -> ResolvedExperiment:
     """Load referenced files and build the model objects for an experiment."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
-
-    def _resolve_path(name: str) -> Path:
-        path = Path(name)
-        path = path if path.is_absolute() else base / path
-        if not path.exists():
-            raise ValueError(f"referenced file not found: {path}")
-        return path
-
     if config.spectrum_file is not None:
-        spectrum = Spectrum(load_vector(_resolve_path(config.spectrum_file)))
+        spectrum = Spectrum(load_vector(_resolve_path(base, config.spectrum_file, "spectrum.file")))
     else:
         spectrum = make_polynomial_spectrum(config.dim, config.spectrum_p)
     noise = NoiseModel(delta=config.delta)
     if config.signal_file is not None:
-        signal = Signal(load_vector(_resolve_path(config.signal_file)))
+        signal = Signal(load_vector(_resolve_path(base, config.signal_file, "signal.file")))
     elif config.signal_name == "zero":
         signal = Signal(np.zeros(config.dim))
     else:
@@ -261,17 +267,6 @@ class ProcedureSummary:
     immediate_fraction: float
     tau_mean: float
 
-    def as_record(self) -> dict:
-        return {
-            "procedure": self.procedure,
-            "eff_strong_quartiles": list(self.eff_strong_quartiles),
-            "eff_weak_quartiles": list(self.eff_weak_quartiles),
-            "eff_strong_mean": self.eff_strong_mean,
-            "eff_weak_mean": self.eff_weak_mean,
-            "immediate_fraction": self.immediate_fraction,
-            "tau_mean": self.tau_mean,
-        }
-
 
 @dataclass(frozen=True)
 class EfficiencyReport:
@@ -287,7 +282,7 @@ class EfficiencyReport:
         return {
             "config": self.config,
             "oracle": self.oracle,
-            "procedures": [s.as_record() for s in self.summaries],
+            "procedures": [asdict(s) for s in self.summaries],
             "replications": len({r.rep for r in self.records}),
             "failures": [list(f) for f in self.failures],
         }
@@ -342,7 +337,7 @@ def _run_one(
                 )
             )
         return records, None
-    except Exception as exc:  # per-replication failures are recorded, not fatal
+    except ArithmeticError as exc:  # a numeric failure is recorded; the other replications still run
         return [], (rep, f"{type(exc).__name__}: {exc}")
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .estimator import EstimateVector
 from .model import NoiseModel
-from .stopping import StopOutcome, StoppingConfig, residual_rule, two_step
+from .stopping import StopOutcome, StoppingConfig, _check_selection, residual_rule, two_step
 
 __all__ = [
     "ConvergenceError",
@@ -401,7 +401,8 @@ def sequential_solve(
     :func:`~svdstop.stopping.two_step` re-selects over the computed
     triplets after an immediate stop. A ``triplet_budget`` smaller than
     the demanded stopping index raises :class:`TripletBudgetError`; data
-    that is not finite raises ``ValueError`` before any triplet is
+    that is not finite, an unknown ``selection_norm`` or a multiplier
+    that is not positive raises ``ValueError`` before any triplet is
     computed.
     """
     y_raw = np.asarray(y_raw, dtype=float)
@@ -409,6 +410,8 @@ def sequential_solve(
         raise ValueError("data vector length disagrees with the operator codomain")
     if not np.all(np.isfinite(y_raw)):
         raise ValueError("data vector must be finite")
+    if selection_norm is not None:
+        _check_selection(selection_norm, penalty_multiplier)
     dim = operator.domain_dim
     state = DeflationState(tolerance=tolerance, max_iterations=max_iterations)
     coeffs: list[float] = []

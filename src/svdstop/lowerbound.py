@@ -117,13 +117,6 @@ class TvBoundResult:
         if self.tv_numeric is not None and not 0.0 <= self.tv_numeric <= 1.0:
             raise ValueError("numeric total variation must lie in [0, 1]")
 
-    def as_record(self) -> dict:
-        return {
-            "bound_general": self.bound_general,
-            "bound_simplified": self.bound_simplified,
-            "tv_numeric": self.tv_numeric,
-        }
-
 
 def _check_i0(i0: int, dim: int) -> int:
     i0 = int(i0)
@@ -368,17 +361,6 @@ class TailReport:
     upper_se: float
     replications: int
 
-    def as_record(self) -> dict:
-        return {
-            "x": self.x,
-            "bound": self.bound,
-            "lower_frequency": self.lower_frequency,
-            "lower_se": self.lower_se,
-            "upper_frequency": self.upper_frequency,
-            "upper_se": self.upper_se,
-            "replications": self.replications,
-        }
-
 
 def laurent_massart_tails(
     weights: np.ndarray,
@@ -452,19 +434,6 @@ class OverrunReport:
     implication_ok: bool | None
     replications: int
 
-    def as_record(self) -> dict:
-        return {
-            "m": self.m,
-            "variance_at_m": self.variance_at_m,
-            "risk_sq_estimate": self.risk_sq_estimate,
-            "risk_sq_se": self.risk_sq_se,
-            "premise_holds": self.premise_holds,
-            "overrun_probability": self.overrun_probability,
-            "overrun_se": self.overrun_se,
-            "implication_ok": self.implication_ok,
-            "replications": self.replications,
-        }
-
 
 def overrun_check(
     rule: Callable[[Observation], int],
@@ -537,20 +506,6 @@ class GapReport:
     proxy_time: float | None = None
     weak_time: float | None = None
     bias_ratio: float | None = None
-
-    def as_record(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "reason": self.reason,
-            "p": self.p,
-            "dim": self.dim,
-            "delta": self.delta,
-            "mu_last": self.mu_last,
-            "strong_time": self.strong_time,
-            "proxy_time": self.proxy_time,
-            "weak_time": self.weak_time,
-            "bias_ratio": self.bias_ratio,
-        }
 
 
 def weak_oracle_gap_instance(p: float, dim: int) -> GapReport:

@@ -59,7 +59,6 @@ class StoppingConfig:
 
     kappa: float
     m0: int = 0
-    m0_mode: str = "explicit"
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", float(self.kappa))
@@ -68,8 +67,6 @@ class StoppingConfig:
             raise ValueError("stopping threshold must be finite and non-negative")
         if self.m0 < 0:
             raise ValueError("starting index must be non-negative")
-        if self.m0_mode not in M0_MODES:
-            raise ValueError(f"unknown m0 mode {self.m0_mode!r}; expected one of {M0_MODES}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def make_stopping_config(
         raise ValueError(f"unknown m0 mode {m0_mode!r}; expected one of {M0_MODES}")
     if start > dim:
         raise ValueError(f"starting index {start} exceeds dimension {dim}")
-    return StoppingConfig(kappa=float(kappa), m0=start, m0_mode=m0_mode)
+    return StoppingConfig(kappa=float(kappa), m0=start)
 
 
 def residual_rule(
@@ -217,18 +214,23 @@ def aic_select(
     m0 = int(m0)
     if not 0 <= m0 <= dim:
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
-    if penalty_multiplier <= 0:
-        raise ValueError("penalty multiplier must be positive")
+    _check_selection(norm, penalty_multiplier)
     y2 = y[:m0] ** 2
     pen = 2.0 * penalty_multiplier * delta**2
     if norm == "strong":
         inv2 = lam[:m0] ** -2.0
         crit = -_prefix_sums(inv2 * y2) + pen * _prefix_sums(inv2)
-    elif norm == "weak":
-        crit = -_prefix_sums(y2) + pen * np.arange(m0 + 1, dtype=float)
     else:
-        raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
+        crit = -_prefix_sums(y2) + pen * np.arange(m0 + 1, dtype=float)
     return int(np.argmin(crit))
+
+
+def _check_selection(norm: str, penalty_multiplier: float) -> None:
+    """``ValueError`` unless ``norm`` is ``'strong'`` or ``'weak'`` and the multiplier is positive (NaN is not)."""
+    if norm not in ("strong", "weak"):
+        raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
+    if not penalty_multiplier > 0:
+        raise ValueError("penalty multiplier must be positive")
 
 
 def two_step(
@@ -244,6 +246,7 @@ def two_step(
 
     A stop past ``m0`` stands; an immediate stop is replaced by the AIC
     index over ``0..m0``, which only reuses coefficients the stopping
-    pass already read.
+    pass already read. The norm and the multiplier are checked either way.
     """
+    _check_selection(norm, penalty_multiplier)
     return tau if tau > m0 else aic_select(y, lam, delta, m0, norm, penalty_multiplier)

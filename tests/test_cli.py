@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from svdstop import harness
 from svdstop.cli import main
+from svdstop.harness import read_records_csv
 from svdstop.lazysvd import save_matrix
 from svdstop.model import load_vector
 
@@ -19,6 +21,9 @@ BASE_CONFIG = {
     "base_seed": 11,
     "procedures": ["plain_stop", "two_step_strong"],
 }
+
+# a huge threshold with m0 = 100 stops immediately, so the two-step rule re-selects by AIC
+RESCUE = ["--set", "stopping.kappa=1000", "--set", "stopping.m0_mode=explicit", "--set", "stopping.m0=100"]
 
 
 @pytest.fixture
@@ -63,8 +68,7 @@ def test_two_step_command(config_path, tmp_path):
     assert meta["outcome"]["rho"] is not None
     assert load_vector(out / "estimate.txt").shape == (120,)
 
-    rescue = ["--set", "stopping.kappa=1000", "--set", "stopping.m0_mode=explicit", "--set", "stopping.m0=100"]
-    assert run(["two-step", "--config", config_path, "--out", out, *rescue]) == 0
+    assert run(["two-step", "--config", config_path, "--out", out, *RESCUE]) == 0
     outcome = json.loads((out / "two_step.json").read_text())["outcome"]
     assert outcome["tau"] == 100 and outcome["immediate_stop"]
     estimate = load_vector(out / "estimate.txt")
@@ -145,16 +149,20 @@ def test_adversary_command(config_path, tmp_path):
     assert load_vector(out / "mu_bar.txt").shape == (120,)
 
 
-def test_lazysvd_command(tmp_path):
-    rows, cols = 40, 25
+def write_lazy_inputs(tmp_path, rows=40, cols=25):
+    """``A.txt`` with singular values ``i**-0.5`` and noisy data ``y.txt`` for the ``lazysvd`` command."""
     sigmas = np.arange(1, cols + 1, dtype=float) ** -0.5
     a = np.zeros((rows, cols))
     a[:cols, :] = np.diag(sigmas)
     rng = np.random.default_rng(0)
     mu = rng.standard_normal(cols)
-    y = a @ mu + 0.05 * rng.standard_normal(rows)
     save_matrix(tmp_path / "A.txt", a)
-    np.savetxt(tmp_path / "y.txt", y)
+    np.savetxt(tmp_path / "y.txt", a @ mu + 0.05 * rng.standard_normal(rows))
+
+
+def test_lazysvd_command(tmp_path):
+    rows, cols = 40, 25
+    write_lazy_inputs(tmp_path, rows, cols)
     config = {
         "matrix": {"file": "A.txt"},
         "data": {"file": "y.txt"},
@@ -353,3 +361,225 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 3
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert "extra_section" in record["message"]
+
+
+def key_paths(node, prefix=""):
+    """Dotted paths of every mapping key in a JSON payload; list items share the path ``name[]``."""
+    if isinstance(node, dict):
+        paths = set()
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | key_paths(value, path)
+        return paths
+    if isinstance(node, list):
+        return set().union(*(key_paths(item, prefix + "[]") for item in node))
+    return set()
+
+
+EXPERIMENT_PATHS = {"config"} | {
+    f"config.{key}"
+    for key in (
+        "base_seed",
+        "dim",
+        "noise",
+        "noise.delta",
+        "procedures",
+        "replications",
+        "signal",
+        "signal.name",
+        "signal.target",
+        "spectrum",
+        "spectrum.p",
+        "stopping",
+        "stopping.kappa",
+        "stopping.kappa_drift",
+        "stopping.level",
+        "stopping.m0",
+        "stopping.m0_mode",
+    )
+}
+ORACLE_PATHS = {"oracle"} | {
+    f"oracle.{key}"
+    for key in (
+        "balanced_discrete",
+        "classical_index",
+        "classical_risk",
+        "classical_weak_index",
+        "classical_weak_risk",
+        "kappa",
+        "m0",
+        "proxy_time",
+        "strong_time",
+        "weak_time",
+    )
+}
+OUTCOME_PATHS = {
+    "kappa",
+    "m0",
+    "outcome",
+    "outcome.coefficients_consumed",
+    "outcome.immediate_stop",
+    "outcome.rho",
+    "outcome.tau",
+}
+SUMMARY_KEYS = (
+    "eff_strong_mean",
+    "eff_strong_quartiles",
+    "eff_weak_mean",
+    "eff_weak_quartiles",
+    "immediate_fraction",
+    "procedure",
+    "tau_mean",
+)
+ADVERSARY_PATHS = {
+    "adversary",
+    "adversary.conditions_met",
+    "adversary.conditions_met.prefix_equal",
+    "adversary.i0",
+    "adversary.mu_bar",
+    "adversary.predicted_floor",
+    "config.adversary",
+    "config.adversary.alpha",
+    "config.adversary.i0",
+    "config.adversary.kind",
+    "config.adversary.r_bar",
+}
+RESIDUAL_ADVERSARY_PATHS = {"adversary.conditions_met.weak_bias_close", "adversary.conditions_met.weak_bias_large"}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, name, expected",
+    [
+        ("oracles", [], "oracles.json", EXPERIMENT_PATHS | ORACLE_PATHS),
+        ("stop", [], "stop.json", EXPERIMENT_PATHS | OUTCOME_PATHS),
+        (
+            "two-step",
+            RESCUE,
+            "two_step.json",
+            EXPERIMENT_PATHS
+            | OUTCOME_PATHS
+            | {"config.selection", "config.selection.norm", "config.selection.penalty_multiplier"},
+        ),
+        (
+            "mc",
+            [],
+            "report.json",
+            EXPERIMENT_PATHS
+            | ORACLE_PATHS
+            | {"failures", "procedures", "replications"}
+            | {f"procedures[].{key}" for key in SUMMARY_KEYS},
+        ),
+        (
+            "bounds",
+            [],
+            "bounds.json",
+            EXPERIMENT_PATHS
+            | {"kappa", "m0", "bounds"}
+            | {
+                f"bounds.{key}"
+                for key in (
+                    "discretization_err",
+                    "stochastic_factor",
+                    "strong_bias_rhs",
+                    "strong_oracle_rhs",
+                    "weak_dev_rhs",
+                )
+            },
+        ),
+        ("adversary", [], "adversary.json", EXPERIMENT_PATHS | ADVERSARY_PATHS),
+        (
+            "adversary",
+            ["--set", "adversary.kind=residual_adversary"],
+            "adversary.json",
+            EXPERIMENT_PATHS | ADVERSARY_PATHS | RESIDUAL_ADVERSARY_PATHS,
+        ),
+    ],
+)
+def test_json_key_paths_are_pinned(tmp_path, command, overrides, name, expected):
+    config = dict(BASE_CONFIG)
+    if command == "adversary":
+        config["adversary"] = {"kind": "hide_signal", "i0": 30, "alpha": 0.5, "r_bar": 2.0}
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out, *overrides]) == 0
+    assert key_paths(json.loads((out / name).read_text())) == expected
+
+
+def test_lazysvd_json_key_paths_are_pinned(tmp_path):
+    write_lazy_inputs(tmp_path)
+    config = {
+        "matrix": {"file": "A.txt"},
+        "data": {"file": "y.txt"},
+        "noise": {"delta": 0.05},
+        "stopping": {"m0_mode": "zero"},
+        "lazysvd": {"selection_norm": "weak"},
+    }
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["lazysvd", "--config", path, "--out", out]) == 0
+    # the raw config is echoed, so its paths are the input's
+    expected = key_paths({"config": config}) | OUTCOME_PATHS
+    expected |= {"iterations", "matvec_count", "release_residuals", "singular_values"}
+    assert key_paths(json.loads((out / "lazysvd.json").read_text())) == expected
+
+
+BAD_SELECTIONS = [
+    ["selection.norm=stronk"],
+    ["selection.penalty_multiplier=-3"],
+    ["selection.norm=weak", "selection.penalty_multiplier=0"],
+    ["selection.norm=stronk", "selection.penalty_multiplier=-3"],
+]
+
+
+@pytest.mark.parametrize("immediate", [False, True])
+@pytest.mark.parametrize("bad", BAD_SELECTIONS)
+def test_two_step_bad_selection_exits_three(config_path, tmp_path, immediate, bad, capsys):
+    out = tmp_path / "out"
+    args = ["two-step", "--config", config_path, "--out", out, *(RESCUE if immediate else [])]
+    for item in bad:
+        args += ["--set", item]
+    code, captured = run(args, capsys)
+    assert code == 3
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("immediate", [False, True])
+@pytest.mark.parametrize(
+    "section", [{"selection_norm": "stronk"}, {"selection_norm": "weak", "penalty_multiplier": -3}]
+)
+def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys):
+    write_lazy_inputs(tmp_path)
+    config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.05}, "lazysvd": section}
+    if immediate:
+        config["stopping"] = {"kappa": 1000.0, "m0_mode": "explicit", "m0": 5}
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, captured = run(["lazysvd", "--config", path, "--out", out], capsys)
+    assert code == 3
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not any(out.iterdir())
+
+
+def test_failed_replication_exits_four_after_writing(config_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    estimate_at = harness.estimate_at
+
+    def flaky(obs, spectrum, t):
+        calls.append(t)
+        if len(calls) == 7:  # rep 3's first procedure: two procedures per replication
+            raise FloatingPointError("overflow in the estimate")
+        return estimate_at(obs, spectrum, t)
+
+    monkeypatch.setattr(harness, "estimate_at", flaky)
+    out = tmp_path / "mc"
+    code, captured = run(["mc", "--config", config_path, "--out", out], capsys)
+    assert code == 4
+    assert "[3]" in json.loads(captured.err.strip().splitlines()[-1])["message"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [[3, "FloatingPointError: overflow in the estimate"]]
+    records, _ = read_records_csv(out / "replications.csv")
+    assert sorted({r.rep for r in records}) == [0, 1, 2, 4, 5, 6, 7]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from svdstop import harness
 from svdstop.harness import (
     CSV_HEADER,
     PROCEDURES,
@@ -222,6 +223,15 @@ def test_report_as_record_structure():
     assert set(record) == {"config", "oracle", "procedures", "replications", "failures"}
     assert record["replications"] == 4
     assert record["config"]["dim"] == 80
+
+
+def test_only_numeric_replication_failures_are_recorded(monkeypatch):
+    def broken(obs, spectrum, t):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(harness, "estimate_at", broken)
+    with pytest.raises(TypeError):
+        run_experiment(small_config(replications=2))
 
 
 def test_csv_roundtrip(tmp_path):

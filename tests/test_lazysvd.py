@@ -428,6 +428,17 @@ def test_solve_rejects_nonfinite_data_before_any_triplet(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("config", [StoppingConfig(kappa=0.0), StoppingConfig(kappa=1e6, m0=3)])
+@pytest.mark.parametrize("norm, multiplier", [("stronk", 1.0), ("weak", -3.0), ("strong", 0.0)])
+def test_solve_rejects_bad_selection_before_any_triplet(monkeypatch, config, norm, multiplier):
+    calls = []
+    monkeypatch.setattr(lazysvd, "next_triplet", lambda *args: calls.append(args))
+    op = MatrixOperator(random_tall(5))
+    with pytest.raises(ValueError):
+        sequential_solve(op, np.ones(60), NoiseModel(0.1), config, selection_norm=norm, penalty_multiplier=multiplier)
+    assert calls == []
+
+
 def test_solve_rejects_mismatched_data():
     op = MatrixOperator(np.ones((4, 2)))
     with pytest.raises(ValueError):

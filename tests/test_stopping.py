@@ -190,6 +190,14 @@ def test_two_step_rescues_immediate_stop():
     assert rho < outcome.tau
 
 
+@pytest.mark.parametrize("kappa, m0", [(1.0, 1), (50.0, 2)])  # a late stop, then an immediate one
+@pytest.mark.parametrize("norm, multiplier", [("stronk", 1.0), ("weak", -3.0), ("strong", 0.0), ("strong", math.nan)])
+def test_two_step_checks_the_selection_either_way(kappa, m0, norm, multiplier):
+    tau = early_stop(OBS3, StoppingConfig(kappa=kappa, m0=m0)).tau
+    with pytest.raises(ValueError):
+        two_step(tau, OBS3.y, LAM3, 1.0, m0, norm, multiplier)
+
+
 def test_normal_quantile_start_reference_value():
     assert normal_quantile_start(10_000) == 329
     assert normal_quantile_start(10_000, level=0.99) == 329

@@ -33,7 +33,8 @@ def demo_instance(rows=400, cols=250, delta=0.05, seed=0, signal="smooth"):
     planted = calibrated_signal(signal, cols, delta, spectrum, target=0.15 * cols)
     mu = q_right @ planted.coefficients
     y = matrix @ mu + delta * rng.standard_normal(rows)
-    config = make_stopping_config(cols, delta, kappa=rows * delta**2)
+    # the residual keeps all `rows` noise directions of the data, so the rule is calibrated on `rows`
+    config = make_stopping_config(rows, delta)
     return matrix, y, mu, config
 
 

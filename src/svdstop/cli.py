@@ -184,12 +184,10 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
     )
     operator = lazysvd.MatrixOperator(lazysvd.load_matrix(_resolve_path(base, matrix.get("file"), "matrix.file")))
     y_raw = load_vector(_resolve_path(base, data.get("file"), "data.file"))
-    # the solve reads an experiment's noise, stopping and seed keys; the zero signal fills a required slot
-    shared = {k: v for k, v in mapping.items() if k in ("noise", "stopping", "base_seed")}
-    config = harness.config_from_mapping({**shared, "dim": operator.domain_dim, "signal": {"name": "zero"}})
-    if config.kappa is None:  # in matrix coordinates the residual keeps all raw noise directions
-        config = dataclasses.replace(config, kappa=operator.codomain_dim * config.delta**2)
-    exp = harness.resolve_experiment(config)
+    # the rule is calibrated on the noise directions its residual keeps, the data's `rows`;
+    # the zero signal fills a required slot
+    matrix_model = {**mapping, "dim": operator.codomain_dim, "signal": {"name": "zero"}}
+    config, exp = _experiment(matrix_model, base, "matrix", "data", "lazysvd")
     budget = section.get("triplet_budget")
     result = lazysvd.sequential_solve(
         operator,

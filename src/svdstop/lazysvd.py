@@ -401,17 +401,17 @@ def sequential_solve(
     :func:`~svdstop.stopping.two_step` re-selects over the computed
     triplets after an immediate stop. A ``triplet_budget`` smaller than
     the demanded stopping index raises :class:`TripletBudgetError`; data
-    that is not finite, an unknown ``selection_norm`` or a multiplier
-    that is not positive raises ``ValueError`` before any triplet is
-    computed.
+    that is not finite, an unknown ``selection_norm``, a multiplier that
+    is not positive (checked with or without ``selection_norm``) or a
+    ``config.m0`` beyond the column count raises ``ValueError`` before
+    any triplet is computed.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):
         raise ValueError("data vector length disagrees with the operator codomain")
     if not np.all(np.isfinite(y_raw)):
         raise ValueError("data vector must be finite")
-    if selection_norm is not None:
-        _check_selection(selection_norm, penalty_multiplier)
+    _check_selection("strong" if selection_norm is None else selection_norm, penalty_multiplier)
     dim = operator.domain_dim
     state = DeflationState(tolerance=tolerance, max_iterations=max_iterations)
     coeffs: list[float] = []

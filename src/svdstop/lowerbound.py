@@ -107,15 +107,12 @@ class TvBoundResult:
 
     bound_general: float
     bound_simplified: float | None = None
-    tv_numeric: float | None = None
 
     def __post_init__(self):
         if self.bound_general < 0:
             raise ValueError("general bound must be nonnegative")
         if self.bound_simplified is not None and self.bound_simplified < 0:
             raise ValueError("simplified bound must be nonnegative")
-        if self.tv_numeric is not None and not 0.0 <= self.tv_numeric <= 1.0:
-            raise ValueError("numeric total variation must lie in [0, 1]")
 
 
 def _check_i0(i0: int, dim: int) -> int:
@@ -123,6 +120,25 @@ def _check_i0(i0: int, dim: int) -> int:
     if not 1 <= i0 <= dim - 1:
         raise ValueError(f"perturbation index {i0} outside [1, {dim - 1}]")
     return i0
+
+
+def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
+    """``i0`` checked by :func:`_check_i0`, after ``alpha >= 0`` and ``r_bar > 0``."""
+    if alpha < 0:
+        raise ValueError("smoothness exponent must be nonnegative")
+    if r_bar <= 0:
+        raise ValueError("smoothness radius must be positive")
+    return _check_i0(i0, dim)
+
+
+def _check_tv_args(theta_norm: float, theta_bar_norm: float, num_terms: int) -> tuple[float, float]:
+    """The two norms as floats; ``ValueError`` unless ``num_terms >= 1`` and both are nonnegative."""
+    if num_terms < 1:
+        raise ValueError("the laws need at least one summand")
+    a, b = float(theta_norm), float(theta_bar_norm)
+    if a < 0 or b < 0:
+        raise ValueError("noncentrality norms must be nonnegative")
+    return a, b
 
 
 def hide_signal(mu: Signal, i0: int, alpha: float, r_bar: float) -> AdversaryResult:
@@ -137,11 +153,7 @@ def hide_signal(mu: Signal, i0: int, alpha: float, r_bar: float) -> AdversaryRes
     signal, provided ``i0`` is taken three comparability factors past the
     discrete balanced oracle.
     """
-    if alpha < 0:
-        raise ValueError("smoothness exponent must be nonnegative")
-    if r_bar <= 0:
-        raise ValueError("smoothness radius must be positive")
-    i0 = _check_i0(i0, mu.dim)
+    i0 = _check_perturbation(i0, alpha, r_bar, mu.dim)
     values = np.array(mu.coefficients)
     values[i0] = 0.5 * r_bar * float(i0 + 1) ** (-alpha)
     mu_bar = Signal(values)
@@ -200,12 +212,7 @@ def residual_adversary(
     reported conditions hold and ``i0`` lies at least 400 comparability
     factors past the discrete balanced oracle.
     """
-    if alpha < 0:
-        raise ValueError("smoothness exponent must be nonnegative")
-    if r_bar <= 0:
-        raise ValueError("smoothness radius must be positive")
-    dim = require_same_dim(mu.dim, spectrum.dim)
-    i0 = _check_i0(i0, dim)
+    i0 = _check_perturbation(i0, alpha, r_bar, require_same_dim(mu.dim, spectrum.dim))
     values = np.array(mu.coefficients)
     bump = 0.25 * r_bar**2 * float(i0 + 1) ** (-2.0 * alpha)
     values[i0] = math.copysign(math.sqrt(values[i0] ** 2 + bump), values[i0] if values[i0] else 1.0)
@@ -228,11 +235,7 @@ def tv_bound(theta_norm: float, theta_bar_norm: float, num_terms: int) -> TvBoun
     simplified one ``2 * |a**2 - b**2| / sqrt(K)``, valid once
     ``a + b >= SIMPLIFIED_NORM_THRESHOLD``.
     """
-    if num_terms < 1:
-        raise ValueError("the laws need at least one summand")
-    a, b = float(theta_norm), float(theta_bar_norm)
-    if a < 0 or b < 0:
-        raise ValueError("noncentrality norms must be nonnegative")
+    a, b = _check_tv_args(theta_norm, theta_bar_norm, num_terms)
     diff_sq = abs(a**2 - b**2)
     general = math.e * (diff_sq + math.sqrt(8.0 / math.pi) * abs(a - b)) / math.sqrt(math.pi * num_terms)
     simplified = None
@@ -276,11 +279,7 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
     :class:`AccuracyError` when the two routes disagree by more than
     1e-6; otherwise the crossing-based value is returned.
     """
-    if num_terms < 1:
-        raise ValueError("the laws need at least one summand")
-    a, b = float(theta_norm), float(theta_bar_norm)
-    if a < 0 or b < 0:
-        raise ValueError("noncentrality norms must be nonnegative")
+    a, b = _check_tv_args(theta_norm, theta_bar_norm, num_terms)
     # order so that f is the law with the larger noncentrality
     nu_f, nu_g = max(a, b) ** 2, min(a, b) ** 2
     if nu_f - nu_g <= 1e-12 * (1.0 + nu_f):

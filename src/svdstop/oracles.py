@@ -18,7 +18,7 @@ Continuous levels are located by scanning the integer grid for a sign
 change and bisecting the bracketing unit interval to absolute tolerance
 1e-9 (at most 60 iterations). Ties in discrete argmins resolve to the
 smallest index, and an infimum over an empty set is the dimension ``D``.
-:func:`theory_bounds` shares the level finders with :func:`oracle_set`.
+:func:`theory_bounds` shares the one level finder with :func:`oracle_set`.
 """
 
 from __future__ import annotations
@@ -85,10 +85,13 @@ class TheoryBounds:
     strong_oracle_rhs: float
 
 
-def _validate_level_bounds(m0: int, dim: int) -> int:
+def _check_start(kappa: float, m0: int, dim: int) -> int:
+    """``m0`` as an ``int``; ``ValueError`` unless it lies in ``[0, dim]`` and ``kappa >= 0``."""
     m0 = int(m0)
     if not 0 <= m0 <= dim:
         raise ValueError(f"starting index {m0} outside [0, {dim}]")
+    if kappa < 0:
+        raise ValueError("stopping threshold must be non-negative")
     return m0
 
 
@@ -120,30 +123,24 @@ def _first_level_below(
     return hi
 
 
-def _balanced_level(prof: FunctionalProfile, m0: int, norm: str) -> float:
-    m0 = _validate_level_bounds(m0, prof.dim)
+def _balanced_level(prof: FunctionalProfile, m0: int, norm: str, offset: float = 0.0) -> float:
+    """First level ``t >= m0`` where the squared bias in ``norm`` drops to the variance plus ``offset``.
+
+    The residual proxy level is the weak one with ``offset = kappa - D * delta**2``.
+    """
     if norm == "strong":
+        bias, variance = prof.strong_bias_sq, prof.strong_variance
         int_vals = prof.int_strong_bias_sq - prof.int_strong_variance
-        value_at = lambda t: prof.strong_bias_sq(t) - prof.strong_variance(t)
     else:
+        bias, variance = prof.weak_bias_sq, prof.weak_variance
         int_vals = prof.int_weak_bias_sq - prof.int_weak_variance
-        value_at = lambda t: prof.weak_bias_sq(t) - prof.weak_variance(t)
-    return _first_level_below(value_at, int_vals, m0, prof.dim)
-
-
-def _proxy_level(prof: FunctionalProfile, kappa: float, m0: int) -> float:
-    if kappa < 0:
-        raise ValueError("stopping threshold must be non-negative")
-    offset = kappa - prof.dim * prof.delta**2
-    int_vals = prof.int_weak_bias_sq - prof.int_weak_variance - offset
-    value_at = lambda t: prof.weak_bias_sq(t) - prof.weak_variance(t) - offset
-    return _first_level_below(value_at, int_vals, _validate_level_bounds(m0, prof.dim), prof.dim)
+    return _first_level_below(lambda t: bias(t) - variance(t) - offset, int_vals - offset, m0, prof.dim)
 
 
 def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: float, m0: int = 0) -> OracleSet:
     """All oracle quantities of one instance in a single pass."""
     prof = FunctionalProfile(signal, spectrum, noise)
-    m0 = _validate_level_bounds(m0, prof.dim)
+    m0 = _check_start(kappa, m0, prof.dim)
     risks = prof.strong_risk_at_integers()
     cls_idx = int(np.argmin(risks))
     weak_risks = prof.weak_risk_at_integers()
@@ -153,7 +150,7 @@ def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: flo
         balanced_discrete=int(balanced[0]) if balanced.size else prof.dim,
         weak_time=_balanced_level(prof, m0, "weak"),
         strong_time=_balanced_level(prof, m0, "strong"),
-        proxy_time=_proxy_level(prof, kappa, m0),
+        proxy_time=_balanced_level(prof, m0, "weak", kappa - prof.dim * prof.delta**2),
         classical_index=cls_idx,
         classical_risk=float(risks[cls_idx]),
         classical_weak_index=weak_idx,
@@ -173,14 +170,14 @@ def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: 
     if noise.delta <= 0:
         raise ValueError("theory bounds require a positive noise level")
     prof = FunctionalProfile(signal, spectrum, noise)
-    m0 = _validate_level_bounds(m0, prof.dim)
+    m0 = _check_start(kappa, m0, prof.dim)
     dim = prof.dim
     delta = noise.delta
     d2 = delta**2
     lam = spectrum.values
     wmu = lam * signal.coefficients
 
-    t_star = _proxy_level(prof, kappa, m0)
+    t_star = _balanced_level(prof, m0, "weak", kappa - dim * d2)
     t_strong = _balanced_level(prof, m0, "strong")
 
     k_star = int(math.floor(t_star))

@@ -88,13 +88,12 @@ def render_box_plot(
     boxes: list[BoxStats],
     title: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 420,
     metadata: dict | None = None,
 ) -> str:
     """Render box glyphs to a standalone SVG string."""
     if not boxes:
         raise ValueError("nothing to plot")
+    width, height = 640, 420
     left, right, top, bottom = 64, 16, 44, 76
     plot_w, plot_h = width - left - right, height - top - bottom
 

@@ -8,8 +8,9 @@ import pytest
 from svdstop import harness
 from svdstop.cli import main
 from svdstop.harness import read_records_csv
-from svdstop.lazysvd import save_matrix
-from svdstop.model import load_vector
+from svdstop.lazysvd import MatrixOperator, load_matrix, save_matrix, sequential_solve
+from svdstop.model import NoiseModel, load_vector
+from svdstop.stopping import StoppingConfig
 
 BASE_CONFIG = {
     "dim": 120,
@@ -184,6 +185,58 @@ def test_lazysvd_command(tmp_path):
     assert load_vector(out / "estimate.txt").shape == (cols,)
 
 
+def test_lazysvd_null_calibration_on_rows(tmp_path):
+    """The quantile start is taken from the data length: ``floor(q_0.99 sqrt(2 * 400)) + 1 = 66``, not the
+    33 of the column count. Pure noise then runs past ``m0`` at the configured rate: the residual at ``m0`` is
+    ``delta**2 chi2_{rows - m0}`` and ``P(chi2_334 > 400) = 0.76%``, against 11.4% with ``m0 = 33``."""
+    rows, cols, delta = 400, 100, 0.05
+    write_lazy_inputs(tmp_path, rows, cols)
+    config = {
+        "matrix": {"file": "A.txt"},
+        "data": {"file": "y.txt"},
+        "noise": {"delta": delta},
+        "stopping": {"m0_mode": "normal_quantile"},
+    }
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "lz"
+    assert run(["lazysvd", "--config", path, "--out", out]) == 0
+    payload = json.loads((out / "lazysvd.json").read_text())
+    kappa, m0 = payload["kappa"], payload["m0"]
+    assert (kappa, m0) == (rows * delta**2, 66)
+
+    operator = MatrixOperator(load_matrix(tmp_path / "A.txt"))
+    solve = sequential_solve(operator, load_vector(tmp_path / "y.txt"), NoiseModel(delta), StoppingConfig(kappa, m0))
+    basis = np.array([t.u for t in solve.state.triplets[:m0]])
+    rng = np.random.default_rng(2024)
+    draws, overruns = 20_000, 0
+    for _ in range(4):
+        noise = delta * rng.standard_normal((draws // 4, rows))
+        kept = noise @ basis.T
+        residual = np.einsum("ij,ij->i", noise, noise) - np.einsum("ij,ij->i", kept, kept)
+        overruns += int(np.count_nonzero(residual > kappa))
+    assert 0.004 <= overruns / draws <= 0.013
+
+
+def test_lazysvd_start_beyond_columns_exits_three(tmp_path, capsys):
+    """On 200x20 the quantile start from the data length is 47, beyond the 20 columns: exit 3, no output."""
+    write_lazy_inputs(tmp_path, 200, 20)
+    config = {
+        "matrix": {"file": "A.txt"},
+        "data": {"file": "y.txt"},
+        "noise": {"delta": 0.05},
+        "stopping": {"m0_mode": "normal_quantile"},
+    }
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, captured = run(["lazysvd", "--config", path, "--out", out], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "47" in record["message"]
+    assert not any(out.iterdir())
+
+
 def test_lazysvd_nonfinite_data_exits_three(tmp_path, capsys):
     save_matrix(tmp_path / "A.txt", np.random.default_rng(2).standard_normal((12, 8)))
     y = np.ones(12)
@@ -268,7 +321,14 @@ def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overr
 
 
 @pytest.mark.parametrize(
-    "section, key", [("lazysvd", "tolerence"), ("stopping", "kapa"), ("noise", "delt"), ("matrix", "fiel")]
+    "section, key",
+    [
+        ("lazysvd", "tolerence"),
+        ("stopping", "kapa"),
+        ("noise", "delt"),
+        ("matrix", "fiel"),
+        ("stopping", "kappa_drift"),
+    ],
 )
 def test_lazysvd_misspelled_key_exits_three(tmp_path, section, key, capsys):
     save_matrix(tmp_path / "A.txt", np.eye(4))
@@ -548,7 +608,8 @@ def test_two_step_bad_selection_exits_three(config_path, tmp_path, immediate, ba
 
 @pytest.mark.parametrize("immediate", [False, True])
 @pytest.mark.parametrize(
-    "section", [{"selection_norm": "stronk"}, {"selection_norm": "weak", "penalty_multiplier": -3}]
+    "section",
+    [{"selection_norm": "stronk"}, {"selection_norm": "weak", "penalty_multiplier": -3}, {"penalty_multiplier": -3}],
 )
 def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys):
     write_lazy_inputs(tmp_path)

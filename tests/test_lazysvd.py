@@ -268,6 +268,24 @@ def test_demo_solve_is_frugal():
     assert result.matvec_count == 2 * sum(result.state.iterations)
 
 
+@pytest.mark.parametrize("rows, cols", [(400, 250), (800, 500)])
+def test_rule_residual_matches_projected_residual(rows, cols):
+    """The rule's running residual ``|y|**2 - sum_{i<=m} c_i**2`` agrees with the explicitly projected
+    ``|y - U_m U_m' y|**2`` at ``tau - 1`` and ``tau``, and both fall on the same side of ``kappa``."""
+    matrix, y, _, config = load_demo().demo_instance(rows, cols)
+    result = sequential_solve(MatrixOperator(matrix), y, NoiseModel(0.05), config)
+    tau = result.outcome.tau
+    u = np.array([t.u for t in result.state.triplets])
+    # the rule's running sum: squares of the released coefficients, added left to right
+    running = np.cumsum([0.0] + [float(np.dot(row, y)) ** 2 for row in u])
+    for m, above in ((tau - 1, True), (tau, False)):
+        rule = float(np.dot(y, y)) - running[m]
+        remainder = y - u[:m].T @ (u[:m] @ y)
+        projected = float(np.dot(remainder, remainder))
+        assert rule == pytest.approx(projected, rel=1e-13)
+        assert (rule > config.kappa) == (projected > config.kappa) == above
+
+
 @st.composite
 def spectra(draw):
     """Generic, clustered or exactly repeated singular values, largest first."""
@@ -429,7 +447,7 @@ def test_solve_rejects_nonfinite_data_before_any_triplet(monkeypatch):
 
 
 @pytest.mark.parametrize("config", [StoppingConfig(kappa=0.0), StoppingConfig(kappa=1e6, m0=3)])
-@pytest.mark.parametrize("norm, multiplier", [("stronk", 1.0), ("weak", -3.0), ("strong", 0.0)])
+@pytest.mark.parametrize("norm, multiplier", [("stronk", 1.0), ("weak", -3.0), ("strong", 0.0), (None, -3.0)])
 def test_solve_rejects_bad_selection_before_any_triplet(monkeypatch, config, norm, multiplier):
     calls = []
     monkeypatch.setattr(lazysvd, "next_triplet", lambda *args: calls.append(args))

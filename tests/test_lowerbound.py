@@ -96,7 +96,6 @@ def test_tv_bound_hand_values():
     e = math.e
     general = e * (abs(36.0 - 27.5625) + math.sqrt(8.0 / math.pi) * 0.75) / math.sqrt(math.pi * 100.0)
     assert res.bound_general == pytest.approx(general)
-    assert res.tv_numeric is None
 
 
 def test_tv_bound_threshold_constant():

@@ -44,3 +44,10 @@ def test_null_calibration():
     assert 0.0 <= overrun <= 1.0
     # the normal-quantile start at D=10000 is 329, and the rule never stops before it
     assert mean_index >= 329.0
+
+
+def test_lazysvd_demo():
+    """The figures the README quotes for the demo: 41 of 250 triplets, 240 matrix-vector products."""
+    stdout = run_script("run_lazysvd_demo.py")
+    assert "matrix 400x250, stopped after 41 triplets" in stdout
+    assert "matrix-vector products: 240\n" in stdout

@@ -12,19 +12,24 @@ exactly as in the underlying inequalities; none of them is optimised.
 Everything here is either a pure construction, a closed-form bound, or
 a simulation with reported standard errors; no asymptotic statement is
 checked.
+
+The numeric total variation (:func:`tv_numeric`) needs only numpy and
+``math``: the noncentral chi-square laws are Poisson mixtures of central
+ones whose degrees share one parity, so the densities come in closed
+form from ``lgamma``, the distribution functions from the upper-tail
+recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}``, and the density crossing from
+an Illinois root finder.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
-from scipy.special import logsumexp
-from scipy.stats import chi2, poisson
 
 from .estimator import estimate_at, strong_bias_sq, strong_variance, weak_bias_sq
 from .model import (
@@ -63,6 +68,7 @@ SIMPLIFIED_NORM_THRESHOLD = math.sqrt(8.0) * math.e / (2.0 * math.pi - math.sqrt
 
 _POISSON_TAIL = 1e-13
 _QUADRATURE_TOL = 1e-6
+_LOGPDF_ENTRIES = 1 << 20  # 8 MB of float64: the noncentrality, and so the degree count, is unbounded
 
 
 class AccuracyError(RuntimeError):
@@ -245,39 +251,114 @@ def tv_bound(theta_norm: float, theta_bar_norm: float, num_terms: int) -> TvBoun
 
 
 def _mixture_terms(num_terms: int, noncentrality: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson weights and central chi-square degrees for a noncentral law."""
+    """Log Poisson weights and central chi-square degrees for a noncentral law.
+
+    The weights ``P(J = j)`` of ``J ~ Poisson(noncentrality / 2)`` come
+    from ``lgamma``, normalised over a range far enough out that the
+    weight beyond it is negligible next to the tail bound: at large
+    noncentrality ``j log(nc/2)`` and ``lgamma(j + 1)`` are near 10^3, and
+    their rounding alone would move the sum by more than 1e-13. The
+    mixture keeps ``j = 0..n + 2``, where ``n`` is the first index whose
+    weight tail ``P(J > n)`` is at most 1e-13.
+    """
     half = 0.5 * noncentrality
     if half <= 0.0:
         return np.array([0.0]), np.array([float(num_terms)])
-    count = int(poisson.isf(_POISSON_TAIL, half)) + 2
-    js = np.arange(count + 1)
-    log_w = poisson.logpmf(js, half)
-    return log_w, num_terms + 2.0 * js
+    js = np.arange(int(half + 20.0 * math.sqrt(half) + 40.0))
+    log_w = js * math.log(half) - half - np.array([math.lgamma(j + 1.0) for j in js])
+    log_w -= math.log(math.fsum(np.exp(log_w)))
+    tails = np.cumsum(np.exp(log_w[::-1]))[::-1]  # tails[j] = P(J >= j)
+    count = int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 2
+    return log_w[: count + 1], num_terms + 2.0 * js[: count + 1]
+
+
+def _chi2_logpdf(x: np.ndarray, dfs: np.ndarray) -> np.ndarray:
+    """``log f_k(x) = (k/2 - 1) log x - x/2 - (k/2) log 2 - lgamma(k/2)``; rows ``x > 0``, columns ``k``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    half = 0.5 * dfs
+    out = np.multiply.outer(np.log(x), half - 1.0)
+    out -= 0.5 * x[:, None]
+    out -= half * math.log(2.0) + np.array([math.lgamma(h) for h in half])
+    return out
 
 
 def _mixture_logpdf(x: np.ndarray, log_w: np.ndarray, dfs: np.ndarray) -> np.ndarray:
+    """Log mixture density at every ``x``, in runs of points whose matrix of terms holds at most 2**20 entries."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    terms = log_w[None, :] + chi2.logpdf(x[:, None], dfs[None, :])
-    return logsumexp(terms, axis=1)
+    rows = max(1, _LOGPDF_ENTRIES // dfs.size)
+    return np.concatenate([_mixture_logpdf_rows(x[i : i + rows], log_w, dfs) for i in range(0, x.size, rows)])
+
+
+def _mixture_logpdf_rows(x: np.ndarray, log_w: np.ndarray, dfs: np.ndarray) -> np.ndarray:
+    terms = _chi2_logpdf(x, dfs)
+    terms += log_w
+    top = terms.max(axis=1)
+    terms -= top[:, None]
+    return top + np.log(np.exp(terms, out=terms).sum(axis=1))
 
 
 def _mixture_cdf(x: float, log_w: np.ndarray, dfs: np.ndarray) -> float:
-    return float(np.exp(log_w) @ chi2.cdf(x, dfs))
+    """Mixture distribution function at ``x > 0`` from the central upper tails ``Q_k``.
+
+    The degrees ``K + 2j`` share one parity, so every ``Q_k`` follows from
+    ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by the positive-term
+    recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}(x)``.
+    """
+    first = 2.0 - dfs[0] % 2.0
+    q0 = math.erfc(math.sqrt(0.5 * x)) if first == 1.0 else math.exp(-0.5 * x)
+    steps = np.arange(first + 2.0, dfs[-1] + 1.0, 2.0)
+    tails = q0 + np.concatenate(([0.0], np.cumsum(2.0 * np.exp(_chi2_logpdf(x, steps)[0]))))
+    q = tails[((dfs - first) / 2.0).astype(int)]
+    return float(np.exp(log_w) @ (1.0 - q))
+
+
+def _find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` in ``[lo, hi]`` by the Illinois variant of regula falsi; ``f(lo)`` and ``f(hi)`` differ in sign.
+
+    Stops once the bracket is narrower than ``1e-12 + 8.9e-16 * |x|``,
+    and raises :class:`AccuracyError` if that takes more than 200 steps.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    side = 0
+    for _ in range(200):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, f_x
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, f_x
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+        if hi - lo <= 1e-12 + 8.9e-16 * abs(x):
+            return x
+    raise AccuracyError(f"root finder did not converge in [{lo:.17g}, {hi:.17g}]", estimate=0.5 * (lo + hi))
 
 
 def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> float:
     """Numeric total variation between two noncentral chi-square laws.
 
     The densities are evaluated as Poisson mixtures of central
-    chi-square densities with the weight tail truncated below 1e-13.
-    The distance is computed twice: once through the single sign change
-    of the density difference (the likelihood ratio is monotone, so the
-    distance is a difference of distribution functions at the crossing)
-    and once by composite Gauss-Legendre quadrature of the absolute
-    density difference, with a square-root substitution taming the
-    origin singularity for one degree of freedom. Raises
-    :class:`AccuracyError` when the two routes disagree by more than
-    1e-6; otherwise the crossing-based value is returned.
+    chi-square densities with the weight tail truncated below 1e-13,
+    all in closed form: ``log f_k`` from ``lgamma``, and the upper tails
+    from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by the
+    recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}``, since the mixture degrees
+    share one parity. The distance is computed twice: once through the
+    single sign change of the density difference (the likelihood ratio
+    is monotone, so the distance is a difference of distribution
+    functions at the crossing, found by an Illinois root finder) and
+    once by composite Gauss-Legendre quadrature of the absolute density
+    difference, with a square-root substitution taming the origin
+    singularity for one degree of freedom. Raises :class:`AccuracyError`
+    when the two routes disagree by more than 1e-6 or the root finder
+    does not converge; otherwise the crossing-based value is returned.
     """
     a, b = _check_tv_args(theta_norm, theta_bar_norm, num_terms)
     # order so that f is the law with the larger noncentrality
@@ -301,7 +382,7 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
         hi *= 2.0
         if hi > 1e12:
             raise AccuracyError("no density crossing found", estimate=math.nan)
-    crossing = float(brentq(log_ratio, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    crossing = _find_root(log_ratio, lo, hi)
     from_cdf = _mixture_cdf(crossing, log_w_g, dfs_g) - _mixture_cdf(crossing, log_w_f, dfs_f)
 
     def abs_diff(x: np.ndarray) -> np.ndarray:
@@ -322,30 +403,35 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
     return min(max(from_cdf, 0.0), 1.0)
 
 
+@functools.cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``count``-point rule on [-1, 1], built on first use rather than at import."""
+    return leggauss(count)
+
+
 def _integrate_abs_diff(abs_diff, crossing: float, upper: float) -> float:
-    """Integrate ``abs_diff`` over [0, upper] with nodes clustered sensibly.
+    """Integrate ``abs_diff`` over [0, upper] with nodes clustered sensibly, in one call of ``abs_diff``.
 
     The grid splits at the density crossing (the only kink of the
     integrand) and the initial segment is mapped through ``x = u**2`` so
-    an integrable origin singularity costs no accuracy.
+    an integrable origin singularity costs no accuracy: 64 nodes there,
+    then 20 per panel.
     """
-    nodes20, weights20 = leggauss(20)
-    nodes64, weights64 = leggauss(64)
-
-    def panel(f, left: float, right: float, nodes, weights) -> float:
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        return half * float(weights @ f(mid + half * nodes))
-
+    nodes64, weights64 = _gauss_legendre(64)
+    nodes20, weights20 = _gauss_legendre(20)
     head_end = min(1.0, crossing if crossing > 0 else 1.0, upper / 10.0)
-    total = panel(lambda u: abs_diff(u**2) * 2.0 * u, 0.0, math.sqrt(head_end), nodes64, weights64)
+    root_half = 0.5 * math.sqrt(head_end)
+    u = root_half * (1.0 + nodes64)
     boundaries = [head_end]
     if head_end < crossing < upper:
         boundaries.extend(np.linspace(head_end, crossing, 40)[1:])
     tail_start = boundaries[-1]
     boundaries.extend(np.linspace(tail_start, upper, 200)[1:])
-    for left, right in zip(boundaries[:-1], boundaries[1:]):
-        total += panel(abs_diff, left, right, nodes20, weights20)
-    return total
+    edges = np.array(boundaries)
+    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x = np.concatenate((u**2, (mids[:, None] + halves[:, None] * nodes20).ravel()))
+    w = np.concatenate((root_half * weights64 * 2.0 * u, (halves[:, None] * weights20).ravel()))
+    return float(w @ abs_diff(x))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ and halts at the first index ``m >= m0`` whose remaining squared residual
 ``|Y|**2 - sum_{i<=m} Y_i**2`` drops to the threshold ``kappa``. The
 squared norm is a required header value, so the rule needs exactly
 ``tau`` coefficients and pulls no block after the one holding ``Y_tau``.
-The sequence model passes its whole vector as one block
+The sequence model passes its vector in pieces that grow fourfold
 (:func:`stop_index`); the lazy matrix solver passes one coefficient per
 computed singular triplet. The running sum is accumulated in the same
 left-to-right order in double precision however the coefficients are
-split, so every caller gets the same index from the same data.
+split, so every caller gets the same index from the same data. That
+index is the one exact arithmetic gives, up to roundings at the size of
+the residual: the float sum carries its exact rounding error along.
 
 The second step (:func:`two_step`) re-selects a truncation index by
 penalised empirical risk (an AIC criterion, :func:`aic_select`) over
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 M0_MODES = ("explicit", "zero", "normal_quantile", "conservative")
+
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two halves whose products are exact
 
 
 class TruncatedStreamError(RuntimeError):
@@ -100,7 +104,12 @@ def normal_quantile_start(dim: int, level: float = 0.99) -> int:
 
 
 def conservative_start(dim: int) -> int:
-    """Large theory-backed starting index ``floor(128 * log(dim) * sqrt(dim)) + 1``."""
+    """Large theory-backed starting index ``floor(128 * log(dim) * sqrt(dim)) + 1``.
+
+    The start exceeds ``dim`` for every ``dim`` below 3,754,815 (117,893 at
+    ``dim = 10**4``), so :func:`make_stopping_config` rejects the
+    ``conservative`` mode below that size and the CLI exits 3.
+    """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     return int(math.floor(128.0 * math.log(dim) * math.sqrt(dim))) + 1
@@ -156,6 +165,12 @@ def residual_rule(
     ``y_norm_sq - sum_{i<=m} Y_i**2 <= kappa``, or ``dim``, and pulls no
     block after the one holding ``Y_m``. Raises
     :class:`TruncatedStreamError` if the blocks end first.
+
+    The residual is taken in exact arithmetic, ``y_norm_sq`` and ``kappa``
+    being the given floats, up to a few roundings at the size of the
+    residual itself: the left-to-right float sum of squares carries its
+    exact rounding error (:func:`_sum_errors`), so a norm many orders above
+    ``kappa``, whose ulp swallows the late squares, does not move the index.
     """
     if config.m0 > dim:
         raise ValueError(f"starting index {config.m0} exceeds dimension {dim}")
@@ -163,27 +178,65 @@ def residual_rule(
         return 0
     start = max(config.m0, 1)
     read = 0
-    running = 0.0
+    total, error = 0.0, 0.0  # float running sum of squares and its exact rounding error
     for block in blocks:
-        sums = np.square(np.asarray(block, dtype=float)[: dim - read])
+        values = np.asarray(block, dtype=float)[: dim - read]
+        squares = np.square(values)
+        sums = squares.copy()
         # seeding the first term continues the sequential sum across blocks
-        sums[:1] += running
+        sums[:1] += total
         np.cumsum(sums, out=sums)
+        errors = _sum_errors(values, squares, sums, total, error)
         first = max(start - read - 1, 0)
-        hits = np.nonzero(y_norm_sq - sums[first:] <= config.kappa)[0]
+        hits = np.nonzero(y_norm_sq - sums[first:] - errors[first:] <= config.kappa)[0]
         if hits.size:
             return read + first + int(hits[0]) + 1
         read += sums.size
         if read == dim:
             return dim
-        running = sums[-1] if sums.size else running
+        if sums.size:
+            total, error = sums[-1], errors[-1]
     raise TruncatedStreamError(f"coefficients ended after {read} of {dim}; residual still above threshold")
 
 
+def _sum_errors(values: np.ndarray, squares: np.ndarray, sums: np.ndarray, total: float, error: float) -> np.ndarray:
+    """``sum_{i<=m} Y_i**2 - sums[m]`` in exact terms, accumulated onto ``error``.
+
+    ``squares`` holds ``fl(Y**2)`` and ``sums`` the sequential float sum
+    of ``squares`` seeded with ``total``. Each square splits exactly into
+    ``fl(Y**2) + lo`` (Dekker's product), and each step of the sum
+    contributes its exact rounding error (Knuth's two-sum).
+    """
+    scaled = _SPLIT * values
+    top = scaled - (scaled - values)
+    low = values - top
+    lo = ((top * top - squares) + 2.0 * top * low) + low * low
+    previous = np.concatenate(([total], sums[:-1]))
+    back = sums - previous
+    lo += (previous - (sums - back)) + (squares - back)
+    lo[:1] += error
+    return np.cumsum(lo, out=lo)
+
+
 def stop_index(y: np.ndarray, y_norm_sq: float, config: StoppingConfig) -> int:
-    """Stopped index of an in-memory coefficient vector: :func:`residual_rule` over one block."""
+    """Stopped index of an in-memory coefficient vector: :func:`residual_rule` over its leading pieces.
+
+    The first piece ends at ``max(m0, 256)``, as the rule cannot stop
+    before ``m0``, and each piece ends at four times the end of the one
+    before, so the work follows the stopped index rather than the length
+    of ``y``.
+    """
     y = np.asarray(y, dtype=float)
-    return residual_rule((y,), y_norm_sq, y.size, config)
+    return residual_rule(_pieces(y, max(config.m0, 256)), y_norm_sq, y.size, config)
+
+
+def _pieces(y: np.ndarray, first: int):
+    lo, hi = 0, first
+    while True:
+        yield y[lo:hi]
+        if hi >= y.size:
+            return
+        lo, hi = hi, 4 * hi
 
 
 def early_stop(obs: Observation, config: StoppingConfig) -> StopOutcome:

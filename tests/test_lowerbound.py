@@ -1,14 +1,24 @@
 """Lower-bound machinery: adversarial signals, TV bounds, tail checks."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import svdstop
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
+    _chi2_logpdf,
+    _mixture_cdf,
+    _mixture_logpdf,
+    _mixture_terms,
     adversary_conditions,
     hide_signal,
     laurent_massart_tails,
@@ -138,6 +148,77 @@ def test_tv_numeric_below_general_bound(theta, theta_bar, num_terms):
     assert numeric <= min(res.bound_general, 1.0) + 1e-7
     if res.bound_simplified is not None:
         assert numeric <= res.bound_simplified + 1e-7
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(svdstop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, svdstop, svdstop.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_chi2_distribution_function_closed_forms():
+    xs = np.concatenate((np.geomspace(1e-8, 2000.0, 60), [1.0, 2.0, 4.0, 30.0]))
+    one = np.array([0.0])
+    closed = {
+        1.0: lambda x: math.erf(math.sqrt(0.5 * x)),
+        2.0: lambda x: -math.expm1(-0.5 * x),
+        4.0: lambda x: 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x),
+    }
+    for k, cdf in closed.items():
+        for x in xs:
+            assert _mixture_cdf(x, one, np.array([k])) == pytest.approx(cdf(x), abs=1e-14), (k, x)
+
+
+@pytest.mark.parametrize("num_terms", [1, 2, 5, 400])
+@pytest.mark.parametrize("noncentrality", [1e-10, 0.25, 4.0, 27.5625, 64.0, 400.0, 2_000.0, 10_000.0])
+def test_mixture_weights_sum_to_one(num_terms, noncentrality):
+    # 64 is the largest noncentrality of the criterion-7 grid; from 400 on, the rounding of
+    # j log(nc/2) - lgamma(j + 1) alone moved the unnormalised sum by more than 1e-13
+    log_w, dfs = _mixture_terms(num_terms, noncentrality)
+    assert abs(np.exp(log_w).sum() - 1.0) <= 1e-13
+    assert np.array_equal(dfs, num_terms + 2.0 * np.arange(log_w.size))
+
+
+def test_tv_numeric_at_a_large_norm_in_bounded_memory():
+    # about 5,500 mixture degrees: one points-by-degrees matrix over all 4,824 quadrature nodes
+    # would take 213 MB, so the log densities are evaluated in runs of points
+    log_w, dfs = _mixture_terms(5, 10_000.0)
+    xs = np.linspace(9_000.0, 11_000.0, 400)
+    assert np.array_equal(_mixture_logpdf(xs, log_w, dfs), [_mixture_logpdf(x, log_w, dfs)[0] for x in xs])
+    tracemalloc.start()
+    try:
+        value = tv_numeric(100.0, 99.5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(0.1973932227563192, abs=1e-9)  # from scipy's chi2 densities and brentq
+    assert peak < 32 * 2**20
+
+
+def test_chi2_pieces_match_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    special = pytest.importorskip("scipy.special")
+    xs = np.geomspace(1e-8, 2000.0, 200)
+    for num_terms in (1, 2, 5, 50, 200, 400):
+        central = stats.chi2.logpdf(xs, num_terms)
+        gap = np.abs(_chi2_logpdf(xs, np.array([float(num_terms)]))[:, 0] - central)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(central)))
+        for noncentrality in (0.0, 0.25, 4.0, 27.5625, 64.0):
+            log_w, dfs = _mixture_terms(num_terms, noncentrality)
+            if noncentrality > 0:
+                half = 0.5 * noncentrality
+                # the kept weights stop two past the first index whose tail is at most 1e-13
+                tails = stats.poisson.sf(np.arange(log_w.size), half)
+                assert tails[-3] <= 1e-13 < tails[-4]
+                assert np.allclose(log_w, stats.poisson.logpmf(np.arange(log_w.size), half), rtol=1e-13, atol=1e-13)
+            mixed = special.logsumexp(log_w + stats.chi2.logpdf(xs[:, None], dfs), axis=1)
+            gap = np.abs(_mixture_logpdf(xs, log_w, dfs) - mixed)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(mixed))), (num_terms, noncentrality)
+            cdf = np.exp(log_w) @ stats.chi2.cdf(xs[:, None], dfs).T
+            mine = np.array([_mixture_cdf(x, log_w, dfs) for x in xs])
+            assert np.max(np.abs(mine - cdf)) <= 1e-13, (num_terms, noncentrality)
 
 
 def test_laurent_massart_report_fields():

@@ -1,6 +1,10 @@
 """The residual stopping rule over coefficient blocks, AIC selection and the two-step rule."""
 
+import itertools
 import math
+import operator
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,17 +112,93 @@ def test_stop_index_matches_streaming_rule(case, cuts):
     assert residual_rule(iter(split), obs.y_norm_sq, obs.dim, config) == tau
 
 
+def exact_residuals(y, y_norm_sq):
+    """``y_norm_sq - sum_{i<=m} Y_i**2`` for ``m = 0..D`` in exact arithmetic, scaled by ``2**-base``.
+
+    Every float is ``M * 2**e`` with an integer mantissa ``M`` (``np.frexp``).
+    The squares and the norm are scaled by the smallest of their
+    exponents, so each of them and every sum is a Python integer. Returns
+    the residuals, ``ulp(y_norm_sq)`` on the same scale, and ``base``.
+    """
+    mant, exp = np.frexp(np.append(y, y_norm_sq))
+    mant = (mant * 2.0**53).astype(np.int64).tolist()
+    exp = exp.astype(np.int64) - 53
+    scales = np.append(2 * exp[:-1], exp[-1])
+    base = int(scales[np.nonzero(mant)[0]].min())
+    shifts = (scales - base).tolist()
+    squares = (m * m << sh for m, sh in zip(mant[:-1], shifts[:-1]))
+    norm = mant[-1] << shifts[-1]
+    residuals = [norm - total for total in itertools.accumulate(squares, initial=0)]
+    return residuals, 1 << (int(exp[-1]) - base), base
+
+
+def check_against_exact(y, y_norm_sq, config, exact=None):
+    """The rule's index against the exact one: equal, or one apart with the residual between within 4 ulps of |Y|^2."""
+    tau = stop_index(y, y_norm_sq, config)
+    residuals, ulp, base = exact or exact_residuals(y, y_norm_sq)
+    kappa = Fraction(config.kappa) / Fraction(2) ** base
+    if config.m0 == 0 and residuals[0] <= kappa:
+        first = 0
+    else:
+        # the exact residuals never increase, so the first one at or below kappa is a bisection away
+        first = min(bisect_left(residuals, -kappa, lo=max(config.m0, 1), key=operator.neg), y.size)
+    assert tau == first or (abs(tau - first) == 1 and abs(residuals[min(tau, first)] - kappa) <= 4 * ulp), (tau, first)
+    return tau
+
+
 def test_blocks_carry_the_sum_exactly_at_the_threshold():
-    """A threshold equal to a running residual is met at the same index by every blocking."""
+    """A threshold equal to a running residual is met at the same index by every blocking, and the exact one."""
     y = np.random.default_rng(3).standard_normal(1000) * np.geomspace(1e3, 1e-3, 1000)
     y_norm_sq = float(np.dot(y, y))
     running = np.cumsum(y * y)
+    exact = exact_residuals(y, y_norm_sq)
+    residuals, _, base = exact
     for m in range(100, 1000, 37):
-        config = StoppingConfig(kappa=y_norm_sq - running[m - 1])
-        tau = loop_tau(y, y_norm_sq, config)
-        assert stop_index(y, y_norm_sq, config) == tau
-        assert residual_rule(singletons(y, []), y_norm_sq, y.size, config) == tau
-        assert residual_rule(np.array_split(y, 7), y_norm_sq, y.size, config) == tau
+        # the float running residual, and the exact residual rounded to a float
+        for kappa in (y_norm_sq - running[m - 1], math.ldexp(float(residuals[m]), base)):
+            config = StoppingConfig(kappa=kappa)
+            tau = check_against_exact(y, y_norm_sq, config, exact)
+            assert residual_rule(singletons(y, []), y_norm_sq, y.size, config) == tau
+            assert residual_rule(np.array_split(y, 7), y_norm_sq, y.size, config) == tau
+
+
+def test_rule_matches_exact_residuals_at_a_million():
+    """At D = 10**6: a typical stop, a norm 10**12 times kappa, and kappa within a few ulps of a residual."""
+    dim, delta = 10**6, 1e-3
+    index = np.arange(1.0, dim + 1.0)
+    noise = delta * np.random.default_rng(11).standard_normal(dim)
+    kappa = dim * delta**2
+    loud = 1e6 * index**-2.0 + noise
+    loud_norm_sq = float(np.dot(loud, loud))
+    assert 1e12 < loud_norm_sq / kappa < 2e12
+    # a plain float running sum stalls here: each late square is below half an ulp of the sum
+    loud_exact = exact_residuals(loud, loud_norm_sq)
+    loud_tau = check_against_exact(loud, loud_norm_sq, StoppingConfig(kappa=kappa), loud_exact)
+    assert 1_000 < loud_tau < 100_000
+    # thresholds 1e-10 (relative) either side of a residual, under 1e-6 ulps of |Y|^2 here: the
+    # index is exact, which needs the exact parts of the squares, and so is a 1000-way split
+    residuals, _, base = loud_exact
+    for m in (loud_tau - 1, loud_tau, loud_tau + 40):
+        on = math.ldexp(float(residuals[m]), base)
+        for value, expected in ((on * (1.0 + 1e-10), m), (on * (1.0 - 1e-10), m + 1)):
+            config = StoppingConfig(kappa=value)
+            assert stop_index(loud, loud_norm_sq, config) == expected
+            assert residual_rule(np.array_split(loud, 1000), loud_norm_sq, dim, config) == expected
+    typical = 10.0 * index**-1.0 + noise
+    y_norm_sq = float(np.dot(typical, typical))
+    exact = exact_residuals(typical, y_norm_sq)
+    residuals, _, base = exact
+    tau = check_against_exact(typical, y_norm_sq, StoppingConfig(kappa=kappa), exact)
+    assert 1_000 < tau < 100_000
+    on_residual = math.ldexp(float(residuals[tau]), base)
+    near = [on_residual]
+    for direction in (-math.inf, math.inf):
+        value = on_residual
+        for _ in range(3):
+            value = float(np.nextafter(value, direction))
+            near.append(value)
+    for value in near:
+        assert check_against_exact(typical, y_norm_sq, StoppingConfig(kappa=value), exact) in (tau, tau + 1)
 
 
 @given(observations())
@@ -205,6 +285,14 @@ def test_normal_quantile_start_reference_value():
 
 def test_conservative_start_formula():
     assert conservative_start(10_000) == int(math.floor(128.0 * math.log(10_000) * 100.0)) + 1
+
+
+def test_conservative_start_needs_a_large_dimension():
+    """The start fits the dimension from 3,754,815 on, and the mode is rejected below that."""
+    assert conservative_start(3_754_815) == 3_754_815
+    assert conservative_start(3_754_814) > 3_754_814
+    with pytest.raises(ValueError):
+        make_stopping_config(10_000, 0.01, m0_mode="conservative")
 
 
 def test_default_threshold_formula():

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 from svdstop.harness import ExperimentConfig, run_experiment, write_records_csv
+from svdstop.model import write_new_file
 from svdstop.signals import NAMED_PROFILES
 from svdstop.svgplot import efficiency_plot
 
@@ -52,8 +53,9 @@ def main():
                 f"  immediate {s.immediate_fraction:.3f}"
             )
         svg_path = args.out / f"{name}.svg"
-        svg_path.write_text(
-            efficiency_plot(report.records, title=f"{name}, {reps} replications, m0 mode {args.start}")
+        write_new_file(
+            svg_path,
+            efficiency_plot(report.records, title=f"{name}, {reps} replications, m0 mode {args.start}"),
         )
         print(f"  wrote {svg_path}")
 

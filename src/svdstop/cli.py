@@ -25,7 +25,7 @@ from pathlib import Path
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
 from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys, _resolve_path
-from .model import load_vector, replication_seed, save_vector, simulate_observation
+from .model import load_vector, replication_seed, save_vector, simulate_observation, write_new_file
 from .oracles import theory_bounds
 from .stopping import StopOutcome, StoppingConfig, early_stop, two_step
 from .svgplot import efficiency_plot
@@ -48,7 +48,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_new_file(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
 
 
@@ -221,7 +221,7 @@ def _cmd_plot(mapping: dict, out: Path, base: Path, args) -> None:
     records, _ = harness.read_records_csv(_resolve_path(base, section.get("csv"), "plot.csv"))
     svg = efficiency_plot(records, config_mapping=mapping, title=section.get("title", "Relative efficiency"))
     path = out / "efficiency.svg"
-    path.write_text(svg)
+    write_new_file(path, svg)
     print(f"wrote {path}")
 
 

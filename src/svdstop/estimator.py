@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoiseModel, Observation, Signal, Spectrum, require_same_dim
+from .model import NoiseModel, Observation, Signal, Spectrum, _frozen_vector, require_same_dim
 
 __all__ = [
     "EstimateVector",
@@ -80,9 +80,7 @@ class EstimateVector:
     t: float
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_vector(self.values))
         object.__setattr__(self, "t", float(self.t))
 
 
@@ -94,6 +92,7 @@ def estimate_at(obs: Observation, spectrum: Spectrum, t: float) -> EstimateVecto
     values[:k] = obs.y[:k] / spectrum.values[:k]
     if k < dim and frac > 0.0:
         values[k] = math.sqrt(frac) * obs.y[k] / spectrum.values[k]
+    values.setflags(write=False)  # fresh and frozen, so the estimate keeps it without copying
     return EstimateVector(values=values, t=float(t))
 
 

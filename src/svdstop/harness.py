@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import estimate_at
+from .estimator import EstimateVector, estimate_at
 from .model import (
     NoiseModel,
     Signal,
@@ -33,6 +33,7 @@ from .model import (
     make_polynomial_spectrum,
     replication_seed,
     simulate_observation,
+    write_new_file,
 )
 from .oracles import oracle_set
 from .signals import calibrated_signal
@@ -293,11 +294,36 @@ def oracle_payload(exp: ResolvedExperiment) -> dict:
     return asdict(oracle_set(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0))
 
 
+def _errors(
+    estimate: EstimateVector, mu: np.ndarray, lam: np.ndarray, gaps: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float]:
+    """Strong and weak error norms of a truncated estimate.
+
+    ``gaps`` holds the zero estimate's errors ``-mu`` and ``lam * -mu``. The
+    estimate is zero beyond index ``floor(t)``, so only the entries up to
+    there are overwritten for the two dot products. They are restored
+    afterwards, even when a numeric error is raised, so no vector of length
+    ``D`` is allocated. The dot products see the same entries as those of
+    ``estimate.values - mu``: ``0 - mu`` and ``-mu`` differ at most in the
+    sign of a zero, which squares away.
+    """
+    gap, weighted_gap = gaps
+    head = min(int(estimate.t) + 1, mu.size)
+    try:
+        np.subtract(estimate.values[:head], mu[:head], out=gap[:head])
+        np.multiply(lam[:head], gap[:head], out=weighted_gap[:head])
+        return math.sqrt(float(np.dot(gap, gap))), math.sqrt(float(np.dot(weighted_gap, weighted_gap)))
+    finally:
+        np.negative(mu[:head], out=gap[:head])
+        np.multiply(lam[:head], gap[:head], out=weighted_gap[:head])
+
+
 def _run_one(
     rep: int,
     exp: ResolvedExperiment,
     fixed_index: int,
     numerators: tuple[float, float],
+    gaps: tuple[np.ndarray, np.ndarray],
 ) -> tuple[list[ReplicationRecord], tuple[int, str] | None]:
     cfg = exp.stopping
     mu = exp.signal.coefficients
@@ -319,10 +345,9 @@ def _run_one(
                 rho, rec_tau, rec_imm = chosen, tau, immediate
             else:  # fixed_oracle
                 chosen, rec_tau, rec_imm = fixed_index, fixed_index, False
-            diff = estimate_at(obs, exp.spectrum, float(chosen)).values - mu
-            err_strong = math.sqrt(float(np.dot(diff, diff)))
-            weighted = lam * diff
-            err_weak = math.sqrt(float(np.dot(weighted, weighted)))
+            # unbound, so each estimate is freed before the next is built: with two alive at once
+            # the heap outgrew malloc's trim threshold and went back to the kernel every replication
+            err_strong, err_weak = _errors(estimate_at(obs, exp.spectrum, float(chosen)), mu, lam, gaps)
             records.append(
                 ReplicationRecord(
                     rep=rep,
@@ -355,10 +380,13 @@ def run_experiment(
         math.sqrt(oracle_record["classical_weak_risk"]),
     )
 
+    gap = -exp.signal.coefficients
+    gaps = (gap, exp.spectrum.values * gap)  # the zero estimate's errors, reused by every replication
+
     records: list[ReplicationRecord] = []
     failures: list[tuple[int, str]] = []
     for rep in range(config.replications):
-        recs, failure = _run_one(rep, exp, fixed_index, numerators)
+        recs, failure = _run_one(rep, exp, fixed_index, numerators, gaps)
         records.extend(recs)
         if failure is not None:
             failures.append(failure)
@@ -402,7 +430,7 @@ def _format_float(value: float) -> str:
 
 
 def write_records_csv(path: str | Path, records, config_mapping: dict) -> None:
-    """Write replication records with the effective config echoed on top."""
+    """Write replication records, with the effective config echoed on top, as a new file."""
     lines = ["# config=" + json.dumps(config_mapping, sort_keys=True, separators=(",", ":"))]
     lines.append(CSV_HEADER)
     for r in records:
@@ -421,7 +449,7 @@ def write_records_csv(path: str | Path, records, config_mapping: dict) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_new_file(path, "\n".join(lines) + "\n")
 
 
 def read_records_csv(path: str | Path) -> tuple[list[ReplicationRecord], dict | None]:

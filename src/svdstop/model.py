@@ -14,8 +14,10 @@ replications. The generator algorithm is NumPy's PCG64 as wired up by
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "require_same_dim",
     "save_vector",
     "simulate_observation",
+    "write_new_file",
 ]
 
 
@@ -44,6 +47,20 @@ class InvalidDimensionError(ValueError):
 
 
 def _frozen_vector(values) -> np.ndarray:
+    """``values`` as a read-only float64 vector.
+
+    A read-only float64 vector that owns its data is kept as it is. Any
+    other input, a writeable array or a view of one included, is copied, so
+    the caller cannot change the result by writing to their array.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.ndim == 1
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional real vector")
@@ -178,7 +195,11 @@ def simulate_observation(signal: Signal, spectrum: Spectrum, noise: NoiseModel, 
     """
     dim = require_same_dim(signal.dim, spectrum.dim)
     eps = np.random.default_rng(seed).standard_normal(dim)
-    y = spectrum.values * signal.coefficients + noise.delta * eps
+    y = spectrum.values * signal.coefficients
+    y += noise.delta * eps
+    # fresh and frozen, so the observation keeps them without copying
+    y.setflags(write=False)
+    eps.setflags(write=False)
     return Observation(y=y, y_norm_sq=float(np.dot(y, y)), delta=noise.delta, noise=eps)
 
 
@@ -191,5 +212,21 @@ def load_vector(path) -> np.ndarray:
 
 
 def save_vector(path, values) -> None:
-    """Write a vector in the columnar text format used by :func:`load_vector`."""
-    np.savetxt(path, np.asarray(values, dtype=float), fmt="%.17g")
+    """Write a vector in the columnar text format used by :func:`load_vector`, as a new file."""
+    text = io.StringIO()
+    np.savetxt(text, np.asarray(values, dtype=float), fmt="%.17g")
+    write_new_file(path, text.getvalue())
+
+
+def write_new_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file.
+
+    A file already at ``path`` is removed first rather than truncated, so a
+    link there is replaced, not written through. On ext4 with
+    ``auto_da_alloc``, its default, a file truncated and rewritten is
+    written out to disk when it is closed, which takes tens of
+    milliseconds; a new file is written out later, in the background.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text)

@@ -104,6 +104,45 @@ def test_mc_reruns_are_byte_identical(config_path, tmp_path):
     assert outs[0] == outs[1]
 
 
+def _outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["mc", "stop"])
+def test_reruns_into_one_out_are_byte_identical(config_path, tmp_path, command):
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        assert run([command, "--config", config_path, "--out", out]) == 0
+        runs.append(_outputs(out))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 2
+
+
+def test_stale_longer_outputs_are_fully_replaced(config_path, tmp_path):
+    clean = tmp_path / "clean"
+    assert run(["mc", "--config", config_path, "--out", clean]) == 0
+    expected = _outputs(clean)
+    out = tmp_path / "stale"
+    out.mkdir()
+    for name, data in expected.items():
+        (out / name).write_bytes(b"stale\n" * (len(data) + 100))
+    assert run(["mc", "--config", config_path, "--out", out]) == 0
+    assert _outputs(out) == expected
+
+
+def test_output_links_are_replaced_not_written_through(config_path, tmp_path):
+    target = tmp_path / "elsewhere.json"
+    target.write_text("keep\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").symlink_to(target)
+    assert run(["mc", "--config", config_path, "--out", out]) == 0
+    assert target.read_text() == "keep\n"
+    assert not (out / "report.json").is_symlink()
+    assert json.loads((out / "report.json").read_text())["replications"] == BASE_CONFIG["replications"]
+
+
 def test_set_override_changes_dimension(config_path, tmp_path):
     out = tmp_path / "o"
     code = run(["oracles", "--config", config_path, "--out", out, "--set", "dim=60", "--set", "signal.target=15"])

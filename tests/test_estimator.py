@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svdstop import estimator
 from svdstop.estimator import (
+    EstimateVector,
     FunctionalProfile,
     MissingNoiseError,
     estimate_at,
@@ -23,7 +25,7 @@ from svdstop.estimator import (
     weak_bias_sq,
     weak_variance,
 )
-from svdstop.model import NoiseModel, Observation, Signal, Spectrum, simulate_observation
+from svdstop.model import NoiseModel, Observation, Signal, Spectrum, _frozen_vector, simulate_observation
 
 LAM3 = Spectrum(np.array([1.0, 0.5, 0.25]))
 MU3 = Signal(np.array([3.0, 2.0, 1.0]))
@@ -55,6 +57,36 @@ def test_estimate_at_endpoints():
     obs = make_obs([2.0, 1.0, 0.5])
     assert np.array_equal(estimate_at(obs, LAM3, 0.0).values, np.zeros(3))
     assert np.allclose(estimate_at(obs, LAM3, 3.0).values, [2.0, 2.0, 2.0])
+
+
+def test_estimate_values_are_frozen_own_their_data_and_are_not_copied(monkeypatch):
+    kept = []
+
+    def spy(values):
+        frozen = _frozen_vector(values)
+        kept.append(frozen is values)
+        return frozen
+
+    obs = make_obs([1.0, 0.5, 0.25])
+    monkeypatch.setattr(estimator, "_frozen_vector", spy)
+    values = estimate_at(obs, LAM3, 1.25).values
+    assert kept == [True]
+    assert not values.flags.writeable
+    assert values.base is None
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_estimate_vector_copies_caller_arrays(view):
+    caller = np.array([1.0, 2.0, 0.0])
+    source = caller
+    if view:
+        source = caller[:]
+        source.setflags(write=False)
+    estimate = EstimateVector(values=source, t=2.0)
+    assert caller.flags.writeable
+    caller[:] = 7.0
+    assert np.array_equal(estimate.values, [1.0, 2.0, 0.0])
+    assert not estimate.values.flags.writeable
 
 
 def test_bias_hand_values():

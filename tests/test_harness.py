@@ -1,12 +1,18 @@
 """Experiment configs, the Monte Carlo driver, and the CSV record format."""
 
+import dataclasses
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svdstop import harness
+from svdstop.estimator import EstimateVector, estimate_at
 from svdstop.harness import (
     CSV_HEADER,
     PROCEDURES,
@@ -18,7 +24,7 @@ from svdstop.harness import (
     run_experiment,
     write_records_csv,
 )
-from svdstop.model import save_vector
+from svdstop.model import replication_seed, save_vector, simulate_observation
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "efficiency_smooth.json"
 
@@ -257,3 +263,111 @@ def test_csv_bytes_are_rerun_invariant(tmp_path):
 
 def test_procedures_constant_is_complete():
     assert PROCEDURES == ("plain_stop", "two_step_weak", "two_step_strong", "fixed_oracle")
+
+
+KAPPAS = {"zero": 0.0, "default": None, "huge": 1e12}  # stop at D, in between, at m0
+
+
+def _file_config(base: Path, lam, mu, delta: float, kappa: str, m0: int, procedures, replications: int, seed: int):
+    save_vector(base / "lam.txt", lam)
+    save_vector(base / "mu.txt", mu)
+    return ExperimentConfig(
+        dim=len(mu),
+        delta=delta,
+        spectrum_p=None,
+        spectrum_file="lam.txt",
+        signal_name=None,
+        signal_file="mu.txt",
+        kappa=KAPPAS[kappa],
+        m0_mode="explicit",
+        m0=m0,
+        replications=replications,
+        base_seed=seed,
+        procedures=tuple(procedures),
+    )
+
+
+def _check_errors_the_old_way(config: ExperimentConfig, base: Path) -> set[int]:
+    """Every record's errors equal those of ``estimate - mu`` built in full; returns the chosen indices."""
+    exp = resolve_experiment(config, base)
+    mu, lam = exp.signal.coefficients, exp.spectrum.values
+    report = run_experiment(config, base_dir=base)
+    chosen_seen = set()
+    for record in report.records:
+        chosen = record.rho if record.procedure.startswith("two_step") else record.tau
+        chosen_seen.add(chosen)
+        obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, record.rep))
+        diff = estimate_at(obs, exp.spectrum, float(chosen)).values - mu
+        weighted = lam * diff
+        assert record.err_strong == math.sqrt(float(np.dot(diff, diff)))
+        assert record.err_weak == math.sqrt(float(np.dot(weighted, weighted)))
+    # the gap vectors are restored after every procedure: the order of the procedures changes nothing
+    permuted = run_experiment(dataclasses.replace(config, procedures=config.procedures[::-1]), base_dir=base)
+    assert sorted(permuted.records, key=lambda r: (r.rep, r.procedure)) == sorted(
+        report.records, key=lambda r: (r.rep, r.procedure)
+    )
+    # and running one replication twice on the same gap vectors gives the same records
+    oracle = oracle_payload(exp)
+    numerators = (math.sqrt(oracle["classical_risk"]), math.sqrt(oracle["classical_weak_risk"]))
+    gaps = (-mu, lam * -mu)
+    pristine = tuple(g.copy() for g in gaps)
+    runs = [harness._run_one(0, exp, oracle["classical_index"], numerators, gaps) for _ in range(2)]
+    assert runs[0] == runs[1] == ([r for r in report.records if r.rep == 0], None)
+    assert all(np.array_equal(g, p) for g, p in zip(gaps, pristine))
+    return chosen_seen
+
+
+@st.composite
+def _instances(draw):
+    dim = draw(st.integers(1, 30))
+    lam = sorted(draw(st.lists(st.floats(0.05, 2.0), min_size=dim, max_size=dim)), reverse=True)
+    # exact zeros, and no entries so tiny that an error vanishes or an efficiency overflows: the
+    # quartiles of infinite efficiencies warn
+    entries = st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+    mu = draw(st.lists(entries, min_size=dim, max_size=dim).filter(any))
+    return (
+        lam,
+        mu,
+        draw(st.floats(0.05, 1.0)),
+        draw(st.sampled_from(sorted(KAPPAS))),
+        draw(st.integers(0, dim)),
+        draw(st.permutations(PROCEDURES)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(_instances())
+def test_errors_are_bit_identical_to_full_length_differences(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        _check_errors_the_old_way(_file_config(base, *instance), base)
+
+
+@pytest.mark.parametrize(
+    "kappa, m0, expected",
+    [("huge", 0, {0}), ("huge", 4, {4}), ("default", 0, None), ("zero", 0, {12})],
+)
+def test_errors_are_bit_identical_at_the_edges(tmp_path, kappa, m0, expected):
+    """The chosen index at 0, at ``m0``, at an ordinary stop, and at ``D``; ``mu`` has exact zeros."""
+    mu = np.where(np.arange(12) % 3 == 0, 0.0, np.linspace(2.0, -1.0, 12))
+    lam = np.arange(1, 13, dtype=float) ** -0.5
+    config = _file_config(tmp_path, lam, mu, 0.3, kappa, m0, ("plain_stop",), 5, 3)
+    chosen = _check_errors_the_old_way(config, tmp_path)
+    if expected is None:
+        assert chosen - {0, 12}
+    else:
+        assert chosen == expected
+    full = dataclasses.replace(config, procedures=PROCEDURES)
+    assert _check_errors_the_old_way(full, tmp_path) >= chosen
+
+
+def test_gap_vectors_are_restored_after_a_numeric_error():
+    mu = np.array([1e308, -2.0, 0.0])
+    lam = np.array([1.0, 0.5, 0.25])
+    gaps = (-mu, lam * -mu)
+    pristine = tuple(g.copy() for g in gaps)
+    estimate = EstimateVector(values=np.array([-1e308, 1.0, 0.0]), t=3.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        harness._errors(estimate, mu, lam, gaps)
+    assert all(np.array_equal(g, p) for g, p in zip(gaps, pristine))

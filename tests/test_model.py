@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svdstop import model
 from svdstop.model import (
     DimensionMismatchError,
     NoiseModel,
     Observation,
     Signal,
     Spectrum,
+    _frozen_vector,
     load_vector,
     make_polynomial_spectrum,
     replication_seed,
@@ -115,3 +117,50 @@ def test_simulated_norm_header_consistent(dim, p):
     sig = Signal(np.linspace(1.0, 0.0, dim))
     obs = simulate_observation(sig, spec, NoiseModel(delta=0.5), 1)
     assert obs.y_norm_sq == pytest.approx(float(np.dot(obs.y, obs.y)), rel=1e-12)
+
+
+def test_simulated_vectors_are_frozen_own_their_data_and_are_not_copied(monkeypatch):
+    kept = []
+
+    def spy(values):
+        frozen = _frozen_vector(values)
+        kept.append(frozen is values)
+        return frozen
+
+    args = (Signal(np.ones(8)), make_polynomial_spectrum(8, 0.5), NoiseModel(delta=0.2))
+    monkeypatch.setattr(model, "_frozen_vector", spy)
+    obs = simulate_observation(*args, 3)
+    assert kept == [True, True]
+    for vector in (obs.y, obs.noise):
+        assert not vector.flags.writeable
+        assert vector.base is None
+
+
+def _containers(values):
+    """The vectors that each container built from ``values`` holds."""
+    obs = Observation(y=values, y_norm_sq=float(np.dot(values, values)), delta=0.1, noise=values)
+    return [Signal(values).coefficients, Spectrum(values).values, obs.y, obs.noise]
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_containers_copy_caller_arrays(view):
+    caller = np.array([3.0, 2.0, 1.0])
+    source = caller
+    if view:
+        source = caller[:]
+        source.setflags(write=False)
+    held = _containers(source)
+    assert caller.flags.writeable
+    caller[:] = 0.5
+    for vector in held:
+        assert np.array_equal(vector, [3.0, 2.0, 1.0])
+        assert not vector.flags.writeable
+
+
+def test_containers_keep_a_frozen_vector_that_owns_its_data():
+    values = np.array([3.0, 2.0, 1.0])
+    values.setflags(write=False)
+    assert all(vector is values for vector in _containers(values))
+    as_float32 = np.array([3.0, 2.0, 1.0], dtype=np.float32)
+    as_float32.setflags(write=False)
+    assert not any(vector is as_float32 for vector in _containers(as_float32))

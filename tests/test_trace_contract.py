@@ -51,6 +51,7 @@ def test_benchmark_trace_records_every_layer():
     calls = tracer.calls()
 
     assert all(r.immediate for r in report.records)
+    assert calls["model.simulate"] == 3
     assert calls["stopping.stop"] == 3
     assert calls["stopping.aic"] == 3
     assert calls["estimator.estimate"] == 6

@@ -10,8 +10,9 @@ estimator, its square enters nothing.
 
 Bias-type quantities are suffix sums, variance-type quantities prefix
 sums. :class:`FunctionalProfile` accumulates both once per problem
-instance in extended precision and then evaluates any level in O(1),
-which is what the oracle root-finders iterate on.
+instance in extended precision, at every integer level; together with
+the per-coordinate terms they give the level's functionals on each unit
+interval, from which the oracle levels are solved in closed form.
 """
 
 from __future__ import annotations
@@ -154,51 +155,34 @@ def stochastic_error(obs: Observation, spectrum: Spectrum, t: float) -> float:
 
 
 class FunctionalProfile:
-    """O(1) evaluators for the bias and variance functionals of one instance.
+    """Bias and variance functionals of one instance at every integer level.
 
     Prefix and suffix cumulative sums are accumulated once in extended
-    precision; the per-level formulas then touch a constant number of array
-    entries. Integer-level arrays (index ``m = 0..D``) are exposed for
-    vectorised scans.
+    precision into integer-level arrays (index ``m = 0..D``) for
+    vectorised scans. The per-coordinate terms ``mu2 = mu**2``,
+    ``wmu2 = (lam * mu)**2`` and ``inv2 = lam**-2`` carry a level between
+    two integers.
     """
 
     def __init__(self, signal: Signal, spectrum: Spectrum, noise: NoiseModel):
         self.dim = require_same_dim(signal.dim, spectrum.dim)
         self.delta = noise.delta
-        self._mu2 = signal.coefficients**2
-        self._wmu2 = (spectrum.values * signal.coefficients) ** 2
-        self._inv2 = spectrum.values**-2.0
+        self.mu2 = signal.coefficients**2
+        self.wmu2 = (spectrum.values * signal.coefficients) ** 2
+        self.inv2 = spectrum.values**-2.0
         # int_strong_bias_sq[m] = sum_{i>m} mu_i**2 and so on, m = 0..D
-        self.int_strong_bias_sq = _suffix_sums(self._mu2)
-        self.int_weak_bias_sq = _suffix_sums(self._wmu2)
-        self.int_strong_variance = self.delta**2 * _prefix_sums(self._inv2)
+        self.int_strong_bias_sq = _suffix_sums(self.mu2)
+        self.int_weak_bias_sq = _suffix_sums(self.wmu2)
+        self.int_strong_variance = self.delta**2 * _prefix_sums(self.inv2)
         self.int_weak_variance = self.delta**2 * np.arange(self.dim + 1, dtype=float)
 
-    def strong_bias_sq(self, t: float) -> float:
-        k, frac = split_level(t, self.dim)
-        if k >= self.dim:
-            return 0.0
-        w = 1.0 - math.sqrt(frac)
-        return w * w * float(self._mu2[k]) + float(self.int_strong_bias_sq[k + 1])
-
     def weak_bias_sq(self, t: float) -> float:
+        """Squared image-space bias at level ``t`` in O(1)."""
         k, frac = split_level(t, self.dim)
         if k >= self.dim:
             return 0.0
         w = 1.0 - math.sqrt(frac)
-        return w * w * float(self._wmu2[k]) + float(self.int_weak_bias_sq[k + 1])
-
-    def strong_variance(self, t: float) -> float:
-        k, frac = split_level(t, self.dim)
-        total = float(self.int_strong_variance[k])
-        if k < self.dim:
-            total += self.delta**2 * frac * float(self._inv2[k])
-        return total
-
-    def weak_variance(self, t: float) -> float:
-        if not 0.0 <= t <= self.dim:
-            raise ValueError(f"truncation level {t} outside [0, {self.dim}]")
-        return float(t) * self.delta**2
+        return w * w * float(self.wmu2[k]) + float(self.int_weak_bias_sq[k + 1])
 
     def strong_risk_at_integers(self) -> np.ndarray:
         """``B_m**2 + V_m`` for ``m = 0..D``."""

@@ -68,6 +68,13 @@ _SECTION_KEYS = {
 }
 
 
+def _check_int(value, where: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integral number (``1e4`` is)."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one Monte Carlo experiment."""
@@ -89,6 +96,10 @@ class ExperimentConfig:
     procedures: tuple[str, ...] = ("plain_stop",)
 
     def __post_init__(self):
+        for name in ("dim", "replications", "base_seed"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
+        if self.m0 is not None:
+            object.__setattr__(self, "m0", _check_int(self.m0, "stopping.m0"))
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if self.delta < 0:
@@ -141,13 +152,6 @@ def _check_keys(mapping: dict, allowed: set[str], where: str = "config") -> None
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _check_int(value, where: str) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is an integral number (``1e4`` is)."""
-    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Parse a nested mapping (typically loaded from JSON) into a config.
 
@@ -165,10 +169,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     if "dim" not in mapping:
         raise ValueError("config requires dim")
     kappa = stopping.get("kappa")
-    m0 = stopping.get("m0")
     target = signal.get("target")
     return ExperimentConfig(
-        dim=_check_int(mapping["dim"], "dim"),
+        dim=mapping["dim"],
         delta=float(noise["delta"]),
         spectrum_p=float(spectrum["p"]) if "p" in spectrum else None,
         spectrum_file=spectrum.get("file"),
@@ -178,10 +181,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         kappa=float(kappa) if kappa is not None else None,
         kappa_drift=float(stopping.get("kappa_drift", 0.0)),
         m0_mode=stopping.get("m0_mode", "zero"),
-        m0=_check_int(m0, "stopping.m0") if m0 is not None else None,
+        m0=stopping.get("m0"),
         level=float(stopping.get("level", 0.99)),
-        replications=_check_int(mapping.get("replications", 1000), "replications"),
-        base_seed=_check_int(mapping.get("base_seed", 0), "base_seed"),
+        replications=mapping.get("replications", 1000),
+        base_seed=mapping.get("base_seed", 0),
         procedures=tuple(mapping.get("procedures", ["plain_stop"])),
     )
 
@@ -412,17 +415,29 @@ def _summarise(procedure: str, records: list[ReplicationRecord]) -> ProcedureSum
         return ProcedureSummary(procedure, nan3, nan3, math.nan, math.nan, math.nan, math.nan)
     eff_s = np.array([r.eff_strong for r in records])
     eff_w = np.array([r.eff_weak for r in records])
-    qs = tuple(float(q) for q in np.percentile(eff_s, [25, 50, 75]))
-    qw = tuple(float(q) for q in np.percentile(eff_w, [25, 50, 75]))
     return ProcedureSummary(
         procedure=procedure,
-        eff_strong_quartiles=qs,
-        eff_weak_quartiles=qw,
+        eff_strong_quartiles=_quartiles(eff_s),
+        eff_weak_quartiles=_quartiles(eff_w),
         eff_strong_mean=float(np.mean(eff_s)),
         eff_weak_mean=float(np.mean(eff_w)),
         immediate_fraction=float(np.mean([r.immediate for r in records])),
         tau_mean=float(np.mean([r.tau for r in records])),
     )
+
+
+def _quartiles(values: np.ndarray) -> tuple[float, float, float]:
+    """numpy's linearly interpolated quartiles of non-negative values, ``inf`` where one draws on an ``inf``.
+
+    numpy interpolates towards an infinite value as ``inf - inf``, which is
+    NaN. The infinities sort last, so they are clipped to the largest float
+    for numpy, and a quartile whose position lies past the last finite
+    value is ``inf``; every other quartile is numpy's own.
+    """
+    positions = (values.size - 1) * np.array([0.25, 0.5, 0.75])
+    beyond = positions > np.count_nonzero(np.isfinite(values)) - 1
+    quartiles = np.percentile(np.minimum(values, np.finfo(float).max), [25, 50, 75])
+    return tuple(math.inf if past else float(q) for q, past in zip(quartiles, beyond))
 
 
 def _format_float(value: float) -> str:

@@ -15,28 +15,23 @@ one pass over a single :class:`~svdstop.estimator.FunctionalProfile`:
   norm.
 
 Continuous levels are located by scanning the integer grid for a sign
-change and bisecting the bracketing unit interval to absolute tolerance
-1e-9 (at most 60 iterations). Ties in discrete argmins resolve to the
-smallest index, and an infimum over an empty set is the dimension ``D``.
-:func:`theory_bounds` shares the one level finder with :func:`oracle_set`.
+change and solving the bracketing unit interval in closed form: on
+``[k, k+1]`` both functionals are quadratic in ``sqrt(t - k)``. Ties in
+discrete argmins resolve to the smallest index, and an infimum over an
+empty set is the dimension ``D``. :func:`theory_bounds` shares the one
+level finder with :func:`oracle_set`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .estimator import FunctionalProfile
 from .model import NoiseModel, Signal, Spectrum
 
 __all__ = ["OracleSet", "TheoryBounds", "oracle_set", "theory_bounds"]
-
-BISECTION_TOL = 1e-9
-BISECTION_MAX_ITER = 60
-
 
 @dataclass(frozen=True)
 class OracleSet:
@@ -95,46 +90,49 @@ def _check_start(kappa: float, m0: int, dim: int) -> int:
     return m0
 
 
-def _first_level_below(
-    value_at: Callable[[float], float],
-    int_values: np.ndarray,
-    m0: int,
-    dim: int,
-) -> float:
-    """First level ``t >= m0`` with ``value_at(t) <= 0`` for non-increasing ``value_at``.
-
-    ``int_values[m]`` must equal ``value_at(m)`` for integer ``m``.
-    """
-    if value_at(float(m0)) <= 0.0:
-        return float(m0)
-    hits = np.nonzero(int_values[m0 + 1 :] <= 0.0)[0]
-    if hits.size == 0:
-        return float(dim)
-    hi = float(m0 + 1 + int(hits[0]))
-    lo = hi - 1.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if value_at(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _balanced_level(prof: FunctionalProfile, m0: int, norm: str, offset: float = 0.0) -> float:
     """First level ``t >= m0`` where the squared bias in ``norm`` drops to the variance plus ``offset``.
 
     The residual proxy level is the weak one with ``offset = kappa - D * delta**2``.
+    The integer scan finds the unit interval ``[k, k+1]`` of the sign change;
+    :func:`_unit_root` solves it.
     """
     if norm == "strong":
-        bias, variance = prof.strong_bias_sq, prof.strong_variance
-        int_vals = prof.int_strong_bias_sq - prof.int_strong_variance
+        bias, variance, heads = prof.int_strong_bias_sq, prof.int_strong_variance, prof.mu2
     else:
-        bias, variance = prof.weak_bias_sq, prof.weak_variance
-        int_vals = prof.int_weak_bias_sq - prof.int_weak_variance
-    return _first_level_below(lambda t: bias(t) - variance(t) - offset, int_vals - offset, m0, prof.dim)
+        bias, variance, heads = prof.int_weak_bias_sq, prof.int_weak_variance, prof.wmu2
+
+    def gap_at(k: int) -> float:
+        """``bias - variance - offset`` at the integer level ``k < D``, from the interval's own terms."""
+        return float(heads[k] + bias[k + 1] - variance[k] - offset)
+
+    if m0 == prof.dim:
+        return float(m0)
+    k = m0
+    if gap_at(m0) > 0.0:
+        hits = np.nonzero(bias[m0 + 1 :] - variance[m0 + 1 :] - offset <= 0.0)[0]
+        if hits.size == 0:
+            return float(prof.dim)
+        k = m0 + int(hits[0])
+    step = prof.delta**2 * (float(prof.inv2[k]) if norm == "strong" else 1.0)
+    return k + _unit_root(float(heads[k]), step, gap_at(k))
+
+
+def _unit_root(a: float, v: float, c: float) -> float:
+    """``s**2`` for the first ``s`` in ``[0, 1]`` where ``(1 - s)**2 a - s**2 v + c - a`` drops to zero.
+
+    This is the gap ``bias - variance - offset`` on ``[k, k+1]`` at ``t = k + s**2``:
+    ``a`` is coordinate ``k+1``'s squared bias term, ``v`` its variance increment
+    and ``c`` the gap at ``k``. The smaller root of ``(a - v) s**2 - 2 a s + c`` is
+    taken as ``c / (a + sqrt(a**2 - (a - v) c))``, which cancels nothing. The
+    denominator vanishes only where ``a = v = 0`` (a zero coefficient, and
+    ``delta = 0``): the gap is flat there, and the sign change sits at the right end.
+    """
+    if c <= 0.0:
+        return 0.0
+    denominator = a + math.sqrt(max(a * a - (a - v) * c, 0.0))
+    s = min(c / denominator, 1.0) if denominator > 0.0 else 1.0
+    return s * s
 
 
 def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: float, m0: int = 0) -> OracleSet:

@@ -38,7 +38,6 @@ __all__ = [
     "StoppingConfig",
     "TruncatedStreamError",
     "aic_select",
-    "conservative_start",
     "default_threshold",
     "early_stop",
     "make_stopping_config",
@@ -48,7 +47,7 @@ __all__ = [
     "two_step",
 ]
 
-M0_MODES = ("explicit", "zero", "normal_quantile", "conservative")
+M0_MODES = ("explicit", "zero", "normal_quantile")
 
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two halves whose products are exact
 
@@ -103,18 +102,6 @@ def normal_quantile_start(dim: int, level: float = 0.99) -> int:
     return int(math.floor(q * math.sqrt(2.0 * dim))) + 1
 
 
-def conservative_start(dim: int) -> int:
-    """Large theory-backed starting index ``floor(128 * log(dim) * sqrt(dim)) + 1``.
-
-    The start exceeds ``dim`` for every ``dim`` below 3,754,815 (117,893 at
-    ``dim = 10**4``), so :func:`make_stopping_config` rejects the
-    ``conservative`` mode below that size and the CLI exits 3.
-    """
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    return int(math.floor(128.0 * math.log(dim) * math.sqrt(dim))) + 1
-
-
 def default_threshold(dim: int, delta: float, drift: float = 0.0) -> float:
     """Default stopping threshold ``dim * delta**2`` with an optional drift of
     ``drift * sqrt(dim) * delta**2`` to probe sensitivity."""
@@ -139,8 +126,6 @@ def make_stopping_config(
         start = 0
     elif m0_mode == "normal_quantile":
         start = normal_quantile_start(dim, level)
-    elif m0_mode == "conservative":
-        start = conservative_start(dim)
     elif m0_mode == "explicit":
         if m0 is None:
             raise ValueError("explicit m0 mode requires an m0 value")

@@ -1,6 +1,8 @@
 """Command line interface: file outputs, overrides, exit codes."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,17 @@ def test_mc_command_then_plot(config_path, tmp_path):
     svg = (out / "efficiency.svg").read_text()
     assert svg.lstrip().startswith("<svg")
     assert "efficiency check" in svg
+
+
+def test_mc_quartiles_between_infinities_are_infinite(tmp_path):
+    """Pure noise from m0 = 0 stops at 0 with zero error often enough that two infinite
+    efficiencies bracket the upper quartile; it is recorded as inf, not NaN."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "null_calibration.json"
+    out = tmp_path / "null"
+    assert run(["mc", "--config", config, "--out", out, "--set", "stopping.m0_mode=zero", "--set", "replications=20"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    summary = report["procedures"][0]
+    assert summary["eff_strong_quartiles"] == summary["eff_weak_quartiles"] == [0.0, 0.0, math.inf]
 
 
 def test_mc_reruns_are_byte_identical(config_path, tmp_path):

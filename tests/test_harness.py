@@ -63,6 +63,27 @@ def test_config_rejects_unknown_procedure():
         small_config(procedures=())
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"dim": 40.5}, "dim"),
+        ({"m0_mode": "explicit", "m0": 3.7}, "m0"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"replications": True}, "replications"),
+    ],
+)
+def test_config_rejects_non_integral_integer_fields(overrides, key):
+    """Direct construction checks the integer fields as ``config_from_mapping`` always did."""
+    with pytest.raises(ValueError, match=key):
+        small_config(**{"dim": 40, "signal_target": 10.0, **overrides})
+
+
+def test_config_stores_integral_floats_as_int():
+    config = small_config(dim=40.0, signal_target=10.0, replications=3.0, base_seed=2.0, m0_mode="explicit", m0=4.0)
+    assert [type(v) for v in (config.dim, config.replications, config.base_seed, config.m0)] == [int] * 4
+    assert config_from_mapping(config.to_mapping()) == config
+
+
 def test_mapping_roundtrip():
     config = small_config(procedures=("plain_stop", "two_step_strong"), kappa=0.9, m0=4, m0_mode="explicit")
     assert config_from_mapping(config.to_mapping()) == config
@@ -221,6 +242,21 @@ def test_summaries_match_percentiles():
     imm = np.array([r.immediate for r in report.records])
     assert summary.immediate_fraction == pytest.approx(float(np.mean(imm)))
     assert summary.tau_mean == pytest.approx(float(np.mean([r.tau for r in report.records])))
+
+
+def test_quartiles_between_infinities_are_infinite():
+    """numpy interpolates ``inf - inf`` into NaN there; finite quartiles are numpy's own."""
+    records = [
+        harness.ReplicationRecord(rep, "plain_stop", 0, None, True, 1.0, 1.0, eff, eff)
+        for rep, eff in enumerate([0.0, 0.0, math.inf, math.inf])
+    ]
+    summary = harness._summarise("plain_stop", records)
+    assert summary.eff_strong_quartiles == summary.eff_weak_quartiles == (0.0, math.inf, math.inf)
+    records = [r for r in records if r.rep < 3]
+    assert harness._summarise("plain_stop", records).eff_strong_quartiles == (0.0, 0.0, math.inf)
+    eff = np.array([0.3, 1.7, 0.9, 2.2, 1.1])
+    records = [harness.ReplicationRecord(rep, "plain_stop", 0, None, False, 1.0, 1.0, e, e) for rep, e in enumerate(eff)]
+    assert harness._summarise("plain_stop", records).eff_strong_quartiles == tuple(np.percentile(eff, [25, 50, 75]))
 
 
 def test_report_as_record_structure():

@@ -188,8 +188,9 @@ def _check_first_level(level, value_at, m0, tol):
     """``level`` is where the non-increasing ``value_at`` first drops to zero from ``m0`` on."""
     assert value_at(level) <= tol
     if level > m0:
-        # the bisection brackets the sign change to 1e-9
-        assert value_at(max(level - 2e-9, float(m0))) >= -tol
+        # the level is the exact root of its interval's quadratic, so the sign
+        # change lies within a relative 1e-11 below it
+        assert value_at(max(level - 1e-11 * max(1.0, level), float(m0))) >= -tol
 
 
 def _check_argmin(index, risk, risks, tol):
@@ -232,6 +233,41 @@ def test_oracle_set_consistency(seed, m0, kappa_scale):
     _check_argmin(os.classical_weak_index, os.classical_weak_risk, weak_bias + weak_var, tol)
     assert os.kappa == kappa
     assert os.m0 == m0
+
+
+@given(st.integers(0, 10_000), st.integers(0, 20), st.floats(0.0, 2.0), st.booleans(), st.booleans())
+def test_levels_are_roots_to_rounding(seed, m0, kappa_scale, sparse, noiseless):
+    """The three continuous levels are first zeros of their gaps up to rounding.
+
+    Also with ``delta = 0`` and with exact zero coefficients, where a gap
+    is flat on whole intervals.
+    """
+    sig, spec, noise = random_instance(seed)
+    d = spec.dim
+    if sparse:
+        mu = sig.coefficients.copy()
+        mu[np.random.default_rng(seed).random(d) < 0.5] = 0.0
+        sig = Signal(mu)
+    if noiseless:
+        noise = NoiseModel(delta=0.0)
+    d2 = noise.delta**2
+    m0 = min(m0, d)
+    kappa = kappa_scale * d * (d2 or 0.1)
+    os = oracle_set(sig, spec, noise, kappa=kappa, m0=m0)
+
+    def strong_gap(t):
+        return strong_bias_sq(sig, t) - strong_variance(spec, noise, t)
+
+    def weak_gap(t):
+        return weak_bias_sq(sig, spec, t) - weak_variance(noise, t)
+
+    scale = kappa + d * d2
+    strong_tol = 1e-12 * (strong_bias_sq(sig, 0.0) + strong_variance(spec, noise, float(d)) + scale)
+    weak_tol = 1e-12 * (weak_bias_sq(sig, spec, 0.0) + weak_variance(noise, float(d)) + scale)
+    offset = kappa - d * d2
+    _check_first_level(os.strong_time, strong_gap, m0, strong_tol)
+    _check_first_level(os.weak_time, weak_gap, m0, weak_tol)
+    _check_first_level(os.proxy_time, lambda t: weak_gap(t) - offset, m0, weak_tol)
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 2.0), st.floats(0.1, 3.0))

@@ -17,7 +17,6 @@ from svdstop.stopping import (
     StoppingConfig,
     TruncatedStreamError,
     aic_select,
-    conservative_start,
     default_threshold,
     early_stop,
     make_stopping_config,
@@ -283,18 +282,6 @@ def test_normal_quantile_start_reference_value():
     assert normal_quantile_start(10_000, level=0.99) == 329
 
 
-def test_conservative_start_formula():
-    assert conservative_start(10_000) == int(math.floor(128.0 * math.log(10_000) * 100.0)) + 1
-
-
-def test_conservative_start_needs_a_large_dimension():
-    """The start fits the dimension from 3,754,815 on, and the mode is rejected below that."""
-    assert conservative_start(3_754_815) == 3_754_815
-    assert conservative_start(3_754_814) > 3_754_814
-    with pytest.raises(ValueError):
-        make_stopping_config(10_000, 0.01, m0_mode="conservative")
-
-
 def test_default_threshold_formula():
     assert default_threshold(100, 0.1) == pytest.approx(1.0)
     assert default_threshold(100, 0.1, drift=0.5) == pytest.approx(1.05)
@@ -303,7 +290,7 @@ def test_default_threshold_formula():
 
 
 def test_make_stopping_config_modes():
-    assert set(M0_MODES) == {"explicit", "zero", "normal_quantile", "conservative"}
+    assert set(M0_MODES) == {"explicit", "zero", "normal_quantile"}
     cfg = make_stopping_config(10_000, 0.01, m0_mode="normal_quantile")
     assert cfg.m0 == 329
     assert cfg.kappa == pytest.approx(1.0)
@@ -313,6 +300,7 @@ def test_make_stopping_config_modes():
     assert explicit.m0 == 7
     with pytest.raises(ValueError):
         make_stopping_config(100, 0.1, m0_mode="explicit")
-    with pytest.raises(ValueError):
-        make_stopping_config(100, 0.1, m0_mode="quantile")
+    for unknown in ("quantile", "conservative"):
+        with pytest.raises(ValueError):
+            make_stopping_config(100, 0.1, m0_mode=unknown)
 

@@ -27,7 +27,7 @@ from .estimator import estimate_at
 from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys, _resolve_path
 from .model import load_vector, replication_seed, save_vector, simulate_observation, write_new_file
 from .oracles import theory_bounds
-from .stopping import StopOutcome, StoppingConfig, early_stop, two_step
+from .stopping import StopOutcome, StoppingConfig, stop_index, two_step
 from .svgplot import efficiency_plot
 
 __all__ = ["main"]
@@ -122,12 +122,11 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
         extra["selection"] = {"norm": norm, "penalty_multiplier": penalty}
     config, exp = _experiment(mapping, base, *extra)
     obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, 0))
-    outcome = early_stop(obs, exp.stopping)
-    chosen = outcome.tau
-    if extra:
-        chosen = two_step(chosen, obs.y, exp.spectrum.values, exp.noise.delta, exp.stopping.m0, norm, penalty)
-        outcome = dataclasses.replace(outcome, rho=chosen)
-    estimate = estimate_at(obs, exp.spectrum, float(chosen))
+    m0 = exp.stopping.m0
+    tau = stop_index(obs.y, obs.y_norm_sq, exp.stopping)
+    rho = two_step(tau, obs.y, exp.spectrum.values, exp.noise.delta, m0, norm, penalty) if extra else None
+    outcome = StopOutcome(tau=tau, rho=rho, m0=m0)
+    estimate = estimate_at(obs, exp.spectrum, float(tau if rho is None else rho))
     name = "two_step.json" if extra else "stop.json"
     _write_record(out, name, {**config.to_mapping(), **extra}, outcome, estimate, exp.stopping)
 

@@ -375,8 +375,11 @@ class SequentialSolveResult:
 
     estimate: EstimateVector
     outcome: StopOutcome
-    matvec_count: int
     state: DeflationState
+
+    @property
+    def matvec_count(self) -> int:
+        return self.state.matvec_count
 
 
 def sequential_solve(
@@ -439,11 +442,9 @@ def sequential_solve(
     for i in range(chosen):
         t = state.triplets[i]
         estimate += (coeffs[i] / t.sigma) * t.v
-    outcome = StopOutcome(tau=tau, rho=rho, coefficients_consumed=tau, immediate_stop=tau == config.m0)
     return SequentialSolveResult(
         estimate=EstimateVector(values=estimate, t=float(chosen)),
-        outcome=outcome,
-        matvec_count=state.matvec_count,
+        outcome=StopOutcome(tau=tau, rho=rho, m0=config.m0),
         state=state,
     )
 

@@ -114,12 +114,6 @@ class TvBoundResult:
     bound_general: float
     bound_simplified: float | None = None
 
-    def __post_init__(self):
-        if self.bound_general < 0:
-            raise ValueError("general bound must be nonnegative")
-        if self.bound_simplified is not None and self.bound_simplified < 0:
-            raise ValueError("simplified bound must be nonnegative")
-
 
 def _check_i0(i0: int, dim: int) -> int:
     i0 = int(i0)
@@ -138,12 +132,14 @@ def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
 
 
 def _check_tv_args(theta_norm: float, theta_bar_norm: float, num_terms: int) -> tuple[float, float]:
-    """The two norms as floats; ``ValueError`` unless ``num_terms >= 1`` and both are nonnegative."""
-    if num_terms < 1:
-        raise ValueError("the laws need at least one summand")
+    """The two norms as floats; ``ValueError`` unless both are finite and nonnegative and
+    ``num_terms`` is a whole number ``>= 1`` (``5.0`` is, ``True`` is not)."""
+    whole = isinstance(num_terms, (int, np.integer)) or (isinstance(num_terms, float) and num_terms.is_integer())
+    if isinstance(num_terms, bool) or not whole or num_terms < 1:
+        raise ValueError(f"the number of summands must be a whole number >= 1, got {num_terms!r}")
     a, b = float(theta_norm), float(theta_bar_norm)
-    if a < 0 or b < 0:
-        raise ValueError("noncentrality norms must be nonnegative")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise ValueError("noncentrality norms must be finite and nonnegative")
     return a, b
 
 

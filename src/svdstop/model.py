@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -135,30 +135,28 @@ class NoiseModel:
 class Observation:
     """Observed coefficient vector together with its squared norm header.
 
-    ``y_norm_sq`` is carried explicitly because streaming consumers of the
-    coefficients need the total before reading any coefficient; it must
-    agree with ``sum(y**2)`` to relative accuracy 1e-12. ``noise`` keeps the
+    ``y_norm_sq`` is computed from ``y`` as ``np.dot(y, y)``; it is the
+    total the residual rule starts from. A streaming caller that never
+    holds the whole vector passes its own total to
+    :func:`~svdstop.stopping.residual_rule` instead. ``noise`` keeps the
     realised noise vector when the observation was simulated, which lets
     diagnostics evaluate pathwise error decompositions exactly.
     """
 
     y: np.ndarray
-    y_norm_sq: float
     delta: float
     noise: np.ndarray | None = None
+    y_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_vector(self.y))
-        object.__setattr__(self, "y_norm_sq", float(self.y_norm_sq))
+        object.__setattr__(self, "y_norm_sq", float(np.dot(self.y, self.y)))
         object.__setattr__(self, "delta", float(self.delta))
         if self.noise is not None:
             object.__setattr__(self, "noise", _frozen_vector(self.noise))
             require_same_dim(self.y.size, self.noise.size)
         if self.delta < 0 or not math.isfinite(self.delta):
             raise ValueError("noise level must be finite and non-negative")
-        total = float(np.dot(self.y, self.y))
-        if not math.isclose(self.y_norm_sq, total, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("y_norm_sq disagrees with the squared norm of y")
 
     @property
     def dim(self) -> int:
@@ -200,7 +198,7 @@ def simulate_observation(signal: Signal, spectrum: Spectrum, noise: NoiseModel, 
     # fresh and frozen, so the observation keeps them without copying
     y.setflags(write=False)
     eps.setflags(write=False)
-    return Observation(y=y, y_norm_sq=float(np.dot(y, y)), delta=noise.delta, noise=eps)
+    return Observation(y=y, delta=noise.delta, noise=eps)
 
 
 def load_vector(path) -> np.ndarray:

@@ -24,14 +24,14 @@ already read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
 
 from .estimator import _prefix_sums
-from .model import Observation, require_same_dim
+from .model import require_same_dim
 
 __all__ = [
     "StopOutcome",
@@ -39,7 +39,6 @@ __all__ = [
     "TruncatedStreamError",
     "aic_select",
     "default_threshold",
-    "early_stop",
     "make_stopping_config",
     "normal_quantile_start",
     "residual_rule",
@@ -74,18 +73,24 @@ class StoppingConfig:
 
 @dataclass(frozen=True)
 class StopOutcome:
-    """Result of a stopping run.
+    """Result of a stopping run from the starting index ``m0``.
 
     ``rho`` is the index selected by the two-step rule when one ran (the
     stopped index if the rule did not stop immediately, the AIC index
-    otherwise) and ``None`` for a plain stop. ``coefficients_consumed``
-    counts exactly the coefficients read from the stream.
+    otherwise) and ``None`` for a plain stop. The rule reads exactly
+    ``tau`` coefficients, so ``coefficients_consumed`` is ``tau``, and
+    ``immediate_stop`` says whether it stopped at ``m0``.
     """
 
     tau: int
     rho: int | None
-    coefficients_consumed: int
-    immediate_stop: bool
+    m0: InitVar[int]
+    coefficients_consumed: int = field(init=False)
+    immediate_stop: bool = field(init=False)
+
+    def __post_init__(self, m0: int):
+        object.__setattr__(self, "coefficients_consumed", self.tau)
+        object.__setattr__(self, "immediate_stop", self.tau == m0)
 
 
 def normal_quantile_start(dim: int, level: float = 0.99) -> int:
@@ -119,9 +124,12 @@ def make_stopping_config(
     m0: int | None = None,
     level: float = 0.99,
 ) -> StoppingConfig:
-    """Resolve a stopping configuration for a problem of size ``dim``."""
+    """Resolve a stopping configuration for a problem of size ``dim``; ``ValueError`` for a setting the
+    others leave unread (``m0`` outside ``explicit`` mode, a nonzero drift next to an explicit ``kappa``)."""
     if kappa is None:
         kappa = default_threshold(dim, delta, kappa_drift)
+    elif kappa_drift != 0:
+        raise ValueError("kappa_drift only shifts the default threshold; it cannot go with an explicit kappa")
     if m0_mode == "zero":
         start = 0
     elif m0_mode == "normal_quantile":
@@ -132,6 +140,8 @@ def make_stopping_config(
         start = int(m0)
     else:
         raise ValueError(f"unknown m0 mode {m0_mode!r}; expected one of {M0_MODES}")
+    if m0 is not None and m0_mode != "explicit":
+        raise ValueError(f"m0 is only read in explicit m0 mode, not in {m0_mode!r}")
     if start > dim:
         raise ValueError(f"starting index {start} exceeds dimension {dim}")
     return StoppingConfig(kappa=float(kappa), m0=start)
@@ -222,12 +232,6 @@ def _pieces(y: np.ndarray, first: int):
         if hi >= y.size:
             return
         lo, hi = hi, 4 * hi
-
-
-def early_stop(obs: Observation, config: StoppingConfig) -> StopOutcome:
-    """Residual rule over an in-memory observation."""
-    tau = stop_index(obs.y, obs.y_norm_sq, config)
-    return StopOutcome(tau=tau, rho=None, coefficients_consumed=tau, immediate_stop=tau == config.m0)
 
 
 def aic_select(

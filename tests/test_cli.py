@@ -1,5 +1,6 @@
 """Command line interface: file outputs, overrides, exit codes."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -78,6 +79,63 @@ def test_two_step_command(config_path, tmp_path):
     # the estimate truncates at the AIC index, not at the stopped index
     assert outcome["rho"] < 100
     assert np.all(estimate[outcome["rho"] :] == 0.0)
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "command, config, overrides, name, outcome, kappa, m0, estimate_sha256",
+    [
+        (
+            "stop",
+            "efficiency_smooth",
+            [],
+            "stop.json",
+            {"tau": 329, "rho": None, "coefficients_consumed": 329, "immediate_stop": True},
+            1.0,
+            329,
+            "b98b3a9d2e85052b828630180e040c39355a20dafc32c3ec152fb8329ee624c7",
+        ),
+        (
+            "two-step",
+            "efficiency_smooth",
+            [],
+            "two_step.json",
+            {"tau": 329, "rho": 296, "coefficients_consumed": 329, "immediate_stop": True},
+            1.0,
+            329,
+            "7e7c08008c2544d2563d31dbe39e0141b6ef468827738c90d82ed86edd3c46ac",
+        ),
+        (
+            "two-step",
+            None,
+            ["--set", "selection.norm=weak", *RESCUE],
+            "two_step.json",
+            {"tau": 100, "rho": 35, "coefficients_consumed": 100, "immediate_stop": True},
+            1000.0,
+            100,
+            "0f43edaa31d22fd930b4dd2de31f4a738a9e25ae521353b45e009e03bc1ce5ee",
+        ),
+    ],
+)
+def test_stop_records_are_pinned(
+    config_path, tmp_path, command, config, overrides, name, outcome, kappa, m0, estimate_sha256
+):
+    """Plain and strong two-step runs of the shipped smooth config, and a weak rescue of the test config,
+    keep their records and estimate bytes; a rerun from the echoed config gives the same files."""
+    path = config_path if config is None else SHIPPED / f"{config}.json"
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out, *overrides]) == 0
+    payload = json.loads((out / name).read_text())
+    assert (payload["outcome"], payload["kappa"], payload["m0"]) == (outcome, kappa, m0)
+    assert hashlib.sha256((out / "estimate.txt").read_bytes()).hexdigest() == estimate_sha256
+
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(payload["config"]))
+    rerun = tmp_path / "rerun"
+    assert run([command, "--config", echoed, "--out", rerun]) == 0
+    assert _outputs(rerun) == _outputs(out)
 
 
 def test_mc_command_then_plot(config_path, tmp_path):
@@ -356,6 +414,11 @@ def test_numeric_failure_exits_four(tmp_path, capsys):
         ("two-step", ["selection.nrom=weak"]),
         ("adversary", ["adversary.alpah=0.5"]),
         ("plot", ["plot.csv=r.csv", "plot.titel=x"]),
+        # keys that the other settings would leave unread: m0 outside explicit mode, a drift next to kappa
+        ("stop", ["stopping.m0=50"]),
+        ("mc", ["stopping.m0_mode=normal_quantile", "stopping.m0=50"]),
+        ("mc", ["stopping.kappa=1.0", "stopping.kappa_drift=3"]),
+        ("two-step", ["stopping.kappa=1.0", "stopping.kappa_drift=3"]),
     ],
 )
 def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overrides, capsys):
@@ -380,6 +443,7 @@ def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overr
         ("noise", "delt"),
         ("matrix", "fiel"),
         ("stopping", "kappa_drift"),
+        ("stopping", "m0"),  # read only in explicit m0 mode, and the mode defaults to zero
     ],
 )
 def test_lazysvd_misspelled_key_exits_three(tmp_path, section, key, capsys):

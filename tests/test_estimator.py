@@ -32,8 +32,7 @@ MU3 = Signal(np.array([3.0, 2.0, 1.0]))
 
 
 def make_obs(y):
-    y = np.asarray(y, dtype=float)
-    return Observation(y=y, y_norm_sq=float(y @ y), delta=1.0)
+    return Observation(y=y, delta=1.0)
 
 
 def test_split_level_boundaries():
@@ -106,7 +105,7 @@ def test_variance_hand_values():
 def test_stochastic_error_hand_value():
     eps = np.array([0.5, -2.0, 1.0])
     y = LAM3.values * MU3.coefficients + 2.0 * eps
-    obs = Observation(y=y, y_norm_sq=float(y @ y), delta=2.0, noise=eps)
+    obs = Observation(y=y, delta=2.0, noise=eps)
     assert stochastic_error(obs, LAM3, 1.25) == pytest.approx(17.0)
 
 

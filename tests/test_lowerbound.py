@@ -123,10 +123,23 @@ def test_tv_bound_simplified_requires_large_norms():
 
 
 def test_tv_bound_validation():
-    with pytest.raises(ValueError):
-        tv_bound(-1.0, 0.5, 10)
-    with pytest.raises(ValueError):
-        tv_bound(1.0, 0.5, 0)
+    """Negative or non-finite norms, and a summand count that is not a whole number >= 1, raise
+    ``ValueError`` in both functions; an infinite norm used to give a distance of 0."""
+    bad = [
+        (-1.0, 0.5, 10),
+        (1.0, 0.5, 0),
+        (math.inf, 1.0, 5),
+        (1.0, math.nan, 5),
+        (math.nan, 1.0, 5),
+        (1.0, 0.5, 2.5),
+        (1.0, 0.5, True),
+        (1.0, 0.5, math.nan),
+    ]
+    for function in (tv_bound, tv_numeric):
+        for args in bad:
+            with pytest.raises(ValueError):
+                function(*args)
+    assert tv_bound(1.0, 0.5, 5.0) == tv_bound(1.0, 0.5, np.int64(5)) == tv_bound(1.0, 0.5, 5)
 
 
 def test_tv_numeric_basic_properties():

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from svdstop.model import Observation, make_polynomial_spectrum
 from svdstop.stopping import (
     M0_MODES,
+    StopOutcome,
     StoppingConfig,
     TruncatedStreamError,
     aic_select,
     default_threshold,
-    early_stop,
     make_stopping_config,
     normal_quantile_start,
     residual_rule,
@@ -27,7 +27,7 @@ from svdstop.stopping import (
 )
 
 Y3 = np.array([2.0, 1.0, 0.5])
-OBS3 = Observation(y=Y3, y_norm_sq=float(np.sum(Y3**2)), delta=1.0)
+OBS3 = Observation(y=Y3, delta=1.0)
 LAM3 = np.array([1.0, 0.5, 0.25])
 
 
@@ -40,14 +40,19 @@ def observations(max_dim=40):
         y = rng.standard_normal(d) * draw(st.floats(0.1, 4.0))
         kappa = draw(st.floats(0.0, 2.0)) * float(np.sum(y**2)) + draw(st.floats(0.0, 1.0))
         m0 = draw(st.integers(0, d))
-        obs = Observation(y=y, y_norm_sq=float(np.sum(y**2)), delta=1.0)
+        obs = Observation(y=y, delta=1.0)
         return obs, StoppingConfig(kappa=kappa, m0=m0)
 
     return build()
 
 
+def plain_stop(obs, config):
+    """The record of a plain stop, built as the CLI builds it."""
+    return StopOutcome(tau=stop_index(obs.y, obs.y_norm_sq, config), rho=None, m0=config.m0)
+
+
 def test_hand_example_stops_at_two():
-    out = early_stop(OBS3, StoppingConfig(kappa=1.0))
+    out = plain_stop(OBS3, StoppingConfig(kappa=1.0))
     # residuals after 0,1,2 coefficients: 5.25, 1.25, 0.25
     assert out.tau == 2
     assert out.coefficients_consumed == 2
@@ -56,21 +61,21 @@ def test_hand_example_stops_at_two():
 
 
 def test_generous_threshold_stops_before_reading():
-    out = early_stop(OBS3, StoppingConfig(kappa=10.0))
+    out = plain_stop(OBS3, StoppingConfig(kappa=10.0))
     assert out.tau == 0
     assert out.coefficients_consumed == 0
     assert out.immediate_stop
 
 
 def test_start_index_is_binding():
-    out = early_stop(OBS3, StoppingConfig(kappa=10.0, m0=2))
+    out = plain_stop(OBS3, StoppingConfig(kappa=10.0, m0=2))
     assert out.tau == 2
     assert out.coefficients_consumed == 2
     assert out.immediate_stop
 
 
 def test_threshold_never_met_runs_to_dimension():
-    out = early_stop(OBS3, StoppingConfig(kappa=0.1))
+    out = plain_stop(OBS3, StoppingConfig(kappa=0.1))
     assert out.tau == 3
     assert not out.immediate_stop
 
@@ -105,7 +110,6 @@ def test_stop_index_matches_streaming_rule(case, cuts):
     tau = stop_index(obs.y, obs.y_norm_sq, config)
     assert tau == loop_tau(obs.y, obs.y_norm_sq, config)
     assert config.m0 <= tau <= obs.y.size
-    assert early_stop(obs, config).tau == tau
     assert residual_rule(singletons(obs.y, []), obs.y_norm_sq, obs.dim, config) == tau
     split = np.split(obs.y, sorted(c for c in cuts if c <= obs.dim))
     assert residual_rule(iter(split), obs.y_norm_sq, obs.dim, config) == tau
@@ -206,23 +210,21 @@ def test_rule_reads_exactly_tau_coefficients(case):
     pulled = []
     tau = residual_rule(singletons(obs.y, pulled), obs.y_norm_sq, obs.dim, config)
     assert len(pulled) == tau
-    assert early_stop(obs, config).coefficients_consumed == tau
+    assert plain_stop(obs, config).coefficients_consumed == tau
 
 
 @given(observations())
 def test_decision_is_measurable_in_prefix(case):
     """Rewriting coefficients past tau, keeping the norm, cannot change tau."""
     obs, config = case
-    out = early_stop(obs, config)
-    tau = out.tau
+    tau = stop_index(obs.y, obs.y_norm_sq, config)
     if tau >= obs.y.size:
         return
     y2 = obs.y.copy()
     tail = y2[tau:]
     # reflect the tail: same energy, different values
     y2[tau:] = tail[::-1] * np.where(np.arange(tail.size) % 2 == 0, 1.0, -1.0)
-    obs2 = Observation(y=y2, y_norm_sq=obs.y_norm_sq, delta=obs.delta)
-    assert early_stop(obs2, config).tau == tau
+    assert stop_index(y2, obs.y_norm_sq, config) == tau
 
 
 def test_aic_hand_example_prefers_first_coefficient():
@@ -253,7 +255,7 @@ def test_aic_penalty_multiplier_shrinks_selection():
 
 def test_two_step_keeps_late_stop():
     config = StoppingConfig(kappa=1.0, m0=1)
-    outcome = early_stop(OBS3, config)
+    outcome = plain_stop(OBS3, config)
     assert outcome.tau == 2
     assert not outcome.immediate_stop
     assert two_step(outcome.tau, OBS3.y, LAM3, 1.0, config.m0) == outcome.tau
@@ -261,7 +263,7 @@ def test_two_step_keeps_late_stop():
 
 def test_two_step_rescues_immediate_stop():
     config = StoppingConfig(kappa=50.0, m0=2)
-    outcome = early_stop(OBS3, config)
+    outcome = plain_stop(OBS3, config)
     assert outcome.tau == 2
     assert outcome.immediate_stop
     rho = two_step(outcome.tau, OBS3.y, LAM3, 1.0, config.m0)
@@ -272,7 +274,7 @@ def test_two_step_rescues_immediate_stop():
 @pytest.mark.parametrize("kappa, m0", [(1.0, 1), (50.0, 2)])  # a late stop, then an immediate one
 @pytest.mark.parametrize("norm, multiplier", [("stronk", 1.0), ("weak", -3.0), ("strong", 0.0), ("strong", math.nan)])
 def test_two_step_checks_the_selection_either_way(kappa, m0, norm, multiplier):
-    tau = early_stop(OBS3, StoppingConfig(kappa=kappa, m0=m0)).tau
+    tau = stop_index(OBS3.y, OBS3.y_norm_sq, StoppingConfig(kappa=kappa, m0=m0))
     with pytest.raises(ValueError):
         two_step(tau, OBS3.y, LAM3, 1.0, m0, norm, multiplier)
 
@@ -303,4 +305,9 @@ def test_make_stopping_config_modes():
     for unknown in ("quantile", "conservative"):
         with pytest.raises(ValueError):
             make_stopping_config(100, 0.1, m0_mode=unknown)
-
+    # a setting the others leave unread is an error, not a silent no-op
+    assert make_stopping_config(100, 0.1, kappa_drift=3.0).kappa == pytest.approx(1.3)
+    assert make_stopping_config(100, 0.1, kappa=1.0, kappa_drift=0.0).kappa == 1.0
+    for settings in ({"m0": 50}, {"m0_mode": "normal_quantile", "m0": 0}, {"kappa": 1.0, "kappa_drift": 3.0}):
+        with pytest.raises(ValueError):
+            make_stopping_config(100, 0.1, **settings)

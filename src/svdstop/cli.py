@@ -25,9 +25,9 @@ from pathlib import Path
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
 from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys, _resolve_path
-from .model import load_vector, replication_seed, save_vector, simulate_observation, write_new_file
+from .model import load_vector, save_vector, write_new_file
 from .oracles import theory_bounds
-from .stopping import StopOutcome, StoppingConfig, stop_index, two_step
+from .stopping import StopOutcome, StoppingConfig, _check_selection
 from .svgplot import efficiency_plot
 
 __all__ = ["main"]
@@ -114,20 +114,20 @@ def _cmd_oracles(mapping: dict, out: Path, base: Path, args) -> None:
 
 
 def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
-    """``stop``; ``two-step`` is the same run with the ``selection`` section's AIC re-selection."""
+    """``stop``, or ``two-step`` with the ``selection`` section's AIC re-selection: replication 0 of ``mc``."""
     extra = {}
+    procedure, penalty = "plain_stop", 1.0
     if args.command == "two-step":
         selection = _section(mapping, "selection", {"norm", "penalty_multiplier"})
         norm, penalty = selection.get("norm", "strong"), float(selection.get("penalty_multiplier", 1.0))
+        _check_selection(norm, penalty)
+        procedure = f"two_step_{norm}"
         extra["selection"] = {"norm": norm, "penalty_multiplier": penalty}
     config, exp = _experiment(mapping, base, *extra)
-    obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, 0))
-    m0 = exp.stopping.m0
-    tau = stop_index(obs.y, obs.y_norm_sq, exp.stopping)
-    rho = two_step(tau, obs.y, exp.spectrum.values, exp.noise.delta, m0, norm, penalty) if extra else None
-    outcome = StopOutcome(tau=tau, rho=rho, m0=m0)
-    estimate = estimate_at(obs, exp.spectrum, float(tau if rho is None else rho))
+    obs, [(chosen, tau, rho, _)] = harness._replicate(exp, 0, (procedure,), penalty=penalty)
+    estimate = estimate_at(obs, exp.spectrum, float(chosen))
     name = "two_step.json" if extra else "stop.json"
+    outcome = StopOutcome(tau=tau, rho=rho, m0=exp.stopping.m0)
     _write_record(out, name, {**config.to_mapping(), **extra}, outcome, estimate, exp.stopping)
 
 

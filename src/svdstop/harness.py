@@ -5,7 +5,8 @@ parsed into :class:`ExperimentConfig`, and resolved into model objects.
 Each replication simulates one observation, runs the configured
 procedures on it, and records truncation indices, estimation errors in
 both norms, and relative efficiencies against the exact discrete oracle
-risks computed once from the instance. Per-replication seeds are split
+risks computed once from the instance. The CLI's ``stop`` and ``two-step``
+run replication 0 of the same loop. Per-replication seeds are split
 off the base seed by replication index and replications run in index
 order, so the same config gives bit-identical records on every run.
 
@@ -27,6 +28,7 @@ import numpy as np
 from .estimator import EstimateVector, estimate_at
 from .model import (
     NoiseModel,
+    Observation,
     Signal,
     Spectrum,
     load_vector,
@@ -106,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("noise level must be nonnegative")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if (self.spectrum_p is None) == (self.spectrum_file is None):
             raise ValueError("specify exactly one of spectrum exponent or spectrum file")
         if (self.signal_name is None) == (self.signal_file is None):
@@ -115,6 +119,8 @@ class ExperimentConfig:
         for proc in self.procedures:
             if proc not in PROCEDURES:
                 raise ValueError(f"unknown procedure {proc!r}; expected a subset of {PROCEDURES}")
+        if len(set(self.procedures)) < len(self.procedures):
+            raise ValueError(f"procedures must not repeat, got {list(self.procedures)}")
 
     def to_mapping(self) -> dict:
         """Canonical nested mapping; inverse of :func:`config_from_mapping`."""
@@ -321,6 +327,33 @@ def _errors(
         np.multiply(lam[:head], gap[:head], out=weighted_gap[:head])
 
 
+def _replicate(
+    exp: ResolvedExperiment, rep: int, procedures: tuple[str, ...], fixed_index: int = 0, penalty: float = 1.0
+) -> tuple[Observation, list[tuple[int, int, int | None, bool]]]:
+    """Replication ``rep``: its observation and, per procedure, ``(chosen, tau, rho, immediate)``.
+
+    ``chosen`` is the index the estimate truncates at, and ``rho`` the
+    two-step index (``None`` for the other procedures). The residual rule
+    runs once and every procedure reads its stop.
+    """
+    cfg, lam = exp.stopping, exp.spectrum.values
+    obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(exp.config.base_seed, rep))
+    tau = stop_index(obs.y, obs.y_norm_sq, cfg)
+    immediate = tau == cfg.m0
+    choices = []
+    for proc in procedures:
+        if proc == "plain_stop":
+            choices.append((tau, tau, None, immediate))
+        elif proc in ("two_step_weak", "two_step_strong"):
+            norm = "weak" if proc == "two_step_weak" else "strong"
+            # stopping.two_step inlined: per-layer tracing wraps the names this module calls
+            rho = tau if tau > cfg.m0 else aic_select(obs.y, lam, exp.noise.delta, cfg.m0, norm, penalty)
+            choices.append((rho, tau, rho, immediate))
+        else:  # fixed_oracle
+            choices.append((fixed_index, fixed_index, None, False))
+    return obs, choices
+
+
 def _run_one(
     rep: int,
     exp: ResolvedExperiment,
@@ -328,26 +361,12 @@ def _run_one(
     numerators: tuple[float, float],
     gaps: tuple[np.ndarray, np.ndarray],
 ) -> tuple[list[ReplicationRecord], tuple[int, str] | None]:
-    cfg = exp.stopping
-    mu = exp.signal.coefficients
-    lam = exp.spectrum.values
+    mu, lam = exp.signal.coefficients, exp.spectrum.values
     num_strong, num_weak = numerators
     try:
-        obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(exp.config.base_seed, rep))
-        tau = stop_index(obs.y, obs.y_norm_sq, cfg)
-        immediate = tau == cfg.m0
+        obs, choices = _replicate(exp, rep, exp.config.procedures, fixed_index)
         records = []
-        for proc in exp.config.procedures:
-            rho: int | None = None
-            if proc == "plain_stop":
-                chosen, rec_tau, rec_imm = tau, tau, immediate
-            elif proc in ("two_step_weak", "two_step_strong"):
-                norm = "weak" if proc == "two_step_weak" else "strong"
-                # stopping.two_step inlined: per-layer tracing wraps the names this module calls
-                chosen = tau if tau > cfg.m0 else aic_select(obs.y, lam, exp.noise.delta, cfg.m0, norm)
-                rho, rec_tau, rec_imm = chosen, tau, immediate
-            else:  # fixed_oracle
-                chosen, rec_tau, rec_imm = fixed_index, fixed_index, False
+        for proc, (chosen, tau, rho, immediate) in zip(exp.config.procedures, choices):
             # unbound, so each estimate is freed before the next is built: with two alive at once
             # the heap outgrew malloc's trim threshold and went back to the kernel every replication
             err_strong, err_weak = _errors(estimate_at(obs, exp.spectrum, float(chosen)), mu, lam, gaps)
@@ -355,9 +374,9 @@ def _run_one(
                 ReplicationRecord(
                     rep=rep,
                     procedure=proc,
-                    tau=rec_tau,
+                    tau=tau,
                     rho=rho,
-                    immediate=rec_imm,
+                    immediate=immediate,
                     err_strong=err_strong,
                     err_weak=err_weak,
                     eff_strong=num_strong / err_strong if err_strong > 0 else math.inf,

@@ -5,8 +5,8 @@ two-point argument: perturb the signal beyond an index the rule cannot
 see past, and the risk at the perturbed signal stays above the squared
 bias there. This module builds those perturbed signals, evaluates the
 total-variation and tail bounds the argument runs on, and provides
-Monte Carlo checks that pit concrete stopping rules against the
-predicted floors. All numeric constants in the predicates are kept
+Monte Carlo checks that pit the residual stop of an experiment against
+the predicted floors. All numeric constants in the predicates are kept
 exactly as in the underlying inequalities; none of them is optimised.
 
 Everything here is either a pure construction, a closed-form bound, or
@@ -25,23 +25,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .estimator import estimate_at, strong_bias_sq, strong_variance, weak_bias_sq
-from .model import (
-    NoiseModel,
-    Observation,
-    Signal,
-    Spectrum,
-    make_polynomial_spectrum,
-    replication_seed,
-    require_same_dim,
-    simulate_observation,
-)
+from .estimator import strong_bias_sq, strong_variance, weak_bias_sq
+from .harness import ExperimentConfig, resolve_experiment, run_experiment
+from .model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum, require_same_dim
 from .oracles import oracle_set
 
 __all__ = [
@@ -516,43 +508,29 @@ class OverrunReport:
     replications: int
 
 
-def overrun_check(
-    rule: Callable[[Observation], int],
-    mu: Signal,
-    spectrum: Spectrum,
-    noise: NoiseModel,
-    m: int,
-    replications: int = 1000,
-    seed: int = 0,
-) -> OverrunReport:
-    """Stress-test an arbitrary data-dependent index against the overrun bound.
+def overrun_check(config: ExperimentConfig, m: int) -> OverrunReport:
+    """Stress-test the residual stop of an experiment against the overrun bound at index ``m``.
 
-    ``rule`` maps an observation to an index in ``0..D``. The squared
-    risk of the rule at ``mu`` and the probability of stopping at or
-    beyond ``m`` are both estimated from the same replications.
+    The squared strong risk of the plain stop at the configured signal and
+    the probability of stopping at or beyond ``m`` are both estimated from
+    the experiment's replications. A failed replication raises
+    ``ArithmeticError`` rather than dropping out of the averages.
     """
-    dim = require_same_dim(mu.dim, spectrum.dim)
     m = int(m)
-    if not 1 <= m <= dim:
-        raise ValueError(f"index {m} outside [1, {dim}]")
-    if replications < 2:
+    if not 1 <= m <= config.dim:
+        raise ValueError(f"index {m} outside [1, {config.dim}]")
+    if config.replications < 2:
         raise ValueError("need at least two replications")
-    errors = np.empty(replications)
-    overruns = np.empty(replications, dtype=bool)
-    target = np.asarray(mu.coefficients)
-    for rep in range(replications):
-        obs = simulate_observation(mu, spectrum, noise, replication_seed(seed, rep))
-        index = int(rule(obs))
-        if not 0 <= index <= dim:
-            raise ValueError(f"rule returned index {index} outside [0, {dim}]")
-        diff = estimate_at(obs, spectrum, float(index)).values - target
-        errors[rep] = float(np.dot(diff, diff))
-        overruns[rep] = index >= m
+    exp = resolve_experiment(config)
+    report = run_experiment(replace(config, procedures=("plain_stop",)))
+    if report.failures:
+        raise ArithmeticError(f"replications failed: {list(report.failures)}")
+    errors = np.array([r.err_strong**2 for r in report.records])
     risk_sq = float(np.mean(errors))
-    risk_se = float(np.std(errors, ddof=1) / math.sqrt(replications))
-    p_over = float(np.mean(overruns))
-    p_se = math.sqrt(p_over * (1.0 - p_over) / replications)
-    v_m = strong_variance(spectrum, noise, float(m))
+    risk_se = float(np.std(errors, ddof=1) / math.sqrt(config.replications))
+    p_over = float(np.mean([r.tau >= m for r in report.records]))
+    p_se = math.sqrt(p_over * (1.0 - p_over) / config.replications)
+    v_m = strong_variance(exp.spectrum, exp.noise, float(m))
     premise = v_m >= 200.0 * risk_sq
     return OverrunReport(
         m=m,
@@ -563,7 +541,7 @@ def overrun_check(
         overrun_probability=p_over,
         overrun_se=p_se,
         implication_ok=(p_over <= 0.9 + 3.0 * p_se) if premise else None,
-        replications=replications,
+        replications=config.replications,
     )
 
 

@@ -321,24 +321,21 @@ def test_10_weak_strong_oracle_gap():
 
 def test_11_no_overrun_implication():
     dim, delta = 300, 0.1
-    spec = make_polynomial_spectrum(dim, 0.5)
-    noise = NoiseModel(delta=delta)
-    mu = Signal(np.zeros(dim))
-    default_config = make_stopping_config(dim, delta, kappa=dim * delta**2)
-    deep_config = make_stopping_config(dim, delta, kappa=3 * dim * delta**2)
+    default_kappa, deep_kappa = dim * delta**2, 3 * dim * delta**2
     cases = [
-        (default_config, 270),
-        (default_config, 290),
-        (deep_config, 60),
+        (default_kappa, 270),
+        (default_kappa, 290),
+        (deep_kappa, 60),
     ]
     lines = []
     premise_count = 0
     all_ok = True
-    for config, m in cases:
-        def rule(obs, _config=config):
-            return stop_index(obs.y, obs.y_norm_sq, _config)
-
-        rep = overrun_check(rule, mu, spec, noise, m=m, replications=500, seed=3)
+    for kappa, m in cases:
+        # the residual stop on pure noise over lambda_i = i**-0.5
+        config = ExperimentConfig(
+            dim=dim, delta=delta, spectrum_p=0.5, signal_name="zero", kappa=kappa, replications=500, base_seed=3
+        )
+        rep = overrun_check(config, m)
         if rep.premise_holds:
             premise_count += 1
             limit = 0.9 + 3 * rep.overrun_se

@@ -138,6 +138,32 @@ def test_stop_records_are_pinned(
     assert _outputs(rerun) == _outputs(out)
 
 
+@pytest.mark.parametrize(
+    "command, config, selection, overrides, procedure",
+    [
+        ("stop", "efficiency_smooth", [], [], "plain_stop"),
+        ("two-step", "efficiency_smooth", [], [], "two_step_strong"),
+        ("two-step", None, ["--set", "selection.norm=weak"], RESCUE, "two_step_weak"),
+    ],
+)
+def test_stop_is_replication_zero_of_mc(config_path, tmp_path, command, config, selection, overrides, procedure):
+    """``stop`` and ``two-step`` give the stop, the selection and the estimate of ``mc``'s first record."""
+    path = config_path if config is None else SHIPPED / f"{config}.json"
+    out = tmp_path / "stop"
+    assert run([command, "--config", path, "--out", out, *selection, *overrides]) == 0
+    payload = json.loads(next(out.glob("*.json")).read_text())
+    only = ["--set", f'procedures=["{procedure}"]', "--set", "replications=1"]
+    assert run(["mc", "--config", path, "--out", tmp_path / "mc", *overrides, *only]) == 0
+    [record], _ = read_records_csv(tmp_path / "mc" / "replications.csv")
+
+    outcome = payload["outcome"]
+    assert (outcome["tau"], outcome["rho"], outcome["immediate_stop"]) == (record.tau, record.rho, record.immediate)
+    experiment = {key: value for key, value in payload["config"].items() if key != "selection"}
+    mu = harness.resolve_experiment(harness.config_from_mapping(experiment)).signal.coefficients
+    gap = load_vector(out / "estimate.txt") - mu
+    assert math.sqrt(float(np.dot(gap, gap))) == record.err_strong
+
+
 def test_mc_command_then_plot(config_path, tmp_path):
     out = tmp_path / "mc"
     assert run(["mc", "--config", config_path, "--out", out]) == 0
@@ -419,6 +445,11 @@ def test_numeric_failure_exits_four(tmp_path, capsys):
         ("mc", ["stopping.m0_mode=normal_quantile", "stopping.m0=50"]),
         ("mc", ["stopping.kappa=1.0", "stopping.kappa_drift=3"]),
         ("two-step", ["stopping.kappa=1.0", "stopping.kappa_drift=3"]),
+        # values the config rejects: a procedure listed twice, a negative seed
+        ("mc", ['procedures=["plain_stop","plain_stop"]']),
+        ("oracles", ["base_seed=-1"]),
+        ("mc", ["base_seed=-1"]),
+        ("stop", ["base_seed=-1"]),
     ],
 )
 def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overrides, capsys):

@@ -65,6 +65,15 @@ def test_config_rejects_unknown_procedure():
 
 @pytest.mark.parametrize(
     "overrides, key",
+    [({"procedures": ("plain_stop", "two_step_weak", "plain_stop")}, "procedures"), ({"base_seed": -1}, "base_seed")],
+)
+def test_config_rejects_repeated_procedures_and_negative_seeds(overrides, key):
+    with pytest.raises(ValueError, match=key):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
     [
         ({"dim": 40.5}, "dim"),
         ({"m0_mode": "explicit", "m0": 3.7}, "m0"),

@@ -13,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import svdstop
+from svdstop import harness
+from svdstop.harness import ExperimentConfig
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
     _chi2_logpdf,
@@ -29,7 +31,6 @@ from svdstop.lowerbound import (
     weak_oracle_gap_instance,
 )
 from svdstop.model import NoiseModel, Signal, make_polynomial_spectrum
-from svdstop.stopping import StoppingConfig, stop_index
 
 
 def test_hide_signal_flat_budget():
@@ -255,17 +256,14 @@ def test_laurent_massart_rejects_bad_input():
         laurent_massart_tails(np.ones(3), x=-0.5)
 
 
+def overrun_config(**overrides):
+    """Pure noise over ``lambda_i = i**-0.5`` at ``D = 120``, stopped at ``kappa = D * delta**2``."""
+    base = dict(dim=120, delta=0.1, spectrum_p=0.5, signal_name="zero", kappa=120 * 0.1**2, replications=400)
+    return ExperimentConfig(**{**base, **overrides})
+
+
 def test_overrun_check_report_fields():
-    dim = 120
-    spec = make_polynomial_spectrum(dim, 0.5)
-    noise = NoiseModel(0.1)
-    mu = Signal(np.zeros(dim))
-    config = StoppingConfig(kappa=dim * noise.delta**2)
-
-    def rule(obs):
-        return stop_index(obs.y, obs.y_norm_sq, config)
-
-    rep = overrun_check(rule, mu, spec, noise, m=40, replications=400, seed=2)
+    rep = overrun_check(overrun_config(base_seed=2), m=40)
     assert rep.m == 40
     assert rep.variance_at_m > 0
     assert rep.risk_sq_estimate >= 0
@@ -276,6 +274,39 @@ def test_overrun_check_report_fields():
         assert isinstance(rep.implication_ok, bool)
     else:
         assert rep.implication_ok is None  # nothing to check without the premise
+    # pinned, so a change to the harness's replication loop cannot move the report unnoticed
+    assert (rep.variance_at_m, rep.risk_sq_estimate, rep.risk_sq_se) == (
+        8.200000000000001,
+        0.6731343534743506,
+        0.06858749479540079,
+    )
+    assert (rep.overrun_probability, rep.overrun_se, rep.replications) == (0.0075, 0.00431385848168435, 400)
+
+
+@pytest.mark.parametrize("m, replications", [(0, 400), (121, 400), (40, 1)])
+def test_overrun_check_rejects_bad_index_and_replications_before_running(monkeypatch, m, replications):
+    def unreachable(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(harness, "simulate_observation", unreachable)
+    with pytest.raises(ValueError):
+        overrun_check(overrun_config(replications=replications), m=m)
+
+
+def test_overrun_check_raises_on_a_failed_replication(monkeypatch):
+    calls = []
+    estimate_at = harness.estimate_at
+
+    def flaky(obs, spectrum, t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise FloatingPointError("overflow in the estimate")
+        return estimate_at(obs, spectrum, t)
+
+    monkeypatch.setattr(harness, "estimate_at", flaky)
+    with pytest.raises(ArithmeticError, match="overflow in the estimate"):
+        overrun_check(overrun_config(replications=5), m=40)
+    assert len(calls) == 5  # the other replications still ran
 
 
 def test_weak_oracle_gap_flat_spectrum_ratio():

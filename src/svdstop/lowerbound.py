@@ -18,7 +18,11 @@ The numeric total variation (:func:`tv_numeric`) needs only numpy and
 ones whose degrees share one parity, so the densities come in closed
 form from ``lgamma``, the distribution functions from the upper-tail
 recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}``, and the density crossing from
-an Illinois root finder.
+an Illinois root finder. Each law's per-degree constants (slopes, folded
+weights and normalisers, the recurrence's ladder) are built once per
+call; a density costs six sweeps of its points-by-degrees matrix over a
+``log x`` shared by both laws, and the common ``-x/2`` enters once per
+point, after the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -238,8 +242,31 @@ def tv_bound(theta_norm: float, theta_bar_norm: float, num_terms: int) -> TvBoun
     return TvBoundResult(bound_general=general, bound_simplified=simplified)
 
 
-def _mixture_terms(num_terms: int, noncentrality: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log Poisson weights and central chi-square degrees for a noncentral law.
+class _Mixture(NamedTuple):
+    """A noncentral chi-square law as a Poisson mixture of central ones, with its per-degree constants.
+
+    The mixture degrees ``dfs = K + 2j`` carry log weights ``log_w``, and
+    ``log f(x) + x/2`` is the log-sum-exp over them of
+    ``slope * log x + const``, with ``slope = k/2 - 1`` and ``const =
+    log_w - (k/2) log 2 - lgamma(k/2)``. The distribution function steps
+    the upper-tail recurrence from the closed-form ``Q_1`` or ``Q_2``
+    through every degree ``k`` of the mixture's parity up to the largest:
+    ``step_slope`` and ``step_norm`` hold ``k/2 - 1`` and ``(k/2) log 2 +
+    lgamma(k/2)`` at each step, and ``rows`` places the mixture's degrees
+    on that ladder, whose row 0 is the closed form.
+    """
+
+    log_w: np.ndarray
+    dfs: np.ndarray
+    slope: np.ndarray
+    const: np.ndarray
+    step_slope: np.ndarray
+    step_norm: np.ndarray
+    rows: np.ndarray
+
+
+def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
+    """Log Poisson weights, central chi-square degrees and their constants for a noncentral law.
 
     The weights ``P(J = j)`` of ``J ~ Poisson(noncentrality / 2)`` come
     from ``lgamma``, normalised over a range far enough out that the
@@ -251,62 +278,71 @@ def _mixture_terms(num_terms: int, noncentrality: float) -> tuple[np.ndarray, np
     """
     half = 0.5 * noncentrality
     if half <= 0.0:
-        return np.array([0.0]), np.array([float(num_terms)])
-    js = np.arange(int(half + 20.0 * math.sqrt(half) + 40.0))
-    log_w = js * math.log(half) - half - np.array([math.lgamma(j + 1.0) for j in js])
-    log_w -= math.log(math.fsum(np.exp(log_w)))
-    tails = np.cumsum(np.exp(log_w[::-1]))[::-1]  # tails[j] = P(J >= j)
-    count = int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 2
-    return log_w[: count + 1], num_terms + 2.0 * js[: count + 1]
+        log_w = np.array([0.0])
+    else:
+        js = np.arange(int(half + 20.0 * math.sqrt(half) + 40.0))
+        log_w = js * math.log(half) - half - np.array([math.lgamma(j + 1.0) for j in range(js.size)])
+        log_w -= math.log(math.fsum(np.exp(log_w)))
+        tails = np.cumsum(np.exp(log_w[::-1]))[::-1]  # tails[j] = P(J >= j)
+        log_w = log_w[: int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 3]
+    dfs = num_terms + 2.0 * np.arange(log_w.size)
+    first = 2.0 - dfs[0] % 2.0  # Q_1 and Q_2 are closed forms; the ladder starts above them
+    ladder = 0.5 * np.arange(first, dfs[-1] + 1.0, 2.0)
+    norm = ladder * math.log(2.0) + np.array([math.lgamma(h) for h in ladder.tolist()])
+    rows = ((dfs - first) / 2.0).astype(int)
+    return _Mixture(log_w, dfs, ladder[rows] - 1.0, log_w - norm[rows], ladder[1:] - 1.0, norm[1:], rows)
 
 
-def _chi2_logpdf(x: np.ndarray, dfs: np.ndarray) -> np.ndarray:
-    """``log f_k(x) = (k/2 - 1) log x - x/2 - (k/2) log 2 - lgamma(k/2)``; rows ``x > 0``, columns ``k``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    half = 0.5 * dfs
-    out = np.multiply.outer(np.log(x), half - 1.0)
-    out -= 0.5 * x[:, None]
-    out -= half * math.log(2.0) + np.array([math.lgamma(h) for h in half])
+def _mixture_logpdf(law: _Mixture, log_x: np.ndarray) -> np.ndarray:
+    """``log f(x) + x/2`` at every ``log x``, in runs of points whose matrix of terms holds at most 2**20 entries.
+
+    Six sweeps of each points-by-degrees run: the outer product with the
+    slopes, the constants, the row maximum, its subtraction, ``exp`` and
+    the sum. The common ``-x/2`` is left to the caller.
+    """
+    out = np.empty(log_x.size)
+    rows = max(1, _LOGPDF_ENTRIES // law.dfs.size)
+    for i in range(0, log_x.size, rows):
+        terms = np.multiply.outer(log_x[i : i + rows], law.slope)
+        terms += law.const
+        top = terms.max(axis=1)
+        terms -= top[:, None]
+        out[i : i + rows] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
+        del terms  # one run's matrix at a time
     return out
 
 
-def _mixture_logpdf(x: np.ndarray, log_w: np.ndarray, dfs: np.ndarray) -> np.ndarray:
-    """Log mixture density at every ``x``, in runs of points whose matrix of terms holds at most 2**20 entries."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = max(1, _LOGPDF_ENTRIES // dfs.size)
-    return np.concatenate([_mixture_logpdf_rows(x[i : i + rows], log_w, dfs) for i in range(0, x.size, rows)])
-
-
-def _mixture_logpdf_rows(x: np.ndarray, log_w: np.ndarray, dfs: np.ndarray) -> np.ndarray:
-    terms = _chi2_logpdf(x, dfs)
-    terms += log_w
-    top = terms.max(axis=1)
-    terms -= top[:, None]
-    return top + np.log(np.exp(terms, out=terms).sum(axis=1))
-
-
-def _mixture_cdf(x: float, log_w: np.ndarray, dfs: np.ndarray) -> float:
+def _mixture_cdf(law: _Mixture, x: float) -> float:
     """Mixture distribution function at ``x > 0`` from the central upper tails ``Q_k``.
 
     The degrees ``K + 2j`` share one parity, so every ``Q_k`` follows from
     ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by the positive-term
     recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}(x)``.
     """
-    first = 2.0 - dfs[0] % 2.0
-    q0 = math.erfc(math.sqrt(0.5 * x)) if first == 1.0 else math.exp(-0.5 * x)
-    steps = np.arange(first + 2.0, dfs[-1] + 1.0, 2.0)
-    tails = q0 + np.concatenate(([0.0], np.cumsum(2.0 * np.exp(_chi2_logpdf(x, steps)[0]))))
-    q = tails[((dfs - first) / 2.0).astype(int)]
-    return float(np.exp(log_w) @ (1.0 - q))
+    q0 = math.erfc(math.sqrt(0.5 * x)) if law.dfs[0] % 2.0 else math.exp(-0.5 * x)
+    log_f = np.log(x) * law.step_slope
+    log_f -= 0.5 * x
+    log_f -= law.step_norm
+    tails = q0 + np.concatenate(([0.0], np.cumsum(2.0 * np.exp(log_f))))
+    return float(np.exp(law.log_w) @ (1.0 - tails[law.rows]))
 
 
 def _find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` in ``[lo, hi]`` by the Illinois variant of regula falsi; ``f(lo)`` and ``f(hi)`` differ in sign.
+    """Root of ``f`` in ``[lo, hi]`` by the Illinois variant of regula falsi.
 
-    Stops once the bracket is narrower than ``1e-12 + 8.9e-16 * |x|``,
-    and raises :class:`AccuracyError` if that takes more than 200 steps.
+    Returns an end point where ``f`` is zero, and raises
+    :class:`AccuracyError` unless ``f(lo)`` and ``f(hi)`` differ in sign
+    (a NaN differs from nothing). Stops once the bracket is narrower than
+    ``1e-12 + 8.9e-16 * |x|``, and raises :class:`AccuracyError` if that
+    takes more than 200 steps.
     """
     f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        raise AccuracyError(f"no sign change in [{lo:.17g}, {hi:.17g}]: f = {f_lo!r}, {f_hi!r}", estimate=math.nan)
     side = 0
     for _ in range(200):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -335,18 +371,23 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
 
     The densities are evaluated as Poisson mixtures of central
     chi-square densities with the weight tail truncated below 1e-13,
-    all in closed form: ``log f_k`` from ``lgamma``, and the upper tails
-    from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by the
-    recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}``, since the mixture degrees
-    share one parity. The distance is computed twice: once through the
-    single sign change of the density difference (the likelihood ratio
-    is monotone, so the distance is a difference of distribution
-    functions at the crossing, found by an Illinois root finder) and
-    once by composite Gauss-Legendre quadrature of the absolute density
-    difference, with a square-root substitution taming the origin
-    singularity for one degree of freedom. Raises :class:`AccuracyError`
+    all in closed form: ``log f_k`` from ``lgamma``, with each law's
+    per-degree constants built once and ``log x`` taken once per point
+    for both laws, and the upper tails from ``Q_1 = erfc(sqrt(x/2))``
+    or ``Q_2 = exp(-x/2)`` by the recurrence ``Q_{k+2} = Q_k + 2
+    f_{k+2}``, since the mixture degrees share one parity. The distance
+    is computed twice: once through the single sign change of the
+    density difference (the likelihood ratio is monotone, so the
+    distance is a difference of distribution functions at the crossing,
+    found by an Illinois root finder) and once by composite
+    Gauss-Legendre quadrature of the absolute density difference, with
+    a square-root substitution taming the origin singularity for one
+    degree of freedom. Raises :class:`AccuracyError`
     when the two routes disagree by more than 1e-6 or the root finder
-    does not converge; otherwise the crossing-based value is returned.
+    does not converge or finds no sign change; otherwise the
+    crossing-based value is returned. The crossing is sought in the log
+    density ratio, where the common ``-x/2`` cancels; the quadrature
+    applies it to each density once per node.
     """
     a, b = _check_tv_args(theta_norm, theta_bar_norm, num_terms)
     # order so that f is the law with the larger noncentrality
@@ -355,11 +396,11 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
         # the densities agree beyond quadrature resolution; the exact
         # distance is bounded by the general closed form, itself tiny here
         return 0.0
-    log_w_f, dfs_f = _mixture_terms(num_terms, nu_f)
-    log_w_g, dfs_g = _mixture_terms(num_terms, nu_g)
+    f, g = _mixture_terms(num_terms, nu_f), _mixture_terms(num_terms, nu_g)
 
     def log_ratio(x: float) -> float:
-        return float(_mixture_logpdf(x, log_w_f, dfs_f)[0] - _mixture_logpdf(x, log_w_g, dfs_g)[0])
+        log_x = np.log([x])
+        return float(_mixture_logpdf(f, log_x)[0] - _mixture_logpdf(g, log_x)[0])  # -x/2 cancels
 
     # the ratio is increasing in x, negative near 0 and positive far out
     lo = 1e-8
@@ -371,15 +412,14 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
         if hi > 1e12:
             raise AccuracyError("no density crossing found", estimate=math.nan)
     crossing = _find_root(log_ratio, lo, hi)
-    from_cdf = _mixture_cdf(crossing, log_w_g, dfs_g) - _mixture_cdf(crossing, log_w_f, dfs_f)
+    from_cdf = _mixture_cdf(g, crossing) - _mixture_cdf(f, crossing)
 
     def abs_diff(x: np.ndarray) -> np.ndarray:
-        return np.abs(
-            np.exp(_mixture_logpdf(x, log_w_f, dfs_f)) - np.exp(_mixture_logpdf(x, log_w_g, dfs_g))
-        )
+        log_x, half_x = np.log(x), 0.5 * x
+        return np.abs(np.exp(_mixture_logpdf(f, log_x) - half_x) - np.exp(_mixture_logpdf(g, log_x) - half_x))
 
     upper = num_terms + nu_f + 40.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 60.0
-    while 2.0 - _mixture_cdf(upper, log_w_f, dfs_f) - _mixture_cdf(upper, log_w_g, dfs_g) > 1e-10:
+    while 2.0 - _mixture_cdf(f, upper) - _mixture_cdf(g, upper) > 1e-10:
         upper *= 1.5
     from_quadrature = 0.5 * _integrate_abs_diff(abs_diff, crossing, upper)
 

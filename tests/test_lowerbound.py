@@ -17,7 +17,8 @@ from svdstop import harness
 from svdstop.harness import ExperimentConfig
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
-    _chi2_logpdf,
+    AccuracyError,
+    _find_root,
     _mixture_cdf,
     _mixture_logpdf,
     _mixture_terms,
@@ -174,15 +175,16 @@ def test_package_imports_without_scipy():
 
 def test_chi2_distribution_function_closed_forms():
     xs = np.concatenate((np.geomspace(1e-8, 2000.0, 60), [1.0, 2.0, 4.0, 30.0]))
-    one = np.array([0.0])
     closed = {
-        1.0: lambda x: math.erf(math.sqrt(0.5 * x)),
-        2.0: lambda x: -math.expm1(-0.5 * x),
-        4.0: lambda x: 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x),
+        1: lambda x: math.erf(math.sqrt(0.5 * x)),
+        2: lambda x: -math.expm1(-0.5 * x),
+        4: lambda x: 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x),
     }
     for k, cdf in closed.items():
+        central = _mixture_terms(k, 0.0)  # one weight, one degree
+        assert np.array_equal(central.log_w, [0.0]) and np.array_equal(central.dfs, [k])
         for x in xs:
-            assert _mixture_cdf(x, one, np.array([k])) == pytest.approx(cdf(x), abs=1e-14), (k, x)
+            assert _mixture_cdf(central, x) == pytest.approx(cdf(x), abs=1e-14), (k, x)
 
 
 @pytest.mark.parametrize("num_terms", [1, 2, 5, 400])
@@ -190,17 +192,27 @@ def test_chi2_distribution_function_closed_forms():
 def test_mixture_weights_sum_to_one(num_terms, noncentrality):
     # 64 is the largest noncentrality of the criterion-7 grid; from 400 on, the rounding of
     # j log(nc/2) - lgamma(j + 1) alone moved the unnormalised sum by more than 1e-13
-    log_w, dfs = _mixture_terms(num_terms, noncentrality)
-    assert abs(np.exp(log_w).sum() - 1.0) <= 1e-13
-    assert np.array_equal(dfs, num_terms + 2.0 * np.arange(log_w.size))
+    law = _mixture_terms(num_terms, noncentrality)
+    assert abs(np.exp(law.log_w).sum() - 1.0) <= 1e-13
+    assert np.array_equal(law.dfs, num_terms + 2.0 * np.arange(law.log_w.size))
+    half = 0.5 * law.dfs
+    assert np.array_equal(law.slope, half - 1.0)
+    norm = half * math.log(2.0) + np.array([math.lgamma(h) for h in half.tolist()])
+    assert np.array_equal(law.const, law.log_w - norm)
+    # the distribution function's ladder runs over every degree of the parity above Q_1 or Q_2
+    first = 2 - num_terms % 2
+    ladder = np.arange(first + 2, law.dfs[-1] + 1, 2)
+    assert np.array_equal(law.step_slope, 0.5 * ladder - 1.0)
+    assert np.array_equal(np.concatenate(([first], ladder))[law.rows], law.dfs)
 
 
 def test_tv_numeric_at_a_large_norm_in_bounded_memory():
     # about 5,500 mixture degrees: one points-by-degrees matrix over all 4,824 quadrature nodes
     # would take 213 MB, so the log densities are evaluated in runs of points
-    log_w, dfs = _mixture_terms(5, 10_000.0)
-    xs = np.linspace(9_000.0, 11_000.0, 400)
-    assert np.array_equal(_mixture_logpdf(xs, log_w, dfs), [_mixture_logpdf(x, log_w, dfs)[0] for x in xs])
+    law = _mixture_terms(5, 10_000.0)
+    log_xs = np.log(np.linspace(9_000.0, 11_000.0, 400))
+    singles = [_mixture_logpdf(law, log_xs[i : i + 1])[0] for i in range(log_xs.size)]
+    assert np.array_equal(_mixture_logpdf(law, log_xs), singles)
     tracemalloc.start()
     try:
         value = tv_numeric(100.0, 99.5, 5)
@@ -215,12 +227,14 @@ def test_chi2_pieces_match_scipy():
     stats = pytest.importorskip("scipy.stats")
     special = pytest.importorskip("scipy.special")
     xs = np.geomspace(1e-8, 2000.0, 200)
+    log_xs = np.log(xs)
     for num_terms in (1, 2, 5, 50, 200, 400):
         central = stats.chi2.logpdf(xs, num_terms)
-        gap = np.abs(_chi2_logpdf(xs, np.array([float(num_terms)]))[:, 0] - central)
+        gap = np.abs(_mixture_logpdf(_mixture_terms(num_terms, 0.0), log_xs) - 0.5 * xs - central)
         assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(central)))
         for noncentrality in (0.0, 0.25, 4.0, 27.5625, 64.0):
-            log_w, dfs = _mixture_terms(num_terms, noncentrality)
+            law = _mixture_terms(num_terms, noncentrality)
+            log_w, dfs = law.log_w, law.dfs
             if noncentrality > 0:
                 half = 0.5 * noncentrality
                 # the kept weights stop two past the first index whose tail is at most 1e-13
@@ -228,11 +242,19 @@ def test_chi2_pieces_match_scipy():
                 assert tails[-3] <= 1e-13 < tails[-4]
                 assert np.allclose(log_w, stats.poisson.logpmf(np.arange(log_w.size), half), rtol=1e-13, atol=1e-13)
             mixed = special.logsumexp(log_w + stats.chi2.logpdf(xs[:, None], dfs), axis=1)
-            gap = np.abs(_mixture_logpdf(xs, log_w, dfs) - mixed)
+            gap = np.abs(_mixture_logpdf(law, log_xs) - 0.5 * xs - mixed)
             assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(mixed))), (num_terms, noncentrality)
             cdf = np.exp(log_w) @ stats.chi2.cdf(xs[:, None], dfs).T
-            mine = np.array([_mixture_cdf(x, log_w, dfs) for x in xs])
+            mine = np.array([_mixture_cdf(law, x) for x in xs])
             assert np.max(np.abs(mine - cdf)) <= 1e-13, (num_terms, noncentrality)
+
+
+def test_find_root_needs_a_sign_change():
+    assert _find_root(lambda x: x - 0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
+    assert _find_root(lambda x: x, 0.0, 1.0) == 0.0  # a zero at an end point is the root
+    for f in (lambda x: x + 1.0, lambda x: -1.0 - x, lambda x: math.nan, lambda x: math.nan if x else -1.0):
+        with pytest.raises(AccuracyError, match="no sign change"):
+            _find_root(f, 0.0, 1.0)
 
 
 def test_laurent_massart_report_fields():

@@ -1,10 +1,13 @@
-"""``svdstop mc`` still writes the recorded ``replications.csv`` bytes.
+"""``svdstop mc`` still writes the recorded ``replications.csv`` bytes, and ``tv_numeric`` the recorded values.
 
 The benchmark's reference records the sha256 of the CSV that each Monte
 Carlo workload writes at every pool seed. This runs the smoke-size
 workloads through the CLI at two seeds and compares, so a change that
-moves a single output byte fails here, not only in the benchmark. It only
-reads the benchmark's files, as ``test_trace_contract.py`` does.
+moves a single output byte fails here, not only in the benchmark. The
+reference also records ``tv_numeric`` on the whole acceptance-criterion-7
+grid; here every point must stay within 1e-10 of it, far inside the
+benchmark's own 1e-6. It only reads the benchmark's files, as
+``test_trace_contract.py`` does.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from svdstop import cli
+from svdstop import cli, lowerbound
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +46,11 @@ def test_mc_csv_bytes_match_the_benchmark_reference(tmp_path, name, seed):
         assert cli.main(argv) == 0
     digest = hashlib.sha256((tmp_path / "replications.csv").read_bytes()).hexdigest()
     assert digest == WORKLOADS.load_reference()["smoke"][name]["csv_sha256"][seed]
+
+
+def test_tv_numeric_matches_the_recorded_grid():
+    grid = WORKLOADS.TvGrid(seed=0, smoke=False).grid  # criterion 7's 84 points, in the recorded order
+    recorded = WORKLOADS.load_reference()["full"]["tv-grid"]["values"]
+    assert len(grid) == len(recorded) == 84
+    values = [lowerbound.tv_numeric(a, b, k) for a, b, k in grid]
+    assert values == pytest.approx(recorded, rel=0.0, abs=1e-10)

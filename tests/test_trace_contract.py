@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from svdstop import harness, lazysvd
+from svdstop import harness, lazysvd, lowerbound
 from svdstop.model import NoiseModel
 from svdstop.stopping import StoppingConfig
 
@@ -59,3 +59,18 @@ def test_benchmark_trace_records_every_layer():
     assert calls["lazysvd.triplet"] == result.outcome.tau == len(result.state.triplets)
     assert tracer.counts["stopping.coeffs_read"] == 3 * 5
     assert tracer.counts["lazysvd.matvecs"] == result.matvec_count
+
+
+def test_benchmark_trace_records_the_lowerbound_layer():
+    tracer_cls = _load("tracing").Tracer
+    install = _load("worker")._install
+    with tracer_cls() as tracer:
+        install(tracer)
+        lowerbound.tv_numeric(2.0, 0.5, 5)
+        lowerbound.tv_numeric(2.0, 2.0, 5)  # equal norms take the shortcut: no latency sample
+        lowerbound.tv_bound(2.0, 0.5, 5)
+    calls = tracer.calls()
+
+    assert calls["lowerbound.tv_numeric"] == 2
+    assert calls["lowerbound.tv_bound"] == 1
+    assert len(tracer.samples["lowerbound.tv_ms"]) == 1

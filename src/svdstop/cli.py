@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
-from .harness import _EXPERIMENT_KEYS, _check_int, _check_keys, _resolve_path
-from .model import load_vector, save_vector, write_new_file
+from .harness import _EXPERIMENT_KEYS, _check_keys, _resolve_path
+from .model import _check_int, load_vector, save_vector, write_new_file
 from .oracles import theory_bounds
 from .stopping import StopOutcome, StoppingConfig, _check_selection
 from .svgplot import efficiency_plot
@@ -128,7 +128,9 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
     estimate = estimate_at(obs, exp.spectrum, float(chosen))
     name = "two_step.json" if extra else "stop.json"
     outcome = StopOutcome(tau=tau, rho=rho, m0=exp.stopping.m0)
-    _write_record(out, name, {**config.to_mapping(), **extra}, outcome, estimate, exp.stopping)
+    # the echo is the `mc` config whose only record is this run
+    echo = {**config.to_mapping(), "procedures": [procedure], "replications": 1, **extra}
+    _write_record(out, name, echo, outcome, estimate, exp.stopping)
 
 
 def _cmd_mc(mapping: dict, out: Path, base: Path, args) -> None:

@@ -9,9 +9,12 @@ residual and bias terms for the partial coordinate is
 estimator, its square enters nothing.
 
 Bias-type quantities are suffix sums, variance-type quantities prefix
-sums. :class:`FunctionalProfile` accumulates both once per problem
-instance in extended precision, at every integer level; together with
-the per-coordinate terms they give the level's functionals on each unit
+sums, both accumulated in extended precision. The per-level functions
+below are the one evaluator of a bias or variance at a real level: each
+sums its tail or head in the order :class:`FunctionalProfile` sums its
+arrays, so it agrees bit for bit with the same level formed from the
+profile. The profile holds only the integer-level arrays and the
+per-coordinate terms, which together give the functionals on each unit
 interval, from which the oracle levels are solved in closed form.
 """
 
@@ -97,37 +100,36 @@ def estimate_at(obs: Observation, spectrum: Spectrum, t: float) -> EstimateVecto
     return EstimateVector(values=values, t=float(t))
 
 
+def _bias_sq(squares: np.ndarray, t: float) -> float:
+    """``(1 - sqrt(frac))**2 * squares[k] + sum(squares[k+1:])``, the tail summed as :func:`_suffix_sums` does."""
+    k, frac = split_level(t, squares.size)
+    if k >= squares.size:
+        return 0.0
+    w = 1.0 - math.sqrt(frac)
+    return w * w * float(squares[k]) + float(_suffix_sums(squares[k + 1 :])[0])
+
+
+def _variance(squares: np.ndarray, t: float) -> float:
+    """``sum(squares[:k]) + frac * squares[k]``, the head summed as :func:`_prefix_sums` does."""
+    k, frac = split_level(t, squares.size)
+    head = float(_prefix_sums(squares[:k])[-1])
+    return head + frac * float(squares[k]) if k < squares.size else head
+
+
 def strong_bias_sq(signal: Signal, t: float) -> float:
     """Squared bias of the truncated estimator in the coefficient norm."""
-    k, frac = split_level(t, signal.dim)
-    if k >= signal.dim:
-        return 0.0
-    mu = signal.coefficients
-    tail = mu[k + 1 :]
-    w = 1.0 - math.sqrt(frac)
-    return float(w * w * mu[k] ** 2 + np.dot(tail, tail))
+    return _bias_sq(signal.coefficients**2, t)
 
 
 def weak_bias_sq(signal: Signal, spectrum: Spectrum, t: float) -> float:
     """Squared bias in the image-space norm, i.e. of ``lam * mu``."""
-    dim = require_same_dim(signal.dim, spectrum.dim)
-    k, frac = split_level(t, dim)
-    if k >= dim:
-        return 0.0
-    w = spectrum.values * signal.coefficients
-    tail = w[k + 1 :]
-    c = 1.0 - math.sqrt(frac)
-    return float(c * c * w[k] ** 2 + np.dot(tail, tail))
+    require_same_dim(signal.dim, spectrum.dim)
+    return _bias_sq((spectrum.values * signal.coefficients) ** 2, t)
 
 
 def strong_variance(spectrum: Spectrum, noise: NoiseModel, t: float) -> float:
     """Accumulated noise variance ``delta**2 * (sum_{i<=k} lam_i**-2 + frac * lam_{k+1}**-2)``."""
-    k, frac = split_level(t, spectrum.dim)
-    inv2 = spectrum.values**-2.0
-    total = float(np.sum(inv2[:k]))
-    if k < spectrum.dim:
-        total += frac * float(inv2[k])
-    return noise.delta**2 * total
+    return noise.delta**2 * _variance(spectrum.values**-2.0, t)
 
 
 def weak_variance(noise: NoiseModel, t: float) -> float:
@@ -145,13 +147,8 @@ def stochastic_error(obs: Observation, spectrum: Spectrum, t: float) -> float:
     """
     if obs.noise is None:
         raise MissingNoiseError("observation carries no realised noise vector")
-    dim = require_same_dim(obs.dim, spectrum.dim)
-    k, frac = split_level(t, dim)
-    scaled = obs.noise / spectrum.values
-    total = float(np.dot(scaled[:k], scaled[:k]))
-    if k < dim:
-        total += frac * float(scaled[k] ** 2)
-    return obs.delta**2 * total
+    require_same_dim(obs.dim, spectrum.dim)
+    return obs.delta**2 * _variance((obs.noise / spectrum.values) ** 2, t)
 
 
 class FunctionalProfile:
@@ -175,19 +172,3 @@ class FunctionalProfile:
         self.int_weak_bias_sq = _suffix_sums(self.wmu2)
         self.int_strong_variance = self.delta**2 * _prefix_sums(self.inv2)
         self.int_weak_variance = self.delta**2 * np.arange(self.dim + 1, dtype=float)
-
-    def weak_bias_sq(self, t: float) -> float:
-        """Squared image-space bias at level ``t`` in O(1)."""
-        k, frac = split_level(t, self.dim)
-        if k >= self.dim:
-            return 0.0
-        w = 1.0 - math.sqrt(frac)
-        return w * w * float(self.wmu2[k]) + float(self.int_weak_bias_sq[k + 1])
-
-    def strong_risk_at_integers(self) -> np.ndarray:
-        """``B_m**2 + V_m`` for ``m = 0..D``."""
-        return self.int_strong_bias_sq + self.int_strong_variance
-
-    def weak_risk_at_integers(self) -> np.ndarray:
-        """Image-space analogue ``B_{m,lam}**2 + m * delta**2`` for ``m = 0..D``."""
-        return self.int_weak_bias_sq + self.int_weak_variance

@@ -31,6 +31,7 @@ from .model import (
     Observation,
     Signal,
     Spectrum,
+    _check_int,
     load_vector,
     make_polynomial_spectrum,
     replication_seed,
@@ -68,13 +69,6 @@ _SECTION_KEYS = {
     "signal": {"name", "target", "file"},
     "stopping": {"kappa", "kappa_drift", "m0_mode", "m0", "level"},
 }
-
-
-def _check_int(value, where: str) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is an integral number (``1e4`` is)."""
-    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

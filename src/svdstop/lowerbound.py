@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .estimator import strong_bias_sq, strong_variance, weak_bias_sq
 from .harness import ExperimentConfig, resolve_experiment, run_experiment
-from .model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum, require_same_dim
+from .model import NoiseModel, Signal, Spectrum, _check_int, make_polynomial_spectrum, require_same_dim
 from .oracles import oracle_set
 
 __all__ = [
@@ -112,7 +112,7 @@ class TvBoundResult:
 
 
 def _check_i0(i0: int, dim: int) -> int:
-    i0 = int(i0)
+    i0 = _check_int(i0, "i0")
     if not 1 <= i0 <= dim - 1:
         raise ValueError(f"perturbation index {i0} outside [1, {dim - 1}]")
     return i0
@@ -130,8 +130,7 @@ def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
 def _check_tv_args(theta_norm: float, theta_bar_norm: float, num_terms: int) -> tuple[float, float]:
     """The two norms as floats; ``ValueError`` unless both are finite and nonnegative and
     ``num_terms`` is a whole number ``>= 1`` (``5.0`` is, ``True`` is not)."""
-    whole = isinstance(num_terms, (int, np.integer)) or (isinstance(num_terms, float) and num_terms.is_integer())
-    if isinstance(num_terms, bool) or not whole or num_terms < 1:
+    if _check_int(num_terms, "the number of summands") < 1:
         raise ValueError(f"the number of summands must be a whole number >= 1, got {num_terms!r}")
     a, b = float(theta_norm), float(theta_bar_norm)
     if not (0 <= a < math.inf and 0 <= b < math.inf):
@@ -556,7 +555,7 @@ def overrun_check(config: ExperimentConfig, m: int) -> OverrunReport:
     the experiment's replications. A failed replication raises
     ``ArithmeticError`` rather than dropping out of the averages.
     """
-    m = int(m)
+    m = _check_int(m, "m")
     if not 1 <= m <= config.dim:
         raise ValueError(f"index {m} outside [1, {config.dim}]")
     if config.replications < 2:
@@ -639,8 +638,9 @@ def weak_oracle_gap_instance(p: float, dim: int) -> GapReport:
     signal = Signal(values)
     noise = NoiseModel(delta=delta)
     oracles = oracle_set(signal, spectrum, noise, kappa=dim * delta**2, m0=0)
-    ratio = strong_bias_sq(signal, oracles.proxy_time) / strong_bias_sq(signal, oracles.strong_time)
-    if strong_bias_sq(signal, oracles.proxy_time) < 4.0 * strong_bias_sq(signal, oracles.strong_time) - 1e-9:
+    at_proxy, at_strong = strong_bias_sq(signal, oracles.proxy_time), strong_bias_sq(signal, oracles.strong_time)
+    ratio = at_proxy / at_strong
+    if at_proxy < 4.0 * at_strong - 1e-9:
         raise RuntimeError(f"constructed instance misses the factor four: ratio {ratio}")
     return GapReport(
         feasible=True,

@@ -68,6 +68,15 @@ def _frozen_vector(values) -> np.ndarray:
     return arr
 
 
+def _check_int(value, where: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integral number (``1e4`` and ``np.int64(4)`` are,
+    ``True`` and ``3.7`` are not)."""
+    whole = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_same_dim(*lengths: int) -> int:
     """Return the common length, raising :class:`DimensionMismatchError` otherwise."""
     first = int(lengths[0])
@@ -165,7 +174,7 @@ class Observation:
 
 def make_polynomial_spectrum(dim: int, p: float) -> Spectrum:
     """Spectrum ``lam_i = i**-p``."""
-    if dim < 1:
+    if _check_int(dim, "dim") < 1:
         raise InvalidDimensionError("dimension must be at least 1")
     if p < 0:
         raise ValueError("decay exponent must be non-negative")

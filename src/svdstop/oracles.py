@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .estimator import FunctionalProfile
-from .model import NoiseModel, Signal, Spectrum
+from .estimator import FunctionalProfile, weak_bias_sq
+from .model import NoiseModel, Signal, Spectrum, _check_int
 
 __all__ = ["OracleSet", "TheoryBounds", "oracle_set", "theory_bounds"]
 
@@ -82,7 +82,7 @@ class TheoryBounds:
 
 def _check_start(kappa: float, m0: int, dim: int) -> int:
     """``m0`` as an ``int``; ``ValueError`` unless it lies in ``[0, dim]`` and ``kappa >= 0``."""
-    m0 = int(m0)
+    m0 = _check_int(m0, "m0")
     if not 0 <= m0 <= dim:
         raise ValueError(f"starting index {m0} outside [0, {dim}]")
     if kappa < 0:
@@ -139,9 +139,9 @@ def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: flo
     """All oracle quantities of one instance in a single pass."""
     prof = FunctionalProfile(signal, spectrum, noise)
     m0 = _check_start(kappa, m0, prof.dim)
-    risks = prof.strong_risk_at_integers()
+    risks = prof.int_strong_bias_sq + prof.int_strong_variance
     cls_idx = int(np.argmin(risks))
-    weak_risks = prof.weak_risk_at_integers()
+    weak_risks = prof.int_weak_bias_sq + prof.int_weak_variance
     weak_idx = int(np.argmin(weak_risks))
     balanced = np.nonzero(prof.int_strong_variance >= prof.int_strong_bias_sq)[0]
     return OracleSet(
@@ -182,7 +182,7 @@ def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: 
     tail_amp = float(np.max(np.abs(wmu[k_star:]))) if k_star < dim else 0.0
     discretization = tail_amp + 4.0 * delta * (math.sqrt(math.log(math.sqrt(2.0) * dim)) + 1.0)
 
-    weak_dev = (17.0 * math.sqrt(dim) + 64.0) * d2 + prof.weak_bias_sq(t_star) / math.sqrt(dim)
+    weak_dev = (17.0 * math.sqrt(dim) + 64.0) * d2 + weak_bias_sq(signal, spectrum, t_star) / math.sqrt(dim)
 
     excess = max(kappa / d2 - dim, 0.0)
     lam_after_strong = float(lam[min(int(math.floor(t_strong)), dim - 1)])

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .estimator import FunctionalProfile
-from .model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum
+from .estimator import weak_bias_sq
+from .model import Signal, Spectrum, _check_int, make_polynomial_spectrum
 
 __all__ = ["NAMED_PROFILES", "REFERENCE_DIM", "calibrated_signal", "family_shape"]
 
@@ -37,7 +37,7 @@ NAMED_PROFILES: dict[str, tuple[str, float, float]] = {
 
 def family_shape(kind: str, rate: float, dim: int) -> np.ndarray:
     """Unit-amplitude shape vector of one of the two decay families."""
-    if dim < 1:
+    if _check_int(dim, "dim") < 1:
         raise ValueError("dimension must be at least 1")
     if rate < 0:
         raise ValueError("decay rate must be non-negative")
@@ -55,8 +55,7 @@ def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, tar
         raise ValueError("calibration requires a positive noise level")
     if not 0.0 < target < spectrum.dim:
         raise ValueError(f"target level {target} outside (0, {spectrum.dim})")
-    prof = FunctionalProfile(Signal(shape), spectrum, NoiseModel(delta))
-    unit_weak_bias = prof.weak_bias_sq(float(target))
+    unit_weak_bias = weak_bias_sq(Signal(shape), spectrum, target)
     if unit_weak_bias <= 0.0:
         raise ValueError("shape has no energy beyond the target level; cannot calibrate")
     return math.sqrt(target * delta**2 / unit_weak_bias)

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .estimator import _prefix_sums
-from .model import require_same_dim
+from .model import _check_int, require_same_dim
 
 __all__ = [
     "StopOutcome",
@@ -64,7 +64,7 @@ class StoppingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "m0", int(self.m0))
+        object.__setattr__(self, "m0", _check_int(self.m0, "m0"))
         if not math.isfinite(self.kappa) or self.kappa < 0:
             raise ValueError("stopping threshold must be finite and non-negative")
         if self.m0 < 0:
@@ -137,7 +137,7 @@ def make_stopping_config(
     elif m0_mode == "explicit":
         if m0 is None:
             raise ValueError("explicit m0 mode requires an m0 value")
-        start = int(m0)
+        start = m0
     else:
         raise ValueError(f"unknown m0 mode {m0_mode!r}; expected one of {M0_MODES}")
     if m0 is not None and m0_mode != "explicit":
@@ -253,7 +253,7 @@ def aic_select(
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
     dim = require_same_dim(y.size, lam.size)
-    m0 = int(m0)
+    m0 = _check_int(m0, "m0")
     if not 0 <= m0 <= dim:
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
     _check_selection(norm, penalty_multiplier)

@@ -147,21 +147,34 @@ def test_stop_records_are_pinned(
     ],
 )
 def test_stop_is_replication_zero_of_mc(config_path, tmp_path, command, config, selection, overrides, procedure):
-    """``stop`` and ``two-step`` give the stop, the selection and the estimate of ``mc``'s first record."""
+    """``stop`` and ``two-step`` echo the ``mc`` config whose one record is their run: ``mc`` on the echo,
+    less ``selection``, gives the same stop, selection and estimate."""
     path = config_path if config is None else SHIPPED / f"{config}.json"
     out = tmp_path / "stop"
     assert run([command, "--config", path, "--out", out, *selection, *overrides]) == 0
     payload = json.loads(next(out.glob("*.json")).read_text())
-    only = ["--set", f'procedures=["{procedure}"]', "--set", "replications=1"]
-    assert run(["mc", "--config", path, "--out", tmp_path / "mc", *overrides, *only]) == 0
+    experiment = {key: value for key, value in payload["config"].items() if key != "selection"}
+    assert (experiment["procedures"], experiment["replications"]) == ([procedure], 1)
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(experiment))
+    assert run(["mc", "--config", echoed, "--out", tmp_path / "mc"]) == 0
     [record], _ = read_records_csv(tmp_path / "mc" / "replications.csv")
 
     outcome = payload["outcome"]
     assert (outcome["tau"], outcome["rho"], outcome["immediate_stop"]) == (record.tau, record.rho, record.immediate)
-    experiment = {key: value for key, value in payload["config"].items() if key != "selection"}
     mu = harness.resolve_experiment(harness.config_from_mapping(experiment)).signal.coefficients
     gap = load_vector(out / "estimate.txt") - mu
     assert math.sqrt(float(np.dot(gap, gap))) == record.err_strong
+
+
+def test_stop_echoes_the_procedure_it_ran(tmp_path):
+    """``stop`` reads neither ``procedures`` nor ``replications``; it runs the plain stop once and says so."""
+    out = tmp_path / "out"
+    unread = ["--set", 'procedures=["fixed_oracle"]', "--set", "replications=7"]
+    assert run(["stop", "--config", SHIPPED / "efficiency_smooth.json", "--out", out, *unread]) == 0
+    payload = json.loads((out / "stop.json").read_text())
+    assert payload["outcome"]["tau"] == 329
+    assert (payload["config"]["procedures"], payload["config"]["replications"]) == (["plain_stop"], 1)
 
 
 def test_mc_command_then_plot(config_path, tmp_path):

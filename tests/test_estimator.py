@@ -1,8 +1,8 @@
 """Error functionals checked against direct re-implementations.
 
 Every closed-form value below was worked out by hand before the library
-code existed; the hypothesis tests then compare the O(1) profile
-evaluators against naive sums on random instances.
+code existed; the hypothesis tests then compare the per-level functions
+with the profile's integer-level arrays on random instances.
 """
 
 import math
@@ -133,7 +133,12 @@ def test_profile_matches_direct_eval(data):
     sig = Signal(np.asarray(mu_raw))
     noise = NoiseModel(delta=0.7)
     prof = FunctionalProfile(sig, spec, noise)
-    assert prof.weak_bias_sq(t) == pytest.approx(weak_bias_sq(sig, spec, t), abs=1e-12)
+    k, frac = split_level(t, d)
+    w = 1.0 - math.sqrt(frac)
+    # the per-level functions sum in the arrays' order, so they agree to the last bit
+    assert weak_bias_sq(sig, spec, t) == (w * w * prof.wmu2[k] + prof.int_weak_bias_sq[k + 1] if k < d else 0.0)
+    assert strong_bias_sq(sig, t) == (w * w * prof.mu2[k] + prof.int_strong_bias_sq[k + 1] if k < d else 0.0)
+    assert strong_variance(spec, noise, float(k)) == prof.int_strong_variance[k]
 
 
 @given(instances())
@@ -149,8 +154,8 @@ def test_profile_integer_arrays(data):
         assert prof.int_strong_variance[m] == pytest.approx(
             strong_variance(spec, noise, float(m)), rel=1e-12
         )
-    risks = prof.strong_risk_at_integers()
-    assert risks[m] == pytest.approx(prof.int_strong_bias_sq[m] + prof.int_strong_variance[m])
+    risks = prof.int_strong_bias_sq + prof.int_strong_variance
+    assert risks[m] == pytest.approx(strong_bias_sq(sig, float(m)) + strong_variance(spec, noise, float(m)))
 
 
 @given(instances())

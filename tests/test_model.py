@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svdstop import model
+from svdstop.harness import ExperimentConfig
+from svdstop.lowerbound import hide_signal, overrun_check, residual_adversary, tv_bound, tv_numeric
 from svdstop.model import (
     DimensionMismatchError,
     NoiseModel,
@@ -18,6 +20,9 @@ from svdstop.model import (
     save_vector,
     simulate_observation,
 )
+from svdstop.oracles import oracle_set, theory_bounds
+from svdstop.signals import family_shape
+from svdstop.stopping import StoppingConfig, aic_select, make_stopping_config
 
 
 def test_polynomial_spectrum_values():
@@ -157,3 +162,35 @@ def test_containers_keep_a_frozen_vector_that_owns_its_data():
     as_float32 = np.array([3.0, 2.0, 1.0], dtype=np.float32)
     as_float32.setflags(write=False)
     assert not any(vector is as_float32 for vector in _containers(as_float32))
+
+
+_SIG, _SPEC, _NOISE = Signal(np.linspace(1.0, 0.1, 10)), make_polynomial_spectrum(10, 0.5), NoiseModel(0.1)
+
+# every entry point that takes an index or a count, called with it
+INTEGER_SITES = {
+    "StoppingConfig": lambda v: StoppingConfig(kappa=1.0, m0=v),
+    "make_stopping_config": lambda v: make_stopping_config(10, 0.1, m0_mode="explicit", m0=v),
+    "oracle_set": lambda v: oracle_set(_SIG, _SPEC, _NOISE, kappa=0.1, m0=v),
+    "theory_bounds": lambda v: theory_bounds(_SIG, _SPEC, _NOISE, kappa=0.1, m0=v),
+    "aic_select": lambda v: aic_select(_SPEC.values * _SIG.coefficients, _SPEC.values, 0.1, v),
+    "hide_signal": lambda v: hide_signal(_SIG, v, 0.5, 2.0),
+    "residual_adversary": lambda v: residual_adversary(_SIG, _SPEC, _NOISE, v, 0.5, 2.0),
+    "overrun_check": lambda v: overrun_check(
+        ExperimentConfig(dim=10, delta=0.1, signal_name="smooth", signal_target=3.0, replications=2), v
+    ),
+    "tv_bound": lambda v: tv_bound(1.0, 0.5, v),
+    "tv_numeric": lambda v: tv_numeric(1.0, 0.5, v),
+    "make_polynomial_spectrum": lambda v: make_polynomial_spectrum(v, 0.5),
+    "family_shape": lambda v: family_shape("power", 0.5, v),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments_accept_integral_values_and_reject_fractions(site):
+    """A fractional index raises instead of being truncated; an integral float or a numpy integer is taken."""
+    call = INTEGER_SITES[site]
+    for fraction in (3.7, 3.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(fraction)
+    call(4.0)
+    call(np.int64(4))

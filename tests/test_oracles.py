@@ -313,7 +313,7 @@ def test_stochastic_factor_cap_is_inverse_spectrum_mass():
 def test_profile_reuse_matches_scalar_calls(seed):
     sig, spec, noise = random_instance(seed, max_dim=30)
     prof = FunctionalProfile(sig, spec, noise)
-    weak_risks = prof.weak_risk_at_integers()
+    weak_risks = prof.int_weak_bias_sq + prof.int_weak_variance
     for m in range(spec.dim + 1):
         expected = weak_bias_sq(sig, spec, float(m)) + m * noise.delta**2
         assert weak_risks[m] == pytest.approx(expected, abs=1e-10)

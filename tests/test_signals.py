@@ -103,3 +103,19 @@ def test_default_spectrum_is_square_root_decay():
         "smooth", 300, 0.05, spectrum=make_polynomial_spectrum(300, 0.5), target=30.0
     )
     assert sig_default.coefficients == pytest.approx(sig_explicit.coefficients)
+
+
+@pytest.mark.parametrize(
+    "dim, name, first",
+    [
+        (10_000, "rough", 2.9708513576395617),
+        (10_000, "smooth", 3.2137645193160496),
+        (10_000, "super_smooth", 1085.2061228183586),
+        (100_000, "rough", 18.74224252205482),
+        (100_000, "smooth", 32.114054188929764),
+        (100_000, "super_smooth", 1.7602538250737336e37),
+    ],
+)
+def test_calibrated_amplitude_is_pinned(dim, name, first):
+    """The stock signals' amplitudes, to the last bit: every simulation study starts from them."""
+    assert calibrated_signal(name, dim, 0.01).coefficients[0] == first

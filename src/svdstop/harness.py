@@ -205,13 +205,18 @@ def _resolve_path(base: Path, name: str | None, where: str) -> Path:
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """Model objects materialised from an :class:`ExperimentConfig`."""
+    """Model objects materialised from an :class:`ExperimentConfig`.
+
+    ``image`` is the read-only noiseless observation ``lam * mu`` that every
+    replication draws around.
+    """
 
     config: ExperimentConfig
     signal: Signal
     spectrum: Spectrum
     noise: NoiseModel
     stopping: StoppingConfig
+    image: np.ndarray
 
 
 def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = None) -> ResolvedExperiment:
@@ -241,7 +246,11 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
         m0=config.m0,
         level=config.level,
     )
-    return ResolvedExperiment(config=config, signal=signal, spectrum=spectrum, noise=noise, stopping=stopping)
+    image = spectrum.values * signal.coefficients
+    image.setflags(write=False)
+    return ResolvedExperiment(
+        config=config, signal=signal, spectrum=spectrum, noise=noise, stopping=stopping, image=image
+    )
 
 
 @dataclass(frozen=True)
@@ -331,7 +340,7 @@ def _replicate(
     runs once and every procedure reads its stop.
     """
     cfg, lam = exp.stopping, exp.spectrum.values
-    obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(exp.config.base_seed, rep))
+    obs = simulate_observation(exp.image, exp.noise, replication_seed(exp.config.base_seed, rep))
     tau = stop_index(obs.y, obs.y_norm_sq, cfg)
     immediate = tau == cfg.m0
     choices = []
@@ -360,10 +369,13 @@ def _run_one(
     try:
         obs, choices = _replicate(exp, rep, exp.config.procedures, fixed_index)
         records = []
+        scored = {}  # chosen index -> its errors: procedures that choose the same index share them
         for proc, (chosen, tau, rho, immediate) in zip(exp.config.procedures, choices):
-            # unbound, so each estimate is freed before the next is built: with two alive at once
-            # the heap outgrew malloc's trim threshold and went back to the kernel every replication
-            err_strong, err_weak = _errors(estimate_at(obs, exp.spectrum, float(chosen)), mu, lam, gaps)
+            if chosen not in scored:
+                # unbound, so each estimate is freed before the next is built: with two alive at once
+                # the heap outgrew malloc's trim threshold and went back to the kernel every replication
+                scored[chosen] = _errors(estimate_at(obs, exp.spectrum, float(chosen)), mu, lam, gaps)
+            err_strong, err_weak = scored[chosen]
             records.append(
                 ReplicationRecord(
                     rep=rep,

@@ -194,16 +194,17 @@ def replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(index),))
 
 
-def simulate_observation(signal: Signal, spectrum: Spectrum, noise: NoiseModel, seed) -> Observation:
-    """Draw one observation ``y = lam * mu + delta * eps``.
+def simulate_observation(image: np.ndarray, noise: NoiseModel, seed) -> Observation:
+    """Draw one observation ``y = image + delta * eps`` around the noiseless image ``lam * mu``.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; identical
-    seeds give bit-identical observations.
+    seeds give bit-identical observations. Floating-point addition is
+    commutative, so ``y`` is bitwise ``lam * mu + delta * eps`` whichever
+    term is formed first.
     """
-    dim = require_same_dim(signal.dim, spectrum.dim)
-    eps = np.random.default_rng(seed).standard_normal(dim)
-    y = spectrum.values * signal.coefficients
-    y += noise.delta * eps
+    eps = np.random.default_rng(seed).standard_normal(image.size)
+    y = noise.delta * eps
+    y += image
     # fresh and frozen, so the observation keeps them without copying
     y.setflags(write=False)
     eps.setflags(write=False)

@@ -78,7 +78,7 @@ def test_01_pathwise_error_decomposition():
     start = time.time()
     worst = 0.0
     for rep in range(1000):
-        obs = simulate_observation(sig, spec, noise, replication_seed(77, rep))
+        obs = simulate_observation(spec.values * sig.coefficients, noise, replication_seed(77, rep))
         tau = stop_index(obs.y, obs.y_norm_sq, config)
         err = estimate_at(obs, spec, float(tau)).values - sig.coefficients
         lhs = float(err @ err)
@@ -212,7 +212,7 @@ def test_06_oracle_inequality_domination():
         strong_over = np.empty(reps)
         stochastic_over = np.empty(reps)
         for rep in range(reps):
-            obs = simulate_observation(sig, spec, noise, replication_seed(202, rep))
+            obs = simulate_observation(spec.values * sig.coefficients, noise, replication_seed(202, rep))
             tau = stop_index(obs.y, obs.y_norm_sq, config)
             weak_over[rep] = max(weak_bias_sq(sig, spec, tau) - weak_at_proxy, 0.0)
             strong_over[rep] = max(strong_bias_sq(sig, tau) - strong_at_balance, 0.0)
@@ -289,7 +289,7 @@ def test_09_lazy_svd_consistency():
     spec = make_polynomial_spectrum(dim, 0.5)
     noise = NoiseModel(delta=delta)
     sig = calibrated_signal("smooth", dim, delta, spec)
-    obs = simulate_observation(sig, spec, noise, replication_seed(31, 0))
+    obs = simulate_observation(spec.values * sig.coefficients, noise, replication_seed(31, 0))
     config = make_stopping_config(dim, delta, kappa=dim * delta**2)
     tau_seq = stop_index(obs.y, obs.y_norm_sq, config)
     mu_seq = estimate_at(obs, spec, float(tau_seq)).values

@@ -786,15 +786,19 @@ def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys)
 
 
 def test_failed_replication_exits_four_after_writing(config_path, tmp_path, monkeypatch, capsys):
-    calls = []
-    estimate_at = harness.estimate_at
+    reps = []
+    estimate_at, replication_seed = harness.estimate_at, harness.replication_seed
+
+    def seed_of(base_seed, rep):
+        reps.append(rep)
+        return replication_seed(base_seed, rep)
 
     def flaky(obs, spectrum, t):
-        calls.append(t)
-        if len(calls) == 7:  # rep 3's first procedure: two procedures per replication
+        if reps[-1] == 3:  # the first estimate replication 3 builds
             raise FloatingPointError("overflow in the estimate")
         return estimate_at(obs, spectrum, t)
 
+    monkeypatch.setattr(harness, "replication_seed", seed_of)
     monkeypatch.setattr(harness, "estimate_at", flaky)
     out = tmp_path / "mc"
     code, captured = run(["mc", "--config", config_path, "--out", out], capsys)

@@ -180,7 +180,7 @@ def test_pathwise_error_decomposition(data, seed):
     spec = Spectrum(np.sort(np.asarray(lam_raw))[::-1])
     sig = Signal(np.asarray(mu_raw))
     noise = NoiseModel(delta=0.4)
-    obs = simulate_observation(sig, spec, noise, seed)
+    obs = simulate_observation(spec.values * sig.coefficients, noise, seed)
     err = estimate_at(obs, spec, t).values - sig.coefficients
     lhs = float(err @ err)
     k, frac = split_level(t, d)

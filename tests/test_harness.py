@@ -341,7 +341,7 @@ def _check_errors_the_old_way(config: ExperimentConfig, base: Path) -> set[int]:
     for record in report.records:
         chosen = record.rho if record.procedure.startswith("two_step") else record.tau
         chosen_seen.add(chosen)
-        obs = simulate_observation(exp.signal, exp.spectrum, exp.noise, replication_seed(config.base_seed, record.rep))
+        obs = simulate_observation(lam * mu, exp.noise, replication_seed(config.base_seed, record.rep))
         diff = estimate_at(obs, exp.spectrum, float(chosen)).values - mu
         weighted = lam * diff
         assert record.err_strong == math.sqrt(float(np.dot(diff, diff)))
@@ -405,6 +405,46 @@ def test_errors_are_bit_identical_at_the_edges(tmp_path, kappa, m0, expected):
         assert chosen == expected
     full = dataclasses.replace(config, procedures=PROCEDURES)
     assert _check_errors_the_old_way(full, tmp_path) >= chosen
+
+
+def test_procedures_that_choose_one_index_share_its_estimate(tmp_path, monkeypatch):
+    """The ``mc-wide`` shape at D = 2000: four procedures, no immediate stop, so both two-steps keep ``tau``.
+
+    Each replication builds one estimate at ``tau`` and one at the classical
+    index, or a single one where the two coincide (replication 34 at this
+    seed).
+    """
+    mapping = {
+        **json.loads(REFERENCE_CONFIG.read_text()),
+        "dim": 2000,
+        "signal": {"name": "rough"},
+        "stopping": {"m0_mode": "normal_quantile"},
+        "replications": 40,
+        "base_seed": 3,
+        "procedures": list(PROCEDURES),
+    }
+    config = config_from_mapping(mapping)
+    _check_errors_the_old_way(config, tmp_path)
+    fixed = oracle_payload(resolve_experiment(config))["classical_index"]
+
+    levels = []  # per replication, the levels estimated in it, in order
+    estimate_at, replication_seed = harness.estimate_at, harness.replication_seed
+
+    def seed_of(base_seed, rep):
+        levels.append([])
+        return replication_seed(base_seed, rep)
+
+    def spy(obs, spectrum, t):
+        levels[-1].append(t)
+        return estimate_at(obs, spectrum, t)
+
+    monkeypatch.setattr(harness, "replication_seed", seed_of)
+    monkeypatch.setattr(harness, "estimate_at", spy)
+    report = run_experiment(config)
+    assert not any(r.immediate for r in report.records)
+    taus = [r.tau for r in report.records if r.procedure == "plain_stop"]
+    assert [rep for rep, tau in enumerate(taus) if tau == fixed] == [34]
+    assert levels == [[float(tau)] if tau == fixed else [float(tau), float(fixed)] for tau in taus]
 
 
 def test_gap_vectors_are_restored_after_a_numeric_error():

@@ -67,17 +67,17 @@ def test_simulation_is_seed_deterministic():
     spec = make_polynomial_spectrum(20, 0.5)
     sig = Signal(np.ones(20))
     noise = NoiseModel(delta=0.3)
-    a = simulate_observation(sig, spec, noise, replication_seed(7, 3))
-    b = simulate_observation(sig, spec, noise, replication_seed(7, 3))
+    a = simulate_observation(spec.values * sig.coefficients, noise, replication_seed(7, 3))
+    b = simulate_observation(spec.values * sig.coefficients, noise, replication_seed(7, 3))
     assert np.array_equal(a.y, b.y)
-    c = simulate_observation(sig, spec, noise, replication_seed(7, 4))
+    c = simulate_observation(spec.values * sig.coefficients, noise, replication_seed(7, 4))
     assert not np.array_equal(a.y, c.y)
 
 
 def test_zero_noise_recovers_weak_image():
     spec = make_polynomial_spectrum(6, 1.0)
     sig = Signal(np.arange(1.0, 7.0))
-    obs = simulate_observation(sig, spec, NoiseModel(delta=0.0), 0)
+    obs = simulate_observation(spec.values * sig.coefficients, NoiseModel(delta=0.0), 0)
     assert np.array_equal(obs.y, spec.values * sig.coefficients)
 
 
@@ -85,8 +85,25 @@ def test_observation_carries_noise_realisation():
     spec = make_polynomial_spectrum(10, 0.5)
     sig = Signal(np.ones(10))
     noise = NoiseModel(delta=0.2)
-    obs = simulate_observation(sig, spec, noise, 11)
+    obs = simulate_observation(spec.values * sig.coefficients, noise, 11)
     assert np.allclose(obs.y, spec.values * sig.coefficients + 0.2 * obs.noise)
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(-1e3, 1e3)), min_size=1, max_size=30),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_observation_drawn_around_the_image_is_bitwise_the_old_sum(pairs, delta, seed):
+    """``delta * eps + lam * mu`` equals ``lam * mu + delta * eps`` bit for bit, signed zeros included."""
+    lam = np.sort(np.array([p[0] for p in pairs]))[::-1]
+    mu = np.array([p[1] for p in pairs])
+    mu[::3] = 0.0
+    mu[1::5] = -0.0
+    expected = Spectrum(lam).values * Signal(mu).coefficients
+    expected += delta * np.random.default_rng(seed).standard_normal(mu.size)
+    obs = simulate_observation(lam * mu, NoiseModel(delta), seed)
+    assert obs.y.tobytes() == expected.tobytes()
 
 
 def test_vector_roundtrip(tmp_path):
@@ -113,7 +130,7 @@ def test_replication_streams_reproducible(base, idx):
 def test_simulated_norm_header_consistent(dim, p):
     spec = make_polynomial_spectrum(dim, p)
     sig = Signal(np.linspace(1.0, 0.0, dim))
-    obs = simulate_observation(sig, spec, NoiseModel(delta=0.5), 1)
+    obs = simulate_observation(spec.values * sig.coefficients, NoiseModel(delta=0.5), 1)
     assert obs.y_norm_sq == float(np.dot(obs.y, obs.y))
 
 
@@ -125,7 +142,7 @@ def test_simulated_vectors_are_frozen_own_their_data_and_are_not_copied(monkeypa
         kept.append(frozen is values)
         return frozen
 
-    args = (Signal(np.ones(8)), make_polynomial_spectrum(8, 0.5), NoiseModel(delta=0.2))
+    args = (make_polynomial_spectrum(8, 0.5).values * np.ones(8), NoiseModel(delta=0.2))
     monkeypatch.setattr(model, "_frozen_vector", spy)
     obs = simulate_observation(*args, 3)
     assert kept == [True, True]

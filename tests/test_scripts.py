@@ -51,3 +51,8 @@ def test_lazysvd_demo():
     stdout = run_script("run_lazysvd_demo.py")
     assert "matrix 400x250, stopped after 41 triplets" in stdout
     assert "matrix-vector products: 240\n" in stdout
+
+
+def test_check_reference_hashes():
+    stdout = run_script("check_reference_hashes.py", "--smoke", "--seeds", "0-1")
+    assert stdout == "mc-smooth (smoke): 2 of 2 seeds match\nmc-wide (smoke): 2 of 2 seeds match\n"

@@ -62,13 +62,17 @@ PROCEDURES = ("plain_stop", "two_step_weak", "two_step_strong", "fixed_oracle")
 
 CSV_HEADER = "rep,tau,rho,immediate,err_strong,err_weak,eff_strong,eff_weak,procedure"
 
-_EXPERIMENT_KEYS = {"dim", "spectrum", "noise", "signal", "stopping", "replications", "base_seed", "procedures"}
-_SECTION_KEYS = {
-    "spectrum": {"p", "file"},
-    "noise": {"delta"},
-    "signal": {"name", "target", "file"},
-    "stopping": {"kappa", "kappa_drift", "m0_mode", "m0", "level"},
+# The experiment schema: each section key and the ExperimentConfig field it sets. The key checks, the
+# parse, the echo and the stopping call all walk it, so a new key is one entry here and one field there.
+_SECTIONS = {
+    "spectrum": {"p": "spectrum_p", "file": "spectrum_file"},
+    "noise": {"delta": "delta"},
+    "signal": {"name": "signal_name", "target": "signal_target", "file": "signal_file"},
+    # the keys are make_stopping_config's keyword arguments
+    "stopping": {"kappa": "kappa", "kappa_drift": "kappa_drift", "m0_mode": "m0_mode", "m0": "m0", "level": "level"},
 }
+_TOP_LEVEL = ("dim", "replications", "base_seed", "procedures")  # each sets the field of its own name
+_EXPERIMENT_KEYS = set(_TOP_LEVEL) | set(_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,12 @@ class ExperimentConfig:
     procedures: tuple[str, ...] = ("plain_stop",)
 
     def __post_init__(self):
+        # a JSON null for a field without an unset state still fails here
+        for name in ("delta", "kappa_drift", "level"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("spectrum_p", "signal_target", "kappa"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("dim", "replications", "base_seed"):
             object.__setattr__(self, name, _check_int(getattr(self, name), name))
         if self.m0 is not None:
@@ -108,6 +118,11 @@ class ExperimentConfig:
             raise ValueError("specify exactly one of spectrum exponent or spectrum file")
         if (self.signal_name is None) == (self.signal_file is None):
             raise ValueError("specify exactly one of signal name or signal file")
+        if self.signal_target is not None and self.signal_name in (None, "zero"):
+            raise ValueError("signal.target is only read to calibrate a named signal, not with signal.file or 'zero'")
+        if not isinstance(self.procedures, (list, tuple)):
+            raise ValueError(f"procedures must be a list of procedure names, got {self.procedures!r}")
+        object.__setattr__(self, "procedures", tuple(self.procedures))
         if not self.procedures:
             raise ValueError("at least one procedure is required")
         for proc in self.procedures:
@@ -117,30 +132,17 @@ class ExperimentConfig:
             raise ValueError(f"procedures must not repeat, got {list(self.procedures)}")
 
     def to_mapping(self) -> dict:
-        """Canonical nested mapping; inverse of :func:`config_from_mapping`."""
-        spectrum = {"file": self.spectrum_file} if self.spectrum_file else {"p": self.spectrum_p}
-        if self.signal_file:
-            signal: dict = {"file": self.signal_file}
-        else:
-            signal = {"name": self.signal_name}
-            if self.signal_target is not None:
-                signal["target"] = self.signal_target
-        return {
-            "dim": self.dim,
-            "spectrum": spectrum,
-            "noise": {"delta": self.delta},
-            "signal": signal,
-            "stopping": {
-                "kappa": self.kappa,
-                "kappa_drift": self.kappa_drift,
-                "m0_mode": self.m0_mode,
-                "m0": self.m0,
-                "level": self.level,
-            },
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-            "procedures": list(self.procedures),
-        }
+        """Canonical nested mapping; inverse of :func:`config_from_mapping`.
+
+        Every stopping key is echoed, an unset one as ``None``; the other
+        sections echo the keys that are set. ``procedures`` stays a tuple,
+        which JSON writes as an array.
+        """
+        mapping = {key: getattr(self, key) for key in _TOP_LEVEL}
+        for name, keys in _SECTIONS.items():
+            values = {key: getattr(self, field) for key, field in keys.items()}
+            mapping[name] = {key: value for key, value in values.items() if value is not None or name == "stopping"}
+        return mapping
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str = "config") -> None:
@@ -156,37 +158,20 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Parse a nested mapping (typically loaded from JSON) into a config.
 
     Unknown keys, at the top level or inside a section, raise ``ValueError``.
+    A key left out takes its field's default.
     """
     _check_keys(mapping, _EXPERIMENT_KEYS)
-    spectrum = mapping.get("spectrum", {"p": 0.5})
-    noise = mapping.get("noise", {})
-    signal = mapping.get("signal", {})
-    stopping = mapping.get("stopping", {})
-    for name, allowed in _SECTION_KEYS.items():
-        _check_keys(mapping.get(name, {}), allowed, name)
-    if "delta" not in noise:
-        raise ValueError("config requires noise.delta")
-    if "dim" not in mapping:
-        raise ValueError("config requires dim")
-    kappa = stopping.get("kappa")
-    target = signal.get("target")
-    return ExperimentConfig(
-        dim=mapping["dim"],
-        delta=float(noise["delta"]),
-        spectrum_p=float(spectrum["p"]) if "p" in spectrum else None,
-        spectrum_file=spectrum.get("file"),
-        signal_name=signal.get("name"),
-        signal_target=float(target) if target is not None else None,
-        signal_file=signal.get("file"),
-        kappa=float(kappa) if kappa is not None else None,
-        kappa_drift=float(stopping.get("kappa_drift", 0.0)),
-        m0_mode=stopping.get("m0_mode", "zero"),
-        m0=stopping.get("m0"),
-        level=float(stopping.get("level", 0.99)),
-        replications=mapping.get("replications", 1000),
-        base_seed=mapping.get("base_seed", 0),
-        procedures=tuple(mapping.get("procedures", ["plain_stop"])),
-    )
+    fields = {key: mapping[key] for key in _TOP_LEVEL if key in mapping}
+    if "spectrum" in mapping:
+        fields["spectrum_p"] = None  # a given spectrum section replaces the default exponent
+    for name, keys in _SECTIONS.items():
+        section = mapping.get(name, {})
+        _check_keys(section, set(keys), name)
+        fields.update((keys[key], value) for key, value in section.items())
+    for key, field in (("noise.delta", "delta"), ("dim", "dim")):
+        if field not in fields:
+            raise ValueError(f"config requires {key}")
+    return ExperimentConfig(**fields)
 
 
 def _resolve_path(base: Path, name: str | None, where: str) -> Path:
@@ -237,15 +222,8 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
         )
     if signal.dim != config.dim or spectrum.dim != config.dim:
         raise ValueError("signal or spectrum dimension disagrees with the configured dim")
-    stopping = make_stopping_config(
-        config.dim,
-        config.delta,
-        kappa=config.kappa,
-        kappa_drift=config.kappa_drift,
-        m0_mode=config.m0_mode,
-        m0=config.m0,
-        level=config.level,
-    )
+    settings = {key: getattr(config, field) for key, field in _SECTIONS["stopping"].items()}
+    stopping = make_stopping_config(config.dim, config.delta, **settings)
     image = spectrum.values * signal.coefficients
     image.setflags(write=False)
     return ResolvedExperiment(

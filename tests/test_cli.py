@@ -463,6 +463,12 @@ def test_numeric_failure_exits_four(tmp_path, capsys):
         ("oracles", ["base_seed=-1"]),
         ("mc", ["base_seed=-1"]),
         ("stop", ["base_seed=-1"]),
+        # left unread too: a calibration target next to a signal file, or for the zero signal
+        ("oracles", ['signal={"file":"mu.txt"}', "signal.target=25"]),
+        ("mc", ["signal.name=zero", "signal.target=25"]),
+        # rejected too: procedures that are not a list, an empty spectrum file name
+        ("mc", ["procedures=plain_stop"]),
+        ("oracles", ['spectrum={"file":""}']),
     ],
 )
 def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overrides, capsys):
@@ -557,6 +563,21 @@ def test_lazysvd_fractional_integer_key_exits_three(tmp_path, section, key, valu
     assert code == 3
     assert key in json.loads(captured.err.strip().splitlines()[-1])["message"]
     assert not (tmp_path / "out" / "lazysvd.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("rep,tau\n0,1\n", "missing expected CSV header"), (f"{harness.CSV_HEADER}\n0,1,,0\n", "malformed CSV row")],
+)
+def test_plot_of_a_bad_csv_exits_three(tmp_path, body, message, capsys):
+    (tmp_path / "r.csv").write_text(body)
+    path = tmp_path / "plot.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "plot": {"csv": "r.csv"}}))
+    code, captured = run(["plot", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and message in record["message"]
+    assert not (tmp_path / "out" / "efficiency.svg").exists()
 
 
 def test_lazysvd_truncated_binary_matrix_exits_three(tmp_path, capsys):

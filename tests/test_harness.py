@@ -25,6 +25,7 @@ from svdstop.harness import (
     write_records_csv,
 )
 from svdstop.model import replication_seed, save_vector, simulate_observation
+from svdstop.signals import NAMED_PROFILES
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "efficiency_smooth.json"
 
@@ -65,9 +66,16 @@ def test_config_rejects_unknown_procedure():
 
 @pytest.mark.parametrize(
     "overrides, key",
-    [({"procedures": ("plain_stop", "two_step_weak", "plain_stop")}, "procedures"), ({"base_seed": -1}, "base_seed")],
+    [
+        ({"procedures": ("plain_stop", "two_step_weak", "plain_stop")}, "procedures"),
+        ({"base_seed": -1}, "base_seed"),
+        ({"dim": 0}, "dimension"),
+        ({"delta": -0.1}, "noise level"),
+        ({"replications": 0}, "replication"),
+    ],
 )
 def test_config_rejects_repeated_procedures_and_negative_seeds(overrides, key):
+    """And the other out-of-range values: a dimension or a replication count below 1, a negative noise level."""
     with pytest.raises(ValueError, match=key):
         small_config(**overrides)
 
@@ -93,9 +101,53 @@ def test_config_stores_integral_floats_as_int():
     assert config_from_mapping(config.to_mapping()) == config
 
 
-def test_mapping_roundtrip():
-    config = small_config(procedures=("plain_stop", "two_step_strong"), kappa=0.9, m0=4, m0_mode="explicit")
+SPECTRA = st.one_of(
+    st.fixed_dictionaries({"spectrum_p": st.floats(0.0, 4.0)}),
+    st.fixed_dictionaries({"spectrum_p": st.none(), "spectrum_file": st.text(max_size=8)}),
+)
+SIGNALS = st.one_of(
+    st.fixed_dictionaries(
+        {"signal_name": st.sampled_from(sorted(NAMED_PROFILES)), "signal_target": st.none() | st.floats(1.0, 1e4)}
+    ),
+    st.just({"signal_name": "zero"}),
+    st.fixed_dictionaries({"signal_name": st.none(), "signal_file": st.text(max_size=8)}),
+)
+STARTS = st.one_of(
+    st.just({}),  # m0_mode "zero"
+    st.fixed_dictionaries({"m0_mode": st.just("normal_quantile"), "level": st.floats(0.5, 0.999)}),
+    st.fixed_dictionaries({"m0_mode": st.just("explicit"), "m0": st.integers(0, 10**4)}),
+)
+THRESHOLDS = st.one_of(
+    st.fixed_dictionaries({"kappa": st.floats(0.0, 1e4)}), st.fixed_dictionaries({"kappa_drift": st.floats(-3.0, 3.0)})
+)
+
+
+@given(SPECTRA, SIGNALS, STARTS, THRESHOLDS, st.lists(st.sampled_from(PROCEDURES), min_size=1, unique=True))
+def test_mapping_roundtrip(spectrum, signal, start, threshold, procedures):
+    config = ExperimentConfig(
+        dim=10**4, delta=0.01, **spectrum, **signal, **start, **threshold, procedures=procedures, replications=7
+    )
     assert config_from_mapping(config.to_mapping()) == config
+
+
+@pytest.mark.parametrize(
+    "section, key, error",
+    [
+        (None, "dim", ValueError),
+        ("noise", "delta", TypeError),
+        ("stopping", "level", TypeError),
+        ("stopping", "kappa_drift", TypeError),
+    ],
+)
+def test_mapping_rejects_a_missing_dim_and_null_settings(section, key, error):
+    """``dim`` is required, and these fields have no unset state: a null for one of them fails."""
+    mapping = small_config().to_mapping()
+    if section is None:
+        del mapping[key]
+    else:
+        mapping[section][key] = None
+    with pytest.raises(error):
+        config_from_mapping(mapping)
 
 
 def test_mapping_rejects_unknown_keys():

@@ -114,6 +114,13 @@ def test_theory_bounds_requires_noise():
         theory_bounds(Signal(np.zeros(3)), make_polynomial_spectrum(3, 0.5), NoiseModel(0.0), 1.0)
 
 
+@pytest.mark.parametrize("kappa, m0", [(1.0, -1), (1.0, 4), (-0.5, 0)])
+@pytest.mark.parametrize("evaluate", [oracle_set, theory_bounds])
+def test_start_outside_the_instance_or_negative_threshold_raises(evaluate, kappa, m0):
+    with pytest.raises(ValueError):
+        evaluate(Signal(np.array([1.0, 0.5, 0.0])), make_polynomial_spectrum(3, 0.5), UNIT, kappa, m0)
+
+
 @given(st.integers(0, 10_000))
 def test_kappa_identity(seed):
     sig, spec, noise = random_instance(seed)

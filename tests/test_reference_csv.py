@@ -4,47 +4,37 @@ The benchmark's reference records the sha256 of the CSV that each Monte
 Carlo workload writes at every pool seed. This runs the smoke-size
 workloads through the CLI at two seeds and compares, so a change that
 moves a single output byte fails here, not only in the benchmark. The
-reference also records ``tv_numeric`` on the whole acceptance-criterion-7
-grid; here every point must stay within 1e-10 of it, far inside the
-benchmark's own 1e-6. It only reads the benchmark's files, as
-``test_trace_contract.py`` does.
+hashes come from ``scripts/check_reference_hashes.py``, which checks every
+pool seed the same way. The reference also records ``tv_numeric`` on the
+whole acceptance-criterion-7 grid; here every point must stay within 1e-10
+of it, far inside the benchmark's own 1e-6. It only reads the benchmark's
+files, as ``test_trace_contract.py`` does.
 """
 
-import contextlib
-import hashlib
 import importlib.util
-import io
-import json
-import sys
 from pathlib import Path
 
 import pytest
 
-from svdstop import cli, lowerbound
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from svdstop import lowerbound
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def load_hash_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "check_reference_hashes.py"
+    spec = importlib.util.spec_from_file_location("check_reference_hashes", path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _workloads()
+HASHES = load_hash_script()
+WORKLOADS = HASHES._workloads()
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("name", ["mc-smooth", "mc-wide"])
 def test_mc_csv_bytes_match_the_benchmark_reference(tmp_path, name, seed):
-    argv = ["mc", "--config", str(WORKLOADS.MC_CONFIG), "--out", str(tmp_path), "--seed", str(seed)]
-    for dotted, value in WORKLOADS.SIZES[True][name]:
-        argv += ["--set", f"{dotted}={json.dumps(value)}"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    digest = hashlib.sha256((tmp_path / "replications.csv").read_bytes()).hexdigest()
+    digest = HASHES.csv_sha256(WORKLOADS, name, seed, True, tmp_path)
     assert digest == WORKLOADS.load_reference()["smoke"][name]["csv_sha256"][seed]
 
 

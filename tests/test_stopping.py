@@ -308,6 +308,14 @@ def test_make_stopping_config_modes():
     # a setting the others leave unread is an error, not a silent no-op
     assert make_stopping_config(100, 0.1, kappa_drift=3.0).kappa == pytest.approx(1.3)
     assert make_stopping_config(100, 0.1, kappa=1.0, kappa_drift=0.0).kappa == 1.0
-    for settings in ({"m0": 50}, {"m0_mode": "normal_quantile", "m0": 0}, {"kappa": 1.0, "kappa_drift": 3.0}):
+    # and so are a start beyond the dimension and a quantile level outside [0.5, 1)
+    for settings in (
+        {"m0": 50},
+        {"m0_mode": "normal_quantile", "m0": 0},
+        {"kappa": 1.0, "kappa_drift": 3.0},
+        {"m0_mode": "explicit", "m0": 101},
+        {"m0_mode": "normal_quantile", "level": 0.4},
+        {"m0_mode": "normal_quantile", "level": 1.0},
+    ):
         with pytest.raises(ValueError):
             make_stopping_config(100, 0.1, **settings)

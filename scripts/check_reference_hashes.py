@@ -2,14 +2,17 @@
 """Check the Monte Carlo CSV bytes against the benchmark reference at every pool seed.
 
 For each chosen pool seed this runs the ``mc-smooth`` and ``mc-wide``
-workloads of ``perfbench/workloads.py`` through ``svdstop mc`` and compares
-the sha256 of each ``replications.csv`` with ``perfbench/reference.json``.
-The benchmark's files are only read. The seeds that differ are listed, and
-the exit status is 1 if there are any. The Tier-1 test of these bytes runs
-two seeds at smoke size, where ``mc-wide`` has D = 2000; full size (D = 10^5)
-is where numpy's dot products split over BLAS threads.
+workloads of ``perfbench/workloads.py`` (or those named with ``--names``)
+through ``svdstop mc`` and compares the sha256 of each ``replications.csv``
+with ``perfbench/reference.json``. The benchmark's files are only read.
+One line per workload gives the seeds that match, the seeds that differ and
+the seconds it took; the exit status is 1 if any seed differs. The Tier-1
+test of these bytes runs two seeds at smoke size, where ``mc-wide`` has
+D = 2000; full size (D = 10^5) is where numpy's dot products split over
+BLAS threads.
 
     PYTHONPATH=src python3 scripts/check_reference_hashes.py                 # 256 seeds, full size, minutes
+    PYTHONPATH=src python3 scripts/check_reference_hashes.py --names mc-wide # one workload's 256 seeds
     PYTHONPATH=src python3 scripts/check_reference_hashes.py --smoke --seeds 0-1
 """
 
@@ -21,6 +24,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from svdstop import cli
@@ -71,16 +75,25 @@ def main(argv=None) -> int:
         default=range(workloads.POOL),
         help="pool seeds A-B, inclusive (default: all)",
     )
+    parser.add_argument(
+        "--names",
+        action="append",
+        choices=NAMES,
+        help="check this workload; repeat for more (default: all)",
+    )
     args = parser.parse_args(argv)
     size = workloads.size_key(args.smoke)
     reference = workloads.load_reference()[size]
     differ = False
     with tempfile.TemporaryDirectory() as tmp:
-        for name in NAMES:
+        for name in (n for n in NAMES if n in (args.names or NAMES)):
             expected = reference[name]["csv_sha256"]
+            start = time.perf_counter()
             bad = [s for s in args.seeds if csv_sha256(workloads, name, s, args.smoke, Path(tmp)) != expected[s]]
+            elapsed = time.perf_counter() - start
             differing = f"; differ at {bad}" if bad else ""
-            print(f"{name} ({size}): {len(args.seeds) - len(bad)} of {len(args.seeds)} seeds match{differing}")
+            matching = f"{len(args.seeds) - len(bad)} of {len(args.seeds)} seeds match"
+            print(f"{name} ({size}): {matching}{differing} ({elapsed:.1f} s)")
             differ = differ or bool(bad)
     return 1 if differ else 0
 

@@ -72,6 +72,7 @@ _SECTIONS = {
     "stopping": {"kappa": "kappa", "kappa_drift": "kappa_drift", "m0_mode": "m0_mode", "m0": "m0", "level": "level"},
 }
 _TOP_LEVEL = ("dim", "replications", "base_seed", "procedures")  # each sets the field of its own name
+_FIELD_KEYS = {field: f"{name}.{key}" for name, keys in _SECTIONS.items() for key, field in keys.items()}
 _EXPERIMENT_KEYS = set(_TOP_LEVEL) | set(_SECTIONS)
 
 
@@ -96,12 +97,12 @@ class ExperimentConfig:
     procedures: tuple[str, ...] = ("plain_stop",)
 
     def __post_init__(self):
-        # a JSON null for a field without an unset state still fails here
+        # a JSON null for a field without an unset state fails here, naming its key
         for name in ("delta", "kappa_drift", "level"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _check_float(getattr(self, name), _FIELD_KEYS[name]))
         for name in ("spectrum_p", "signal_target", "kappa"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, _check_float(getattr(self, name), _FIELD_KEYS[name]))
         for name in ("dim", "replications", "base_seed"):
             object.__setattr__(self, name, _check_int(getattr(self, name), name))
         if self.m0 is not None:
@@ -143,6 +144,14 @@ class ExperimentConfig:
             values = {key: getattr(self, field) for key, field in keys.items()}
             mapping[name] = {key: value for key, value in values.items() if value is not None or name == "stopping"}
         return mapping
+
+
+def _check_float(value, where: str) -> float:
+    """``value`` as a float; the ``TypeError`` or ``ValueError`` of ``float`` names the config key ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where} must be a number, got {value!r}") from None
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str = "config") -> None:

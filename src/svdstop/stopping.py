@@ -12,7 +12,9 @@ computed singular triplet. The running sum is accumulated in the same
 left-to-right order in double precision however the coefficients are
 split, so every caller gets the same index from the same data. That
 index is the one exact arithmetic gives, up to roundings at the size of
-the residual: the float sum carries its exact rounding error along.
+the residual: the float sum carries its exact rounding error along. Each
+block is first screened on the float sums alone, and that error is
+summed only when a residual lies within a proven margin of the threshold.
 
 The second step (:func:`two_step`) re-selects a truncation index by
 penalised empirical risk (an AIC criterion, :func:`aic_select`) over
@@ -49,6 +51,9 @@ __all__ = [
 M0_MODES = ("explicit", "zero", "normal_quantile")
 
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two halves whose products are exact
+_UNIT = 2.0**-53  # unit roundoff of a double
+_TINY = 2.0**-950  # the screen's floor per coefficient, for squares whose split underflows
+_MAX_SCREENED = 2**44  # the screen's margin is proven for fewer coefficients than this
 
 
 class TruncatedStreamError(RuntimeError):
@@ -163,35 +168,125 @@ def residual_rule(
 
     The residual is taken in exact arithmetic, ``y_norm_sq`` and ``kappa``
     being the given floats, up to a few roundings at the size of the
-    residual itself: the left-to-right float sum of squares carries its
-    exact rounding error (:func:`_sum_errors`), so a norm many orders above
-    ``kappa``, whose ulp swallows the late squares, does not move the index.
+    residual itself. The exact test stops at ``fl(r_m - e_m) <= kappa``:
+    ``r_m = fl(y_norm_sq - s_m)`` is the float residual of the
+    left-to-right float sum ``s_m`` of the squares, and ``e_m`` the exact
+    rounding error of that sum, carried along (:func:`_sum_errors`). So a
+    norm many orders above ``kappa``, whose ulp swallows the late squares,
+    does not move the index.
+
+    The exact test costs some twenty array passes per block, so each block
+    is first screened on ``r_m`` alone, and the exact test runs only where
+    the screen cannot decide (a filtered predicate, as in Shewchuk's
+    adaptive-precision predicates). Let ``u = 2**-53``, ``N`` the number
+    of coefficients read through the block and ``S`` its last float sum.
+    The screen's margin is
+
+        M = u * (2.01 * N * S + 4 * (kappa + |y_norm_sq|)) + N * 2**-950.
+
+    *Bound on e_m.* The squares are non-negative, so no float sum up to
+    the block's end exceeds ``S``. For each coefficient, the exact test
+    adds two error terms, in one rounding, to the float running sum that
+    is ``e_m``. The first is Knuth's two-sum, the exact rounding error of
+    one step of ``s``, so it is at most ``u * S``. The second is
+    Dekker's product, ``Y_i**2 - fl(Y_i**2)``, so at most ``u * S``.
+    Dekker's product is exact when ``|Y_i| >= 2**-485``. Below that its
+    products may underflow, but then every quantity it forms lies below
+    ``2**-960``. The per-coefficient term is then at most
+    ``(1 + u) * (2 * u * S + 2**-960)``. A float running sum of ``N`` such
+    terms is at most ``(1 + u)**(N + 1)`` times ``N`` of them. For
+    ``N < 2**44`` this gives ``|e_m| <= E = 2.004 * u * N * S + 1.002 * N * 2**-960``.
+    Evaluating ``M`` in floats loses less than ``9 * u`` of it,
+    relatively, apart from underflows far below its ``2**-950`` term. So
+    ``(1 - u) * fl(M) >= E + 3 * u * kappa``.
+
+    *The screen's two verdicts.* Let ``x = r_m - e_m``, so the exact test
+    is ``fl(x) <= kappa``. Recall ``kappa >= 0``.
+
+    - If ``r_m > fl(kappa + M)``, then ``r_m >= (1 - u) * (kappa + M)`` and
+      ``x >= (1 - u) * (kappa + M) - E > (1 + 2 * u) * kappa``, so
+      ``fl(x) >= (1 - u) * x > kappa``: the exact test fails.
+    - If ``r_m < fl(kappa - M)``, then
+      ``r_m < kappa - M + u * (kappa + M)`` and ``x < kappa``, so
+      ``fl(x) <= kappa``: the exact test passes.
+
+    ``r_m`` never increases, so a bisection finds the first index with
+    ``r_m <= fl(kappa + M)``. Every index before it fails. If it also has
+    ``r_m < fl(kappa - M)``, it passes, and the rule returns it. If there
+    is no such index, the block holds no stop. Otherwise a residual lies
+    within the margin of ``kappa``, and the exact test decides. It first
+    replays the blocks read so far to carry their error, and then it runs
+    on every later block of the call. A margin that is not finite (a
+    non-finite norm or coefficient) also takes this path. So each index
+    returned is the one the exact test returns.
     """
     if config.m0 > dim:
         raise ValueError(f"starting index {config.m0} exceeds dimension {dim}")
-    if config.m0 == 0 and y_norm_sq <= config.kappa:
+    y_norm_sq, kappa = float(y_norm_sq), config.kappa
+    if config.m0 == 0 and y_norm_sq <= kappa:
         return 0
     start = max(config.m0, 1)
     read = 0
-    total, error = 0.0, 0.0  # float running sum of squares and its exact rounding error
+    total = 0.0  # float running sum of squares
+    error = None  # the exact rounding error of total, once the exact test runs
+    screened = []  # the blocks the screen decided and their float sums, which the exact test replays
     for block in blocks:
         values = np.asarray(block, dtype=float)[: dim - read]
-        squares = np.square(values)
-        sums = squares.copy()
+        sums = np.square(values)
         # seeding the first term continues the sequential sum across blocks
         sums[:1] += total
         np.cumsum(sums, out=sums)
-        errors = _sum_errors(values, squares, sums, total, error)
         first = max(start - read - 1, 0)
-        hits = np.nonzero(y_norm_sq - sums[first:] - errors[first:] <= config.kappa)[0]
-        if hits.size:
-            return read + first + int(hits[0]) + 1
+        if error is None and sums.size:
+            stop = _screen(y_norm_sq, kappa, sums, first, read + sums.size)
+            if stop is None:
+                error = _replay(screened)
+            elif stop < sums.size:
+                return read + stop + 1
+            else:
+                screened.append((values, sums))
+        if error is not None:
+            errors = _sum_errors(values, np.square(values), sums, total, error)
+            hits = np.nonzero(y_norm_sq - sums[first:] - errors[first:] <= kappa)[0]
+            if hits.size:
+                return read + first + int(hits[0]) + 1
+            if sums.size:
+                error = errors[-1]
         read += sums.size
         if read == dim:
             return dim
         if sums.size:
-            total, error = sums[-1], errors[-1]
+            total = sums[-1]
     raise TruncatedStreamError(f"coefficients ended after {read} of {dim}; residual still above threshold")
+
+
+def _screen(y_norm_sq: float, kappa: float, sums: np.ndarray, first: int, count: int) -> int | None:
+    """The exact test's first passing index in ``sums`` from ``first`` on, ``sums.size`` if none passes, or
+    ``None`` where the margin cannot decide (see :func:`residual_rule`); ``count`` coefficients are read."""
+    margin = _UNIT * (2.01 * count * sums.item(-1) + 4.0 * (kappa + abs(y_norm_sq))) + count * _TINY
+    if not (margin < math.inf and count < _MAX_SCREENED):
+        return None
+    # bisect for the first residual at or below kappa + margin: the float residuals never increase
+    lo, hi, upper = first, sums.size, kappa + margin
+    if lo >= hi or y_norm_sq - sums.item(-1) > upper:
+        return hi
+    hi -= 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if y_norm_sq - sums.item(mid) <= upper:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo if y_norm_sq - sums.item(lo) < kappa - margin else None
+
+
+def _replay(screened: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The exact rounding error of the float sum of squares over the screened ``(values, sums)`` blocks."""
+    total, error = 0.0, 0.0
+    for values, sums in screened:
+        error = _sum_errors(values, np.square(values), sums, total, error)[-1]
+        total = sums[-1]
+    return error
 
 
 def _sum_errors(values: np.ndarray, squares: np.ndarray, sums: np.ndarray, total: float, error: float) -> np.ndarray:

@@ -426,6 +426,16 @@ def test_invalid_config_exits_three(tmp_path, capsys):
     assert "delta" in record["message"]
 
 
+@pytest.mark.parametrize("key", ["noise.delta", "stopping.level", "stopping.kappa_drift"])
+def test_null_number_exits_three_naming_the_key(config_path, tmp_path, key, capsys):
+    args = ["oracles", "--config", config_path, "--out", tmp_path / "out", "--set", f"{key}=null"]
+    code, captured = run(args, capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "TypeError" and key in record["message"]
+    assert not (tmp_path / "out" / "oracles.json").exists()
+
+
 def test_numeric_failure_exits_four(tmp_path, capsys):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((12, 8))

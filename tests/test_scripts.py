@@ -54,5 +54,11 @@ def test_lazysvd_demo():
 
 
 def test_check_reference_hashes():
+    def line(name, seeds):
+        return rf"{name} \(smoke\): {seeds} of {seeds} seeds match \([0-9.]+ s\)\n"
+
     stdout = run_script("check_reference_hashes.py", "--smoke", "--seeds", "0-1")
-    assert stdout == "mc-smooth (smoke): 2 of 2 seeds match\nmc-wide (smoke): 2 of 2 seeds match\n"
+    assert re.fullmatch(line("mc-smooth", 2) + line("mc-wide", 2), stdout), stdout
+    # --names picks workloads, each once
+    stdout = run_script("check_reference_hashes.py", "--smoke", "--seeds", "0-0", *["--names", "mc-wide"] * 2)
+    assert re.fullmatch(line("mc-wide", 1), stdout), stdout

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svdstop.model import Observation, make_polynomial_spectrum
+from svdstop import harness, stopping
+from svdstop.model import Observation, make_polynomial_spectrum, replication_seed, simulate_observation
 from svdstop.stopping import (
     M0_MODES,
     StopOutcome,
@@ -202,6 +203,201 @@ def test_rule_matches_exact_residuals_at_a_million():
             near.append(value)
     for value in near:
         assert check_against_exact(typical, y_norm_sq, StoppingConfig(kappa=value), exact) in (tau, tau + 1)
+
+
+def exact_rule(blocks, y_norm_sq, dim, config):
+    """The always-exact rule: the exact test on every block, as the rule ran before it screened its blocks."""
+    if config.m0 == 0 and y_norm_sq <= config.kappa:
+        return 0
+    start = max(config.m0, 1)
+    read = 0
+    total, error = 0.0, 0.0
+    for block in blocks:
+        values = np.asarray(block, dtype=float)[: dim - read]
+        squares = np.square(values)
+        sums = squares.copy()
+        sums[:1] += total
+        np.cumsum(sums, out=sums)
+        errors = exact_errors(values, squares, sums, total, error)
+        first = max(start - read - 1, 0)
+        hits = np.nonzero(y_norm_sq - sums[first:] - errors[first:] <= config.kappa)[0]
+        if hits.size:
+            return read + first + int(hits[0]) + 1
+        read += sums.size
+        if read == dim:
+            return dim
+        if sums.size:
+            total, error = sums[-1], errors[-1]
+    raise TruncatedStreamError(f"coefficients ended after {read} of {dim}")
+
+
+def exact_errors(values, squares, sums, total, error):
+    """The exact rounding error of the running float sum of squares: Dekker's product plus Knuth's two-sum."""
+    scaled = 134217729.0 * values
+    top = scaled - (scaled - values)
+    low = values - top
+    lo = ((top * top - squares) + 2.0 * top * low) + low * low
+    previous = np.concatenate(([total], sums[:-1]))
+    back = sums - previous
+    lo += (previous - (sums - back)) + (squares - back)
+    lo[:1] += error
+    return np.cumsum(lo, out=lo)
+
+
+def exact_decisions(y, y_norm_sq):
+    """``fl(r_m - e_m)`` for ``m = 1..D``, which the exact test compares with ``kappa``."""
+    squares = np.square(y)
+    sums = np.cumsum(squares)
+    return y_norm_sq - sums - exact_errors(y, squares, sums, 0.0, 0.0)
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """Counts the calls of the exact test's error sums, which run only where the screen cannot decide."""
+    calls = []
+    original = stopping._sum_errors
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return original(*args)
+
+    monkeypatch.setattr(stopping, "_sum_errors", counted)
+    return calls
+
+
+def splits(y, cuts):
+    """``y`` cut at the sorted ``cuts``, repeats giving empty blocks."""
+    return np.split(y, sorted(min(c, y.size) for c in cuts))
+
+
+@st.composite
+def boundary_cases(draw):
+    """Data of very different scales, a start anywhere, and ``kappa`` at, near or away from a decision boundary."""
+    d = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    y = rng.standard_normal(d) * draw(st.sampled_from([1e-160, 1e-3, 1.0, 1e150]))
+    y *= np.geomspace(1.0, draw(st.sampled_from([1.0, 1e-4, 1e-12])), d)
+    y_norm_sq = float(np.dot(y, y)) * draw(st.sampled_from([1.0, 1.0 + 2**-40, 1.0 - 2**-40]))
+    decisions = exact_decisions(y, y_norm_sq)
+    target = draw(st.integers(0, d - 1))
+    kappa = max(float(decisions[target]), 0.0)
+    if draw(st.booleans()):
+        kappa *= draw(st.floats(0.0, 2.0))
+    direction = draw(st.sampled_from([-math.inf, math.inf]))
+    for _ in range(draw(st.integers(0, 3))):
+        kappa = float(np.nextafter(kappa, direction))
+    config = StoppingConfig(kappa=max(kappa, 0.0), m0=draw(st.integers(0, d)))
+    return y, y_norm_sq, config, draw(st.lists(st.integers(0, d), max_size=6))
+
+
+@given(boundary_cases())
+def test_screen_returns_the_exact_index(case):
+    """One block, one-coefficient blocks (the lazy solver's feed) and random splits with empty blocks."""
+    y, y_norm_sq, config, cuts = case
+    expected = exact_rule([y], y_norm_sq, y.size, config)
+    assert residual_rule([y], y_norm_sq, y.size, config) == expected
+    assert residual_rule(singletons(y, []), y_norm_sq, y.size, config) == expected
+    assert residual_rule(splits(y, cuts), y_norm_sq, y.size, config) == expected
+    assert stop_index(y, y_norm_sq, config) == expected
+
+
+def test_hand_example_is_decided_by_the_screen(exact_runs):
+    assert stop_index(OBS3.y, OBS3.y_norm_sq, StoppingConfig(kappa=1.0)) == 2
+    assert residual_rule(singletons(OBS3.y, []), OBS3.y_norm_sq, 3, StoppingConfig(kappa=1.0, m0=1)) == 2
+    assert exact_runs == []
+
+
+@pytest.mark.parametrize("from_index", [False, True])  # start at 0, or at the index (then inside a later block)
+@pytest.mark.parametrize("index", [5, 300, 1500])
+def test_threshold_on_the_decision_boundary_runs_the_exact_test(exact_runs, index, from_index):
+    """``kappa`` at the exact test's value of an index, and up to 3 ulps either side: it stops there exactly
+    from the boundary up, and later below it; the screen's margin holds all of them, so the exact test ran."""
+    y = np.random.default_rng(5).standard_normal(2000)
+    y_norm_sq = float(np.dot(y, y))
+    on = float(exact_decisions(y, y_norm_sq)[index - 1])
+    m0 = index if from_index else 0
+    for ulps in range(-3, 4):
+        kappa = on
+        for _ in range(abs(ulps)):
+            kappa = float(np.nextafter(kappa, math.copysign(math.inf, ulps)))
+        config = StoppingConfig(kappa=kappa, m0=m0)
+        expected = exact_rule([y], y_norm_sq, y.size, config)
+        assert (expected == index) == (ulps >= 0), (ulps, expected)
+        del exact_runs[:]
+        assert stop_index(y, y_norm_sq, config) == expected
+        assert exact_runs, ulps
+        assert residual_rule(np.array_split(y, 9), y_norm_sq, y.size, config) == expected
+        assert residual_rule(singletons(y[: expected + 1], []), y_norm_sq, y.size, config) == expected
+
+
+def test_zero_threshold_on_an_exactly_spent_norm_runs_the_exact_test(exact_runs):
+    y = np.array([1.0, 2.0, 0.0, 0.0])
+    assert stop_index(y, 5.0, StoppingConfig(kappa=0.0)) == exact_rule([y], 5.0, 4, StoppingConfig(kappa=0.0)) == 2
+    assert exact_runs
+    del exact_runs[:]
+    assert stop_index(y, 5.5, StoppingConfig(kappa=0.0)) == 4
+    assert exact_runs == []
+
+
+@pytest.mark.parametrize("y_norm_sq", [math.inf, math.nan])
+def test_nonfinite_norm_runs_the_exact_test_to_the_end(exact_runs, y_norm_sq):
+    y = np.random.default_rng(1).standard_normal(50)
+    config = StoppingConfig(kappa=1.0)
+    assert stop_index(y, y_norm_sq, config) == exact_rule([y], y_norm_sq, 50, config) == 50
+    assert exact_runs
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_coefficients(exact_runs, bad):
+    """A non-finite coefficient in a block sends it to the exact test, and one past the stop in a later block
+    is never read. The exact test's split of an infinity is ``inf - inf``, which numpy flags as it always did."""
+    y = np.array([3.0, 1.0, 1.0, 1.0, 0.5, 0.25])
+    config = StoppingConfig(kappa=1.5)
+    assert stop_index(y, 12.3125, config) == exact_rule([y], 12.3125, 6, config) == 3
+    assert exact_runs == []
+    for where, tau in ((4, 3), (1, 6)):
+        data = y.copy()
+        data[where] = bad
+        with np.errstate(invalid="ignore" if math.isinf(bad) else "warn"):
+            assert stop_index(data, 12.3125, config) == exact_rule([data], 12.3125, 6, config) == tau
+        assert exact_runs
+        del exact_runs[:]
+    data[1], data[4] = 1.0, bad
+    assert residual_rule(singletons(data, []), 12.3125, 6, config) == 3
+    assert exact_runs == []
+
+
+@pytest.mark.parametrize("scale", [2.0**-1074, 1e-310, 2.0**-535, 2.0**-520, 2.0**-480])
+def test_subnormal_and_underflowing_squares(scale):
+    """Squares at and below the point where the split's products underflow. ``kappa`` is 0, a few subnormals,
+    or the exact test's value at an index, which differs from the float residual by a few subnormals."""
+    y = scale * np.random.default_rng(0).standard_normal(40)
+    y_norm_sq = float(np.dot(y, y)) + 5e-324
+    decisions = np.maximum(exact_decisions(y, y_norm_sq), 0.0)
+    for kappa in (0.0, 5e-324, 40 * 5e-324, *decisions[::3]):
+        for m0 in (0, 1):
+            config = StoppingConfig(kappa=float(kappa), m0=m0)
+            expected = exact_rule([y], y_norm_sq, y.size, config)
+            assert stop_index(y, y_norm_sq, config) == expected
+            assert residual_rule(singletons(y, []), y_norm_sq, y.size, config) == expected
+
+
+def test_rule_matches_the_exact_test_on_the_wide_benchmark_instance():
+    """D = 10**5, the rough signal and the default kappa, as the wide Monte Carlo workload runs them:
+    the rule and the exact test read the same norm, so they agree at any BLAS thread count."""
+    mapping = {
+        "dim": 100_000,
+        "spectrum": {"p": 0.5},
+        "noise": {"delta": 0.01},
+        "signal": {"name": "rough"},
+        "stopping": {"m0_mode": "normal_quantile"},
+    }
+    exp = harness.resolve_experiment(harness.config_from_mapping(mapping))
+    for rep in range(20):
+        obs = simulate_observation(exp.image, exp.noise, replication_seed(42, rep))
+        tau = stop_index(obs.y, obs.y_norm_sq, exp.stopping)
+        assert tau == exact_rule([obs.y], obs.y_norm_sq, obs.dim, exp.stopping)
+        assert exp.stopping.m0 < tau < obs.dim
 
 
 @given(observations())

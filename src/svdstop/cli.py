@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
-from .harness import _EXPERIMENT_KEYS, _check_keys, _resolve_path
+from .harness import _EXPERIMENT_KEYS, _check_float, _check_keys, _resolve_path
 from .model import _check_int, load_vector, save_vector, write_new_file
 from .oracles import theory_bounds
 from .stopping import StopOutcome, StoppingConfig, _check_selection
@@ -119,7 +119,8 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
     procedure, penalty = "plain_stop", 1.0
     if args.command == "two-step":
         selection = _section(mapping, "selection", {"norm", "penalty_multiplier"})
-        norm, penalty = selection.get("norm", "strong"), float(selection.get("penalty_multiplier", 1.0))
+        norm = selection.get("norm", "strong")
+        penalty = _check_float(selection.get("penalty_multiplier", 1.0), "selection.penalty_multiplier")
         _check_selection(norm, penalty)
         procedure = f"two_step_{norm}"
         extra["selection"] = {"norm": norm, "penalty_multiplier": penalty}
@@ -162,8 +163,8 @@ def _cmd_adversary(mapping: dict, out: Path, base: Path, args) -> None:
     if kind not in ("hide_signal", "residual_adversary"):
         raise ValueError("adversary.kind must be 'hide_signal' or 'residual_adversary'")
     i0 = _check_int(section["i0"], "adversary.i0")
-    alpha = float(section.get("alpha", 0.0))
-    r_bar = float(section["r_bar"])
+    alpha = _check_float(section.get("alpha", 0.0), "adversary.alpha")
+    r_bar = _check_float(section["r_bar"], "adversary.r_bar")
     extra = {"adversary": {"kind": kind, "i0": i0, "alpha": alpha, "r_bar": r_bar}}
     config, exp = _experiment(mapping, base, *extra)
     if kind == "hide_signal":
@@ -196,11 +197,11 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
         exp.noise,
         exp.stopping,
         seed=config.base_seed,
-        tolerance=float(section.get("tolerance", 1e-10)),
+        tolerance=_check_float(section.get("tolerance", 1e-10), "lazysvd.tolerance"),
         max_iterations=_check_int(section.get("max_iterations", 10000), "lazysvd.max_iterations"),
         triplet_budget=None if budget is None else _check_int(budget, "lazysvd.triplet_budget"),
         selection_norm=section.get("selection_norm"),
-        penalty_multiplier=float(section.get("penalty_multiplier", 1.0)),
+        penalty_multiplier=_check_float(section.get("penalty_multiplier", 1.0), "lazysvd.penalty_multiplier"),
     )
     _write_record(
         out,

@@ -25,13 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import EstimateVector, estimate_at
+from .estimator import estimate_at  # unused here; kept as harness.estimate_at, which perfbench's trace wraps
 from .model import (
     NoiseModel,
     Observation,
     Signal,
     Spectrum,
     _check_int,
+    _check_noise_level,
     load_vector,
     make_polynomial_spectrum,
     replication_seed,
@@ -109,8 +110,7 @@ class ExperimentConfig:
             object.__setattr__(self, "m0", _check_int(self.m0, "stopping.m0"))
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        if self.delta < 0:
-            raise ValueError("noise level must be nonnegative")
+        _check_noise_level(self.delta, "noise.delta")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.base_seed < 0:
@@ -294,27 +294,28 @@ def oracle_payload(exp: ResolvedExperiment) -> dict:
 
 
 def _errors(
-    estimate: EstimateVector, mu: np.ndarray, lam: np.ndarray, gaps: tuple[np.ndarray, np.ndarray]
+    y: np.ndarray, k: int, mu: np.ndarray, lam: np.ndarray, gaps: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float]:
-    """Strong and weak error norms of a truncated estimate.
+    """Strong and weak error norms of the estimate truncated at the integer index ``k``.
 
     ``gaps`` holds the zero estimate's errors ``-mu`` and ``lam * -mu``. The
-    estimate is zero beyond index ``floor(t)``, so only the entries up to
-    there are overwritten for the two dot products. They are restored
-    afterwards, even when a numeric error is raised, so no vector of length
-    ``D`` is allocated. The dot products see the same entries as those of
-    ``estimate.values - mu``: ``0 - mu`` and ``-mu`` differ at most in the
-    sign of a zero, which squares away.
+    estimate is ``y / lam`` up to index ``k`` and zero beyond, so only the
+    first ``k`` entries are overwritten for the two dot products, straight
+    from ``y``; no estimate vector is built. They are restored afterwards,
+    even when a numeric error is raised. The dot products see the same
+    entries as those of ``estimate_at(obs, spectrum, k).values - mu``: the
+    head is formed by the same operations, and past it ``0 - mu`` and
+    ``-mu`` differ at most in the sign of a zero, which squares away.
     """
     gap, weighted_gap = gaps
-    head = min(int(estimate.t) + 1, mu.size)
     try:
-        np.subtract(estimate.values[:head], mu[:head], out=gap[:head])
-        np.multiply(lam[:head], gap[:head], out=weighted_gap[:head])
+        np.divide(y[:k], lam[:k], out=gap[:k])
+        np.subtract(gap[:k], mu[:k], out=gap[:k])
+        np.multiply(lam[:k], gap[:k], out=weighted_gap[:k])
         return math.sqrt(float(np.dot(gap, gap))), math.sqrt(float(np.dot(weighted_gap, weighted_gap)))
     finally:
-        np.negative(mu[:head], out=gap[:head])
-        np.multiply(lam[:head], gap[:head], out=weighted_gap[:head])
+        np.negative(mu[:k], out=gap[:k])
+        np.multiply(lam[:k], gap[:k], out=weighted_gap[:k])
 
 
 def _replicate(
@@ -359,9 +360,7 @@ def _run_one(
         scored = {}  # chosen index -> its errors: procedures that choose the same index share them
         for proc, (chosen, tau, rho, immediate) in zip(exp.config.procedures, choices):
             if chosen not in scored:
-                # unbound, so each estimate is freed before the next is built: with two alive at once
-                # the heap outgrew malloc's trim threshold and went back to the kernel every replication
-                scored[chosen] = _errors(estimate_at(obs, exp.spectrum, float(chosen)), mu, lam, gaps)
+                scored[chosen] = _errors(obs.y, chosen, mu, lam, gaps)
             err_strong, err_weak = scored[chosen]
             records.append(
                 ReplicationRecord(

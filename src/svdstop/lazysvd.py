@@ -38,13 +38,14 @@ comparable across runs and to reference decompositions.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import EstimateVector
-from .model import NoiseModel
+from .model import NoiseModel, _frozen_array
 from .stopping import StopOutcome, StoppingConfig, _check_selection, residual_rule, two_step
 
 __all__ = [
@@ -102,14 +103,13 @@ class MatrixOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        arr = _frozen_array(self.entries)  # a frozen matrix, such as load_matrix returns, is not copied again
         if arr.ndim != 2:
             raise ValueError("operator entries must form a two-dimensional array")
         if arr.shape[0] < arr.shape[1]:
             raise ValueError("operator must have at least as many rows as columns")
         if not np.all(np.isfinite(arr)):
             raise ValueError("operator entries must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -473,7 +473,11 @@ def save_matrix(path, entries: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix written by :func:`save_matrix`."""
+    """Read a dense matrix written by :func:`save_matrix`, as a read-only float64 matrix.
+
+    A ``.bin`` file is read straight into a matrix that owns its data, so
+    :class:`MatrixOperator` keeps it without a copy.
+    """
     if str(path).endswith(".bin"):
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -483,16 +487,19 @@ def load_matrix(path) -> np.ndarray:
             if len(header) != 16:
                 raise ValueError(f"{path}: truncated binary matrix header")
             rows, cols = struct.unpack("<qq", header)
-            data = np.frombuffer(fh.read(), dtype="<f8")
-        if data.size != rows * cols:
-            raise ValueError(f"{path}: truncated binary matrix file")
-        return data.reshape(rows, cols).astype(float)
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected a 'rows cols' header line")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=float, ndmin=2)
-    if data.shape != (rows, cols):
-        raise ValueError(f"{path}: body shape {data.shape} disagrees with header {(rows, cols)}")
+            if rows < 0 or cols < 0 or os.fstat(fh.fileno()).st_size - fh.tell() != 8 * rows * cols:
+                raise ValueError(f"{path}: truncated binary matrix file")
+            # filled in place: a matrix reshaped from np.fromfile's flat array would be a view, owning nothing
+            data = np.empty((rows, cols), dtype="<f8")
+            fh.readinto(data)
+    else:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ValueError(f"{path}: expected a 'rows cols' header line")
+            rows, cols = int(header[0]), int(header[1])
+            data = np.loadtxt(fh, dtype=float, ndmin=2)
+        if data.shape != (rows, cols):
+            raise ValueError(f"{path}: body shape {data.shape} disagrees with header {(rows, cols)}")
+    data.setflags(write=False)
     return data

@@ -46,25 +46,32 @@ class InvalidDimensionError(ValueError):
     """Problem dimension is empty or otherwise unusable."""
 
 
-def _frozen_vector(values) -> np.ndarray:
-    """``values`` as a read-only float64 vector.
+def _frozen_array(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
 
-    A read-only float64 vector that owns its data is kept as it is. Any
-    other input, a writeable array or a view of one included, is copied, so
-    the caller cannot change the result by writing to their array.
+    A read-only, C-contiguous float64 array that owns its data is kept as
+    it is. Any other input, a writeable array or a view of one included, is
+    copied, so the caller cannot change the result by writing to their
+    array.
     """
     if (
         type(values) is np.ndarray
         and values.dtype == np.float64
-        and values.ndim == 1
         and values.base is None
+        and values.flags.c_contiguous
         and not values.flags.writeable
     ):
         return values
     arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_vector(values) -> np.ndarray:
+    """``values`` as a read-only float64 vector, kept or copied as :func:`_frozen_array` says."""
+    arr = _frozen_array(values)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional real vector")
-    arr.setflags(write=False)
     return arr
 
 
@@ -124,6 +131,18 @@ class Signal:
         return int(self.coefficients.size)
 
 
+def _check_noise_level(delta, key: str = "delta") -> float:
+    """``delta`` as a float; ``ValueError`` naming ``key`` unless it is non-negative with a finite square.
+
+    ``delta**2`` enters every threshold, variance and calibration, and a
+    Python float's ``**`` raises ``OverflowError`` past the largest float.
+    """
+    delta = float(delta)
+    if not (delta >= 0 and delta * delta < math.inf):
+        raise ValueError(f"noise level {key} must be non-negative with a finite square, got {delta!r}")
+    return delta
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Level of the Gaussian coefficient noise.
@@ -135,9 +154,7 @@ class NoiseModel:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", float(self.delta))
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise ValueError("noise level must be finite and non-negative")
+        object.__setattr__(self, "delta", _check_noise_level(self.delta))
 
 
 @dataclass(frozen=True)
@@ -160,12 +177,10 @@ class Observation:
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_vector(self.y))
         object.__setattr__(self, "y_norm_sq", float(np.dot(self.y, self.y)))
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", _check_noise_level(self.delta))
         if self.noise is not None:
             object.__setattr__(self, "noise", _frozen_vector(self.noise))
             require_same_dim(self.y.size, self.noise.size)
-        if self.delta < 0 or not math.isfinite(self.delta):
-            raise ValueError("noise level must be finite and non-negative")
 
     @property
     def dim(self) -> int:

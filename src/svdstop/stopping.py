@@ -25,6 +25,7 @@ already read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from statistics import NormalDist
@@ -353,13 +354,34 @@ def aic_select(
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
     _check_selection(norm, penalty_multiplier)
     y2 = y[:m0] ** 2
+    inv2, penalty = _aic_penalty(lam[:m0].tobytes(), delta, m0, norm, penalty_multiplier)
+    crit = -_prefix_sums(y2 if inv2 is None else inv2 * y2) + penalty
+    return int(np.argmin(crit))
+
+
+@functools.lru_cache(maxsize=2)
+def _aic_penalty(
+    lam_head: bytes, delta: float, m0: int, norm: str, penalty_multiplier: float
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The half of :func:`aic_select`'s criterion that the data leave alone, as read-only arrays.
+
+    ``lam_head`` holds the bytes of ``lam[:m0]``. Returns ``lam[:m0]**-2``
+    (``None`` for the weak norm) and the penalty at ``m = 0..m0``. An
+    experiment selects on one instance over and over, so the arrays are
+    kept for the last two keys: an experiment running both two-step
+    procedures alternates the two norms. The expressions are those the
+    criterion always used, so a memoised call selects the same index bit
+    for bit.
+    """
     pen = 2.0 * penalty_multiplier * delta**2
     if norm == "strong":
-        inv2 = lam[:m0] ** -2.0
-        crit = -_prefix_sums(inv2 * y2) + pen * _prefix_sums(inv2)
+        inv2 = np.frombuffer(lam_head, dtype=float) ** -2.0
+        penalty = pen * _prefix_sums(inv2)
+        inv2.setflags(write=False)
     else:
-        crit = -_prefix_sums(y2) + pen * np.arange(m0 + 1, dtype=float)
-    return int(np.argmin(crit))
+        inv2, penalty = None, pen * np.arange(m0 + 1, dtype=float)
+    penalty.setflags(write=False)
+    return inv2, penalty
 
 
 def _check_selection(norm: str, penalty_multiplier: float) -> None:

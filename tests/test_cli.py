@@ -426,14 +426,60 @@ def test_invalid_config_exits_three(tmp_path, capsys):
     assert "delta" in record["message"]
 
 
-@pytest.mark.parametrize("key", ["noise.delta", "stopping.level", "stopping.kappa_drift"])
-def test_null_number_exits_three_naming_the_key(config_path, tmp_path, key, capsys):
-    args = ["oracles", "--config", config_path, "--out", tmp_path / "out", "--set", f"{key}=null"]
+def config_for(tmp_path, command):
+    """A config file that ``command`` runs on: ``BASE_CONFIG``, with an adversary, or the ``lazysvd`` inputs."""
+    if command == "lazysvd":
+        write_lazy_inputs(tmp_path)
+        config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.05}}
+    else:
+        config = dict(BASE_CONFIG)
+        if command == "adversary":
+            config["adversary"] = {"kind": "hide_signal", "i0": 30, "alpha": 0.5, "r_bar": 2.0}
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+# each number key, and a command that reads it
+NUMBER_KEYS = {
+    "noise.delta": "oracles",
+    "stopping.level": "oracles",
+    "stopping.kappa_drift": "oracles",
+    "lazysvd.tolerance": "lazysvd",
+    "lazysvd.penalty_multiplier": "lazysvd",
+    "adversary.alpha": "adversary",
+    "adversary.r_bar": "adversary",
+    "selection.penalty_multiplier": "two-step",
+}
+
+
+@pytest.mark.parametrize(
+    "key, raw, error",
+    [pytest.param(key, "null", "TypeError", id=key) for key in NUMBER_KEYS]
+    + [pytest.param(key, "ten", "ValueError", id=f"{key}-string") for key in NUMBER_KEYS],
+)
+def test_null_number_exits_three_naming_the_key(tmp_path, key, raw, error, capsys):
+    """A JSON ``null`` or a string where a number belongs exits 3, naming the key, before anything is written."""
+    out = tmp_path / "out"
+    command = NUMBER_KEYS[key]
+    args = [command, "--config", config_for(tmp_path, command), "--out", out, "--set", f"{key}={raw}"]
     code, captured = run(args, capsys)
     assert code == 3
     record = json.loads(captured.err.strip().splitlines()[-1])
-    assert record["error"] == "TypeError" and key in record["message"]
-    assert not (tmp_path / "out" / "oracles.json").exists()
+    assert record["error"] == error and key in record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["mc", "oracles", "stop", "lazysvd"])
+def test_noise_level_whose_square_overflows_exits_three(tmp_path, command, capsys):
+    """``1e160`` is finite, but ``delta**2`` is not: the config is refused before any ``OverflowError``."""
+    out = tmp_path / "out"
+    args = [command, "--config", config_for(tmp_path, command), "--out", out, "--set", "noise.delta=1e160"]
+    code, captured = run(args, capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "noise.delta" in record["message"]
+    assert not any(out.iterdir())
 
 
 def test_numeric_failure_exits_four(tmp_path, capsys):
@@ -818,19 +864,19 @@ def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys)
 
 def test_failed_replication_exits_four_after_writing(config_path, tmp_path, monkeypatch, capsys):
     reps = []
-    estimate_at, replication_seed = harness.estimate_at, harness.replication_seed
+    errors, replication_seed = harness._errors, harness.replication_seed
 
     def seed_of(base_seed, rep):
         reps.append(rep)
         return replication_seed(base_seed, rep)
 
-    def flaky(obs, spectrum, t):
-        if reps[-1] == 3:  # the first estimate replication 3 builds
+    def flaky(y, k, mu, lam, gaps):
+        if reps[-1] == 3:  # the first index replication 3 scores
             raise FloatingPointError("overflow in the estimate")
-        return estimate_at(obs, spectrum, t)
+        return errors(y, k, mu, lam, gaps)
 
     monkeypatch.setattr(harness, "replication_seed", seed_of)
-    monkeypatch.setattr(harness, "estimate_at", flaky)
+    monkeypatch.setattr(harness, "_errors", flaky)
     out = tmp_path / "mc"
     code, captured = run(["mc", "--config", config_path, "--out", out], capsys)
     assert code == 4

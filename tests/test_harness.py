@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svdstop import harness
-from svdstop.estimator import EstimateVector, estimate_at
+from svdstop.estimator import estimate_at
 from svdstop.harness import (
     CSV_HEADER,
     PROCEDURES,
@@ -26,6 +26,7 @@ from svdstop.harness import (
 )
 from svdstop.model import replication_seed, save_vector, simulate_observation
 from svdstop.signals import NAMED_PROFILES
+from svdstop.stopping import stop_index
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "efficiency_smooth.json"
 
@@ -72,10 +73,12 @@ def test_config_rejects_unknown_procedure():
         ({"dim": 0}, "dimension"),
         ({"delta": -0.1}, "noise level"),
         ({"replications": 0}, "replication"),
+        ({"delta": 1e160}, "noise.delta"),
     ],
 )
 def test_config_rejects_repeated_procedures_and_negative_seeds(overrides, key):
-    """And the other out-of-range values: a dimension or a replication count below 1, a negative noise level."""
+    """And the other out-of-range values: a dimension or a replication count below 1, a negative noise level
+    or one whose square overflows."""
     with pytest.raises(ValueError, match=key):
         small_config(**overrides)
 
@@ -329,10 +332,10 @@ def test_report_as_record_structure():
 
 
 def test_only_numeric_replication_failures_are_recorded(monkeypatch):
-    def broken(obs, spectrum, t):
+    def broken(y, k, mu, lam, gaps):
         raise TypeError("a programming error")
 
-    monkeypatch.setattr(harness, "estimate_at", broken)
+    monkeypatch.setattr(harness, "_errors", broken)
     with pytest.raises(TypeError):
         run_experiment(small_config(replications=2))
 
@@ -384,30 +387,45 @@ def _file_config(base: Path, lam, mu, delta: float, kappa: str, m0: int, procedu
     )
 
 
+def _full_length_errors(obs, exp, k: int) -> tuple[float, float]:
+    """The errors of the estimate at ``k`` built in full, the way scoring once worked."""
+    mu, lam = exp.signal.coefficients, exp.spectrum.values
+    diff = estimate_at(obs, exp.spectrum, float(k)).values - mu
+    weighted = lam * diff
+    return math.sqrt(float(np.dot(diff, diff))), math.sqrt(float(np.dot(weighted, weighted)))
+
+
 def _check_errors_the_old_way(config: ExperimentConfig, base: Path) -> set[int]:
-    """Every record's errors equal those of ``estimate - mu`` built in full; returns the chosen indices."""
+    """Every record's errors equal those of ``estimate - mu`` built in full; returns the chosen indices.
+
+    Scoring from the head of ``y`` also matches the full estimate at 0,
+    ``m0``, ``tau``, the classical index and ``D`` in every replication, and
+    leaves the gap vectors as it found them.
+    """
     exp = resolve_experiment(config, base)
     mu, lam = exp.signal.coefficients, exp.spectrum.values
+    oracle = oracle_payload(exp)
+    gaps = (-mu, lam * -mu)
+    pristine = tuple(g.copy() for g in gaps)
     report = run_experiment(config, base_dir=base)
     chosen_seen = set()
-    for record in report.records:
-        chosen = record.rho if record.procedure.startswith("two_step") else record.tau
-        chosen_seen.add(chosen)
-        obs = simulate_observation(lam * mu, exp.noise, replication_seed(config.base_seed, record.rep))
-        diff = estimate_at(obs, exp.spectrum, float(chosen)).values - mu
-        weighted = lam * diff
-        assert record.err_strong == math.sqrt(float(np.dot(diff, diff)))
-        assert record.err_weak == math.sqrt(float(np.dot(weighted, weighted)))
+    for rep in range(config.replications):
+        obs = simulate_observation(lam * mu, exp.noise, replication_seed(config.base_seed, rep))
+        tau = stop_index(obs.y, obs.y_norm_sq, exp.stopping)
+        for k in {0, exp.stopping.m0, tau, oracle["classical_index"], config.dim}:
+            assert harness._errors(obs.y, k, mu, lam, gaps) == _full_length_errors(obs, exp, k)
+            assert all(np.array_equal(g, p) for g, p in zip(gaps, pristine))
+        for record in (r for r in report.records if r.rep == rep):
+            chosen = record.rho if record.procedure.startswith("two_step") else record.tau
+            chosen_seen.add(chosen)
+            assert (record.err_strong, record.err_weak) == _full_length_errors(obs, exp, chosen)
     # the gap vectors are restored after every procedure: the order of the procedures changes nothing
     permuted = run_experiment(dataclasses.replace(config, procedures=config.procedures[::-1]), base_dir=base)
     assert sorted(permuted.records, key=lambda r: (r.rep, r.procedure)) == sorted(
         report.records, key=lambda r: (r.rep, r.procedure)
     )
     # and running one replication twice on the same gap vectors gives the same records
-    oracle = oracle_payload(exp)
     numerators = (math.sqrt(oracle["classical_risk"]), math.sqrt(oracle["classical_weak_risk"]))
-    gaps = (-mu, lam * -mu)
-    pristine = tuple(g.copy() for g in gaps)
     runs = [harness._run_one(0, exp, oracle["classical_index"], numerators, gaps) for _ in range(2)]
     assert runs[0] == runs[1] == ([r for r in report.records if r.rep == 0], None)
     assert all(np.array_equal(g, p) for g, p in zip(gaps, pristine))
@@ -479,24 +497,38 @@ def test_procedures_that_choose_one_index_share_its_estimate(tmp_path, monkeypat
     _check_errors_the_old_way(config, tmp_path)
     fixed = oracle_payload(resolve_experiment(config))["classical_index"]
 
-    levels = []  # per replication, the levels estimated in it, in order
-    estimate_at, replication_seed = harness.estimate_at, harness.replication_seed
+    levels = []  # per replication, the indices scored in it, in order
+    errors, replication_seed = harness._errors, harness.replication_seed
 
     def seed_of(base_seed, rep):
         levels.append([])
         return replication_seed(base_seed, rep)
 
-    def spy(obs, spectrum, t):
-        levels[-1].append(t)
-        return estimate_at(obs, spectrum, t)
+    def spy(y, k, mu, lam, gaps):
+        levels[-1].append(k)
+        return errors(y, k, mu, lam, gaps)
 
     monkeypatch.setattr(harness, "replication_seed", seed_of)
-    monkeypatch.setattr(harness, "estimate_at", spy)
+    monkeypatch.setattr(harness, "_errors", spy)
     report = run_experiment(config)
     assert not any(r.immediate for r in report.records)
     taus = [r.tau for r in report.records if r.procedure == "plain_stop"]
     assert [rep for rep, tau in enumerate(taus) if tau == fixed] == [34]
-    assert levels == [[float(tau)] if tau == fixed else [float(tau), float(fixed)] for tau in taus]
+    assert levels == [[tau] if tau == fixed else [tau, fixed] for tau in taus]
+
+
+def test_run_experiment_builds_no_estimate_vector(monkeypatch):
+    """Replications are scored from the head of ``y``: ``estimate_at`` is left to the commands that write one."""
+    # a huge threshold stops immediately at m0 = 5, so the AIC re-selection runs too
+    config = small_config(replications=6, m0_mode="explicit", m0=5, kappa=100.0, procedures=PROCEDURES)
+    expected = run_experiment(config)
+    assert all(r.immediate for r in expected.records if r.procedure == "plain_stop")
+
+    def forbidden(obs, spectrum, t):
+        raise AssertionError("run_experiment built an estimate vector")
+
+    monkeypatch.setattr(harness, "estimate_at", forbidden)
+    assert run_experiment(config) == expected
 
 
 def test_gap_vectors_are_restored_after_a_numeric_error():
@@ -504,7 +536,7 @@ def test_gap_vectors_are_restored_after_a_numeric_error():
     lam = np.array([1.0, 0.5, 0.25])
     gaps = (-mu, lam * -mu)
     pristine = tuple(g.copy() for g in gaps)
-    estimate = EstimateVector(values=np.array([-1e308, 1.0, 0.0]), t=3.0)
+    y = np.array([-1e308, 0.5, 0.0])  # the estimate's head y / lam is [-1e308, 1, 0]
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        harness._errors(estimate, mu, lam, gaps)
+        harness._errors(y, 3, mu, lam, gaps)
     assert all(np.array_equal(g, p) for g, p in zip(gaps, pristine))

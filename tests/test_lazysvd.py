@@ -1,6 +1,7 @@
 """Lazy one-at-a-time SVD by Golub-Kahan-Lanczos, and the matrix-space stopping loop."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,33 @@ def test_operator_validation():
     assert (op.codomain_dim, op.domain_dim) == (4, 3)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
+
+
+def test_operator_keeps_a_frozen_matrix_and_copies_any_other():
+    frozen = random_tall(3, rows=6, cols=4)
+    frozen.setflags(write=False)
+    assert MatrixOperator(frozen).entries is frozen
+    writeable = random_tall(3, rows=6, cols=4)
+    view = frozen[:, :3]  # read-only, but a view of another array's data
+    operators = [MatrixOperator(writeable), MatrixOperator(view), MatrixOperator(np.asfortranarray(frozen))]
+    assert operators[0].entries is not writeable and operators[1].entries is not view
+    writeable[0, 0] += 1.0
+    assert operators[0].entries[0, 0] == frozen[0, 0]
+    assert np.array_equal(operators[1].entries, frozen[:, :3])
+    assert np.array_equal(operators[2].entries, frozen)
+
+
+def test_operator_from_a_binary_file_holds_one_copy(tmp_path):
+    path = tmp_path / "A.bin"
+    save_matrix(path, random_tall(5, rows=1000, cols=500))
+    tracemalloc.start()
+    try:
+        op = MatrixOperator(load_matrix(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.entries.shape == (1000, 500)
+    assert peak < 1.25 * op.entries.nbytes
 
 
 def test_diagonal_values_recovered_in_order():
@@ -470,7 +498,10 @@ def test_matrix_roundtrip(tmp_path, suffix):
     a = random_tall(17, rows=7, cols=3)
     path = tmp_path / f"matrix.{suffix}"
     save_matrix(path, a)
-    assert np.array_equal(load_matrix(path), a)
+    loaded = load_matrix(path)
+    assert np.array_equal(loaded, a)
+    assert loaded.dtype == np.float64 and not loaded.flags.writeable
+    assert MatrixOperator(loaded).entries is loaded  # frozen and owning its data: kept without a copy
 
 
 def test_text_matrix_has_dimension_header(tmp_path):
@@ -489,3 +520,7 @@ def test_load_matrix_rejects_bad_header(tmp_path):
     short.write_bytes(b"SVDM" + b"\x02\x00")
     with pytest.raises(ValueError, match="header"):
         load_matrix(short)
+    for body in (b"\x00" * 40, b"\x00" * 56):  # one entry short, one entry over, of a 2x3 matrix
+        short.write_bytes(b"SVDM" + (2).to_bytes(8, "little") + (3).to_bytes(8, "little") + body)
+        with pytest.raises(ValueError, match="truncated"):
+            load_matrix(short)

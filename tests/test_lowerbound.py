@@ -317,15 +317,15 @@ def test_overrun_check_rejects_bad_index_and_replications_before_running(monkeyp
 
 def test_overrun_check_raises_on_a_failed_replication(monkeypatch):
     calls = []
-    estimate_at = harness.estimate_at
+    errors = harness._errors
 
-    def flaky(obs, spectrum, t):
-        calls.append(t)
+    def flaky(y, k, mu, lam, gaps):
+        calls.append(k)
         if len(calls) == 3:
             raise FloatingPointError("overflow in the estimate")
-        return estimate_at(obs, spectrum, t)
+        return errors(y, k, mu, lam, gaps)
 
-    monkeypatch.setattr(harness, "estimate_at", flaky)
+    monkeypatch.setattr(harness, "_errors", flaky)
     with pytest.raises(ArithmeticError, match="overflow in the estimate"):
         overrun_check(overrun_config(replications=5), m=40)
     assert len(calls) == 5  # the other replications still ran

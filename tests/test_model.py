@@ -61,6 +61,9 @@ def test_noise_model_validation():
         NoiseModel(delta=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(delta=float("nan"))
+    NoiseModel(delta=1e150)
+    with pytest.raises(ValueError, match="finite square"):  # finite, but its square is not
+        NoiseModel(delta=1e160)
 
 
 def test_simulation_is_seed_deterministic():

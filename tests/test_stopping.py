@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svdstop import harness, stopping
+from svdstop.estimator import _prefix_sums
 from svdstop.model import Observation, make_polynomial_spectrum, replication_seed, simulate_observation
 from svdstop.stopping import (
     M0_MODES,
@@ -446,6 +447,61 @@ def test_aic_penalty_multiplier_shrinks_selection():
     loose = aic_select(y, spec.values, 0.3, m0=d, norm="strong", penalty_multiplier=1.0)
     tight = aic_select(y, spec.values, 0.3, m0=d, norm="strong", penalty_multiplier=8.0)
     assert tight <= loose
+
+
+def _aic_unmemoized(y, lam, delta, m0, norm, penalty_multiplier):
+    """The AIC criterion formed in full on every call, as ``aic_select`` did before its penalty was memoised."""
+    y2 = y[:m0] ** 2
+    pen = 2.0 * penalty_multiplier * delta**2
+    if norm == "strong":
+        inv2 = lam[:m0] ** -2.0
+        crit = -_prefix_sums(inv2 * y2) + pen * _prefix_sums(inv2)
+    else:
+        crit = -_prefix_sums(y2) + pen * np.arange(m0 + 1, dtype=float)
+    return int(np.argmin(crit))
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim),
+            st.lists(st.floats(0.01, 10.0), min_size=dim, max_size=dim),
+            st.floats(0.0, 5.0),
+            st.integers(0, dim),
+            st.sampled_from(["strong", "weak"]),
+            st.floats(0.1, 10.0),
+        )
+    )
+)
+def test_aic_memo_selects_the_unmemoized_index(case):
+    y, lam, delta, m0, norm, multiplier = case
+    y, lam = np.array(y), np.array(lam)
+    expected = _aic_unmemoized(y, lam, delta, m0, norm, multiplier)
+    assert aic_select(y, lam, delta, m0, norm, multiplier) == expected
+    assert aic_select(y, lam, delta, m0, norm, multiplier) == expected  # now from the memo
+
+
+def test_aic_memo_recomputes_when_the_instance_changes():
+    d = 30
+    rng = np.random.default_rng(11)
+    lam = make_polynomial_spectrum(d, 0.5).values
+    base = dict(y=lam * np.linspace(3.0, 0.0, d) + 0.3 * rng.standard_normal(d), lam=lam, delta=0.3, m0=20)
+    base.update(norm="strong", penalty_multiplier=1.0)
+    stopping._aic_penalty.cache_clear()
+
+    def select(**change):
+        args = {**base, **change}
+        assert aic_select(**args) == _aic_unmemoized(**args)
+        return stopping._aic_penalty.cache_info()
+
+    assert select().misses == 1
+    # new data, or a spectrum changed past m0, reuse the penalty
+    assert select(y=base["y"][::-1].copy(), lam=np.concatenate((lam[:20], lam[20:] / 2))).hits == 1
+    changes = [{"lam": lam * 1.5}, {"delta": 0.31}, {"m0": 19}, {"norm": "weak"}, {"penalty_multiplier": 2.0}]
+    for count, change in enumerate(changes, start=2):
+        assert select(**change).misses == count
+    inv2, penalty = stopping._aic_penalty(lam[:20].tobytes(), 0.3, 20, "strong", 1.0)
+    assert not inv2.flags.writeable and not penalty.flags.writeable
 
 
 

@@ -219,20 +219,23 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
     if config.spectrum_file is not None:
         spectrum = Spectrum(load_vector(_resolve_path(base, config.spectrum_file, "spectrum.file")))
     else:
-        spectrum = make_polynomial_spectrum(config.dim, config.spectrum_p)
+        spectrum = make_polynomial_spectrum(config.dim, config.spectrum_p, "spectrum.p")
     noise = NoiseModel(delta=config.delta)
-    if config.signal_file is not None:
-        signal = Signal(load_vector(_resolve_path(base, config.signal_file, "signal.file")))
-    elif config.signal_name == "zero":
-        signal = Signal(np.zeros(config.dim))
-    else:
-        signal = calibrated_signal(
-            config.signal_name, config.dim, config.delta, spectrum=spectrum, target=config.signal_target
-        )
+    settings = {key: getattr(config, field) for key, field in _SECTIONS["stopping"].items()}
+    try:  # delta**2 is finite, but its products with the calibration or the dimension may not be
+        if config.signal_file is not None:
+            signal = Signal(load_vector(_resolve_path(base, config.signal_file, "signal.file")))
+        elif config.signal_name == "zero":
+            signal = Signal(np.zeros(config.dim))
+        else:
+            signal = calibrated_signal(
+                config.signal_name, config.dim, config.delta, spectrum=spectrum, target=config.signal_target
+            )
+        stopping = make_stopping_config(config.dim, config.delta, **settings)
+    except OverflowError as exc:
+        raise ValueError(f"noise.delta = {config.delta!r} is too large: {exc}") from None
     if signal.dim != config.dim or spectrum.dim != config.dim:
         raise ValueError("signal or spectrum dimension disagrees with the configured dim")
-    settings = {key: getattr(config, field) for key, field in _SECTIONS["stopping"].items()}
-    stopping = make_stopping_config(config.dim, config.delta, **settings)
     image = spectrum.values * signal.coefficients
     image.setflags(write=False)
     return ResolvedExperiment(

@@ -16,13 +16,11 @@ checked.
 The numeric total variation (:func:`tv_numeric`) needs only numpy and
 ``math``: the noncentral chi-square laws are Poisson mixtures of central
 ones whose degrees share one parity, so the densities come in closed
-form from ``lgamma``, the distribution functions from the upper-tail
-recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}``, and the density crossing from
-an Illinois root finder. Each law's per-degree constants (slopes, folded
-weights and normalisers, the recurrence's ladder) are built once per
-call; a density costs six sweeps of its points-by-degrees matrix over a
-``log x`` shared by both laws, and the common ``-x/2`` enters once per
-point, after the log-sum-exp.
+form, the distribution functions from the upper-tail recurrence
+``Q_{k+2} = Q_k + 2 f_{k+2}``, and the density crossing from an Illinois
+root finder. A density sums its terms forward by the ratio of
+consecutive terms, on vectors as long as its points: no ``exp`` and no
+points-by-degrees matrix (:func:`_mixture_logpdf`).
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ SIMPLIFIED_NORM_THRESHOLD = math.sqrt(8.0) * math.e / (2.0 * math.pi - math.sqrt
 
 _POISSON_TAIL = 1e-13
 _QUADRATURE_TOL = 1e-6
-_LOGPDF_ENTRIES = 1 << 20  # 8 MB of float64: the noncentrality, and so the degree count, is unbounded
+_RESCALE_AT = 2.0**500  # a running term past this is scaled down by a power of two
 
 
 class AccuracyError(RuntimeError):
@@ -242,14 +240,14 @@ def tv_bound(theta_norm: float, theta_bar_norm: float, num_terms: int) -> TvBoun
 
 
 class _Mixture(NamedTuple):
-    """A noncentral chi-square law as a Poisson mixture of central ones, with its per-degree constants.
+    """A noncentral chi-square law as a Poisson mixture of central ones, with its constants.
 
-    The mixture degrees ``dfs = K + 2j`` carry log weights ``log_w``, and
-    ``log f(x) + x/2`` is the log-sum-exp over them of
-    ``slope * log x + const``, with ``slope = k/2 - 1`` and ``const =
-    log_w - (k/2) log 2 - lgamma(k/2)``. The distribution function steps
-    the upper-tail recurrence from the closed-form ``Q_1`` or ``Q_2``
-    through every degree ``k`` of the mixture's parity up to the largest:
+    The degrees ``dfs = K + 2j`` carry log weights ``log_w``. Term ``j + 1``
+    of the density is term ``j`` times ``x * ratios[j]``, ``ratios[j] =
+    (nc/2) / ((j + 1)(K + 2j))``, and term 0 is ``exp(head_const +
+    head_slope * log x - x/2)``. The distribution function steps the
+    upper-tail recurrence from the closed-form ``Q_1`` or ``Q_2`` through
+    every degree ``k`` of the mixture's parity up to the largest:
     ``step_slope`` and ``step_norm`` hold ``k/2 - 1`` and ``(k/2) log 2 +
     lgamma(k/2)`` at each step, and ``rows`` places the mixture's degrees
     on that ladder, whose row 0 is the closed form.
@@ -257,8 +255,9 @@ class _Mixture(NamedTuple):
 
     log_w: np.ndarray
     dfs: np.ndarray
-    slope: np.ndarray
-    const: np.ndarray
+    head_slope: float
+    head_const: float
+    ratios: list[float]
     step_slope: np.ndarray
     step_norm: np.ndarray
     rows: np.ndarray
@@ -285,30 +284,36 @@ def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
         tails = np.cumsum(np.exp(log_w[::-1]))[::-1]  # tails[j] = P(J >= j)
         log_w = log_w[: int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 3]
     dfs = num_terms + 2.0 * np.arange(log_w.size)
+    ratios = (half / (np.arange(1.0, log_w.size) * dfs[:-1])).tolist()
     first = 2.0 - dfs[0] % 2.0  # Q_1 and Q_2 are closed forms; the ladder starts above them
     ladder = 0.5 * np.arange(first, dfs[-1] + 1.0, 2.0)
     norm = ladder * math.log(2.0) + np.array([math.lgamma(h) for h in ladder.tolist()])
     rows = ((dfs - first) / 2.0).astype(int)
-    return _Mixture(log_w, dfs, ladder[rows] - 1.0, log_w - norm[rows], ladder[1:] - 1.0, norm[1:], rows)
+    head_const = float(log_w[0] - norm[rows[0]])
+    return _Mixture(log_w, dfs, 0.5 * num_terms - 1.0, head_const, ratios, ladder[1:] - 1.0, norm[1:], rows)
 
 
-def _mixture_logpdf(law: _Mixture, log_x: np.ndarray) -> np.ndarray:
-    """``log f(x) + x/2`` at every ``log x``, in runs of points whose matrix of terms holds at most 2**20 entries.
+def _mixture_logpdf(law: _Mixture, x, log_x):
+    """``log f(x) + x/2`` at points ``x`` with logs ``log_x``, both arrays or both floats, in O(points) memory.
 
-    Six sweeps of each points-by-degrees run: the outer product with the
-    slopes, the constants, the row maximum, its subtraction, ``exp`` and
-    the sum. The common ``-x/2`` is left to the caller.
+    ``log f(x) + x/2 = head_const + head_slope * log x + log s(x)``, and
+    ``s`` sums the terms forward in place: ``t *= x; t *= ratios[j]; s +=
+    t``. Every fourth degree, each point whose term passed 2**500 has its
+    term and sum scaled down by a power of two, and the exponent goes into
+    the log. That is exact, so a point's value does not depend on its
+    batch; a float runs the same steps and ends in the same numpy ``log``,
+    so it matches the batch to the bit. The caller adds the common ``-x/2``.
     """
-    out = np.empty(log_x.size)
-    rows = max(1, _LOGPDF_ENTRIES // law.dfs.size)
-    for i in range(0, log_x.size, rows):
-        terms = np.multiply.outer(log_x[i : i + rows], law.slope)
-        terms += law.const
-        top = terms.max(axis=1)
-        terms -= top[:, None]
-        out[i : i + rows] = top + np.log(np.exp(terms, out=terms).sum(axis=1))
-        del terms  # one run's matrix at a time
-    return out
+    frexp, ldexp, top = (math.frexp, math.ldexp, float) if isinstance(x, float) else (np.frexp, np.ldexp, np.max)
+    t, s, carry = (1.0, 1.0, 0) if top is float else (np.ones_like(x), np.ones_like(x), 0)
+    for j, ratio in enumerate(law.ratios, 1):
+        t *= x
+        t *= ratio
+        s += t
+        if j % 4 == 0 and top(t) > _RESCALE_AT:
+            shift = frexp(t)[1] * (t > _RESCALE_AT)  # a zero shift leaves a point as it is
+            t, s, carry = ldexp(t, -shift), ldexp(s, -shift), carry + shift
+    return law.head_const + law.head_slope * log_x + (np.log(s) + carry * math.log(2.0))
 
 
 def _mixture_cdf(law: _Mixture, x: float) -> float:
@@ -368,25 +373,20 @@ def _find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> float:
     """Numeric total variation between two noncentral chi-square laws.
 
-    The densities are evaluated as Poisson mixtures of central
-    chi-square densities with the weight tail truncated below 1e-13,
-    all in closed form: ``log f_k`` from ``lgamma``, with each law's
-    per-degree constants built once and ``log x`` taken once per point
-    for both laws, and the upper tails from ``Q_1 = erfc(sqrt(x/2))``
-    or ``Q_2 = exp(-x/2)`` by the recurrence ``Q_{k+2} = Q_k + 2
-    f_{k+2}``, since the mixture degrees share one parity. The distance
-    is computed twice: once through the single sign change of the
-    density difference (the likelihood ratio is monotone, so the
-    distance is a difference of distribution functions at the crossing,
-    found by an Illinois root finder) and once by composite
-    Gauss-Legendre quadrature of the absolute density difference, with
-    a square-root substitution taming the origin singularity for one
-    degree of freedom. Raises :class:`AccuracyError`
-    when the two routes disagree by more than 1e-6 or the root finder
-    does not converge or finds no sign change; otherwise the
-    crossing-based value is returned. The crossing is sought in the log
-    density ratio, where the common ``-x/2`` cancels; the quadrature
-    applies it to each density once per node.
+    The densities are Poisson mixtures of central chi-square densities,
+    with the weight tail truncated below 1e-13, summed by
+    :func:`_mixture_logpdf` over a ``log x`` shared by both laws; the
+    upper tails come from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)``
+    by ``Q_{k+2} = Q_k + 2 f_{k+2}``. The distance is computed twice:
+    once through the single sign change of the density difference (the
+    likelihood ratio is monotone, so the distance is a difference of
+    distribution functions at the crossing, found by an Illinois root
+    finder in the log density ratio) and once by composite Gauss-Legendre
+    quadrature of the absolute density difference, with a square-root
+    substitution taming the origin singularity for one degree of freedom.
+    Raises :class:`AccuracyError` when the two routes disagree by more
+    than 1e-6 or the root finder does not converge or finds no sign
+    change; otherwise the crossing-based value is returned.
     """
     a, b = _check_tv_args(theta_norm, theta_bar_norm, num_terms)
     # order so that f is the law with the larger noncentrality
@@ -398,8 +398,8 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
     f, g = _mixture_terms(num_terms, nu_f), _mixture_terms(num_terms, nu_g)
 
     def log_ratio(x: float) -> float:
-        log_x = np.log([x])
-        return float(_mixture_logpdf(f, log_x)[0] - _mixture_logpdf(g, log_x)[0])  # -x/2 cancels
+        log_x = np.log(x)
+        return float(_mixture_logpdf(f, x, log_x) - _mixture_logpdf(g, x, log_x))  # -x/2 cancels
 
     # the ratio is increasing in x, negative near 0 and positive far out
     lo = 1e-8
@@ -415,7 +415,7 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
 
     def abs_diff(x: np.ndarray) -> np.ndarray:
         log_x, half_x = np.log(x), 0.5 * x
-        return np.abs(np.exp(_mixture_logpdf(f, log_x) - half_x) - np.exp(_mixture_logpdf(g, log_x) - half_x))
+        return np.abs(np.exp(_mixture_logpdf(f, x, log_x) - half_x) - np.exp(_mixture_logpdf(g, x, log_x) - half_x))
 
     upper = num_terms + nu_f + 40.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 60.0
     while 2.0 - _mixture_cdf(f, upper) - _mixture_cdf(g, upper) > 1e-10:

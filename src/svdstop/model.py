@@ -187,14 +187,16 @@ class Observation:
         return int(self.y.size)
 
 
-def make_polynomial_spectrum(dim: int, p: float) -> Spectrum:
-    """Spectrum ``lam_i = i**-p``."""
+def make_polynomial_spectrum(dim: int, p: float, key: str = "p") -> Spectrum:
+    """Spectrum ``lam_i = i**-p``; ``ValueError`` naming ``key`` unless ``p >= 0`` and ``dim**-p > 0``."""
     if _check_int(dim, "dim") < 1:
         raise InvalidDimensionError("dimension must be at least 1")
     if p < 0:
-        raise ValueError("decay exponent must be non-negative")
-    idx = np.arange(1, dim + 1, dtype=float)
-    return Spectrum(idx ** -float(p))
+        raise ValueError(f"decay exponent {key} must be non-negative, got {p!r}")
+    values = np.arange(1, dim + 1, dtype=float) ** -float(p)
+    if values[-1] == 0.0:
+        raise ValueError(f"decay exponent {key} = {p!r} underflows lam_{dim} = {dim}**-p to zero")
+    return Spectrum(values)
 
 
 def replication_seed(base_seed: int, index: int) -> np.random.SeedSequence:

@@ -58,7 +58,10 @@ def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, tar
     unit_weak_bias = weak_bias_sq(Signal(shape), spectrum, target)
     if unit_weak_bias <= 0.0:
         raise ValueError("shape has no energy beyond the target level; cannot calibrate")
-    return math.sqrt(target * delta**2 / unit_weak_bias)
+    amplitude = math.sqrt(target * delta**2 / unit_weak_bias)
+    if amplitude == math.inf:
+        raise OverflowError("the amplitude sqrt(target * delta**2 / weak bias) overflows")
+    return amplitude
 
 
 def calibrated_signal(

@@ -115,10 +115,13 @@ def normal_quantile_start(dim: int, level: float = 0.99) -> int:
 
 def default_threshold(dim: int, delta: float, drift: float = 0.0) -> float:
     """Default stopping threshold ``dim * delta**2`` with an optional drift of
-    ``drift * sqrt(dim) * delta**2`` to probe sensitivity."""
+    ``drift * sqrt(dim) * delta**2`` to probe sensitivity; ``OverflowError`` past the largest float."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return (dim + drift * math.sqrt(dim)) * delta**2
+    kappa = (dim + drift * math.sqrt(dim)) * delta**2
+    if abs(kappa) == math.inf:
+        raise OverflowError("the default threshold (dim + drift * sqrt(dim)) * delta**2 overflows")
+    return kappa
 
 
 def make_stopping_config(

@@ -482,6 +482,39 @@ def test_noise_level_whose_square_overflows_exits_three(tmp_path, command, capsy
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, signal",
+    [(command, signal) for command in ("oracles", "mc", "stop", "bounds") for signal in ("smooth", "zero")]
+    + [("lazysvd", "zero")],
+)
+def test_noise_level_whose_products_overflow_exits_three(tmp_path, command, signal, capsys):
+    """``1e154`` has a finite square, but the calibrated amplitude ``sqrt(target * delta**2 / W)`` of a named
+    signal and the default threshold ``dim * delta**2`` of the zero signal (``lazysvd``'s, at 40 rows) do not:
+    the config is refused naming ``noise.delta``, before anything is written."""
+    out = tmp_path / "out"
+    path = config_for(tmp_path, command)
+    if signal == "zero" and command != "lazysvd":
+        path.write_text(json.dumps({**BASE_CONFIG, "signal": {"name": "zero"}}))
+    code, captured = run([command, "--config", path, "--out", out, "--set", "noise.delta=1e154"], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "noise.delta" in record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["oracles", "mc", "stop", "bounds"])
+@pytest.mark.parametrize("exponent", ["1000", "-0.5"])
+def test_spectrum_exponent_that_underflows_or_is_negative_exits_three(tmp_path, command, exponent, capsys):
+    """``120**-1000`` underflows to zero, and a negative exponent grows: both exit 3 naming ``spectrum.p``."""
+    out = tmp_path / "out"
+    args = [command, "--config", config_for(tmp_path, command), "--out", out, "--set", f"spectrum.p={exponent}"]
+    code, captured = run(args, capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "spectrum.p" in record["message"]
+    assert not any(out.iterdir())
+
+
 def test_numeric_failure_exits_four(tmp_path, capsys):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((12, 8))

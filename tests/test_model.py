@@ -31,6 +31,14 @@ def test_polynomial_spectrum_values():
     assert spec.dim == 4
 
 
+def test_polynomial_spectrum_names_an_exponent_that_underflows_or_is_negative():
+    with pytest.raises(ValueError, match=r"decay exponent p = 1000\.0 underflows lam_120"):
+        make_polynomial_spectrum(120, 1000.0)  # 120**-1000 is below the smallest float
+    with pytest.raises(ValueError, match="decay exponent spectrum.p must be non-negative"):
+        make_polynomial_spectrum(120, -0.5, "spectrum.p")
+    assert make_polynomial_spectrum(120, 100.0).values[-1] > 0.0  # 120**-100 is tiny, not zero
+
+
 def test_spectrum_rejects_increasing():
     with pytest.raises(ValueError):
         Spectrum(np.array([1.0, 2.0]))

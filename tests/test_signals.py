@@ -75,6 +75,13 @@ def test_calibrate_amplitude_rejects_degenerate_shape():
         calibrate_amplitude(np.zeros(4), spec, 0.1, 2.0)
 
 
+def test_calibrate_amplitude_raises_overflow_rather_than_returning_inf():
+    spec = make_polynomial_spectrum(120, 0.5)
+    with pytest.raises(OverflowError, match="amplitude"):
+        calibrate_amplitude(np.ones(120), spec, 1e154, 25.0)  # delta**2 is finite, 25 delta**2 is not
+    assert math.isfinite(calibrate_amplitude(np.ones(120), spec, 1e150, 25.0))
+
+
 @given(
     st.sampled_from(sorted(NAMED_PROFILES)),
     st.integers(50, 400),

@@ -541,6 +541,8 @@ def test_default_threshold_formula():
     assert default_threshold(100, 0.1, drift=0.5) == pytest.approx(1.05)
     with pytest.raises(ValueError):
         default_threshold(0, 0.1)
+    with pytest.raises(OverflowError, match="default threshold"):
+        default_threshold(120, 1e154)  # delta**2 is finite, 120 delta**2 is not
 
 
 def test_make_stopping_config_modes():

@@ -2,10 +2,9 @@
 
 Every subcommand reads one JSON config file, applies ``--set`` dotted
 overrides, runs, and writes its outputs into the directory given by
-``--out`` (default: the ``SVDSTOP_OUT`` environment variable, falling
-back to the current directory). The effective config is echoed into
-every emitted file, so re-running from an echoed config reproduces the
-outputs byte for byte.
+``--out`` (default: the current directory). The effective config is
+echoed into every emitted file, so re-running from an echoed config
+reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 usage or unknown command, 3 config error,
 4 numeric failure (``mc`` exits 4 after writing its outputs when any
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,16 +114,14 @@ def _cmd_oracles(mapping: dict, out: Path, base: Path, args) -> None:
 def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
     """``stop``, or ``two-step`` with the ``selection`` section's AIC re-selection: replication 0 of ``mc``."""
     extra = {}
-    procedure, penalty = "plain_stop", 1.0
+    procedure = "plain_stop"
     if args.command == "two-step":
-        selection = _section(mapping, "selection", {"norm", "penalty_multiplier"})
-        norm = selection.get("norm", "strong")
-        penalty = _check_float(selection.get("penalty_multiplier", 1.0), "selection.penalty_multiplier")
-        _check_selection(norm, penalty)
+        norm = _section(mapping, "selection", {"norm"}).get("norm", "strong")
+        _check_selection(norm)
         procedure = f"two_step_{norm}"
-        extra["selection"] = {"norm": norm, "penalty_multiplier": penalty}
+        extra["selection"] = {"norm": norm}
     config, exp = _experiment(mapping, base, *extra)
-    obs, [(chosen, tau, rho, _)] = harness._replicate(exp, 0, (procedure,), penalty=penalty)
+    obs, [(chosen, tau, rho, _)] = harness._replicate(exp, 0, (procedure,))
     estimate = estimate_at(obs, exp.spectrum, float(chosen))
     name = "two_step.json" if extra else "stop.json"
     outcome = StopOutcome(tau=tau, rho=rho, m0=exp.stopping.m0)
@@ -181,9 +177,7 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
     matrix = _section(mapping, "matrix", {"file"}, required=True)
     data = _section(mapping, "data", {"file"}, required=True)
     _section(mapping, "stopping", {"kappa", "m0_mode", "m0", "level"})
-    section = _section(
-        mapping, "lazysvd", {"tolerance", "max_iterations", "triplet_budget", "selection_norm", "penalty_multiplier"}
-    )
+    section = _section(mapping, "lazysvd", {"tolerance", "max_iterations", "triplet_budget", "selection_norm"})
     operator = lazysvd.MatrixOperator(lazysvd.load_matrix(_resolve_path(base, matrix.get("file"), "matrix.file")))
     y_raw = load_vector(_resolve_path(base, data.get("file"), "data.file"))
     # the rule is calibrated on the noise directions its residual keeps, the data's `rows`;
@@ -201,7 +195,6 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
         max_iterations=_check_int(section.get("max_iterations", 10000), "lazysvd.max_iterations"),
         triplet_budget=None if budget is None else _check_int(budget, "lazysvd.triplet_budget"),
         selection_norm=section.get("selection_norm"),
-        penalty_multiplier=_check_float(section.get("penalty_multiplier", 1.0), "lazysvd.penalty_multiplier"),
     )
     _write_record(
         out,
@@ -243,7 +236,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="svdstop", description="Early stopping for truncated SVD estimation.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output directory (default: $SVDSTOP_OUT or '.')")
+    parser.add_argument("--out", default=".", help="output directory (default: '.')")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted-path config override")
     parser.add_argument("--seed", type=int, default=None, help="override the base seed")
     return parser
@@ -257,7 +250,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         mapping, base = _load_mapping(args)
-        out = Path(args.out if args.out is not None else os.environ.get("SVDSTOP_OUT", "."))
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         _emit_error(type(exc).__name__, str(exc))

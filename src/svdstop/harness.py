@@ -220,6 +220,13 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
         spectrum = Spectrum(load_vector(_resolve_path(base, config.spectrum_file, "spectrum.file")))
     else:
         spectrum = make_polynomial_spectrum(config.dim, config.spectrum_p, "spectrum.p")
+    dim, lam_last = spectrum.dim, spectrum.values.item(-1)
+    if not dim / lam_last / lam_last < math.inf:  # Python floats: inf past the largest float, and no warning
+        source = "spectrum_p" if config.spectrum_file is None else "spectrum_file"
+        raise ValueError(
+            f"{_FIELD_KEYS[source]} = {getattr(config, source)!r} is too steep: lam_{dim} = {lam_last!r}, and the "
+            f"strong variances sum lam_i**-2 up to {dim} * lam_{dim}**-2, which overflows"
+        )
     noise = NoiseModel(delta=config.delta)
     settings = {key: getattr(config, field) for key, field in _SECTIONS["stopping"].items()}
     try:  # delta**2 is finite, but its products with the calibration or the dimension may not be
@@ -322,7 +329,7 @@ def _errors(
 
 
 def _replicate(
-    exp: ResolvedExperiment, rep: int, procedures: tuple[str, ...], fixed_index: int = 0, penalty: float = 1.0
+    exp: ResolvedExperiment, rep: int, procedures: tuple[str, ...], fixed_index: int = 0
 ) -> tuple[Observation, list[tuple[int, int, int | None, bool]]]:
     """Replication ``rep``: its observation and, per procedure, ``(chosen, tau, rho, immediate)``.
 
@@ -341,7 +348,7 @@ def _replicate(
         elif proc in ("two_step_weak", "two_step_strong"):
             norm = "weak" if proc == "two_step_weak" else "strong"
             # stopping.two_step inlined: per-layer tracing wraps the names this module calls
-            rho = tau if tau > cfg.m0 else aic_select(obs.y, lam, exp.noise.delta, cfg.m0, norm, penalty)
+            rho = tau if tau > cfg.m0 else aic_select(obs.y, lam, exp.noise.delta, cfg.m0, norm)
             choices.append((rho, tau, rho, immediate))
         else:  # fixed_oracle
             choices.append((fixed_index, fixed_index, None, False))

@@ -269,18 +269,19 @@ class DeflationState:
 
     ``iterations[i]`` counts the Lanczos steps taken while triplet ``i`` was
     pending (each two matrix-vector products), and ``release_residuals[i]``
-    is its residual ``|A'u - sigma v|`` at release. A state belongs to one
+    is its residual ``|A'u - sigma v|`` at release; only :func:`next_triplet`
+    writes these counters and ``matvec_count``. A state belongs to one
     operator: its Krylov basis is built on the first call of
     :func:`next_triplet`, deflating any triplets the state already holds,
     and later calls must pass the same matrix.
     """
 
     triplets: list[SingularTriplet] = field(default_factory=list)
-    matvec_count: int = 0
-    iterations: list[int] = field(default_factory=list)
     tolerance: float = 1e-10
     max_iterations: int = 10000
-    release_residuals: list[float] = field(default_factory=list)
+    matvec_count: int = field(default=0, init=False)
+    iterations: list[int] = field(default_factory=list, init=False)
+    release_residuals: list[float] = field(default_factory=list, init=False)
     _basis: _Bidiagonalization | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -392,7 +393,6 @@ def sequential_solve(
     max_iterations: int = 10000,
     triplet_budget: int | None = None,
     selection_norm: str | None = None,
-    penalty_multiplier: float = 1.0,
 ) -> SequentialSolveResult:
     """Solve the inverse problem lazily, stopping by the residual rule.
 
@@ -404,17 +404,17 @@ def sequential_solve(
     :func:`~svdstop.stopping.two_step` re-selects over the computed
     triplets after an immediate stop. A ``triplet_budget`` smaller than
     the demanded stopping index raises :class:`TripletBudgetError`; data
-    that is not finite, an unknown ``selection_norm``, a multiplier that
-    is not positive (checked with or without ``selection_norm``) or a
-    ``config.m0`` beyond the column count raises ``ValueError`` before
-    any triplet is computed.
+    that is not finite, an unknown ``selection_norm`` or a ``config.m0``
+    beyond the column count raises ``ValueError`` before any triplet is
+    computed.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):
         raise ValueError("data vector length disagrees with the operator codomain")
     if not np.all(np.isfinite(y_raw)):
         raise ValueError("data vector must be finite")
-    _check_selection("strong" if selection_norm is None else selection_norm, penalty_multiplier)
+    if selection_norm is not None:
+        _check_selection(selection_norm)
     dim = operator.domain_dim
     state = DeflationState(tolerance=tolerance, max_iterations=max_iterations)
     coeffs: list[float] = []
@@ -436,7 +436,7 @@ def sequential_solve(
     rho: int | None = None
     if selection_norm is not None:
         sigmas = [t.sigma for t in state.triplets]
-        chosen = rho = two_step(tau, coeffs, sigmas, noise.delta, config.m0, selection_norm, penalty_multiplier)
+        chosen = rho = two_step(tau, coeffs, sigmas, noise.delta, config.m0, selection_norm)
 
     estimate = np.zeros(dim)
     for i in range(chosen):

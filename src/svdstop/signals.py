@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .estimator import weak_bias_sq
-from .model import Signal, Spectrum, _check_int, make_polynomial_spectrum
+from .model import Signal, Spectrum, _check_int
 
 __all__ = ["NAMED_PROFILES", "REFERENCE_DIM", "calibrated_signal", "family_shape"]
 
@@ -64,16 +64,9 @@ def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, tar
     return amplitude
 
 
-def calibrated_signal(
-    name: str,
-    dim: int,
-    delta: float,
-    spectrum: Spectrum | None = None,
-    target: float | None = None,
-) -> Signal:
+def calibrated_signal(name: str, dim: int, delta: float, spectrum: Spectrum, target: float | None = None) -> Signal:
     """One of the named stock signals, calibrated for ``(dim, delta, spectrum)``.
 
-    ``spectrum`` defaults to the polynomial spectrum with exponent 1/2;
     ``target`` defaults to the profile's reference target scaled by
     ``dim / 10000``.
     """
@@ -81,8 +74,6 @@ def calibrated_signal(
         kind, rate, ref_target = NAMED_PROFILES[name]
     except KeyError:
         raise ValueError(f"unknown signal profile {name!r}; expected one of {sorted(NAMED_PROFILES)}") from None
-    if spectrum is None:
-        spectrum = make_polynomial_spectrum(dim, 0.5)
     if spectrum.dim != dim:
         raise ValueError("spectrum dimension disagrees with requested dimension")
     if target is None:

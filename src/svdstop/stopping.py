@@ -99,7 +99,7 @@ class StopOutcome:
         object.__setattr__(self, "immediate_stop", self.tau == m0)
 
 
-def normal_quantile_start(dim: int, level: float = 0.99) -> int:
+def normal_quantile_start(dim: int, level: float) -> int:
     """Starting index ``floor(q_level * sqrt(2 * dim)) + 1`` from the normal quantile.
 
     Calibrated so that for pure noise with the default threshold the rule
@@ -113,7 +113,7 @@ def normal_quantile_start(dim: int, level: float = 0.99) -> int:
     return int(math.floor(q * math.sqrt(2.0 * dim))) + 1
 
 
-def default_threshold(dim: int, delta: float, drift: float = 0.0) -> float:
+def default_threshold(dim: int, delta: float, drift: float) -> float:
     """Default stopping threshold ``dim * delta**2`` with an optional drift of
     ``drift * sqrt(dim) * delta**2`` to probe sensitivity; ``OverflowError`` past the largest float."""
     if dim < 1:
@@ -133,8 +133,11 @@ def make_stopping_config(
     m0: int | None = None,
     level: float = 0.99,
 ) -> StoppingConfig:
-    """Resolve a stopping configuration for a problem of size ``dim``; ``ValueError`` for a setting the
-    others leave unread (``m0`` outside ``explicit`` mode, a nonzero drift next to an explicit ``kappa``)."""
+    """Resolve a stopping configuration for a problem of size ``dim``; ``ValueError`` for a ``level`` outside
+    ``[0.5, 1)`` in any mode, and for a setting the others leave unread (``m0`` outside ``explicit`` mode, a
+    nonzero drift next to an explicit ``kappa``)."""
+    if not 0.5 <= level < 1:
+        raise ValueError(f"quantile level must lie in [0.5, 1), got {level!r}")
     if kappa is None:
         kappa = default_threshold(dim, delta, kappa_drift)
     elif kappa_drift != 0:
@@ -333,21 +336,13 @@ def _pieces(y: np.ndarray, first: int):
         lo, hi = hi, 4 * hi
 
 
-def aic_select(
-    y: np.ndarray,
-    lam: np.ndarray,
-    delta: float,
-    m0: int,
-    norm: str = "strong",
-    penalty_multiplier: float = 1.0,
-) -> int:
+def aic_select(y: np.ndarray, lam: np.ndarray, delta: float, m0: int, norm: str = "strong") -> int:
     """Penalised empirical-risk index over ``0..m0``; ties resolve to the smallest index.
 
     ``y`` holds the coefficients and ``lam`` the singular values, of equal
     length at least ``m0``. The strong-norm criterion is
     ``-sum_{i<=m} lam_i**-2 Y_i**2 + 2 * delta**2 * sum_{i<=m} lam_i**-2``
-    and the weak-norm criterion ``-sum_{i<=m} Y_i**2 + 2 * m * delta**2``,
-    both scaled by an optional penalty multiplier.
+    and the weak-norm criterion ``-sum_{i<=m} Y_i**2 + 2 * m * delta**2``.
     """
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -355,17 +350,15 @@ def aic_select(
     m0 = _check_int(m0, "m0")
     if not 0 <= m0 <= dim:
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
-    _check_selection(norm, penalty_multiplier)
+    _check_selection(norm)
     y2 = y[:m0] ** 2
-    inv2, penalty = _aic_penalty(lam[:m0].tobytes(), delta, m0, norm, penalty_multiplier)
+    inv2, penalty = _aic_penalty(lam[:m0].tobytes(), delta, m0, norm)
     crit = -_prefix_sums(y2 if inv2 is None else inv2 * y2) + penalty
     return int(np.argmin(crit))
 
 
 @functools.lru_cache(maxsize=2)
-def _aic_penalty(
-    lam_head: bytes, delta: float, m0: int, norm: str, penalty_multiplier: float
-) -> tuple[np.ndarray | None, np.ndarray]:
+def _aic_penalty(lam_head: bytes, delta: float, m0: int, norm: str) -> tuple[np.ndarray | None, np.ndarray]:
     """The half of :func:`aic_select`'s criterion that the data leave alone, as read-only arrays.
 
     ``lam_head`` holds the bytes of ``lam[:m0]``. Returns ``lam[:m0]**-2``
@@ -376,7 +369,7 @@ def _aic_penalty(
     criterion always used, so a memoised call selects the same index bit
     for bit.
     """
-    pen = 2.0 * penalty_multiplier * delta**2
+    pen = 2.0 * delta**2
     if norm == "strong":
         inv2 = np.frombuffer(lam_head, dtype=float) ** -2.0
         penalty = pen * _prefix_sums(inv2)
@@ -387,28 +380,18 @@ def _aic_penalty(
     return inv2, penalty
 
 
-def _check_selection(norm: str, penalty_multiplier: float) -> None:
-    """``ValueError`` unless ``norm`` is ``'strong'`` or ``'weak'`` and the multiplier is positive (NaN is not)."""
+def _check_selection(norm: str) -> None:
+    """``ValueError`` unless ``norm`` is ``'strong'`` or ``'weak'``."""
     if norm not in ("strong", "weak"):
         raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
-    if not penalty_multiplier > 0:
-        raise ValueError("penalty multiplier must be positive")
 
 
-def two_step(
-    tau: int,
-    y: np.ndarray,
-    lam: np.ndarray,
-    delta: float,
-    m0: int,
-    norm: str = "strong",
-    penalty_multiplier: float = 1.0,
-) -> int:
+def two_step(tau: int, y: np.ndarray, lam: np.ndarray, delta: float, m0: int, norm: str = "strong") -> int:
     """Second step of the hybrid rule: the index chosen after a stop at ``tau``.
 
     A stop past ``m0`` stands; an immediate stop is replaced by the AIC
     index over ``0..m0``, which only reuses coefficients the stopping
-    pass already read. The norm and the multiplier are checked either way.
+    pass already read. The norm is checked either way.
     """
-    _check_selection(norm, penalty_multiplier)
-    return tau if tau > m0 else aic_select(y, lam, delta, m0, norm, penalty_multiplier)
+    _check_selection(norm)
+    return tau if tau > m0 else aic_select(y, lam, delta, m0, norm)

@@ -446,10 +446,8 @@ NUMBER_KEYS = {
     "stopping.level": "oracles",
     "stopping.kappa_drift": "oracles",
     "lazysvd.tolerance": "lazysvd",
-    "lazysvd.penalty_multiplier": "lazysvd",
     "adversary.alpha": "adversary",
     "adversary.r_bar": "adversary",
-    "selection.penalty_multiplier": "two-step",
 }
 
 
@@ -500,6 +498,29 @@ def test_noise_level_whose_products_overflow_exits_three(tmp_path, command, sign
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == "ValueError" and "noise.delta" in record["message"]
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["oracles", "bounds", "mc", "stop", "two-step", "adversary"])
+@pytest.mark.parametrize("key", ["spectrum.p", "spectrum.file"])
+def test_spectrum_whose_inverse_square_overflows_exits_three(tmp_path, command, key, capsys):
+    """``120**-100`` and a file ending at ``1e-160`` are positive floats, but their inverse squares, which every
+    strong variance sums, overflow: the config is refused naming the key, with no warning and nothing written."""
+    out = tmp_path / "out"
+    np.savetxt(tmp_path / "lam.txt", np.geomspace(1.0, 1e-160, 120))
+    spectrum = "spectrum.p=100" if key == "spectrum.p" else 'spectrum={"file":"lam.txt"}'
+    code, captured = run([command, "--config", config_for(tmp_path, command), "--out", out, "--set", spectrum], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and key in record["message"] and "overflows" in record["message"]
+    assert not any(out.iterdir())
+
+
+def test_out_defaults_to_the_working_directory(config_path, tmp_path, monkeypatch):
+    """Without ``--out`` the outputs go to ``.``; no environment variable moves them."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SVDSTOP_OUT", str(tmp_path / "elsewhere"))
+    assert run(["oracles", "--config", config_path]) == 0
+    assert (tmp_path / "oracles.json").is_file() and not (tmp_path / "elsewhere").exists()
 
 
 @pytest.mark.parametrize("command", ["oracles", "mc", "stop", "bounds"])
@@ -558,6 +579,8 @@ def test_numeric_failure_exits_four(tmp_path, capsys):
         # rejected too: procedures that are not a list, an empty spectrum file name
         ("mc", ["procedures=plain_stop"]),
         ("oracles", ['spectrum={"file":""}']),
+        # a quantile level outside [0.5, 1) in a mode that does not read it
+        ("oracles", ["stopping.m0_mode=zero", "stopping.level=5"]),
     ],
 )
 def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overrides, capsys):
@@ -788,7 +811,7 @@ RESIDUAL_ADVERSARY_PATHS = {"adversary.conditions_met.weak_bias_close", "adversa
             "two_step.json",
             EXPERIMENT_PATHS
             | OUTCOME_PATHS
-            | {"config.selection", "config.selection.norm", "config.selection.penalty_multiplier"},
+            | {"config.selection", "config.selection.norm"},
         ),
         (
             "mc",
@@ -855,10 +878,11 @@ def test_lazysvd_json_key_paths_are_pinned(tmp_path):
     assert key_paths(json.loads((out / "lazysvd.json").read_text())) == expected
 
 
+# an unknown norm, and the retired penalty multiplier, which is an unknown key whatever its value
 BAD_SELECTIONS = [
     ["selection.norm=stronk"],
-    ["selection.penalty_multiplier=-3"],
-    ["selection.norm=weak", "selection.penalty_multiplier=0"],
+    ["selection.penalty_multiplier=2"],
+    ["selection.norm=weak", "selection.penalty_multiplier=1"],
     ["selection.norm=stronk", "selection.penalty_multiplier=-3"],
 ]
 
@@ -872,16 +896,20 @@ def test_two_step_bad_selection_exits_three(config_path, tmp_path, immediate, ba
         args += ["--set", item]
     code, captured = run(args, capsys)
     assert code == 3
-    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "ValueError"
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    retired = any(item.startswith("selection.penalty_multiplier=") for item in bad)
+    expected = "unknown selection keys: ['penalty_multiplier']" if retired else "unknown norm 'stronk'"
+    assert record["error"] == "ValueError" and expected in record["message"]
     assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("immediate", [False, True])
 @pytest.mark.parametrize(
     "section",
-    [{"selection_norm": "stronk"}, {"selection_norm": "weak", "penalty_multiplier": -3}, {"penalty_multiplier": -3}],
+    [{"selection_norm": "stronk"}, {"selection_norm": "weak", "penalty_multiplier": 2}, {"penalty_multiplier": 2}],
 )
 def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys):
+    """An unknown norm, and the retired penalty multiplier as an unknown key, exit 3 before anything is written."""
     write_lazy_inputs(tmp_path)
     config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.05}, "lazysvd": section}
     if immediate:
@@ -891,7 +919,9 @@ def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys)
     out = tmp_path / "out"
     code, captured = run(["lazysvd", "--config", path, "--out", out], capsys)
     assert code == 3
-    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "ValueError"
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    expected = "unknown lazysvd keys: ['penalty_multiplier']" if "penalty_multiplier" in section else "unknown norm"
+    assert record["error"] == "ValueError" and expected in record["message"]
     assert not any(out.iterdir())
 
 

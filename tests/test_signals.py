@@ -61,12 +61,12 @@ def test_calibration_with_explicit_target():
 
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
-        calibrated_signal("bumpy", 100, 0.1)
+        calibrated_signal("bumpy", 100, 0.1, make_polynomial_spectrum(100, 0.5))
 
 
 def test_target_must_fit_inside_dimension():
     with pytest.raises(ValueError):
-        calibrated_signal("smooth", 100, 0.01, target=150.0)
+        calibrated_signal("smooth", 100, 0.01, make_polynomial_spectrum(100, 0.5), target=150.0)
 
 
 def test_calibrate_amplitude_rejects_degenerate_shape():
@@ -104,14 +104,6 @@ def test_amplitude_is_positive_scaling_of_shape():
     assert np.ptp(ratio) < 1e-9 * ratio[0]
 
 
-def test_default_spectrum_is_square_root_decay():
-    sig_default = calibrated_signal("smooth", 300, 0.05, target=30.0)
-    sig_explicit = calibrated_signal(
-        "smooth", 300, 0.05, spectrum=make_polynomial_spectrum(300, 0.5), target=30.0
-    )
-    assert sig_default.coefficients == pytest.approx(sig_explicit.coefficients)
-
-
 @pytest.mark.parametrize(
     "dim, name, first",
     [
@@ -125,4 +117,4 @@ def test_default_spectrum_is_square_root_decay():
 )
 def test_calibrated_amplitude_is_pinned(dim, name, first):
     """The stock signals' amplitudes, to the last bit: every simulation study starts from them."""
-    assert calibrated_signal(name, dim, 0.01).coefficients[0] == first
+    assert calibrated_signal(name, dim, 0.01, make_polynomial_spectrum(dim, 0.5)).coefficients[0] == first

@@ -439,20 +439,10 @@ def test_aic_ties_resolve_to_smallest():
     assert aic_select(np.zeros(2), np.ones(2), 1.0, m0=2, norm="strong") == 0
 
 
-def test_aic_penalty_multiplier_shrinks_selection():
-    d = 40
-    spec = make_polynomial_spectrum(d, 0.5)
-    rng = np.random.default_rng(7)
-    y = spec.values * (3.0 * np.arange(1, d + 1, dtype=float) ** -1.0) + 0.3 * rng.standard_normal(d)
-    loose = aic_select(y, spec.values, 0.3, m0=d, norm="strong", penalty_multiplier=1.0)
-    tight = aic_select(y, spec.values, 0.3, m0=d, norm="strong", penalty_multiplier=8.0)
-    assert tight <= loose
-
-
-def _aic_unmemoized(y, lam, delta, m0, norm, penalty_multiplier):
+def _aic_unmemoized(y, lam, delta, m0, norm):
     """The AIC criterion formed in full on every call, as ``aic_select`` did before its penalty was memoised."""
     y2 = y[:m0] ** 2
-    pen = 2.0 * penalty_multiplier * delta**2
+    pen = 2.0 * delta**2
     if norm == "strong":
         inv2 = lam[:m0] ** -2.0
         crit = -_prefix_sums(inv2 * y2) + pen * _prefix_sums(inv2)
@@ -469,16 +459,15 @@ def _aic_unmemoized(y, lam, delta, m0, norm, penalty_multiplier):
             st.floats(0.0, 5.0),
             st.integers(0, dim),
             st.sampled_from(["strong", "weak"]),
-            st.floats(0.1, 10.0),
         )
     )
 )
 def test_aic_memo_selects_the_unmemoized_index(case):
-    y, lam, delta, m0, norm, multiplier = case
+    y, lam, delta, m0, norm = case
     y, lam = np.array(y), np.array(lam)
-    expected = _aic_unmemoized(y, lam, delta, m0, norm, multiplier)
-    assert aic_select(y, lam, delta, m0, norm, multiplier) == expected
-    assert aic_select(y, lam, delta, m0, norm, multiplier) == expected  # now from the memo
+    expected = _aic_unmemoized(y, lam, delta, m0, norm)
+    assert aic_select(y, lam, delta, m0, norm) == expected
+    assert aic_select(y, lam, delta, m0, norm) == expected  # now from the memo
 
 
 def test_aic_memo_recomputes_when_the_instance_changes():
@@ -486,7 +475,7 @@ def test_aic_memo_recomputes_when_the_instance_changes():
     rng = np.random.default_rng(11)
     lam = make_polynomial_spectrum(d, 0.5).values
     base = dict(y=lam * np.linspace(3.0, 0.0, d) + 0.3 * rng.standard_normal(d), lam=lam, delta=0.3, m0=20)
-    base.update(norm="strong", penalty_multiplier=1.0)
+    base.update(norm="strong")
     stopping._aic_penalty.cache_clear()
 
     def select(**change):
@@ -497,10 +486,10 @@ def test_aic_memo_recomputes_when_the_instance_changes():
     assert select().misses == 1
     # new data, or a spectrum changed past m0, reuse the penalty
     assert select(y=base["y"][::-1].copy(), lam=np.concatenate((lam[:20], lam[20:] / 2))).hits == 1
-    changes = [{"lam": lam * 1.5}, {"delta": 0.31}, {"m0": 19}, {"norm": "weak"}, {"penalty_multiplier": 2.0}]
+    changes = [{"lam": lam * 1.5}, {"delta": 0.31}, {"m0": 19}, {"norm": "weak"}]
     for count, change in enumerate(changes, start=2):
         assert select(**change).misses == count
-    inv2, penalty = stopping._aic_penalty(lam[:20].tobytes(), 0.3, 20, "strong", 1.0)
+    inv2, penalty = stopping._aic_penalty(lam[:20].tobytes(), 0.3, 20, "strong")
     assert not inv2.flags.writeable and not penalty.flags.writeable
 
 
@@ -524,25 +513,23 @@ def test_two_step_rescues_immediate_stop():
 
 
 @pytest.mark.parametrize("kappa, m0", [(1.0, 1), (50.0, 2)])  # a late stop, then an immediate one
-@pytest.mark.parametrize("norm, multiplier", [("stronk", 1.0), ("weak", -3.0), ("strong", 0.0), ("strong", math.nan)])
-def test_two_step_checks_the_selection_either_way(kappa, m0, norm, multiplier):
+def test_two_step_checks_the_selection_either_way(kappa, m0):
     tau = stop_index(OBS3.y, OBS3.y_norm_sq, StoppingConfig(kappa=kappa, m0=m0))
-    with pytest.raises(ValueError):
-        two_step(tau, OBS3.y, LAM3, 1.0, m0, norm, multiplier)
+    with pytest.raises(ValueError, match="unknown norm"):
+        two_step(tau, OBS3.y, LAM3, 1.0, m0, "stronk")
 
 
 def test_normal_quantile_start_reference_value():
-    assert normal_quantile_start(10_000) == 329
     assert normal_quantile_start(10_000, level=0.99) == 329
 
 
 def test_default_threshold_formula():
-    assert default_threshold(100, 0.1) == pytest.approx(1.0)
+    assert default_threshold(100, 0.1, 0.0) == pytest.approx(1.0)
     assert default_threshold(100, 0.1, drift=0.5) == pytest.approx(1.05)
     with pytest.raises(ValueError):
-        default_threshold(0, 0.1)
+        default_threshold(0, 0.1, 0.0)
     with pytest.raises(OverflowError, match="default threshold"):
-        default_threshold(120, 1e154)  # delta**2 is finite, 120 delta**2 is not
+        default_threshold(120, 1e154, 0.0)  # delta**2 is finite, 120 delta**2 is not
 
 
 def test_make_stopping_config_modes():
@@ -562,7 +549,7 @@ def test_make_stopping_config_modes():
     # a setting the others leave unread is an error, not a silent no-op
     assert make_stopping_config(100, 0.1, kappa_drift=3.0).kappa == pytest.approx(1.3)
     assert make_stopping_config(100, 0.1, kappa=1.0, kappa_drift=0.0).kappa == 1.0
-    # and so are a start beyond the dimension and a quantile level outside [0.5, 1)
+    # and so are a start beyond the dimension and a quantile level outside [0.5, 1), in every m0 mode
     for settings in (
         {"m0": 50},
         {"m0_mode": "normal_quantile", "m0": 0},
@@ -570,6 +557,9 @@ def test_make_stopping_config_modes():
         {"m0_mode": "explicit", "m0": 101},
         {"m0_mode": "normal_quantile", "level": 0.4},
         {"m0_mode": "normal_quantile", "level": 1.0},
+        {"level": 5.0},
+        {"m0_mode": "explicit", "m0": 3, "level": 0.4},
+        {"kappa": 1.0, "level": math.nan},
     ):
         with pytest.raises(ValueError):
             make_stopping_config(100, 0.1, **settings)

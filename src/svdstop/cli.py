@@ -184,6 +184,8 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
     # the zero signal fills a required slot
     matrix_model = {**mapping, "dim": operator.codomain_dim, "signal": {"name": "zero"}}
     config, exp = _experiment(matrix_model, base, "matrix", "data", "lazysvd")
+    checks = {"tolerance": _check_float, "max_iterations": _check_int}
+    options = {key: check(section[key], f"lazysvd.{key}") for key, check in checks.items() if key in section}
     budget = section.get("triplet_budget")
     result = lazysvd.sequential_solve(
         operator,
@@ -191,10 +193,9 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
         exp.noise,
         exp.stopping,
         seed=config.base_seed,
-        tolerance=_check_float(section.get("tolerance", 1e-10), "lazysvd.tolerance"),
-        max_iterations=_check_int(section.get("max_iterations", 10000), "lazysvd.max_iterations"),
         triplet_budget=None if budget is None else _check_int(budget, "lazysvd.triplet_budget"),
         selection_norm=section.get("selection_norm"),
+        **options,
     )
     _write_record(
         out,
@@ -213,8 +214,11 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
 def _cmd_plot(mapping: dict, out: Path, base: Path, args) -> None:
     _check_keys(mapping, _EXPERIMENT_KEYS | {"plot"})
     section = _section(mapping, "plot", {"csv", "title"}, required=True)
+    title = section.get("title", "Relative efficiency")
+    if not isinstance(title, str):
+        raise ValueError(f"plot.title must be a string, got {title!r}")
     records, _ = harness.read_records_csv(_resolve_path(base, section.get("csv"), "plot.csv"))
-    svg = efficiency_plot(records, config_mapping=mapping, title=section.get("title", "Relative efficiency"))
+    svg = efficiency_plot(records, config_mapping=mapping, title=title)
     path = out / "efficiency.svg"
     write_new_file(path, svg)
     print(f"wrote {path}")

@@ -16,9 +16,11 @@ vectors, so the next triplet is released once that residual is at most
 unlike a Rayleigh-increment test, bounds the error of the singular
 *vector* linearly in the tolerance (residual over spectral gap), which
 downstream coefficient reconstructions rely on. Released triplets are
-locked: later Ritz triplets are taken orthogonal to them. ``sequential_solve``
-couples the engine to the residual stopping rule, so a solve releases
-exactly as many triplets as the rule consumes coefficients.
+locked: later Ritz triplets are taken orthogonal to them. A
+:class:`DeflationState` runs the engine on one operator from start vectors
+keyed by its ``seed``, and :func:`next_triplet` releases its next triplet;
+``sequential_solve`` couples the two to the residual stopping rule, so a
+solve releases exactly as many triplets as the rule consumes coefficients.
 
 Release order under repeated values: a Krylov space built from ``s``
 random start vectors holds at most ``s`` copies of a repeated singular
@@ -265,30 +267,34 @@ class _Bidiagonalization:
 
 @dataclass
 class DeflationState:
-    """Mutable bookkeeping of a lazy decomposition in progress.
+    """Lazy decomposition of one operator in progress.
 
-    ``iterations[i]`` counts the Lanczos steps taken while triplet ``i`` was
-    pending (each two matrix-vector products), and ``release_residuals[i]``
-    is its residual ``|A'u - sigma v|`` at release; only :func:`next_triplet`
-    writes these counters and ``matvec_count``. A state belongs to one
-    operator: its Krylov basis is built on the first call of
-    :func:`next_triplet`, deflating any triplets the state already holds,
-    and later calls must pass the same matrix.
+    The Krylov basis is built here, from start vectors keyed by ``seed``,
+    deflating the ``triplets`` given. ``iterations[i]`` counts the Lanczos
+    steps taken while triplet ``i`` was pending (two matrix-vector products
+    each), and ``release_residuals[i]`` is its residual ``|A'u - sigma v|``
+    at release; only :func:`next_triplet` writes these and ``matvec_count``.
+    ``tolerance`` must be positive and finite, ``max_iterations`` at least 1.
     """
 
-    triplets: list[SingularTriplet] = field(default_factory=list)
+    operator: MatrixOperator = field(repr=False)
+    seed: int = 0
     tolerance: float = 1e-10
     max_iterations: int = 10000
+    triplets: list[SingularTriplet] = field(default_factory=list)
     matvec_count: int = field(default=0, init=False)
     iterations: list[int] = field(default_factory=list, init=False)
     release_residuals: list[float] = field(default_factory=list, init=False)
-    _basis: _Bidiagonalization | None = field(default=None, init=False, repr=False)
+    _basis: _Bidiagonalization = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"lazysvd.tolerance must be positive and finite, got {self.tolerance!r}")
         if self.max_iterations < 1:
-            raise ValueError("iteration budget must be at least 1")
+            raise ValueError(f"lazysvd.max_iterations must be at least 1, got {self.max_iterations!r}")
+        if len(self.triplets) > self.operator.domain_dim:
+            raise ValueError("more triplets given than the operator has columns")
+        self._basis = _Bidiagonalization(self.operator.entries, self.seed, _START_WIDTH, self.triplets)
 
 
 def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,33 +304,28 @@ def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def next_triplet(state: DeflationState, operator: MatrixOperator, seed: int = 0) -> SingularTriplet:
-    """Release the next-largest singular triplet and append it to the state.
+def next_triplet(state: DeflationState) -> SingularTriplet:
+    """Release the state's next-largest singular triplet and append it to the state.
 
     The Krylov basis is extended until the largest Ritz triplet not yet
     released meets the tolerance. If as many released or converged values
     equal it (within ``sqrt(tolerance)``, relatively) as the basis has
     random starts, further copies may lie outside the basis: it is rebuilt
     from twice as many starts, orthogonal to the triplets already in the
-    state, before anything is released. Start vectors are drawn from generators keyed by
-    ``seed`` (of the call that builds the basis) and the basis size, so
+    state, before anything is released. Start vectors are drawn from
+    generators keyed by the state's ``seed`` and the basis size, so
     repeated runs are deterministic. Raises :class:`RankDeficiencyError`
     when the converged singular value is numerically zero,
     :class:`ConvergenceError` after ``max_iterations`` steps on one pending
     triplet or when the converged value exceeds the one released before it,
-    and ``ValueError`` when the state's basis was built for a different
-    operator or its triplets were changed outside this function.
+    and ``ValueError`` when every triplet has been released or the state's
+    triplets were changed outside this function.
     """
-    A = operator.entries
     i = len(state.triplets)
-    if i >= operator.domain_dim:
+    if i >= state.operator.domain_dim:
         raise ValueError("all singular triplets have already been computed")
     basis = state._basis
-    if basis is None:
-        basis = state._basis = _Bidiagonalization(A, seed, _START_WIDTH, state.triplets)
-    elif not (basis.entries is A or np.array_equal(basis.entries, A)):
-        raise ValueError("the deflation state belongs to a different operator")
-    elif basis.released != i:
+    if basis.released != i:
         raise ValueError("the deflation state's triplets were changed outside next_triplet")
     tol = state.tolerance
     steps = 0
@@ -340,7 +341,8 @@ def next_triplet(state: DeflationState, operator: MatrixOperator, seed: int = 0)
                     (np.abs(sigma - sigma[0]) <= window) & (residuals <= tol * sigma)
                 )
                 if copies >= basis.width:
-                    basis = state._basis = _Bidiagonalization(A, basis.seed, 2 * basis.width, state.triplets)
+                    width = 2 * basis.width
+                    basis = state._basis = _Bidiagonalization(basis.entries, basis.seed, width, state.triplets)
                     continue
                 triplet = basis.triplet()
                 if i and triplet.sigma > state.triplets[-1].sigma + window:
@@ -389,8 +391,8 @@ def sequential_solve(
     noise: NoiseModel,
     config: StoppingConfig,
     seed: int = 0,
-    tolerance: float = 1e-10,
-    max_iterations: int = 10000,
+    tolerance: float = DeflationState.tolerance,
+    max_iterations: int = DeflationState.max_iterations,
     triplet_budget: int | None = None,
     selection_norm: str | None = None,
 ) -> SequentialSolveResult:
@@ -404,9 +406,9 @@ def sequential_solve(
     :func:`~svdstop.stopping.two_step` re-selects over the computed
     triplets after an immediate stop. A ``triplet_budget`` smaller than
     the demanded stopping index raises :class:`TripletBudgetError`; data
-    that is not finite, an unknown ``selection_norm`` or a ``config.m0``
-    beyond the column count raises ``ValueError`` before any triplet is
-    computed.
+    that is not finite, a negative budget, a bad ``tolerance``, an unknown
+    ``selection_norm`` or a ``config.m0`` beyond the column count raises
+    ``ValueError`` before any triplet is computed.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):
@@ -416,7 +418,9 @@ def sequential_solve(
     if selection_norm is not None:
         _check_selection(selection_norm)
     dim = operator.domain_dim
-    state = DeflationState(tolerance=tolerance, max_iterations=max_iterations)
+    if triplet_budget is not None and triplet_budget < 0:
+        raise ValueError(f"lazysvd.triplet_budget must be at least 0, got {triplet_budget}")
+    state = DeflationState(operator, seed, tolerance, max_iterations)
     coeffs: list[float] = []
 
     def triplet_coefficients():
@@ -427,7 +431,7 @@ def sequential_solve(
                     state=state,
                     coefficients=np.array(coeffs),
                 )
-            triplet = next_triplet(state, operator, seed)
+            triplet = next_triplet(state)
             coeffs.append(float(np.dot(triplet.u, y_raw)))
             yield coeffs[-1:]
 

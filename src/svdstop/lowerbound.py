@@ -117,11 +117,11 @@ def _check_i0(i0: int, dim: int) -> int:
 
 
 def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
-    """``i0`` checked by :func:`_check_i0`, after ``alpha >= 0`` and ``r_bar > 0``."""
-    if alpha < 0:
-        raise ValueError("smoothness exponent must be nonnegative")
-    if r_bar <= 0:
-        raise ValueError("smoothness radius must be positive")
+    """``i0`` checked by :func:`_check_i0`, after ``alpha >= 0`` and ``0 < r_bar < inf`` (NaN fails both)."""
+    if not alpha >= 0:
+        raise ValueError(f"adversary.alpha, the smoothness exponent, must be nonnegative, got {alpha!r}")
+    if not 0 < r_bar < math.inf:
+        raise ValueError(f"adversary.r_bar, the smoothness radius, must be positive and finite, got {r_bar!r}")
     return _check_i0(i0, dim)
 
 

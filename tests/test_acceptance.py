@@ -280,9 +280,9 @@ def test_09_lazy_svd_consistency():
     dense = rng.standard_normal((300, 200))
     reference = np.linalg.svd(dense, compute_uv=False)
     operator = MatrixOperator(dense)
-    state = DeflationState(tolerance=1e-10)
+    state = DeflationState(operator, seed=1, tolerance=1e-10)
     for _ in range(20):
-        next_triplet(state, operator, seed=1)
+        next_triplet(state)
     sigma_err = float(np.max(np.abs(np.array([t.sigma for t in state.triplets]) - reference[:20])))
 
     dim, delta = 200, 0.05

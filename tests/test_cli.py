@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdstop import harness
+from svdstop import harness, lazysvd
 from svdstop.cli import main
 from svdstop.harness import read_records_csv
 from svdstop.lazysvd import MatrixOperator, load_matrix, save_matrix, sequential_solve
@@ -465,6 +465,48 @@ def test_null_number_exits_three_naming_the_key(tmp_path, key, raw, error, capsy
     assert code == 3
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == error and key in record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("lazysvd.tolerance", "NaN"),
+        ("lazysvd.tolerance", "Infinity"),
+        ("lazysvd.max_iterations", "0"),
+        ("lazysvd.triplet_budget", "-1"),
+        ("adversary.alpha", "NaN"),
+        ("adversary.r_bar", "NaN"),
+        ("adversary.r_bar", "Infinity"),
+    ],
+)
+def test_out_of_range_number_exits_three_naming_the_key(tmp_path, key, raw, capsys, monkeypatch):
+    """A NaN or infinite tolerance, no iterations, a negative triplet budget and a NaN or infinite smoothness
+    parameter exit 3, naming the key, before any triplet is computed or anything is written; with a NaN
+    tolerance no triplet would ever converge, so ``next_triplet`` is patched to record calls instead of running."""
+    calls = []
+    monkeypatch.setattr(lazysvd, "next_triplet", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    command = key.split(".")[0]
+    args = [command, "--config", config_for(tmp_path, command), "--out", out, "--set", f"{key}={raw}"]
+    code, captured = run(args, capsys)
+    assert code == 3 and calls == []
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and key in record["message"]
+    assert not any(out.iterdir())
+
+
+def test_non_string_plot_title_exits_three(config_path, tmp_path, capsys):
+    """A title that is not a string is a config error, not an ``AttributeError`` from the SVG escaping."""
+    assert run(["mc", "--config", config_path, "--out", tmp_path]) == 0
+    config = dict(BASE_CONFIG, plot={"csv": "replications.csv", "title": 5})
+    path = tmp_path / "plot.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, captured = run(["plot", "--config", path, "--out", out], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "plot.title" in record["message"]
     assert not any(out.iterdir())
 
 

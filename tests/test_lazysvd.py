@@ -99,17 +99,17 @@ def test_operator_from_a_binary_file_holds_one_copy(tmp_path):
 
 def test_diagonal_values_recovered_in_order():
     op = MatrixOperator(embedded_diagonal([3.0, 2.0, 1.0], rows=5))
-    state = DeflationState(tolerance=1e-12)
+    state = DeflationState(op, seed=1, tolerance=1e-12)
     for expected in (3.0, 2.0, 1.0):
-        triplet = next_triplet(state, op, seed=1)
+        triplet = next_triplet(state)
         assert triplet.sigma == pytest.approx(expected, abs=1e-9)
 
 
 def test_triplets_match_dense_svd():
     a = random_tall(3)
     op = MatrixOperator(a)
-    state = DeflationState(tolerance=1e-12)
-    got = [next_triplet(state, op, seed=4) for _ in range(6)]
+    state = DeflationState(op, seed=4, tolerance=1e-12)
+    got = [next_triplet(state) for _ in range(6)]
     u_ref, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
     for i, triplet in enumerate(got):
         assert triplet.sigma == pytest.approx(s_ref[i], rel=1e-9)
@@ -120,10 +120,9 @@ def test_triplets_match_dense_svd():
 
 def test_triplets_are_orthonormal():
     a = random_tall(11)
-    op = MatrixOperator(a)
-    state = DeflationState(tolerance=1e-12)
+    state = DeflationState(MatrixOperator(a), seed=2, tolerance=1e-12)
     for _ in range(8):
-        next_triplet(state, op, seed=2)
+        next_triplet(state)
     vmat = np.array([t.v for t in state.triplets])
     umat = np.array([t.u for t in state.triplets])
     assert vmat @ vmat.T == pytest.approx(np.eye(8), abs=1e-8)
@@ -132,18 +131,17 @@ def test_triplets_are_orthonormal():
 
 def test_sign_convention_first_nonzero_positive():
     a = random_tall(5)
-    state = DeflationState()
+    state = DeflationState(MatrixOperator(a), seed=9)
     for _ in range(4):
-        triplet = next_triplet(state, MatrixOperator(a), seed=9)
+        triplet = next_triplet(state)
         lead = triplet.v[np.abs(triplet.v) > 1e-12][0]
         assert lead > 0
 
 
 def test_matvec_accounting():
-    op = MatrixOperator(random_tall(6))
-    state = DeflationState(tolerance=1e-10)
+    state = DeflationState(MatrixOperator(random_tall(6)), tolerance=1e-10)
     for _ in range(5):
-        next_triplet(state, op, seed=0)
+        next_triplet(state)
     assert state.matvec_count == 2 * sum(state.iterations)
     assert len(state.iterations) == 5
 
@@ -151,9 +149,8 @@ def test_matvec_accounting():
 def test_next_triplet_is_deterministic():
     runs = []
     for _ in range(2):
-        state = DeflationState()
-        op = MatrixOperator(random_tall(13))
-        runs.append([next_triplet(state, op, seed=21) for _ in range(5)])
+        state = DeflationState(MatrixOperator(random_tall(13)), seed=21)
+        runs.append([next_triplet(state) for _ in range(5)])
     for left, right in zip(*runs):
         assert left.sigma == right.sigma
         assert np.array_equal(left.u, right.u)
@@ -164,27 +161,24 @@ def test_rank_deficiency_detected():
     rng = np.random.default_rng(1)
     col = rng.standard_normal((6, 1))
     a = col @ np.array([[1.0, 2.0, -0.5]])  # rank one, three columns
-    op = MatrixOperator(a)
-    state = DeflationState(tolerance=1e-12)
-    next_triplet(state, op, seed=0)
+    state = DeflationState(MatrixOperator(a), tolerance=1e-12)
+    next_triplet(state)
     with pytest.raises(RankDeficiencyError):
-        next_triplet(state, op, seed=0)
+        next_triplet(state)
     # exact zeros: A v vanishes, and the left basis goes on orthogonally
     with pytest.raises(RankDeficiencyError):
-        next_triplet(DeflationState(), MatrixOperator(np.zeros((4, 3))), seed=0)
-    state = DeflationState()
-    op = MatrixOperator(embedded_diagonal([2.0, 0.0, 1.0], rows=4))
-    assert [next_triplet(state, op, seed=0).sigma for _ in range(2)] == pytest.approx([2.0, 1.0])
+        next_triplet(DeflationState(MatrixOperator(np.zeros((4, 3)))))
+    state = DeflationState(MatrixOperator(embedded_diagonal([2.0, 0.0, 1.0], rows=4)))
+    assert [next_triplet(state).sigma for _ in range(2)] == pytest.approx([2.0, 1.0])
     with pytest.raises(RankDeficiencyError):
-        next_triplet(state, op, seed=0)
+        next_triplet(state)
 
 
 def test_convergence_error_carries_best_iterate():
     a = random_tall(2)
-    op = MatrixOperator(a)
-    state = DeflationState(tolerance=1e-15, max_iterations=2)
+    state = DeflationState(MatrixOperator(a), tolerance=1e-15, max_iterations=2)
     with pytest.raises(ConvergenceError) as info:
-        next_triplet(state, op, seed=0)
+        next_triplet(state)
     err = info.value
     assert err.iterations == 2
     assert err.best.sigma > 0
@@ -203,9 +197,9 @@ def test_release_residuals_are_the_true_residuals():
     loose tolerance releases triplets whose residuals stand well above
     round-off."""
     a = random_tall(7)
-    state = DeflationState(tolerance=1e-6)
+    state = DeflationState(MatrixOperator(a), seed=3, tolerance=1e-6)
     for _ in range(10):
-        next_triplet(state, MatrixOperator(a), seed=3)
+        next_triplet(state)
     scale = np.linalg.norm(a)
     assert len(state.release_residuals) == 10
     assert max(state.release_residuals) > 1e-3 * 1e-6 * state.triplets[-1].sigma
@@ -222,8 +216,8 @@ def test_repeated_values_found_beyond_one_chunk(layout):
     second."""
     sigmas = np.repeat(np.arange(10, 0, -1.0), 2)
     a = embedded_diagonal(sigmas, rows=23) if layout == "embedded" else rotated(sigmas, rows=23, seed=0)
-    state = DeflationState()
-    got = [next_triplet(state, MatrixOperator(a), seed=1).sigma for _ in range(20)]
+    state = DeflationState(MatrixOperator(a), seed=1)
+    got = [next_triplet(state).sigma for _ in range(20)]
     assert got == pytest.approx(sigmas, abs=1e-8)
 
 
@@ -235,13 +229,13 @@ def test_many_copies_released_in_order(layout, seed):
     single-vector engine released 3.5263 eighth (error 5.13)."""
     sigmas = np.repeat([8.655, 3.5263, 1.3033, 1.1243], [7, 5, 5, 4])
     a = embedded_diagonal(sigmas, rows=27) if layout == "embedded" else rotated(sigmas, rows=27, seed=seed)
-    state = DeflationState()
-    got = [next_triplet(state, MatrixOperator(a), seed=seed) for _ in range(21)]
+    state = DeflationState(MatrixOperator(a), seed=seed)
+    got = [next_triplet(state) for _ in range(21)]
     assert [t.sigma for t in got] == pytest.approx(sigmas, abs=1e-8)
     vmat = np.array([t.v for t in got])
     assert vmat @ vmat.T == pytest.approx(np.eye(21), abs=1e-8)
     with pytest.raises(ValueError):
-        next_triplet(state, MatrixOperator(a), seed=seed)
+        next_triplet(state)
 
 
 @pytest.mark.parametrize("seed", [12, 136, 168])
@@ -252,22 +246,18 @@ def test_tight_cluster_released_in_order(seed):
     rng = np.random.default_rng(seed)
     sigmas = np.sort(3 * (1 + 10.0 ** rng.uniform(-9, -4, 21) * rng.standard_normal(21)))[::-1]
     a = rotated(sigmas, rows=27, seed=seed)
-    state = DeflationState()
-    got = [next_triplet(state, MatrixOperator(a), seed=seed).sigma for _ in range(21)]
+    state = DeflationState(MatrixOperator(a), seed=seed)
+    got = [next_triplet(state).sigma for _ in range(21)]
     assert got == pytest.approx(sigmas, abs=1e-8)
 
 
 def test_state_belongs_to_one_operator():
-    a = random_tall(8, rows=12, cols=5)
-    state = DeflationState()
-    next_triplet(state, MatrixOperator(a), seed=0)
-    # an equal copy of the matrix is the same operator
-    next_triplet(state, MatrixOperator(a.copy()), seed=0)
-    with pytest.raises(ValueError):
-        next_triplet(state, MatrixOperator(2 * a), seed=0)
+    state = DeflationState(MatrixOperator(random_tall(8, rows=12, cols=5)))
+    for _ in range(2):
+        next_triplet(state)
     state.triplets.pop()
-    with pytest.raises(ValueError):
-        next_triplet(state, MatrixOperator(a), seed=0)
+    with pytest.raises(ValueError, match="changed outside"):
+        next_triplet(state)
 
 
 def test_triplets_given_up_front_are_deflated():
@@ -275,15 +265,17 @@ def test_triplets_given_up_front_are_deflated():
     is not the largest makes the larger value turn up late, which raises."""
     a = embedded_diagonal([3.0, 2.0, 1.0], rows=4)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    state = DeflationState(triplets=[lazysvd.SingularTriplet(s[0], u[:, 0], vt[0])])
-    got = [next_triplet(state, MatrixOperator(a), seed=0).sigma for _ in range(2)]
+    state = DeflationState(MatrixOperator(a), triplets=[lazysvd.SingularTriplet(s[0], u[:, 0], vt[0])])
+    got = [next_triplet(state).sigma for _ in range(2)]
     assert got == pytest.approx([2.0, 1.0], abs=1e-9)
     assert state.iterations[0] > 0 and len(state.iterations) == 2
-    state = DeflationState(triplets=[lazysvd.SingularTriplet(s[2], u[:, 2], vt[2])])
+    state = DeflationState(MatrixOperator(a), triplets=[lazysvd.SingularTriplet(s[2], u[:, 2], vt[2])])
     with pytest.raises(ConvergenceError) as info:
-        next_triplet(state, MatrixOperator(a), seed=0)
+        next_triplet(state)
     assert info.value.best.sigma == pytest.approx(3.0)
     assert len(state.triplets) == 1
+    with pytest.raises(ValueError, match="more triplets"):
+        DeflationState(MatrixOperator(a), triplets=[lazysvd.SingularTriplet(s[0], u[:, 0], vt[0])] * 4)
 
 
 def test_demo_solve_is_frugal():
@@ -386,11 +378,11 @@ def test_rank_deficient_spectra_raise(dim, data, extra_rows, seed):
     sigmas = np.sort(np.random.default_rng(seed).uniform(0.1, 10.0, dim))[::-1]
     sigmas[rank:] = 0.0
     op = MatrixOperator(rotated(sigmas, dim + extra_rows, seed))
-    state = DeflationState()
-    got = [next_triplet(state, op, seed=seed).sigma for _ in range(rank)]
+    state = DeflationState(op, seed=seed)
+    got = [next_triplet(state).sigma for _ in range(rank)]
     assert got == pytest.approx(sigmas[:rank], abs=1e-8)
     with pytest.raises(RankDeficiencyError):
-        next_triplet(state, op, seed=seed)
+        next_triplet(state)
 
 
 def test_sequential_solve_matches_sequence_model():
@@ -435,6 +427,10 @@ def test_triplet_budget_error_keeps_partial_state():
     err = info.value
     assert len(err.state.triplets) == 2
     assert err.coefficients.shape == (2,)
+    # a budget of 0 is valid: the rule's first demand exceeds it
+    with pytest.raises(TripletBudgetError) as info:
+        sequential_solve(op, y_raw, NoiseModel(0.1), StoppingConfig(kappa=0.0), triplet_budget=0)
+    assert info.value.state.triplets == [] and info.value.coefficients.shape == (0,)
 
 
 def test_selection_reuses_computed_triplets():
@@ -481,6 +477,26 @@ def test_solve_rejects_bad_selection_before_any_triplet(monkeypatch, config):
     op = MatrixOperator(random_tall(5))
     with pytest.raises(ValueError, match="unknown norm"):
         sequential_solve(op, np.ones(60), NoiseModel(0.1), config, selection_norm="stronk")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "options, key",
+    [
+        ({"tolerance": np.nan}, "lazysvd.tolerance"),
+        ({"tolerance": np.inf}, "lazysvd.tolerance"),
+        ({"tolerance": 0.0}, "lazysvd.tolerance"),
+        ({"triplet_budget": -1}, "lazysvd.triplet_budget"),
+    ],
+)
+def test_solve_rejects_bad_settings_before_any_triplet(monkeypatch, options, key):
+    """A NaN tolerance never releases a triplet (``residual <= nan`` is false), and an infinite one releases
+    unconverged ones; both, and a negative budget, are refused before the first triplet is asked for."""
+    calls = []
+    monkeypatch.setattr(lazysvd, "next_triplet", lambda *args: calls.append(args))
+    op = MatrixOperator(random_tall(5))
+    with pytest.raises(ValueError, match=key):
+        sequential_solve(op, np.ones(60), NoiseModel(0.1), StoppingConfig(kappa=0.0), **options)
     assert calls == []
 
 

@@ -68,6 +68,21 @@ def test_hide_signal_validation():
         hide_signal(mu, i0=2, alpha=0.0, r_bar=0.0)
 
 
+@pytest.mark.parametrize("adversary", ["hide", "residual"])
+@pytest.mark.parametrize(
+    "alpha, r_bar, key",
+    [(math.nan, 1.0, "adversary.alpha"), (0.0, math.nan, "adversary.r_bar"), (0.0, math.inf, "adversary.r_bar")],
+)
+def test_adversaries_reject_nonfinite_smoothness_naming_the_key(adversary, alpha, r_bar, key):
+    """NaN passes both ``alpha < 0`` and ``r_bar <= 0``; it and an infinite radius are refused by name."""
+    mu = Signal(np.ones(10))
+    with pytest.raises(ValueError, match=key):
+        if adversary == "hide":
+            hide_signal(mu, i0=4, alpha=alpha, r_bar=r_bar)
+        else:
+            residual_adversary(mu, make_polynomial_spectrum(10, 0.5), NoiseModel(0.1), i0=4, alpha=alpha, r_bar=r_bar)
+
+
 def test_residual_adversary_quadrature_bump():
     dim = 40
     rng = np.random.default_rng(5)

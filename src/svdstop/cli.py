@@ -117,7 +117,7 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
     procedure = "plain_stop"
     if args.command == "two-step":
         norm = _section(mapping, "selection", {"norm"}).get("norm", "strong")
-        _check_selection(norm)
+        _check_selection(norm, "selection.norm")
         procedure = f"two_step_{norm}"
         extra["selection"] = {"norm": norm}
     config, exp = _experiment(mapping, base, *extra)
@@ -214,11 +214,11 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
 def _cmd_plot(mapping: dict, out: Path, base: Path, args) -> None:
     _check_keys(mapping, _EXPERIMENT_KEYS | {"plot"})
     section = _section(mapping, "plot", {"csv", "title"}, required=True)
-    title = section.get("title", "Relative efficiency")
-    if not isinstance(title, str):
-        raise ValueError(f"plot.title must be a string, got {title!r}")
+    options = {"title": section["title"]} if "title" in section else {}  # else efficiency_plot's own default
+    if not isinstance(options.get("title", ""), str):
+        raise ValueError(f"plot.title must be a string, got {options['title']!r}")
     records, _ = harness.read_records_csv(_resolve_path(base, section.get("csv"), "plot.csv"))
-    svg = efficiency_plot(records, config_mapping=mapping, title=title)
+    svg = efficiency_plot(records, config_mapping=mapping, **options)
     path = out / "efficiency.svg"
     write_new_file(path, svg)
     print(f"wrote {path}")

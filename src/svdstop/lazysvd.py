@@ -416,7 +416,7 @@ def sequential_solve(
     if not np.all(np.isfinite(y_raw)):
         raise ValueError("data vector must be finite")
     if selection_norm is not None:
-        _check_selection(selection_norm)
+        _check_selection(selection_norm, "lazysvd.selection_norm")
     dim = operator.domain_dim
     if triplet_budget is not None and triplet_budget < 0:
         raise ValueError(f"lazysvd.triplet_budget must be at least 0, got {triplet_budget}")

@@ -14,13 +14,17 @@ a simulation with reported standard errors; no asymptotic statement is
 checked.
 
 The numeric total variation (:func:`tv_numeric`) needs only numpy and
-``math``: the noncentral chi-square laws are Poisson mixtures of central
-ones whose degrees share one parity, so the densities come in closed
-form, the distribution functions from the upper-tail recurrence
-``Q_{k+2} = Q_k + 2 f_{k+2}``, and the density crossing from an Illinois
-root finder. A density sums its terms forward by the ratio of
-consecutive terms, on vectors as long as its points: no ``exp`` and no
-points-by-degrees matrix (:func:`_mixture_logpdf`).
+``math``. The noncentral chi-square laws come from the private
+:mod:`svdstop._chisq`: Poisson mixtures of central laws whose degrees
+share one parity, each kept as a window of its weights, from the first
+above 1e-300 to the 1e-13 tail. A law's weights are anchored by one
+``lgamma`` at the Poisson mode, its density sums the window's terms
+forward by the ratio of consecutive terms, and its distribution function
+steps ``Q_{k+2} = Q_k + 2 f_{k+2}`` with ``f_{k+2} = f_k x / k`` from the
+closed-form ``f_1`` or ``f_2``: two ``lgamma`` calls per law in all. The
+distance is a difference of distribution functions at the density
+crossing, found by an Illinois root finder; a Gauss-Legendre quadrature
+of the absolute density difference checks it on every call.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._chisq import AccuracyError, _find_root, _mixture_cdf, _mixture_logpdf, _mixture_terms
 from .estimator import strong_bias_sq, strong_variance, weak_bias_sq
 from .harness import ExperimentConfig, resolve_experiment, run_experiment
 from .model import NoiseModel, Signal, Spectrum, _check_int, make_polynomial_spectrum, require_same_dim
@@ -60,17 +65,7 @@ __all__ = [
 # bound is not valid; the exact constant is sqrt(8)*e / (2*pi - sqrt(pi)*e).
 SIMPLIFIED_NORM_THRESHOLD = math.sqrt(8.0) * math.e / (2.0 * math.pi - math.sqrt(math.pi) * math.e)
 
-_POISSON_TAIL = 1e-13
 _QUADRATURE_TOL = 1e-6
-_RESCALE_AT = 2.0**500  # a running term past this is scaled down by a power of two
-
-
-class AccuracyError(RuntimeError):
-    """A numeric routine missed its accuracy target; carries the estimate reached."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -239,145 +234,16 @@ def tv_bound(theta_norm: float, theta_bar_norm: float, num_terms: int) -> TvBoun
     return TvBoundResult(bound_general=general, bound_simplified=simplified)
 
 
-class _Mixture(NamedTuple):
-    """A noncentral chi-square law as a Poisson mixture of central ones, with its constants.
-
-    The degrees ``dfs = K + 2j`` carry log weights ``log_w``. Term ``j + 1``
-    of the density is term ``j`` times ``x * ratios[j]``, ``ratios[j] =
-    (nc/2) / ((j + 1)(K + 2j))``, and term 0 is ``exp(head_const +
-    head_slope * log x - x/2)``. The distribution function steps the
-    upper-tail recurrence from the closed-form ``Q_1`` or ``Q_2`` through
-    every degree ``k`` of the mixture's parity up to the largest:
-    ``step_slope`` and ``step_norm`` hold ``k/2 - 1`` and ``(k/2) log 2 +
-    lgamma(k/2)`` at each step, and ``rows`` places the mixture's degrees
-    on that ladder, whose row 0 is the closed form.
-    """
-
-    log_w: np.ndarray
-    dfs: np.ndarray
-    head_slope: float
-    head_const: float
-    ratios: list[float]
-    step_slope: np.ndarray
-    step_norm: np.ndarray
-    rows: np.ndarray
-
-
-def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
-    """Log Poisson weights, central chi-square degrees and their constants for a noncentral law.
-
-    The weights ``P(J = j)`` of ``J ~ Poisson(noncentrality / 2)`` come
-    from ``lgamma``, normalised over a range far enough out that the
-    weight beyond it is negligible next to the tail bound: at large
-    noncentrality ``j log(nc/2)`` and ``lgamma(j + 1)`` are near 10^3, and
-    their rounding alone would move the sum by more than 1e-13. The
-    mixture keeps ``j = 0..n + 2``, where ``n`` is the first index whose
-    weight tail ``P(J > n)`` is at most 1e-13.
-    """
-    half = 0.5 * noncentrality
-    if half <= 0.0:
-        log_w = np.array([0.0])
-    else:
-        js = np.arange(int(half + 20.0 * math.sqrt(half) + 40.0))
-        log_w = js * math.log(half) - half - np.array([math.lgamma(j + 1.0) for j in range(js.size)])
-        log_w -= math.log(math.fsum(np.exp(log_w)))
-        tails = np.cumsum(np.exp(log_w[::-1]))[::-1]  # tails[j] = P(J >= j)
-        log_w = log_w[: int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 3]
-    dfs = num_terms + 2.0 * np.arange(log_w.size)
-    ratios = (half / (np.arange(1.0, log_w.size) * dfs[:-1])).tolist()
-    first = 2.0 - dfs[0] % 2.0  # Q_1 and Q_2 are closed forms; the ladder starts above them
-    ladder = 0.5 * np.arange(first, dfs[-1] + 1.0, 2.0)
-    norm = ladder * math.log(2.0) + np.array([math.lgamma(h) for h in ladder.tolist()])
-    rows = ((dfs - first) / 2.0).astype(int)
-    head_const = float(log_w[0] - norm[rows[0]])
-    return _Mixture(log_w, dfs, 0.5 * num_terms - 1.0, head_const, ratios, ladder[1:] - 1.0, norm[1:], rows)
-
-
-def _mixture_logpdf(law: _Mixture, x, log_x):
-    """``log f(x) + x/2`` at points ``x`` with logs ``log_x``, both arrays or both floats, in O(points) memory.
-
-    ``log f(x) + x/2 = head_const + head_slope * log x + log s(x)``, and
-    ``s`` sums the terms forward in place: ``t *= x; t *= ratios[j]; s +=
-    t``. Every fourth degree, each point whose term passed 2**500 has its
-    term and sum scaled down by a power of two, and the exponent goes into
-    the log. That is exact, so a point's value does not depend on its
-    batch; a float runs the same steps and ends in the same numpy ``log``,
-    so it matches the batch to the bit. The caller adds the common ``-x/2``.
-    """
-    frexp, ldexp, top = (math.frexp, math.ldexp, float) if isinstance(x, float) else (np.frexp, np.ldexp, np.max)
-    t, s, carry = (1.0, 1.0, 0) if top is float else (np.ones_like(x), np.ones_like(x), 0)
-    for j, ratio in enumerate(law.ratios, 1):
-        t *= x
-        t *= ratio
-        s += t
-        if j % 4 == 0 and top(t) > _RESCALE_AT:
-            shift = frexp(t)[1] * (t > _RESCALE_AT)  # a zero shift leaves a point as it is
-            t, s, carry = ldexp(t, -shift), ldexp(s, -shift), carry + shift
-    return law.head_const + law.head_slope * log_x + (np.log(s) + carry * math.log(2.0))
-
-
-def _mixture_cdf(law: _Mixture, x: float) -> float:
-    """Mixture distribution function at ``x > 0`` from the central upper tails ``Q_k``.
-
-    The degrees ``K + 2j`` share one parity, so every ``Q_k`` follows from
-    ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by the positive-term
-    recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}(x)``.
-    """
-    q0 = math.erfc(math.sqrt(0.5 * x)) if law.dfs[0] % 2.0 else math.exp(-0.5 * x)
-    log_f = np.log(x) * law.step_slope
-    log_f -= 0.5 * x
-    log_f -= law.step_norm
-    tails = q0 + np.concatenate(([0.0], np.cumsum(2.0 * np.exp(log_f))))
-    return float(np.exp(law.log_w) @ (1.0 - tails[law.rows]))
-
-
-def _find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` in ``[lo, hi]`` by the Illinois variant of regula falsi.
-
-    Returns an end point where ``f`` is zero, and raises
-    :class:`AccuracyError` unless ``f(lo)`` and ``f(hi)`` differ in sign
-    (a NaN differs from nothing). Stops once the bracket is narrower than
-    ``1e-12 + 8.9e-16 * |x|``, and raises :class:`AccuracyError` if that
-    takes more than 200 steps.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
-        raise AccuracyError(f"no sign change in [{lo:.17g}, {hi:.17g}]: f = {f_lo!r}, {f_hi!r}", estimate=math.nan)
-    side = 0
-    for _ in range(200):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        f_x = f(x)
-        if f_x == 0.0:
-            return x
-        if (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f_x
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, f_x
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        if hi - lo <= 1e-12 + 8.9e-16 * abs(x):
-            return x
-    raise AccuracyError(f"root finder did not converge in [{lo:.17g}, {hi:.17g}]", estimate=0.5 * (lo + hi))
-
-
 def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> float:
     """Numeric total variation between two noncentral chi-square laws.
 
     The densities are Poisson mixtures of central chi-square densities,
-    with the weight tail truncated below 1e-13, summed by
-    :func:`_mixture_logpdf` over a ``log x`` shared by both laws; the
-    upper tails come from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)``
-    by ``Q_{k+2} = Q_k + 2 f_{k+2}``. The distance is computed twice:
+    with the weights kept from the first above 1e-300 to the 1e-13 tail,
+    summed by :func:`~svdstop._chisq._mixture_logpdf` over a ``log x``
+    shared by both laws; the upper tails come from ``Q_1 = erfc(sqrt(x/2))``
+    or ``Q_2 = exp(-x/2)`` by ``Q_{k+2} = Q_k + 2 f_{k+2}``. The root
+    finder reuses the log ratios its bracket search computed at the two
+    ends. The distance is computed twice:
     once through the single sign change of the density difference (the
     likelihood ratio is monotone, so the distance is a difference of
     distribution functions at the crossing, found by an Illinois root
@@ -403,14 +269,14 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
 
     # the ratio is increasing in x, negative near 0 and positive far out
     lo = 1e-8
-    while log_ratio(lo) >= 0.0 and lo > 1e-250:
+    while (f_lo := log_ratio(lo)) >= 0.0 and lo > 1e-250:
         lo *= 1e-4
     hi = num_terms + nu_f + 30.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 30.0
-    while log_ratio(hi) <= 0.0:
+    while (f_hi := log_ratio(hi)) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise AccuracyError("no density crossing found", estimate=math.nan)
-    crossing = _find_root(log_ratio, lo, hi)
+    crossing = _find_root(log_ratio, lo, hi, f_lo, f_hi)
     from_cdf = _mixture_cdf(g, crossing) - _mixture_cdf(f, crossing)
 
     def abs_diff(x: np.ndarray) -> np.ndarray:

@@ -350,7 +350,7 @@ def aic_select(y: np.ndarray, lam: np.ndarray, delta: float, m0: int, norm: str 
     m0 = _check_int(m0, "m0")
     if not 0 <= m0 <= dim:
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
-    _check_selection(norm)
+    _check_selection(norm, "norm")
     y2 = y[:m0] ** 2
     inv2, penalty = _aic_penalty(lam[:m0].tobytes(), delta, m0, norm)
     crit = -_prefix_sums(y2 if inv2 is None else inv2 * y2) + penalty
@@ -380,10 +380,10 @@ def _aic_penalty(lam_head: bytes, delta: float, m0: int, norm: str) -> tuple[np.
     return inv2, penalty
 
 
-def _check_selection(norm: str) -> None:
-    """``ValueError`` unless ``norm`` is ``'strong'`` or ``'weak'``."""
+def _check_selection(norm: str, key: str) -> None:
+    """``ValueError`` naming ``key``, the setting that gave ``norm``, unless ``norm`` is ``'strong'`` or ``'weak'``."""
     if norm not in ("strong", "weak"):
-        raise ValueError(f"unknown norm {norm!r}; expected 'strong' or 'weak'")
+        raise ValueError(f"{key}: unknown norm {norm!r}; expected 'strong' or 'weak'")
 
 
 def two_step(tau: int, y: np.ndarray, lam: np.ndarray, delta: float, m0: int, norm: str = "strong") -> int:
@@ -393,5 +393,5 @@ def two_step(tau: int, y: np.ndarray, lam: np.ndarray, delta: float, m0: int, no
     index over ``0..m0``, which only reuses coefficients the stopping
     pass already read. The norm is checked either way.
     """
-    _check_selection(norm)
+    _check_selection(norm, "norm")
     return tau if tau > m0 else aic_select(y, lam, delta, m0, norm)

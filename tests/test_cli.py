@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdstop import harness, lazysvd
+from svdstop import harness, lazysvd, svgplot
 from svdstop.cli import main
 from svdstop.harness import read_records_csv
 from svdstop.lazysvd import MatrixOperator, load_matrix, save_matrix, sequential_solve
@@ -965,6 +965,36 @@ def test_lazysvd_bad_selection_exits_three(tmp_path, immediate, section, capsys)
     expected = "unknown lazysvd keys: ['penalty_multiplier']" if "penalty_multiplier" in section else "unknown norm"
     assert record["error"] == "ValueError" and expected in record["message"]
     assert not any(out.iterdir())
+
+
+def test_a_bad_selection_norm_names_its_key(config_path, tmp_path, capsys):
+    """``two-step``'s ``selection.norm`` and ``lazysvd``'s ``selection_norm`` share one check, which names the key."""
+    write_lazy_inputs(tmp_path)
+    lazy = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.05}}
+    lazy_path = tmp_path / "lazy.json"
+    lazy_path.write_text(json.dumps(lazy))
+    cases = [("two-step", config_path, "selection.norm"), ("lazysvd", lazy_path, "lazysvd.selection_norm")]
+    for command, path, key in cases:
+        out = tmp_path / command
+        code, captured = run([command, "--config", path, "--out", out, "--set", f"{key}=5"], capsys)
+        assert code == 3
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError" and f"{key}: unknown norm 5" in record["message"]
+        assert not any(out.iterdir())
+
+
+def test_plot_without_a_title_writes_the_default_titles_bytes(config_path, tmp_path):
+    """With no ``plot.title`` the SVG is the one written when the CLI passed ``"Relative efficiency"`` itself."""
+    assert run(["mc", "--config", config_path, "--out", tmp_path]) == 0
+    config = dict(BASE_CONFIG, plot={"csv": "replications.csv"})
+    path = tmp_path / "plot.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["plot", "--config", path, "--out", out]) == 0
+    records, _ = read_records_csv(tmp_path / "replications.csv")
+    expected = svgplot.efficiency_plot(records, config_mapping=config, title="Relative efficiency")
+    assert (out / "efficiency.svg").read_text() == expected
+    assert "Relative efficiency" in expected
 
 
 def test_failed_replication_exits_four_after_writing(config_path, tmp_path, monkeypatch, capsys):

@@ -14,14 +14,11 @@ from hypothesis import strategies as st
 
 import svdstop
 from svdstop import harness
+from svdstop._chisq import _find_root, _ladder, _mixture_cdf, _mixture_logpdf, _mixture_terms
 from svdstop.harness import ExperimentConfig
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
     AccuracyError,
-    _find_root,
-    _mixture_cdf,
-    _mixture_logpdf,
-    _mixture_terms,
     adversary_conditions,
     hide_signal,
     laurent_massart_tails,
@@ -208,21 +205,76 @@ def test_mixture_weights_sum_to_one(num_terms, noncentrality):
     # 64 is the largest noncentrality of the criterion-7 grid; from 400 on, the rounding of
     # j log(nc/2) - lgamma(j + 1) alone moved the unnormalised sum by more than 1e-13
     law = _mixture_terms(num_terms, noncentrality)
+    half = 0.5 * noncentrality
     assert abs(np.exp(law.log_w).sum() - 1.0) <= 1e-13
-    assert np.array_equal(law.dfs, num_terms + 2.0 * np.arange(law.log_w.size))
-    half = 0.5 * law.dfs
-    norm = half * math.log(2.0) + np.array([math.lgamma(h) for h in half.tolist()])
-    assert (law.head_slope, law.head_const) == (half[0] - 1.0, law.log_w[0] - norm[0])
-    # term j + 1 of the density is term j times x * ratios[j]; the recurrence's weights are the kept ones
+    # the window starts at the first weight above 1e-300 (j0 = 0 up to nc = 1380)
+    j0 = int(law.dfs[0] - num_terms) // 2
+    assert (j0 == 0) == (noncentrality < 1_380.0)
+    assert law.log_w[0] > math.log(1e-300) - 1e-9
+    assert j0 == 0 or law.log_w[0] + math.log(j0 / half) <= math.log(1e-300) + 1e-9
+    assert np.array_equal(law.dfs, num_terms + 2.0 * (j0 + np.arange(law.log_w.size)))
+    head = 0.5 * law.dfs[0]
+    norm = head * math.log(2.0) + math.lgamma(head)
+    assert (law.head_slope, law.head_const) == (law.dfs[0] / 2 - 1.0, law.log_w[0] - norm)
+    # term i + 1 of the density is term i times x * ratios[i]; the recurrence's weights are the kept ones
     ratios = np.array(law.ratios)
-    assert np.array_equal(ratios, 0.5 * noncentrality / (np.arange(1, law.log_w.size) * law.dfs[:-1]))
+    assert np.array_equal(ratios, half / ((j0 + np.arange(1, law.log_w.size)) * law.dfs[:-1]))
     from_ratios = law.log_w[0] + np.cumsum(np.log(ratios * law.dfs[:-1]))
     assert np.allclose(from_ratios, law.log_w[1:], rtol=0.0, atol=1e-10)
-    # the distribution function's ladder runs over every degree of the parity above Q_1 or Q_2
-    first = 2 - num_terms % 2
-    ladder = np.arange(first + 2, law.dfs[-1] + 1, 2)
-    assert np.array_equal(law.step_slope, 0.5 * ladder - 1.0)
-    assert np.array_equal(np.concatenate(([first], ladder))[law.rows], law.dfs)
+
+
+def test_a_large_noncentrality_keeps_only_its_window():
+    """At ``nc = 1e6`` the weights from ``j = 0`` were 505,208, of which 474,089 lay below 1e-300."""
+    law = _mixture_terms(5, 1e6)
+    assert law.log_w.size <= 32_000
+    assert int(law.dfs[0] - 5) // 2 == 474_089
+
+
+@pytest.mark.parametrize("noncentrality", [0.0, 1e-10, 64.0, 1e4, 1e6])
+def test_a_law_takes_at_most_two_lgamma_calls(monkeypatch, noncentrality):
+    """One for the weights' anchor and one for the first degree's constant; the density and the
+    distribution function take none, at any noncentrality."""
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+    law = _mixture_terms(5, noncentrality)
+    x = 5.0 + noncentrality
+    _mixture_logpdf(law, x, math.log(x))
+    _mixture_logpdf(law, np.array([0.5 * x, x]), np.log([0.5 * x, x]))
+    _mixture_cdf(law, x)
+    assert 1 <= len(calls) <= 2
+    calls.clear()
+    tv_numeric(8.0, 6.0, 5)
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("a, b", [(40.0, 0.0), (100.0, 99.5), (300.0, 299.0), (1000.0, 999.0)])
+def test_windowed_laws_keep_the_brackets_lower_end(a, b):
+    """At ``K = 1`` the root finder's bracket, which starts at ``x = 1e-8``, still sees a negative log
+    ratio once the laws are windowed: the larger law's first degree is at least the smaller one's."""
+    f, g = _mixture_terms(1, a * a), _mixture_terms(1, b * b)
+    assert f.dfs[0] > 1.0  # windowed
+    x = 1e-8
+    assert _mixture_logpdf(f, x, math.log(x)) - _mixture_logpdf(g, x, math.log(x)) < 0.0
+
+
+@pytest.mark.parametrize("base", [1.0, 2.0])
+@pytest.mark.parametrize("x", [1e-8, 0.5, 30.0, 1_330.0, 1_331.0, 2_000.0, 1e5])  # the block path from 1,331
+def test_ladder_steps_the_central_densities(base, x):
+    """``f_{k+2} = f_k x / k`` from the closed-form ``f_1`` or ``f_2``, carried past the float range by exact
+    powers of two, matches ``exp((k/2 - 1) log x - x/2 - (k/2) log 2 - lgamma(k/2))`` wherever that is a
+    normal float, to 1e-13 of the largest term in the log; the rest lie below it and none overflows."""
+    last = base + 2.0 * math.ceil(0.5 * x + 40.0 * math.sqrt(x) + 40.0)
+    values = _ladder(x, base, last)
+    half = 0.5 * np.arange(base + 2.0, last + 1.0, 2.0)
+    norm = half * math.log(2.0) + np.array([math.lgamma(h) for h in half.tolist()])
+    terms = [(half - 1.0) * math.log(x), 0.5 * x, norm]
+    expected = terms[0] - terms[1] - terms[2]
+    scale = np.maximum(1.0, np.abs(terms[0]) + terms[1] + np.abs(terms[2]))
+    normal = expected > math.log(1e-300)
+    assert values.size == half.size and np.all(np.isfinite(values)) and normal.any()
+    assert np.all(np.abs(np.log(values[normal]) - expected[normal]) <= 1e-13 * scale[normal])
+    assert np.all(values[~normal] <= 1.1e-300)
 
 
 def test_tv_numeric_at_a_large_norm_in_bounded_memory():
@@ -242,6 +294,25 @@ def test_tv_numeric_at_a_large_norm_in_bounded_memory():
         tracemalloc.stop()
     assert value == pytest.approx(0.1973932227563192, abs=1e-9)  # from scipy's chi2 densities and brentq
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "a, b, num_terms, tol", [(100.0, 99.5, 5, 1e-10), (300.0, 299.0, 5, 1e-10), (1000.0, 999.0, 5, 5e-10)]
+)
+def test_tv_numeric_at_large_norms_matches_scipy(a, b, num_terms, tol):
+    """Against scipy's noncentral chi-square distribution functions at the crossing of its log densities,
+    found by ``brentq``: an independent route through windows of up to 31,000 degrees."""
+    stats = pytest.importorskip("scipy.stats")
+    optimize = pytest.importorskip("scipy.optimize")
+    nu_f, nu_g = a * a, b * b
+
+    def log_ratio(x):
+        return stats.ncx2.logpdf(x, num_terms, nu_f) - stats.ncx2.logpdf(x, num_terms, nu_g)
+
+    lo, hi = num_terms + nu_g - 50.0 * math.sqrt(nu_g), num_terms + nu_f + 50.0 * math.sqrt(nu_f)
+    crossing = optimize.brentq(log_ratio, lo, hi, xtol=1e-12, rtol=1e-15)
+    expected = stats.ncx2.cdf(crossing, num_terms, nu_g) - stats.ncx2.cdf(crossing, num_terms, nu_f)
+    assert abs(tv_numeric(a, b, num_terms) - expected) <= tol
 
 
 def logsumexp_logpdf(law, log_x):
@@ -276,14 +347,14 @@ def test_mixture_logpdf_matches_the_logsumexp(num_terms, noncentrality, exponent
 
 
 def test_mixture_logpdf_rescales_large_terms():
-    """At ``nc = 1e4`` and ``x`` near 1e4 the sum of the terms is near 1e4,300, far past the largest float, so
-    every point takes the power-of-two rescaling; an overflow warning would fail the suite."""
+    """At ``nc = 1e4`` and ``x`` near 1e4 the window's terms sum to near 2**1800 times its first, past the
+    largest float, so every point takes the power-of-two rescaling; an overflow warning would fail the suite."""
     law = _mixture_terms(5, 1e4)
     xs = np.linspace(9_500.0, 10_500.0, 5)
     log_xs = np.log(xs)
     values = _mixture_logpdf(law, xs, log_xs)
     assert np.all(np.isfinite(values))
-    assert np.all(values - law.head_const - law.head_slope * log_xs > 4_000.0 * math.log(10.0))  # log s(x)
+    assert np.all(values - law.head_const - law.head_slope * log_xs > 1_700.0 * math.log(2.0))  # log s(x)
     assert np.max(np.abs(values - logsumexp_logpdf(law, log_xs)) / np.abs(values)) <= 1e-13
     assert [_mixture_logpdf(law, float(x), np.log(float(x))) for x in xs] == values.tolist()
 
@@ -300,12 +371,13 @@ def test_chi2_pieces_match_scipy():
         for noncentrality in (0.0, 0.25, 4.0, 27.5625, 64.0):
             law = _mixture_terms(num_terms, noncentrality)
             log_w, dfs = law.log_w, law.dfs
+            js = int(dfs[0] - num_terms) // 2 + np.arange(log_w.size)  # the window's indices
             if noncentrality > 0:
                 half = 0.5 * noncentrality
                 # the kept weights stop two past the first index whose tail is at most 1e-13
-                tails = stats.poisson.sf(np.arange(log_w.size), half)
+                tails = stats.poisson.sf(js, half)
                 assert tails[-3] <= 1e-13 < tails[-4]
-                assert np.allclose(log_w, stats.poisson.logpmf(np.arange(log_w.size), half), rtol=1e-13, atol=1e-13)
+                assert np.allclose(log_w, stats.poisson.logpmf(js, half), rtol=1e-13, atol=1e-13)
             mixed = special.logsumexp(log_w + stats.chi2.logpdf(xs[:, None], dfs), axis=1)
             gap = np.abs(_mixture_logpdf(law, xs, log_xs) - 0.5 * xs - mixed)
             assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(mixed))), (num_terms, noncentrality)
@@ -315,11 +387,25 @@ def test_chi2_pieces_match_scipy():
 
 
 def test_find_root_needs_a_sign_change():
-    assert _find_root(lambda x: x - 0.25, 0.0, 1.0) == pytest.approx(0.25, abs=1e-12)
-    assert _find_root(lambda x: x, 0.0, 1.0) == 0.0  # a zero at an end point is the root
+    def root(f):
+        return _find_root(f, 0.0, 1.0, f(0.0), f(1.0))
+
+    assert root(lambda x: x - 0.25) == pytest.approx(0.25, abs=1e-12)
+    assert root(lambda x: x) == 0.0  # a zero at an end point is the root
     for f in (lambda x: x + 1.0, lambda x: -1.0 - x, lambda x: math.nan, lambda x: math.nan if x else -1.0):
         with pytest.raises(AccuracyError, match="no sign change"):
-            _find_root(f, 0.0, 1.0)
+            root(f)
+
+
+def test_find_root_takes_the_end_values_it_is_given():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.25
+
+    assert _find_root(f, 0.0, 1.0, -0.25, 0.75) == pytest.approx(0.25, abs=1e-12)
+    assert seen and 0.0 not in seen and 1.0 not in seen
 
 
 def test_laurent_massart_report_fields():

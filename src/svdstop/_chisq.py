@@ -52,15 +52,15 @@ class _Mixture(NamedTuple):
     """A noncentral chi-square law as a window of a Poisson mixture of central ones.
 
     The window's degrees ``dfs = K + 2j``, ``j = j0, j0 + 1, ...``, carry
-    log weights ``log_w``. Term ``i + 1`` of the density is term ``i``
-    times ``x * ratios[i]``, ``ratios[i] = (nc/2) / ((j0 + i + 1) dfs[i])``,
-    and term 0 is ``exp(head_const + head_slope * log x - x/2)``:
-    ``head_slope = dfs[0]/2 - 1`` and ``head_const = log_w[0] - (dfs[0]/2)
-    log 2 - lgamma(dfs[0]/2)``. ``w_tails[i]`` sums the weights from ``i``
-    on, for the distribution function.
+    weights ``w``. Term ``i + 1`` of the density is term ``i`` times ``x *
+    ratios[i]``, ``ratios[i] = (nc/2) / ((j0 + i + 1) dfs[i])``, and term 0
+    is ``exp(head_const + head_slope * log x - x/2)``: ``head_slope =
+    dfs[0]/2 - 1`` and ``head_const = log w[0] - (dfs[0]/2) log 2 -
+    lgamma(dfs[0]/2)``. ``w_tails[i]`` sums the weights from ``i`` on, for
+    the distribution function.
     """
 
-    log_w: np.ndarray
+    w: np.ndarray
     dfs: np.ndarray
     head_slope: float
     head_const: float
@@ -84,7 +84,7 @@ def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
     """
     half = 0.5 * noncentrality
     if half <= 0.0:
-        j0, log_w = 0, np.array([0.0])
+        j0, w = 0, np.array([1.0])
     else:
         mode, root = math.floor(half), math.sqrt(half)
         low, high = max(0, int(half - 40.0 * root)), int(half + 20.0 * root + 40.0)
@@ -96,13 +96,13 @@ def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
         w = w[start:] / math.fsum(w[start:].tolist())
         tails = np.cumsum(w[::-1])[::-1]  # tails[i] = P(J >= j0 + i)
         end = min(int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 3, int(np.count_nonzero(w > _WINDOW_FLOOR)))
-        j0, log_w = low + start, np.log(w[:end])
-    dfs = num_terms + 2.0 * np.arange(j0, j0 + log_w.size)
-    ratios = (half / (np.arange(j0 + 1.0, j0 + log_w.size) * dfs[:-1])).tolist()
+        j0, w = low + start, w[:end]
+    dfs = num_terms + 2.0 * np.arange(j0, j0 + w.size)
+    ratios = (half / (np.arange(j0 + 1.0, j0 + w.size) * dfs[:-1])).tolist()
     head = 0.5 * dfs[0]
-    head_const = float(log_w[0] - (head * math.log(2.0) + math.lgamma(head)))
-    w_tails = np.cumsum(np.exp(log_w)[::-1])[::-1]
-    return _Mixture(log_w, dfs, head - 1.0, head_const, ratios, w_tails)
+    head_const = math.log(w[0]) - (head * math.log(2.0) + math.lgamma(head))
+    w_tails = np.cumsum(w[::-1])[::-1]
+    return _Mixture(w, dfs, head - 1.0, head_const, ratios, w_tails)
 
 
 def _mixture_logpdf(law: _Mixture, x, log_x):
@@ -134,30 +134,21 @@ def _ladder(x: float, base: float, last: float) -> np.ndarray:
 
     The steps ``f_{k+2} = f_k x / k`` start from ``f_base = exp(-x/2) c``,
     ``c = 1/sqrt(2 pi x)`` or ``1/2``, written as ``lead * 2**-n`` with
-    ``exp(-x/2) = 2**-n exp(r)`` and ``r`` in ``(-log 2, 0]``. Below
-    ``n = 960`` (``x`` below about 1330) ``lead`` times the running
-    product stays under ``2**960``, since no ``f_k(x)`` exceeds 1 once ``x``
-    passes 1, and is scaled by ``2**-n`` at the end. Beyond that each
-    ratio is split into its significand and exponent: a block's
+    ``exp(-x/2) = 2**-n exp(r)`` and ``r`` in ``(-log 2, 0]``. Each ratio
+    ``x / k`` is split into its significand and exponent: a block's
     significands are multiplied by ``cumprod`` and its exponents summed as
     integers, so between blocks the running product is a significand in
-    ``[0.5, 1)`` times an exact power of two. Either way no step overflows,
-    and only a value below the smallest normal float is rounded again.
+    ``[0.5, 1)`` times an exact power of two. No step overflows, and only
+    a value below the smallest normal float is rounded again.
     """
     n = math.floor(0.5 * x / _LN2_HI)
     r = (n * _LN2_HI - 0.5 * x) + n * _LN2_LO
     lead = math.exp(r) * (0.5 if base == 2.0 else 1.0 / math.sqrt(2.0 * math.pi * x))
-    steps = x / np.arange(base, last - 1.0, 2.0)
-    if n < 960:
-        out = steps.cumprod()
-        out *= lead
-        out *= 2.0**-n
-        return out
     lead, power = math.frexp(lead)
     power -= n
-    significands, exponents = np.frexp(steps)
-    out = np.empty(steps.size)
-    for start in range(0, steps.size, _LADDER_BLOCK):
+    significands, exponents = np.frexp(x / np.arange(base, last - 1.0, 2.0))
+    out = np.empty(significands.size)
+    for start in range(0, out.size, _LADDER_BLOCK):
         run = significands[start : start + _LADDER_BLOCK].cumprod()
         run *= lead
         powers = exponents[start : start + _LADDER_BLOCK].cumsum()

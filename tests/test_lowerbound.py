@@ -194,7 +194,7 @@ def test_chi2_distribution_function_closed_forms():
     }
     for k, cdf in closed.items():
         central = _mixture_terms(k, 0.0)  # one weight, one degree
-        assert np.array_equal(central.log_w, [0.0]) and np.array_equal(central.dfs, [k])
+        assert np.array_equal(central.w, [1.0]) and np.array_equal(central.dfs, [k])
         for x in xs:
             assert _mixture_cdf(central, x) == pytest.approx(cdf(x), abs=1e-14), (k, x)
 
@@ -205,28 +205,28 @@ def test_mixture_weights_sum_to_one(num_terms, noncentrality):
     # 64 is the largest noncentrality of the criterion-7 grid; from 400 on, the rounding of
     # j log(nc/2) - lgamma(j + 1) alone moved the unnormalised sum by more than 1e-13
     law = _mixture_terms(num_terms, noncentrality)
-    half = 0.5 * noncentrality
-    assert abs(np.exp(law.log_w).sum() - 1.0) <= 1e-13
+    half, log_w = 0.5 * noncentrality, np.log(law.w)
+    assert abs(law.w.sum() - 1.0) <= 1e-13
     # the window starts at the first weight above 1e-300 (j0 = 0 up to nc = 1380)
     j0 = int(law.dfs[0] - num_terms) // 2
     assert (j0 == 0) == (noncentrality < 1_380.0)
-    assert law.log_w[0] > math.log(1e-300) - 1e-9
-    assert j0 == 0 or law.log_w[0] + math.log(j0 / half) <= math.log(1e-300) + 1e-9
-    assert np.array_equal(law.dfs, num_terms + 2.0 * (j0 + np.arange(law.log_w.size)))
+    assert log_w[0] > math.log(1e-300) - 1e-9
+    assert j0 == 0 or log_w[0] + math.log(j0 / half) <= math.log(1e-300) + 1e-9
+    assert np.array_equal(law.dfs, num_terms + 2.0 * (j0 + np.arange(law.w.size)))
     head = 0.5 * law.dfs[0]
     norm = head * math.log(2.0) + math.lgamma(head)
-    assert (law.head_slope, law.head_const) == (law.dfs[0] / 2 - 1.0, law.log_w[0] - norm)
+    assert (law.head_slope, law.head_const) == (law.dfs[0] / 2 - 1.0, math.log(law.w[0]) - norm)
     # term i + 1 of the density is term i times x * ratios[i]; the recurrence's weights are the kept ones
     ratios = np.array(law.ratios)
-    assert np.array_equal(ratios, half / ((j0 + np.arange(1, law.log_w.size)) * law.dfs[:-1]))
-    from_ratios = law.log_w[0] + np.cumsum(np.log(ratios * law.dfs[:-1]))
-    assert np.allclose(from_ratios, law.log_w[1:], rtol=0.0, atol=1e-10)
+    assert np.array_equal(ratios, half / ((j0 + np.arange(1, law.w.size)) * law.dfs[:-1]))
+    from_ratios = log_w[0] + np.cumsum(np.log(ratios * law.dfs[:-1]))
+    assert np.allclose(from_ratios, log_w[1:], rtol=0.0, atol=1e-10)
 
 
 def test_a_large_noncentrality_keeps_only_its_window():
     """At ``nc = 1e6`` the weights from ``j = 0`` were 505,208, of which 474,089 lay below 1e-300."""
     law = _mixture_terms(5, 1e6)
-    assert law.log_w.size <= 32_000
+    assert law.w.size <= 32_000
     assert int(law.dfs[0] - 5) // 2 == 474_089
 
 
@@ -259,7 +259,7 @@ def test_windowed_laws_keep_the_brackets_lower_end(a, b):
 
 
 @pytest.mark.parametrize("base", [1.0, 2.0])
-@pytest.mark.parametrize("x", [1e-8, 0.5, 30.0, 1_330.0, 1_331.0, 2_000.0, 1e5])  # the block path from 1,331
+@pytest.mark.parametrize("x", [1e-8, 0.5, 30.0, 1_330.0, 1_331.0, 2_000.0, 1e5])  # exp(-x/2) underflows from about 1,490
 def test_ladder_steps_the_central_densities(base, x):
     """``f_{k+2} = f_k x / k`` from the closed-form ``f_1`` or ``f_2``, carried past the float range by exact
     powers of two, matches ``exp((k/2 - 1) log x - x/2 - (k/2) log 2 - lgamma(k/2))`` wherever that is a
@@ -317,9 +317,9 @@ def test_tv_numeric_at_large_norms_matches_scipy(a, b, num_terms, tol):
 
 def logsumexp_logpdf(law, log_x):
     """``log f(x) + x/2`` as the module summed it before the term-ratio recurrence: a log-sum-exp over the
-    points-by-degrees matrix of ``(k/2 - 1) log x + log_w - (k/2) log 2 - lgamma(k/2)``."""
+    points-by-degrees matrix of ``(k/2 - 1) log x + log w - (k/2) log 2 - lgamma(k/2)``."""
     half = 0.5 * law.dfs
-    const = law.log_w - (half * math.log(2.0) + np.array([math.lgamma(h) for h in half.tolist()]))
+    const = np.log(law.w) - (half * math.log(2.0) + np.array([math.lgamma(h) for h in half.tolist()]))
     terms = np.multiply.outer(log_x, half - 1.0) + const
     top = terms.max(axis=1)
     return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
@@ -370,7 +370,7 @@ def test_chi2_pieces_match_scipy():
         assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(central)))
         for noncentrality in (0.0, 0.25, 4.0, 27.5625, 64.0):
             law = _mixture_terms(num_terms, noncentrality)
-            log_w, dfs = law.log_w, law.dfs
+            log_w, dfs = np.log(law.w), law.dfs
             js = int(dfs[0] - num_terms) // 2 + np.arange(log_w.size)  # the window's indices
             if noncentrality > 0:
                 half = 0.5 * noncentrality
@@ -381,7 +381,7 @@ def test_chi2_pieces_match_scipy():
             mixed = special.logsumexp(log_w + stats.chi2.logpdf(xs[:, None], dfs), axis=1)
             gap = np.abs(_mixture_logpdf(law, xs, log_xs) - 0.5 * xs - mixed)
             assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(mixed))), (num_terms, noncentrality)
-            cdf = np.exp(log_w) @ stats.chi2.cdf(xs[:, None], dfs).T
+            cdf = law.w @ stats.chi2.cdf(xs[:, None], dfs).T
             mine = np.array([_mixture_cdf(law, x) for x in xs])
             assert np.max(np.abs(mine - cdf)) <= 1e-13, (num_terms, noncentrality)
 

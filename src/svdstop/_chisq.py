@@ -11,7 +11,8 @@ Krishnamoorthy (Comput. Stat. Data Anal. 43, 2003) start at the Poisson
 mode for the same reason. The weights are anchored by one ``lgamma`` at
 the mode and stepped both ways by the exact ratio ``w_{j+1} / w_j =
 (nc/2) / (j + 1)``, each weight a product from the anchor, never a sum
-of log ratios; ``math.fsum`` then normalises them.
+of log ratios; one reverse cumulative sum gives their tails and the
+total that normalises them.
 
 The density (:func:`_mixture_logpdf`) sums the window's terms forward
 from its first by the ratio of consecutive terms. The distribution
@@ -22,6 +23,12 @@ f_{k+2}``, with the central densities stepped by ``f_{k+2} = f_k x / k``
 (:func:`_ladder`). Both carry their running products as a significand and
 an exact power of two, so no step overflows, and a law costs two
 ``lgamma`` calls in all: one for its weights, one for its first degree.
+
+:func:`_cdf_error` and :func:`_logpdf_error` bound the error of the two,
+term by term, from numbers the window carries: a forward rounding-error
+argument on their positive-term recurrences (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002), to first order in ``u =
+2**-53``.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ _LADDER_BLOCK = 1000  # ladder steps per block: a product of this many significa
 # log 2 in two parts (as in fdlibm): the first has 32 significant bits, so n * _LN2_HI is exact for n < 2**21
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+# the error bounds below are first order in the unit roundoff, with exp, log, erfc and lgamma
+# taken to err by at most _LIBM_ULPS units in the last place of their result (or of 1 below 1)
+_U = 2.0**-53
+_LIBM_ULPS = 8.0
 
 
 class AccuracyError(RuntimeError):
@@ -74,17 +85,21 @@ def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
     The weights ``P(J = j)`` of ``J ~ Poisson(h)``, ``h = noncentrality/2``,
     are computed over ``h - 40 sqrt(h) <= j < h + 20 sqrt(h) + 40`` (by
     the Chernoff bound ``exp(-(h - j)**2 / (2h))`` every weight below that
-    range is under 1e-347) as products of exact ratios from the one
-    ``lgamma`` anchor at ``floor(h)``, and normalised by ``math.fsum``:
-    the anchor's own rounding, near 1e-9 at ``h = 5e5``, cancels there.
-    The window keeps ``j0..n + 2``, where ``j0`` is the first index whose
-    weight is above 1e-300 and ``n`` the first whose tail ``P(J > n)`` is
-    at most 1e-13; at a noncentrality so small that a weight up to ``n + 2``
-    is 1e-300 or less, it stops before that weight.
+    range is under 1e-347, and by Bernstein's inequality the mass above it
+    is under ``exp(-58)``) as products of exact ratios from the one
+    ``lgamma`` anchor at ``floor(h)``. One reverse cumulative sum, from
+    the range's top down to its first weight above 1e-300, gives every
+    tail and, at its end, the total that normalises them: the anchor's own
+    rounding, near 1e-9 at ``h = 5e5``, cancels there. The window keeps
+    ``j0..n + 2``, where ``j0`` is the first index whose weight is above
+    1e-300 and ``n`` the first whose tail ``P(J > n)`` is at most 1e-13; at
+    a noncentrality so small that a weight up to ``n + 2`` is 1e-300 or
+    less, it stops before that weight. ``w_tails`` are the tails less the
+    mass above the window.
     """
     half = 0.5 * noncentrality
     if half <= 0.0:
-        j0, w = 0, np.array([1.0])
+        j0, w, w_tails = 0, np.array([1.0]), np.array([1.0])
     else:
         mode, root = math.floor(half), math.sqrt(half)
         low, high = max(0, int(half - 40.0 * root)), int(half + 20.0 * root + 40.0)
@@ -93,15 +108,16 @@ def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
         up = (half / np.arange(mode + 1.0, high)).cumprod()  # w_{mode+1}/w_mode, ...
         w = anchor * np.concatenate((down[::-1], [1.0], up))  # j = low .. high - 1
         start = int(np.argmax(w > _WINDOW_FLOOR))
-        w = w[start:] / math.fsum(w[start:].tolist())
-        tails = np.cumsum(w[::-1])[::-1]  # tails[i] = P(J >= j0 + i)
-        end = min(int(np.argmax(tails[1:] <= _POISSON_TAIL)) + 3, int(np.count_nonzero(w > _WINDOW_FLOOR)))
-        j0, w = low + start, w[:end]
+        w = w[start:]
+        tails = np.cumsum(w[::-1])[::-1]  # tails[i] / tails[0] = P(J >= j0 + i)
+        total = tails[0]
+        end = min(int(np.argmax(tails[1:] <= _POISSON_TAIL * total)) + 3, int(np.count_nonzero(w > _WINDOW_FLOOR)))
+        above = tails[end] if end < tails.size else 0.0
+        j0, w, w_tails = low + start, w[:end] / total, (tails[:end] - above) / total
     dfs = num_terms + 2.0 * np.arange(j0, j0 + w.size)
     ratios = (half / (np.arange(j0 + 1.0, j0 + w.size) * dfs[:-1])).tolist()
     head = 0.5 * dfs[0]
     head_const = math.log(w[0]) - (head * math.log(2.0) + math.lgamma(head))
-    w_tails = np.cumsum(w[::-1])[::-1]
     return _Mixture(w, dfs, head - 1.0, head_const, ratios, w_tails)
 
 
@@ -127,6 +143,37 @@ def _mixture_logpdf(law: _Mixture, x, log_x):
             shift = frexp(t)[1] * (t > _RESCALE_AT)  # a zero shift leaves a point as it is
             t, s, carry = ldexp(t, -shift), ldexp(s, -shift), carry + shift
     return law.head_const + law.head_slope * log_x + (np.log(s) + carry * math.log(2.0))
+
+
+def _logpdf_error(law: _Mixture, x: float, value: float, width: float) -> float:
+    """A bound on the rounding error of :func:`_mixture_logpdf` at any point within ``width < x`` of ``x``.
+
+    ``value`` is its result at ``x``, and the error is against ``log f(y) +
+    y/2`` for the window's law with the weights the recurrence implies
+    (exact ratios from ``w[0]``). Term ``i`` of ``s`` carries 5 u a step
+    (the ratio's product and division, and the two products), and the sum
+    adds u a term: ``6 m u`` for ``m`` ratios. Each piece of ``head_const
+    + head_slope log y + log s + carry log 2`` carries at most 11 u of its
+    magnitude (8 ulp for its ``log`` or ``lgamma``, 3 u for the
+    operations), and since ``s >= 1/2`` and ``log s + carry log 2 >= 0`` the
+    magnitudes sum to at most ``2 (|log w[0]| + (dfs[0]/2) log 2) +
+    |head_const| + |head_slope log x| + |value - head_const - head_slope
+    log x| + 3``. Across ``width`` they grow by at most ``(|head_slope| +
+    m) width / (x - width)``, ``log s`` being a polynomial of degree ``m``
+    in ``y`` with nonnegative coefficients.
+    """
+    m = len(law.ratios)
+    log_x = math.log(x)
+    slope = law.head_slope * log_x
+    magnitude = (
+        2.0 * (abs(math.log(law.w[0])) + 0.5 * law.dfs[0] * math.log(2.0))
+        + abs(law.head_const)
+        + abs(slope)
+        + abs(value - law.head_const - slope)
+        + 3.0
+        + (abs(law.head_slope) + m) * width / (x - width)
+    )
+    return 1.01 * (6.0 * m + (_LIBM_ULPS + 3.0) * magnitude) * _U
 
 
 def _ladder(x: float, base: float, last: float) -> np.ndarray:
@@ -176,6 +223,43 @@ def _mixture_cdf(law: _Mixture, x: float) -> float:
     f = _ladder(x, base, law.dfs[-1])
     below = int(law.dfs[0] - base) // 2  # the ladder's degrees up to the window's first
     return float(law.w_tails[0] * (1.0 - q0 - 2.0 * f[:below].sum()) - 2.0 * (f[below:] @ law.w_tails[1:]))
+
+
+def _cdf_error(law: _Mixture, noncentrality: float, x: float) -> float:
+    """A bound on ``|_mixture_cdf(law, x) - F(x)|`` for the exact law ``F`` with this noncentrality.
+
+    With ``h = noncentrality/2``, ``s = 60 sqrt(h) + 42`` (at least the
+    weights :func:`_mixture_terms` computes) and ``r = 40 sqrt(h) + 41``
+    (at least the steps from its anchor to any of them), three terms:
+
+    - **Truncation**: the Poisson mass above the window, at most
+      ``1.01e-13`` (the tail test's sums are off by ``s u``); weights of at
+      most 1e-300 below and around the window, at most ``h + s`` of them;
+      and the mass above the computed range, under ``exp(-58) < 1e-25``.
+    - **Weights**: a ratio product is off by ``(2r + 1) u`` (a division
+      and a multiplication a step, and the anchor's), and the normalising
+      sum by ``s u``; the anchor's own rounding cancels. So the kept
+      weights, and those the density recurrence implies (exact ratios from
+      the first), are each within ``(4r + s + 3) u`` of the Poisson
+      weights relative to them, ``2 (4r + s + 3) u`` in all.
+    - **Ladder**: every term of ``Q_{k+2} = Q_k + 2 f_{k+2}`` is positive
+      and ``2 sum_i f_i(x) <= 1``, so relative errors are absolute ones.
+      Over ``n = (dfs[-1] - base)/2`` steps a density carries at most
+      ``(2.01 n + 15 + x/2) u``: a division and a product a step, one
+      product a block, ``(2 + x/2) u`` from the argument reduction of
+      ``exp(-x/2)``, and 13 u from ``exp`` and the four operations of the
+      closed-form ``f_1`` or ``f_2``. The sum and the dot product add
+      ``(n + 1) u``, the tails ``(2s + 2) u``, ``Q_1 = erfc(sqrt(x/2))`` or
+      ``Q_2 = exp(-x/2)`` 8.5 u, the last four operations 4 u, and each
+      density flushed below the smallest normal float ``2**-1075``.
+    """
+    half = 0.5 * noncentrality
+    span, reach = 60.0 * math.sqrt(half) + 42.0, 40.0 * math.sqrt(half) + 41.0
+    steps = 0.5 * (law.dfs[-1] - 2.0 + law.dfs[0] % 2.0)
+    truncation = 1.01 * _POISSON_TAIL + (half + span) * _WINDOW_FLOOR + 1e-25
+    weights = 2.0 * (4.0 * reach + span + 3.0)
+    ladder = 3.01 * steps + 2.0 * span + 0.5 * x + 2.0 * _LIBM_ULPS + 15.0
+    return truncation + 1.01 * (weights + ladder) * _U + steps * 2.0**-1074
 
 
 def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:

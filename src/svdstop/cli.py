@@ -30,8 +30,8 @@ from .svgplot import efficiency_plot
 
 __all__ = ["main"]
 
-# the solver and quadrature failures (ConvergenceError, RankDeficiencyError, TripletBudgetError,
-# AccuracyError) are RuntimeErrors
+# the solver failures (ConvergenceError, RankDeficiencyError, TripletBudgetError) and lowerbound's
+# AccuracyError (an error bound above its tolerance) are RuntimeErrors
 _NUMERIC_ERRORS = (ArithmeticError, RuntimeError)
 
 

@@ -1,5 +1,6 @@
 """Lower-bound machinery: adversarial signals, TV bounds, tail checks."""
 
+import functools
 import math
 import os
 import subprocess
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import svdstop
-from svdstop import harness
+from svdstop import harness, lowerbound
 from svdstop._chisq import _find_root, _ladder, _mixture_cdf, _mixture_logpdf, _mixture_terms
 from svdstop.harness import ExperimentConfig
 from svdstop.lowerbound import (
@@ -177,12 +179,22 @@ def test_tv_numeric_below_general_bound(theta, theta_bar, num_terms):
         assert numeric <= res.bound_simplified + 1e-7
 
 
-def test_package_imports_without_scipy():
+def imported_modules(prefix):
+    """The modules under ``prefix`` that ``import svdstop, svdstop.cli`` loads, in a fresh interpreter."""
     src = str(Path(svdstop.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, svdstop, svdstop.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    code = f"import sys, svdstop, svdstop.cli; print(sorted(k for k in sys.modules if k.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_package_imports_without_scipy():
+    assert imported_modules("scipy") == "[]"
+
+
+def test_package_imports_without_numpy_polynomial():
+    """The Gauss-Legendre rule lives in the tests; ``numpy.polynomial`` cost about 6 ms of ``import svdstop.cli``."""
+    assert imported_modules("numpy.polynomial") == "[]"
 
 
 def test_chi2_distribution_function_closed_forms():
@@ -278,9 +290,9 @@ def test_ladder_steps_the_central_densities(base, x):
 
 
 def test_tv_numeric_at_a_large_norm_in_bounded_memory():
-    # about 5,500 mixture degrees: the densities are summed over them on vectors as long as the
-    # 4,824 quadrature nodes, so memory does not grow with the degree count; the root finder's
-    # one-point calls, in Python floats, give the batch's bits
+    # about 5,500 mixture degrees: the densities are summed over them in place, on vectors as long
+    # as their points, so memory does not grow with the degree count; the root finder's one-point
+    # calls, in Python floats, give the batch's bits
     law = _mixture_terms(5, 10_000.0)
     xs = np.linspace(9_000.0, 11_000.0, 400)
     log_xs = np.log(xs)
@@ -313,6 +325,117 @@ def test_tv_numeric_at_large_norms_matches_scipy(a, b, num_terms, tol):
     crossing = optimize.brentq(log_ratio, lo, hi, xtol=1e-12, rtol=1e-15)
     expected = stats.ncx2.cdf(crossing, num_terms, nu_g) - stats.ncx2.cdf(crossing, num_terms, nu_f)
     assert abs(tv_numeric(a, b, num_terms) - expected) <= tol
+
+
+@functools.cache
+def gauss_legendre(count):
+    """Nodes and weights of the ``count``-point rule on [-1, 1]."""
+    return leggauss(count)
+
+
+def integrate_abs_diff(abs_diff, crossing, upper):
+    """Integrate ``abs_diff`` over [0, upper] with nodes clustered sensibly, in one call of ``abs_diff``.
+
+    The grid splits at the density crossing (the only kink of the
+    integrand) and the initial segment is mapped through ``x = u**2`` so
+    an integrable origin singularity costs no accuracy: 64 nodes there,
+    then 20 per panel. Up to the crossing the panels' ends are spaced both
+    evenly and geometrically: with even spacing alone, at one degree of
+    freedom and a crossing far out (``(0, 82, 1)``, crossing 1,682), the
+    first panel was 43 wide, one from the singularity of ``1/sqrt(x)``,
+    and the central law's integral came out 2.3e-6 short.
+    """
+    nodes64, weights64 = gauss_legendre(64)
+    nodes20, weights20 = gauss_legendre(20)
+    head_end = min(1.0, crossing if crossing > 0 else 1.0, upper / 10.0)
+    root_half = 0.5 * math.sqrt(head_end)
+    u = root_half * (1.0 + nodes64)
+    boundaries = [head_end]
+    if head_end < crossing < upper:
+        boundaries.extend(np.union1d(np.linspace(head_end, crossing, 40), np.geomspace(head_end, crossing, 40))[1:])
+    tail_start = boundaries[-1]
+    boundaries.extend(np.linspace(tail_start, upper, 200)[1:])
+    edges = np.array(boundaries)
+    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x = np.concatenate((u**2, (mids[:, None] + halves[:, None] * nodes20).ravel()))
+    w = np.concatenate((root_half * weights64 * 2.0 * u, (halves[:, None] * weights20).ravel()))
+    return float(w @ abs_diff(x))
+
+
+def quadrature_tv(a, b, num_terms, crossing):
+    """Half the integral of ``|f - g|`` by composite Gauss-Legendre quadrature, split at ``crossing``, up to
+    where both laws' upper tails sum to at most 1e-10: the check ``tv_numeric`` ran on every call until its
+    crossing route had a stated error bound."""
+    nu_f, nu_g = max(a, b) ** 2, min(a, b) ** 2
+    f, g = _mixture_terms(num_terms, nu_f), _mixture_terms(num_terms, nu_g)
+
+    def abs_diff(x):
+        log_x, half_x = np.log(x), 0.5 * x
+        return np.abs(np.exp(_mixture_logpdf(f, x, log_x) - half_x) - np.exp(_mixture_logpdf(g, x, log_x) - half_x))
+
+    upper = num_terms + nu_f + 40.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 60.0
+    while 2.0 - _mixture_cdf(f, upper) - _mixture_cdf(g, upper) > 1e-10:
+        upper *= 1.5
+    return 0.5 * integrate_abs_diff(abs_diff, crossing, upper)
+
+
+def assert_matches_the_quadrature(a, b, num_terms):
+    """``tv_numeric`` within 1e-6 of the quadrature, and its stated error bound at most 1e-6."""
+    route = lowerbound._tv_crossing(a, b, num_terms)
+    assert route.bound <= 1e-6, (a, b, num_terms, route.bound)
+    value = tv_numeric(a, b, num_terms)
+    assert value == min(max(route.value, 0.0), 1.0)
+    if math.isnan(route.crossing):  # equal norms: 0, within the Poisson laws' distance
+        assert value == 0.0
+    else:
+        assert abs(value - quadrature_tv(a, b, num_terms, route.crossing)) <= 1e-6, (a, b, num_terms)
+
+
+NORMS = (0.0, 0.5, 2.0, 5.25, 6.0, 8.0)
+CRITERION_7_GRID = [(a, b, k) for k in (1, 5, 50, 200) for i, a in enumerate(NORMS) for b in NORMS[: i + 1]]
+
+
+def test_tv_numeric_matches_the_quadrature_on_the_criterion_7_grid():
+    assert len(CRITERION_7_GRID) == 84
+    for a, b, num_terms in CRITERION_7_GRID:
+        assert_matches_the_quadrature(a, b, num_terms)
+
+
+@given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(1, 400))
+@example(0.5, 0.0, 1)
+@example(100.0, 99.0, 1)
+@example(0.0, 82.0, 1)
+def test_tv_numeric_matches_the_quadrature_on_random_laws(a, b, num_terms):
+    """Norms up to 100 (noncentralities up to 1e4), and one degree of freedom, where the quadrature's
+    square-root head handles the density's singularity at the origin. At ``(0, 82, 1)`` evenly spaced
+    panels alone left the quadrature 1.2e-6 short; as a runtime check it raised there."""
+    assert_matches_the_quadrature(a, b, num_terms)
+
+
+@pytest.mark.parametrize("a, b, num_terms", [(100.0, 99.5, 5), (300.0, 299.0, 5), (1000.0, 999.0, 5)])
+def test_the_error_bound_holds_the_tolerance_at_large_norms(a, b, num_terms):
+    assert lowerbound._tv_crossing(a, b, num_terms).bound <= 1e-6
+
+
+def test_a_bound_above_the_tolerance_raises_with_the_crossing_estimate(monkeypatch):
+    route = lowerbound._tv_crossing(8.0, 6.0, 5)
+    assert 0.0 < route.bound <= 1e-6 and 0.0 < route.value < 1.0
+    assert tv_numeric(8.0, 6.0, 5) == route.value  # at the real tolerance: the estimate, unchanged
+    monkeypatch.setattr(lowerbound, "_TV_TOL", 0.5 * route.bound)
+    with pytest.raises(AccuracyError, match="error bound") as raised:
+        tv_numeric(8.0, 6.0, 5)
+    assert raised.value.estimate == route.value
+
+
+def test_an_equal_norm_shortcut_has_the_poisson_laws_bound():
+    """Squared norms within 1e-12 (1 + nu) give 0, with the bound ``min(d, d / sqrt(nu_g))``, ``d`` half their gap."""
+    a = math.sqrt(1e6)
+    b = math.sqrt(1e6 - 5e-7)
+    route = lowerbound._tv_crossing(a, b, 5)
+    gap = 0.5 * (a * a - b * b)
+    assert route.value == 0.0 and math.isnan(route.crossing)
+    assert route.bound == gap / math.sqrt(b * b) < 1e-6
+    assert lowerbound._tv_crossing(1e-7, 0.0, 1).bound == 0.5 * 1e-7**2  # nu_g = 0: d itself
 
 
 def logsumexp_logpdf(law, log_x):

@@ -29,6 +29,10 @@ term by term, from numbers the window carries: a forward rounding-error
 argument on their positive-term recurrences (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2002), to first order in ``u =
 2**-53``.
+
+:func:`_tv_crossing` is the total variation between two such laws, the
+difference of their distribution functions at the density crossing, with
+a bound on its error whose terms its docstring lists.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import numpy as np
 
 _POISSON_TAIL = 1e-13  # the weights stop two past the first index whose upper tail is at most this
 _WINDOW_FLOOR = 1e-300  # the weights start at the first one above this
+_BELOW_SDS, _ABOVE_SDS, _ABOVE_PAD = 40.0, 20.0, 40.0  # the weights computed: h - 40 sqrt(h) <= j < h + 20 sqrt(h) + 40
 _RESCALE_AT = 2.0**500  # a running density term past this is scaled down by a power of two
 _LADDER_BLOCK = 1000  # ladder steps per block: a product of this many significands stays a normal float
 # log 2 in two parts (as in fdlibm): the first has 32 significant bits, so n * _LN2_HI is exact for n < 2**21
@@ -79,30 +84,44 @@ class _Mixture(NamedTuple):
     w_tails: np.ndarray
 
 
+def _weight_range(half: float) -> tuple[int, int, float, float]:
+    """``low, high, span, reach`` for the weights ``low <= j < high`` of ``J ~ Poisson(half)`` that are computed.
+
+    With ``h = half``, ``low = max(0, int(h - 40 sqrt(h)))`` and ``high =
+    int(h + 20 sqrt(h) + 40)``. By Chernoff, ``P(J <= j) <= exp(-(h -
+    j)**2 / (2h))``, each weight below is under ``exp(-800) < 1e-347``; by
+    Bernstein, ``P(J >= h + t) <= exp(-t**2 / (2 (h + t/3)))``, the mass
+    above is under ``exp(-58) < 1e-25``. ``span = 60 sqrt(h) + 42`` is at
+    least their number, ``reach = 40 sqrt(h) + 41`` at least the steps from
+    the anchor ``floor(h)`` to any of them.
+    """
+    root = math.sqrt(half)
+    low, high = max(0, int(half - _BELOW_SDS * root)), int(half + _ABOVE_SDS * root + _ABOVE_PAD)
+    span = (_BELOW_SDS + _ABOVE_SDS) * root + (_ABOVE_PAD + 2.0)
+    reach = max(_BELOW_SDS, _ABOVE_SDS) * root + (_ABOVE_PAD + 1.0)
+    return low, high, span, reach
+
+
 def _mixture_terms(num_terms: int, noncentrality: float) -> _Mixture:
     """The window of Poisson weights and central degrees of a noncentral law, with its constants.
 
     The weights ``P(J = j)`` of ``J ~ Poisson(h)``, ``h = noncentrality/2``,
-    are computed over ``h - 40 sqrt(h) <= j < h + 20 sqrt(h) + 40`` (by
-    the Chernoff bound ``exp(-(h - j)**2 / (2h))`` every weight below that
-    range is under 1e-347, and by Bernstein's inequality the mass above it
-    is under ``exp(-58)``) as products of exact ratios from the one
-    ``lgamma`` anchor at ``floor(h)``. One reverse cumulative sum, from
-    the range's top down to its first weight above 1e-300, gives every
-    tail and, at its end, the total that normalises them: the anchor's own
-    rounding, near 1e-9 at ``h = 5e5``, cancels there. The window keeps
-    ``j0..n + 2``, where ``j0`` is the first index whose weight is above
-    1e-300 and ``n`` the first whose tail ``P(J > n)`` is at most 1e-13; at
-    a noncentrality so small that a weight up to ``n + 2`` is 1e-300 or
-    less, it stops before that weight. ``w_tails`` are the tails less the
-    mass above the window.
+    are computed over :func:`_weight_range` as products of exact ratios
+    from the one ``lgamma`` anchor at ``floor(h)``. One reverse cumulative
+    sum, from the range's top down to its first weight above 1e-300, gives
+    every tail and, at its end, the total that normalises them: the
+    anchor's own rounding, near 1e-9 at ``h = 5e5``, cancels there. The
+    window keeps ``j0..n + 2``, where ``j0`` is the first index whose weight
+    is above 1e-300 and ``n`` the first whose tail ``P(J > n)`` is at most
+    1e-13; at a noncentrality so small that a weight up to ``n + 2`` is
+    1e-300 or less, it stops before that weight. ``w_tails`` are the tails
+    less the mass above the window.
     """
     half = 0.5 * noncentrality
     if half <= 0.0:
         j0, w, w_tails = 0, np.array([1.0]), np.array([1.0])
     else:
-        mode, root = math.floor(half), math.sqrt(half)
-        low, high = max(0, int(half - 40.0 * root)), int(half + 20.0 * root + 40.0)
+        mode, (low, high, _, _) = math.floor(half), _weight_range(half)
         anchor = math.exp(mode * math.log(half) - half - math.lgamma(mode + 1.0))
         down = (np.arange(float(mode), low, -1.0) / half).cumprod()  # w_{mode-1}/w_mode, w_{mode-2}/w_mode, ...
         up = (half / np.arange(mode + 1.0, high)).cumprod()  # w_{mode+1}/w_mode, ...
@@ -228,9 +247,8 @@ def _mixture_cdf(law: _Mixture, x: float) -> float:
 def _cdf_error(law: _Mixture, noncentrality: float, x: float) -> float:
     """A bound on ``|_mixture_cdf(law, x) - F(x)|`` for the exact law ``F`` with this noncentrality.
 
-    With ``h = noncentrality/2``, ``s = 60 sqrt(h) + 42`` (at least the
-    weights :func:`_mixture_terms` computes) and ``r = 40 sqrt(h) + 41``
-    (at least the steps from its anchor to any of them), three terms:
+    With ``h = noncentrality/2``, and ``s`` and ``r`` the ``span`` and
+    ``reach`` of :func:`_weight_range`, three terms:
 
     - **Truncation**: the Poisson mass above the window, at most
       ``1.01e-13`` (the tail test's sums are off by ``s u``); weights of at
@@ -254,12 +272,17 @@ def _cdf_error(law: _Mixture, noncentrality: float, x: float) -> float:
       density flushed below the smallest normal float ``2**-1075``.
     """
     half = 0.5 * noncentrality
-    span, reach = 60.0 * math.sqrt(half) + 42.0, 40.0 * math.sqrt(half) + 41.0
+    _, _, span, reach = _weight_range(half)
     steps = 0.5 * (law.dfs[-1] - 2.0 + law.dfs[0] % 2.0)
     truncation = 1.01 * _POISSON_TAIL + (half + span) * _WINDOW_FLOOR + 1e-25
     weights = 2.0 * (4.0 * reach + span + 3.0)
     ladder = 3.01 * steps + 2.0 * span + 0.5 * x + 2.0 * _LIBM_ULPS + 15.0
     return truncation + 1.01 * (weights + ladder) * _U + steps * 2.0**-1074
+
+
+def _bracket_width(x: float) -> float:
+    """The width at which :func:`_find_root` stops, at a last point ``x``."""
+    return 1e-12 + 8.9e-16 * abs(x)
 
 
 def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -269,8 +292,8 @@ def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f
     which its bracket search has already computed. Returns an end point
     where ``f`` is zero, and raises :class:`AccuracyError` unless ``f_lo``
     and ``f_hi`` differ in sign (a NaN differs from nothing). Stops once
-    the bracket is narrower than ``1e-12 + 8.9e-16 * |x|``, and raises
-    :class:`AccuracyError` if that takes more than 200 steps.
+    the bracket is at most :func:`_bracket_width` of its last point wide,
+    and raises :class:`AccuracyError` if that takes more than 200 steps.
     """
     if f_lo == 0.0:
         return lo
@@ -296,6 +319,101 @@ def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f
             if side == 1:
                 f_lo *= 0.5
             side = 1
-        if hi - lo <= 1e-12 + 8.9e-16 * abs(x):
+        if hi - lo <= _bracket_width(x):
             return x
     raise AccuracyError(f"root finder did not converge in [{lo:.17g}, {hi:.17g}]", estimate=0.5 * (lo + hi))
+
+
+class _Crossing(NamedTuple):
+    """The crossing route's distance (unclamped), the bound on its error and the crossing (NaN at equal norms)."""
+
+    value: float
+    bound: float
+    crossing: float
+
+
+def _tv_crossing(a: float, b: float, num_terms: int) -> _Crossing:
+    """Total variation between the laws of ``sum_{k<=K} (theta_k + Z_k)**2`` at ``|theta| = a, b >= 0``.
+
+    With ``F``, ``G`` the laws of noncentralities ``nu_f = max(a, b)**2 >
+    nu_g = min(a, b)**2`` as floats (densities ``f``, ``g``), the
+    likelihood ratio ``f/g`` is increasing, so the distance is ``G(c*) -
+    F(c*)`` at the density crossing ``c*``. The laws are windowed by
+    :func:`_mixture_terms`; :func:`_find_root` in the log density ratio,
+    which reuses the values its bracket search computed at the two ends,
+    finds a crossing ``c``, and the value is ``G(c) - F(c)``. Its error is
+    at most the sum of the following terms, to first order in ``u =
+    2**-53`` and with ``exp``, ``log``, ``erfc`` and ``lgamma`` taken to err
+    by at most 8 ulp:
+
+    - **Each distribution function** at ``c``, by :func:`_cdf_error`: the
+      Poisson mass outside the window and above the weights computed, the
+      rounding of the weights, and that of the positive-term ladder and the
+      closed forms. The kept weights, and those the density recurrence
+      implies, each lie within half the weights' term of the Poisson ones
+      in total; with the truncation, that also bounds how far the distance
+      between the window laws the densities describe is from the exact one.
+    - **Crossing error** (:func:`_crossing_error`): ``d/dc [G(c) - F(c)] =
+      g(c) - f(c)`` vanishes at the crossing, so the distance at ``c``
+      falls short by the integral of ``|g - f|`` between ``c`` and the
+      window laws' own crossing (their likelihood ratio is monotone too:
+      the larger law's window starts and ends no earlier, which is checked,
+      its weights over the other's rise with ``j``, and the central
+      densities are TP2 in degree and ``x``). Within the root finder's
+      final bracket, at most ``w``, 1.01 times :func:`_bracket_width` at
+      ``c``, wide, that is at most ``w max(f(c), g(c))`` times the densities'
+      growth across it, ``exp(w (dfs[-1] / (2 (c - w)) + 1/2))``. Beyond
+      the bracket, the computed log ratio has the exact one's sign up to
+      its rounding ``e``, so ``|log(f/g)| <= e`` there and the integral is
+      at most ``1.01 expm1(e)``. Per law, ``e`` is ``6 m u`` for the ``m``
+      term ratios plus ``11 u`` times the magnitudes of ``head_const``,
+      ``head_slope log c`` and ``log s(c)``.
+    - **The subtraction** ``G(c) - F(c)``: ``u``.
+
+    Norms whose squares differ by at most ``1e-12 (1 + nu_f)`` give 0,
+    with the bound ``min(d, d / sqrt(nu_g))``, ``d = (nu_f - nu_g)/2``: by
+    the mixture's data processing and Pinsker's inequality, the Poisson
+    laws' distance bounds the exact one. Raises :class:`AccuracyError` when
+    no crossing is found, or the root finder finds no sign change or does
+    not converge.
+    """
+    # order so that f is the law with the larger noncentrality
+    nu_f, nu_g = max(a, b) ** 2, min(a, b) ** 2
+    if nu_f - nu_g <= 1e-12 * (1.0 + nu_f):
+        # the densities agree to within the Poisson laws' distance, which bounds the exact one
+        gap = 0.5 * (nu_f - nu_g)
+        return _Crossing(0.0, gap / math.sqrt(nu_g) if nu_g > 1.0 else gap, math.nan)
+    f, g = _mixture_terms(num_terms, nu_f), _mixture_terms(num_terms, nu_g)
+    seen = {}  # x -> the two log densities there, for the bound at the crossing
+
+    def log_ratio(x: float) -> float:
+        log_x = np.log(x)
+        seen[x] = pair = (_mixture_logpdf(f, x, log_x), _mixture_logpdf(g, x, log_x))
+        return float(pair[0] - pair[1])  # -x/2 cancels
+
+    # the ratio is increasing in x, negative near 0 and positive far out
+    lo = 1e-8
+    while (f_lo := log_ratio(lo)) >= 0.0 and lo > 1e-250:
+        lo *= 1e-4
+    hi = num_terms + nu_f + 30.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 30.0
+    while (f_hi := log_ratio(hi)) <= 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise AccuracyError("no density crossing found", estimate=math.nan)
+    crossing = _find_root(log_ratio, lo, hi, f_lo, f_hi)
+    value = _mixture_cdf(g, crossing) - _mixture_cdf(f, crossing)
+    bound = _cdf_error(f, nu_f, crossing) + _cdf_error(g, nu_g, crossing)
+    return _Crossing(value, float(bound + _crossing_error(f, g, crossing, *seen[crossing])), crossing)
+
+
+def _crossing_error(f: _Mixture, g: _Mixture, crossing: float, log_f: float, log_g: float) -> float:
+    """The crossing and subtraction terms of :func:`_tv_crossing`'s bound; ``log_f``, ``log_g`` are the log
+    densities plus ``crossing/2`` computed there. Infinite where the windows are out of order or the
+    crossing lies within the bracket's width of 0."""
+    width = 1.01 * _bracket_width(crossing)
+    if not (f.dfs[0] >= g.dfs[0] and f.dfs[-1] >= g.dfs[-1] and crossing > width):
+        return math.inf
+    sign_error = _logpdf_error(f, crossing, log_f, width) + _logpdf_error(g, crossing, log_g, width)
+    growth = width * (0.5 * f.dfs[-1] / (crossing - width) + 0.5)
+    log_density = max(log_f, log_g) - 0.5 * crossing + sign_error + growth
+    return 1.01 * math.expm1(sign_error) + width * math.exp(log_density) + _U

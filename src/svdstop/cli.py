@@ -9,7 +9,8 @@ reproduces the outputs byte for byte.
 Exit codes: 0 success, 2 usage or unknown command, 3 config error,
 4 numeric failure (``mc`` exits 4 after writing its outputs when any
 replication failed). Failures print a one-line JSON error record to
-stderr.
+stderr. JSON outputs write a non-finite number as the string ``"inf"``,
+``"-inf"`` or ``"nan"``, as the CSV does, so every file is strict JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,8 +47,17 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": str(message)}), file=sys.stderr)
 
 
+def _json_safe(value):
+    """``value`` with each non-finite float as the string the CSV writes for it: ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    write_new_file(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_new_file(path, json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n")
     print(f"wrote {path}")
 
 

@@ -229,6 +229,7 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
         )
     noise = NoiseModel(delta=config.delta)
     settings = {key: getattr(config, field) for key, field in _SECTIONS["stopping"].items()}
+    section = "signal"  # the config section being built
     try:  # delta**2 is finite, but its products with the calibration or the dimension may not be
         if config.signal_file is not None:
             signal = Signal(load_vector(_resolve_path(base, config.signal_file, "signal.file")))
@@ -238,9 +239,14 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
             signal = calibrated_signal(
                 config.signal_name, config.dim, config.delta, spectrum=spectrum, target=config.signal_target
             )
+        section = "stopping"
         stopping = make_stopping_config(config.dim, config.delta, **settings)
     except OverflowError as exc:
         raise ValueError(f"noise.delta = {config.delta!r} is too large: {exc}") from None
+    except ValueError as exc:  # the library's message opens with the argument's name: give the key in full
+        if str(exc).split(" ", 1)[0].rstrip(",") in _SECTIONS[section]:
+            raise ValueError(f"{section}.{exc}") from None
+        raise
     if signal.dim != config.dim or spectrum.dim != config.dim:
         raise ValueError("signal or spectrum dimension disagrees with the configured dim")
     image = spectrum.values * signal.coefficients

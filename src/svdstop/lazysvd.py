@@ -162,7 +162,7 @@ class _Bidiagonalization:
     random starts are orthogonal to them.
     """
 
-    def __init__(self, entries: np.ndarray, seed: int, width: int, locked: list[SingularTriplet]):
+    def __init__(self, entries: np.ndarray, seed: int, width: int, locked: tuple[SingularTriplet, ...]):
         rows, cols = entries.shape
         self.entries = entries
         self.seed = seed
@@ -173,7 +173,7 @@ class _Bidiagonalization:
         self.h = np.zeros((cols, cols))
         for j, triplet in enumerate(locked):
             self.u[j], self.v[j], self.h[j, j] = triplet.u, triplet.v, triplet.sigma
-        self.released = self.k = self.stored = len(locked)
+        self.k = self.stored = len(locked)
         for _ in range(min(width, cols - self.k)):
             self.v[self.stored] = self._fresh(self.v[: self.stored], 0)
             self.stored += 1
@@ -262,29 +262,29 @@ class _Bidiagonalization:
         """Lock the largest Ritz triplet not yet released."""
         self.p, self.q = self.p[:, 1:], self.q[:, 1:]
         self.sigma, self.residuals = self.sigma[1:], self.residuals[1:]
-        self.released += 1
 
 
 @dataclass
 class DeflationState:
     """Lazy decomposition of one operator in progress.
 
-    The Krylov basis is built here, from start vectors keyed by ``seed``,
-    deflating the ``triplets`` given. ``iterations[i]`` counts the Lanczos
-    steps taken while triplet ``i`` was pending (two matrix-vector products
-    each), and ``release_residuals[i]`` is its residual ``|A'u - sigma v|``
-    at release; only :func:`next_triplet` writes these and ``matvec_count``.
-    ``tolerance`` must be positive and finite, ``max_iterations`` at least 1.
+    The Krylov basis is built here, from start vectors keyed by ``seed``.
+    ``triplets`` holds the released triplets in order, ``iterations[i]``
+    counts the Lanczos steps taken while triplet ``i`` was pending (two
+    matrix-vector products each), and ``release_residuals[i]`` is its
+    residual ``|A'u - sigma v|`` at release; only :func:`next_triplet`
+    extends these tuples and adds to ``matvec_count``. ``tolerance`` must be
+    positive and finite, ``max_iterations`` at least 1.
     """
 
     operator: MatrixOperator = field(repr=False)
     seed: int = 0
     tolerance: float = 1e-10
     max_iterations: int = 10000
-    triplets: list[SingularTriplet] = field(default_factory=list)
+    triplets: tuple[SingularTriplet, ...] = field(default=(), init=False)
     matvec_count: int = field(default=0, init=False)
-    iterations: list[int] = field(default_factory=list, init=False)
-    release_residuals: list[float] = field(default_factory=list, init=False)
+    iterations: tuple[int, ...] = field(default=(), init=False)
+    release_residuals: tuple[float, ...] = field(default=(), init=False)
     _basis: _Bidiagonalization = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -292,9 +292,7 @@ class DeflationState:
             raise ValueError(f"lazysvd.tolerance must be positive and finite, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError(f"lazysvd.max_iterations must be at least 1, got {self.max_iterations!r}")
-        if len(self.triplets) > self.operator.domain_dim:
-            raise ValueError("more triplets given than the operator has columns")
-        self._basis = _Bidiagonalization(self.operator.entries, self.seed, _START_WIDTH, self.triplets)
+        self._basis = _Bidiagonalization(self.operator.entries, self.seed, _START_WIDTH, ())
 
 
 def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +303,7 @@ def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def next_triplet(state: DeflationState) -> SingularTriplet:
-    """Release the state's next-largest singular triplet and append it to the state.
+    """Release the state's next-largest singular triplet and add it to the state.
 
     The Krylov basis is extended until the largest Ritz triplet not yet
     released meets the tolerance. If as many released or converged values
@@ -318,15 +316,12 @@ def next_triplet(state: DeflationState) -> SingularTriplet:
     when the converged singular value is numerically zero,
     :class:`ConvergenceError` after ``max_iterations`` steps on one pending
     triplet or when the converged value exceeds the one released before it,
-    and ``ValueError`` when every triplet has been released or the state's
-    triplets were changed outside this function.
+    and ``ValueError`` when every triplet has been released.
     """
     i = len(state.triplets)
     if i >= state.operator.domain_dim:
         raise ValueError("all singular triplets have already been computed")
     basis = state._basis
-    if basis.released != i:
-        raise ValueError("the deflation state's triplets were changed outside next_triplet")
     tol = state.tolerance
     steps = 0
     while True:
@@ -351,9 +346,9 @@ def next_triplet(state: DeflationState) -> SingularTriplet:
                         best=triplet,
                         iterations=steps,
                     )
-                state.triplets.append(triplet)
-                state.iterations.append(steps)
-                state.release_residuals.append(float(residuals[0]))
+                state.triplets += (triplet,)
+                state.iterations += (steps,)
+                state.release_residuals += (float(residuals[0]),)
                 basis.release()
                 return triplet
             if steps >= state.max_iterations:

@@ -14,43 +14,19 @@ a simulation with reported standard errors; no asymptotic statement is
 checked.
 
 The numeric total variation (:func:`tv_numeric`) needs only numpy and
-``math``. The noncentral chi-square laws come from the private
-:mod:`svdstop._chisq`: Poisson mixtures of central laws whose degrees
-share one parity, each kept as a window of its weights, from the first
-above 1e-300 to the 1e-13 tail. A law's weights are anchored by one
-``lgamma`` at the Poisson mode, its density sums the window's terms
-forward by the ratio of consecutive terms, and its distribution function
-steps ``Q_{k+2} = Q_k + 2 f_{k+2}`` with ``f_{k+2} = f_k x / k`` from the
-closed-form ``f_1`` or ``f_2``: two ``lgamma`` calls per law in all. The
-distance is a difference of distribution functions at the density
-crossing, found by an Illinois root finder. Every call checks a stated
-bound on its error against 1e-6, in O(1) from numbers the two windows
-carry: the Poisson mass outside the windows, the rounding of the weights,
-of the positive-term ladders and of the closed forms, and the crossing's
-own error, which enters only through the root finder's bracket and the
-rounding of the log density ratio, since ``G - F`` is flat at the
-crossing (term by term in :func:`tv_numeric`).
+``math``: the crossing route of the private :mod:`svdstop._chisq`, which
+also states the bound on its error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
-from ._chisq import (
-    _U,
-    AccuracyError,
-    _cdf_error,
-    _find_root,
-    _logpdf_error,
-    _Mixture,
-    _mixture_cdf,
-    _mixture_logpdf,
-    _mixture_terms,
-)
+from ._chisq import AccuracyError, _tv_crossing
 from .estimator import strong_bias_sq, strong_variance, weak_bias_sq
 from .harness import ExperimentConfig, resolve_experiment, run_experiment
 from .model import NoiseModel, Signal, Spectrum, _check_int, make_polynomial_spectrum, require_same_dim
@@ -250,57 +226,11 @@ def tv_bound(theta_norm: float, theta_bar_norm: float, num_terms: int) -> TvBoun
 def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> float:
     """Numeric total variation between two noncentral chi-square laws, with a checked error bound.
 
-    With ``F``, ``G`` the laws of noncentralities ``nu_f = max(a, b)**2 >
-    nu_g = min(a, b)**2`` as floats (densities ``f``, ``g``), the
-    likelihood ratio ``f/g`` is increasing, so the distance is ``G(c*) -
-    F(c*)`` at the density crossing ``c*``. The laws are Poisson mixtures of central
-    chi-square laws, windowed by :func:`~svdstop._chisq._mixture_terms`; an
-    Illinois root finder in the log density ratio, which reuses the values
-    its bracket search computed at the two ends, finds a crossing ``c``,
-    and ``G(c) - F(c)`` is returned, clamped to [0, 1]. Its error is at
-    most the sum of the following terms, to first order in ``u = 2**-53``
-    and with ``exp``, ``log``, ``erfc`` and ``lgamma`` taken to err by at
-    most 8 ulp (:func:`~svdstop._chisq._cdf_error` and
-    :func:`~svdstop._chisq._logpdf_error` count the operations):
-
-    - **Window truncation**, per law: the Poisson mass above the window,
-      at most ``1.01e-13``, and below and around it at most ``(h + 60
-      sqrt(h) + 42) 1e-300`` (``h = nu/2``), plus under 1e-25 above the
-      weights computed.
-    - **Weight rounding**, per law: ``2 (4r + s + 3) u``, ``r = 40 sqrt(h)
-      + 41`` and ``s = 60 sqrt(h) + 42``, for the ratio products from the
-      ``lgamma`` anchor and their normalising sum. The kept weights, and
-      those the density recurrence implies, each lie within half of it of
-      the Poisson weights in total. With the truncation, this also bounds
-      how far the distance between the window laws the densities describe
-      is from the exact one.
-    - **Ladder rounding**, per law: every term is positive and ``2 sum
-      f_i <= 1``, so the absolute error is at most ``(3.01 n + 2s + c/2 +
-      31) u`` over a ladder of ``n = (dfs[-1] - base)/2`` steps at ``c``.
-    - **Closed forms**: ``erfc``, ``exp`` and the operations of ``Q_1``,
-      ``Q_2``, ``f_1`` and ``f_2``, within the 31 u above.
-    - **Crossing error**: ``d/dc [G(c) - F(c)] = g(c) - f(c)`` vanishes at
-      the crossing, so the distance at ``c`` falls short by the integral of
-      ``|g - f|`` between ``c`` and the window laws' own crossing (their
-      likelihood ratio is monotone too: the larger law's window starts and
-      ends no earlier, which is checked, its weights over the other's rise
-      with ``j``, and the central densities are TP2 in degree and ``x``).
-      Within the root finder's final bracket, ``w = 1e-12 + 8.9e-16 c``
-      wide, that is at most ``w max(f(c), g(c))`` times the densities'
-      growth across it, ``exp(w (dfs[-1] / (2 (c - w)) + 1/2))``. Beyond
-      the bracket, the computed log ratio has the exact one's sign up to
-      its rounding ``e``, so ``|log(f/g)| <= e`` there and the integral is
-      at most ``1.01 expm1(e)``. Per law, ``e`` is ``6 m u`` for the ``m``
-      term ratios plus ``11 u`` times the magnitudes of ``head_const``,
-      ``head_slope log c`` and ``log s(c)``.
-    - **The subtraction** ``G(c) - F(c)``: ``u``.
-
-    Norms whose squares differ by at most ``1e-12 (1 + nu_f)`` give 0: by
-    the mixture's data processing and Pinsker's inequality the distance is
-    then at most ``min(d, d / sqrt(nu_g))``, ``d = (nu_f - nu_g)/2``, the
-    Poisson laws' bound. Raises :class:`AccuracyError`, carrying the
-    crossing-route value, when the bound exceeds 1e-6, and when no crossing
-    is found or the root finder finds no sign change or does not converge.
+    The laws are those of :func:`tv_bound`. The value, clamped to [0, 1],
+    is that of :func:`~svdstop._chisq._tv_crossing`, whose docstring lists
+    the terms of its error bound: it lies within that bound of the exact
+    distance, and the bound is at most 1e-6. A larger bound raises
+    :class:`AccuracyError` carrying the value, as does a failed search.
     """
     a, b = _check_tv_args(theta_norm, theta_bar_norm, num_terms)
     route = _tv_crossing(a, b, num_terms)
@@ -310,58 +240,6 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
             estimate=route.value,
         )
     return min(max(route.value, 0.0), 1.0)
-
-
-class _Crossing(NamedTuple):
-    """The crossing route's distance (unclamped), the bound on its error and the crossing (NaN at equal norms)."""
-
-    value: float
-    bound: float
-    crossing: float
-
-
-def _tv_crossing(a: float, b: float, num_terms: int) -> _Crossing:
-    """:func:`tv_numeric`'s distance and error bound at checked norms ``a``, ``b``, before the bound's check."""
-    # order so that f is the law with the larger noncentrality
-    nu_f, nu_g = max(a, b) ** 2, min(a, b) ** 2
-    if nu_f - nu_g <= 1e-12 * (1.0 + nu_f):
-        # the densities agree to within the Poisson laws' distance, which bounds the exact one
-        gap = 0.5 * (nu_f - nu_g)
-        return _Crossing(0.0, gap / math.sqrt(nu_g) if nu_g > 1.0 else gap, math.nan)
-    f, g = _mixture_terms(num_terms, nu_f), _mixture_terms(num_terms, nu_g)
-    seen = {}  # x -> the two log densities there, for the bound at the crossing
-
-    def log_ratio(x: float) -> float:
-        log_x = np.log(x)
-        seen[x] = pair = (_mixture_logpdf(f, x, log_x), _mixture_logpdf(g, x, log_x))
-        return float(pair[0] - pair[1])  # -x/2 cancels
-
-    # the ratio is increasing in x, negative near 0 and positive far out
-    lo = 1e-8
-    while (f_lo := log_ratio(lo)) >= 0.0 and lo > 1e-250:
-        lo *= 1e-4
-    hi = num_terms + nu_f + 30.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 30.0
-    while (f_hi := log_ratio(hi)) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise AccuracyError("no density crossing found", estimate=math.nan)
-    crossing = _find_root(log_ratio, lo, hi, f_lo, f_hi)
-    value = _mixture_cdf(g, crossing) - _mixture_cdf(f, crossing)
-    bound = _cdf_error(f, nu_f, crossing) + _cdf_error(g, nu_g, crossing)
-    return _Crossing(value, float(bound + _crossing_error(f, g, crossing, *seen[crossing])), crossing)
-
-
-def _crossing_error(f: _Mixture, g: _Mixture, crossing: float, log_f: float, log_g: float) -> float:
-    """The crossing and subtraction terms of :func:`tv_numeric`'s bound; ``log_f``, ``log_g`` are the log
-    densities plus ``crossing/2`` computed there. Infinite where the windows are out of order or the
-    crossing lies within the bracket's width of 0."""
-    width = 1.01 * (1e-12 + 8.9e-16 * crossing)
-    if not (f.dfs[0] >= g.dfs[0] and f.dfs[-1] >= g.dfs[-1] and crossing > width):
-        return math.inf
-    sign_error = _logpdf_error(f, crossing, log_f, width) + _logpdf_error(g, crossing, log_g, width)
-    growth = width * (0.5 * f.dfs[-1] / (crossing - width) + 0.5)
-    log_density = max(log_f, log_g) - 0.5 * crossing + sign_error + growth
-    return 1.01 * math.expm1(sign_error) + width * math.exp(log_density) + _U
 
 
 @dataclass(frozen=True)

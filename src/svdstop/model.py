@@ -191,7 +191,7 @@ def make_polynomial_spectrum(dim: int, p: float, key: str = "p") -> Spectrum:
     """Spectrum ``lam_i = i**-p``; ``ValueError`` naming ``key`` unless ``p >= 0`` and ``dim**-p > 0``."""
     if _check_int(dim, "dim") < 1:
         raise InvalidDimensionError("dimension must be at least 1")
-    if p < 0:
+    if not p >= 0:  # NaN fails too
         raise ValueError(f"decay exponent {key} must be non-negative, got {p!r}")
     values = np.arange(1, dim + 1, dtype=float) ** -float(p)
     if values[-1] == 0.0:

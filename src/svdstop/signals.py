@@ -54,7 +54,7 @@ def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, tar
     if delta <= 0:
         raise ValueError("calibration requires a positive noise level")
     if not 0.0 < target < spectrum.dim:
-        raise ValueError(f"target level {target} outside (0, {spectrum.dim})")
+        raise ValueError(f"target, the weakly balanced level, is {target!r}, outside (0, {spectrum.dim})")
     unit_weak_bias = weak_bias_sq(Signal(shape), spectrum, target)
     if unit_weak_bias <= 0.0:
         raise ValueError("shape has no energy beyond the target level; cannot calibrate")

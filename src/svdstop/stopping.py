@@ -71,10 +71,10 @@ class StoppingConfig:
     def __post_init__(self):
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "m0", _check_int(self.m0, "m0"))
-        if not math.isfinite(self.kappa) or self.kappa < 0:
-            raise ValueError("stopping threshold must be finite and non-negative")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa, the stopping threshold, must be finite and non-negative, got {self.kappa!r}")
         if self.m0 < 0:
-            raise ValueError("starting index must be non-negative")
+            raise ValueError(f"m0, the starting index, must be non-negative, got {self.m0}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def make_stopping_config(
 ) -> StoppingConfig:
     """Resolve a stopping configuration for a problem of size ``dim``; ``ValueError`` for a ``level`` outside
     ``[0.5, 1)`` in any mode, and for a setting the others leave unread (``m0`` outside ``explicit`` mode, a
-    nonzero drift next to an explicit ``kappa``)."""
+    nonzero drift next to an explicit ``kappa``). A message about one argument opens with its name."""
     if not 0.5 <= level < 1:
-        raise ValueError(f"quantile level must lie in [0.5, 1), got {level!r}")
+        raise ValueError(f"level, the quantile level, must lie in [0.5, 1), got {level!r}")
     if kappa is None:
         kappa = default_threshold(dim, delta, kappa_drift)
     elif kappa_drift != 0:
@@ -155,7 +155,7 @@ def make_stopping_config(
     if m0 is not None and m0_mode != "explicit":
         raise ValueError(f"m0 is only read in explicit m0 mode, not in {m0_mode!r}")
     if start > dim:
-        raise ValueError(f"starting index {start} exceeds dimension {dim}")
+        raise ValueError(f"{'starting index' if m0 is None else 'm0 ='} {start} exceeds dimension {dim}")
     return StoppingConfig(kappa=float(kappa), m0=start)
 
 

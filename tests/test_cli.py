@@ -197,12 +197,44 @@ def test_mc_command_then_plot(config_path, tmp_path):
 def test_mc_quartiles_between_infinities_are_infinite(tmp_path):
     """Pure noise from m0 = 0 stops at 0 with zero error often enough that two infinite
     efficiencies bracket the upper quartile; it is recorded as inf, not NaN."""
-    config = Path(__file__).resolve().parent.parent / "configs" / "null_calibration.json"
+    config = SHIPPED / "null_calibration.json"
     out = tmp_path / "null"
     assert run(["mc", "--config", config, "--out", out, "--set", "stopping.m0_mode=zero", "--set", "replications=20"]) == 0
     report = json.loads((out / "report.json").read_text())
     summary = report["procedures"][0]
-    assert summary["eff_strong_quartiles"] == summary["eff_weak_quartiles"] == [0.0, 0.0, math.inf]
+    assert summary["eff_strong_quartiles"] == summary["eff_weak_quartiles"] == [0.0, 0.0, "inf"]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_json_writes_infinite_efficiencies_as_strings(tmp_path):
+    """At ``noise.delta = 0`` every error and every oracle risk is zero, so every efficiency is infinite;
+    ``report.json`` writes them as the CSV's literal ``inf``, in strict JSON."""
+    out = tmp_path / "exact"
+    overrides = ["noise.delta=0", "stopping.m0_mode=zero", "replications=3"]
+    args = ["mc", "--config", SHIPPED / "null_calibration.json", "--out", out]
+    assert run(args + [arg for item in overrides for arg in ("--set", item)]) == 0
+    summary = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)["procedures"][0]
+    assert summary["eff_strong_mean"] == summary["eff_weak_mean"] == "inf"
+    assert summary["eff_strong_quartiles"] == summary["eff_weak_quartiles"] == ["inf"] * 3
+    records, _ = read_records_csv(out / "replications.csv")
+    assert [r.eff_strong for r in records] == [math.inf] * 3
+
+
+def test_report_json_writes_a_procedure_without_records_as_nan(config_path, tmp_path, monkeypatch, capsys):
+    def overflow(y, k, mu, lam, gaps):
+        raise FloatingPointError("overflow in the estimate")
+
+    monkeypatch.setattr(harness, "_errors", overflow)
+    out = tmp_path / "mc"
+    assert run(["mc", "--config", config_path, "--out", out], capsys)[0] == 4
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
+    assert len(report["failures"]) == BASE_CONFIG["replications"]
+    for summary in report["procedures"]:
+        assert summary["eff_strong_mean"] == summary["tau_mean"] == "nan"
+        assert summary["eff_weak_quartiles"] == ["nan"] * 3
 
 
 def test_mc_reruns_are_byte_identical(config_path, tmp_path):
@@ -636,6 +668,33 @@ def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overr
     assert record["error"] == "ValueError"
     misspelled = overrides[-1].split("=")[0].split(".")[-1]
     assert misspelled in record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["spectrum.p=NaN"],
+        ["stopping.kappa=-1"],
+        ["stopping.kappa=NaN"],
+        ["stopping.kappa=Infinity"],
+        ["stopping.level=NaN"],
+        ["dim=10000", "stopping.m0_mode=explicit", "stopping.m0=20000"],
+        ["stopping.m0_mode=explicit", "stopping.m0=-1"],
+        ["signal.target=0"],
+        ["signal.target=NaN"],
+    ],
+    ids=lambda overrides: overrides[-1],
+)
+def test_a_bad_value_names_its_dotted_key(config_path, tmp_path, overrides, capsys):
+    """The library's message names its argument; the config's section is put in front of it."""
+    out = tmp_path / "out"
+    args = ["oracles", "--config", config_path, "--out", out]
+    code, captured = run(args + [arg for item in overrides for arg in ("--set", item)], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert record["message"].count(overrides[-1].split("=")[0]) == 1, record["message"]
     assert not any(out.iterdir())
 
 

@@ -16,7 +16,15 @@ from numpy.polynomial.legendre import leggauss
 
 import svdstop
 from svdstop import harness, lowerbound
-from svdstop._chisq import _find_root, _ladder, _mixture_cdf, _mixture_logpdf, _mixture_terms
+from svdstop._chisq import (
+    _find_root,
+    _ladder,
+    _mixture_cdf,
+    _mixture_logpdf,
+    _mixture_terms,
+    _tv_crossing,
+    _weight_range,
+)
 from svdstop.harness import ExperimentConfig
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
@@ -260,6 +268,25 @@ def test_a_law_takes_at_most_two_lgamma_calls(monkeypatch, noncentrality):
     assert len(calls) <= 4
 
 
+def test_the_weight_range_holds_the_premises_of_the_error_bound():
+    """What ``_cdf_error`` assumes of the weights that ``_mixture_terms`` computes, recomputed from
+    ``_weight_range`` for ``h`` from 1e-10 to 1e7: every weight below the range under 1e-347 (Chernoff), the
+    mass above it under ``exp(-58) < 1e-25`` (Bernstein), and ``span`` and ``reach`` covering the range."""
+    assert math.exp(-58.0) < 1e-25
+    for half in np.concatenate((np.geomspace(1e-10, 1e7, 1701), np.arange(1.0, 2001.0))).tolist():
+        low, high, span, reach = _weight_range(half)
+        mode = math.floor(half)
+        if low > 0:  # below the mode the weights rise with j: the largest below the range is at low - 1
+            assert (half - (low - 1)) ** 2 / (2.0 * half) > 347.0 * math.log(10.0), half
+        t = high - half  # P(J >= high) <= exp(-t**2 / (2 (h + t/3)))
+        assert t * t / (2.0 * (half + t / 3.0)) > 58.0, half
+        assert span >= high - low and reach >= max(mode - low, high - 1 - mode), half
+    for half in np.geomspace(1e-10, 1e7, 18).tolist():
+        law, (low, high, _, _) = _mixture_terms(5, 2.0 * half), _weight_range(half)
+        j0 = int(law.dfs[0] - 5) // 2
+        assert low <= j0 and j0 + law.w.size <= high, half
+
+
 @pytest.mark.parametrize("a, b", [(40.0, 0.0), (100.0, 99.5), (300.0, 299.0), (1000.0, 999.0)])
 def test_windowed_laws_keep_the_brackets_lower_end(a, b):
     """At ``K = 1`` the root finder's bracket, which starts at ``x = 1e-8``, still sees a negative log
@@ -381,7 +408,7 @@ def quadrature_tv(a, b, num_terms, crossing):
 
 def assert_matches_the_quadrature(a, b, num_terms):
     """``tv_numeric`` within 1e-6 of the quadrature, and its stated error bound at most 1e-6."""
-    route = lowerbound._tv_crossing(a, b, num_terms)
+    route = _tv_crossing(a, b, num_terms)
     assert route.bound <= 1e-6, (a, b, num_terms, route.bound)
     value = tv_numeric(a, b, num_terms)
     assert value == min(max(route.value, 0.0), 1.0)
@@ -414,11 +441,11 @@ def test_tv_numeric_matches_the_quadrature_on_random_laws(a, b, num_terms):
 
 @pytest.mark.parametrize("a, b, num_terms", [(100.0, 99.5, 5), (300.0, 299.0, 5), (1000.0, 999.0, 5)])
 def test_the_error_bound_holds_the_tolerance_at_large_norms(a, b, num_terms):
-    assert lowerbound._tv_crossing(a, b, num_terms).bound <= 1e-6
+    assert _tv_crossing(a, b, num_terms).bound <= 1e-6
 
 
 def test_a_bound_above_the_tolerance_raises_with_the_crossing_estimate(monkeypatch):
-    route = lowerbound._tv_crossing(8.0, 6.0, 5)
+    route = _tv_crossing(8.0, 6.0, 5)
     assert 0.0 < route.bound <= 1e-6 and 0.0 < route.value < 1.0
     assert tv_numeric(8.0, 6.0, 5) == route.value  # at the real tolerance: the estimate, unchanged
     monkeypatch.setattr(lowerbound, "_TV_TOL", 0.5 * route.bound)
@@ -431,11 +458,11 @@ def test_an_equal_norm_shortcut_has_the_poisson_laws_bound():
     """Squared norms within 1e-12 (1 + nu) give 0, with the bound ``min(d, d / sqrt(nu_g))``, ``d`` half their gap."""
     a = math.sqrt(1e6)
     b = math.sqrt(1e6 - 5e-7)
-    route = lowerbound._tv_crossing(a, b, 5)
+    route = _tv_crossing(a, b, 5)
     gap = 0.5 * (a * a - b * b)
     assert route.value == 0.0 and math.isnan(route.crossing)
     assert route.bound == gap / math.sqrt(b * b) < 1e-6
-    assert lowerbound._tv_crossing(1e-7, 0.0, 1).bound == 0.5 * 1e-7**2  # nu_g = 0: d itself
+    assert _tv_crossing(1e-7, 0.0, 1).bound == 0.5 * 1e-7**2  # nu_g = 0: d itself
 
 
 def logsumexp_logpdf(law, log_x):

@@ -132,10 +132,9 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
         procedure = f"two_step_{norm}"
         extra["selection"] = {"norm": norm}
     config, exp = _experiment(mapping, base, *extra)
-    obs, [(chosen, tau, rho, _)] = harness._replicate(exp, 0, (procedure,))
-    estimate = estimate_at(obs, exp.spectrum, float(chosen))
+    obs, [outcome] = harness._replicate(exp, 0, (procedure,))
+    estimate = estimate_at(obs, exp.spectrum, float(outcome.chosen))
     name = "two_step.json" if extra else "stop.json"
-    outcome = StopOutcome(tau=tau, rho=rho, m0=exp.stopping.m0)
     # the echo is the `mc` config whose only record is this run
     echo = {**config.to_mapping(), "procedures": [procedure], "replications": 1, **extra}
     _write_record(out, name, echo, outcome, estimate, exp.stopping)

@@ -41,7 +41,7 @@ from .model import (
 )
 from .oracles import oracle_set
 from .signals import calibrated_signal
-from .stopping import StoppingConfig, aic_select, make_stopping_config, stop_index
+from .stopping import StopOutcome, StoppingConfig, aic_select, make_stopping_config, stop_index
 
 __all__ = [
     "CSV_HEADER",
@@ -109,10 +109,10 @@ class ExperimentConfig:
         if self.m0 is not None:
             object.__setattr__(self, "m0", _check_int(self.m0, "stopping.m0"))
         if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+            raise ValueError(f"dim, the dimension, must be at least 1, got {self.dim}")
         _check_noise_level(self.delta, "noise.delta")
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise ValueError(f"replications must be at least 1, got {self.replications}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         if (self.spectrum_p is None) == (self.spectrum_file is None):
@@ -336,29 +336,29 @@ def _errors(
 
 def _replicate(
     exp: ResolvedExperiment, rep: int, procedures: tuple[str, ...], fixed_index: int = 0
-) -> tuple[Observation, list[tuple[int, int, int | None, bool]]]:
-    """Replication ``rep``: its observation and, per procedure, ``(chosen, tau, rho, immediate)``.
+) -> tuple[Observation, list[StopOutcome]]:
+    """Replication ``rep``: its observation and each procedure's stop.
 
-    ``chosen`` is the index the estimate truncates at, and ``rho`` the
-    two-step index (``None`` for the other procedures). The residual rule
-    runs once and every procedure reads its stop.
+    The residual rule runs once and every procedure reads its stop; the
+    ``fixed_oracle`` procedure stops at ``fixed_index``, which is never an
+    immediate stop.
     """
     cfg, lam = exp.stopping, exp.spectrum.values
     obs = simulate_observation(exp.image, exp.noise, replication_seed(exp.config.base_seed, rep))
     tau = stop_index(obs.y, obs.y_norm_sq, cfg)
     immediate = tau == cfg.m0
-    choices = []
+    outcomes = []
     for proc in procedures:
         if proc == "plain_stop":
-            choices.append((tau, tau, None, immediate))
+            outcomes.append(StopOutcome(tau, None, immediate))
         elif proc in ("two_step_weak", "two_step_strong"):
             norm = "weak" if proc == "two_step_weak" else "strong"
             # stopping.two_step inlined: per-layer tracing wraps the names this module calls
             rho = tau if tau > cfg.m0 else aic_select(obs.y, lam, exp.noise.delta, cfg.m0, norm)
-            choices.append((rho, tau, rho, immediate))
+            outcomes.append(StopOutcome(tau, rho, immediate))
         else:  # fixed_oracle
-            choices.append((fixed_index, fixed_index, None, False))
-    return obs, choices
+            outcomes.append(StopOutcome(fixed_index, None, False))
+    return obs, outcomes
 
 
 def _run_one(
@@ -371,10 +371,11 @@ def _run_one(
     mu, lam = exp.signal.coefficients, exp.spectrum.values
     num_strong, num_weak = numerators
     try:
-        obs, choices = _replicate(exp, rep, exp.config.procedures, fixed_index)
+        obs, outcomes = _replicate(exp, rep, exp.config.procedures, fixed_index)
         records = []
         scored = {}  # chosen index -> its errors: procedures that choose the same index share them
-        for proc, (chosen, tau, rho, immediate) in zip(exp.config.procedures, choices):
+        for proc, outcome in zip(exp.config.procedures, outcomes):
+            chosen = outcome.chosen
             if chosen not in scored:
                 scored[chosen] = _errors(obs.y, chosen, mu, lam, gaps)
             err_strong, err_weak = scored[chosen]
@@ -382,9 +383,9 @@ def _run_one(
                 ReplicationRecord(
                     rep=rep,
                     procedure=proc,
-                    tau=tau,
-                    rho=rho,
-                    immediate=immediate,
+                    tau=outcome.tau,
+                    rho=outcome.rho,
+                    immediate=outcome.immediate_stop,
                     err_strong=err_strong,
                     err_weak=err_weak,
                     eff_strong=num_strong / err_strong if err_strong > 0 else math.inf,

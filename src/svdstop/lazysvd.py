@@ -17,7 +17,7 @@ unlike a Rayleigh-increment test, bounds the error of the singular
 *vector* linearly in the tolerance (residual over spectral gap), which
 downstream coefficient reconstructions rely on. Released triplets are
 locked: later Ritz triplets are taken orthogonal to them. A
-:class:`DeflationState` runs the engine on one operator from start vectors
+:class:`DeflationState` runs the process on one operator from start vectors
 keyed by its ``seed``, and :func:`next_triplet` releases its next triplet;
 ``sequential_solve`` couples the two to the residual stopping rule, so a
 solve releases exactly as many triplets as the rule consumes coefficients.
@@ -28,7 +28,7 @@ value, and (with probability one) exactly ``min(s, multiplicity)``. Values
 within ``sqrt(tolerance)`` of each other, relatively, count as copies.
 Before a triplet is released, the released and converged copies of its
 value are counted; if there are as many as start vectors, more may lie
-outside the basis, and the basis is rebuilt from twice as many start
+outside the basis, and the process restarts from twice as many start
 vectors, orthogonal to the released triplets. A converged value larger
 than the last released one by more than that window raises
 :class:`ConvergenceError` rather than being released out of order.
@@ -141,140 +141,45 @@ class SingularTriplet:
             raise ValueError("singular value must be non-negative")
 
 
-class _Bidiagonalization:
-    """Band Golub-Kahan-Lanczos process ``A V' = U' H`` of one matrix.
-
-    Basis vectors are rows of ``u`` and ``v``, kept orthonormal by classical
-    Gram-Schmidt applied twice. The first ``k`` right vectors are active:
-    right vector ``j`` produced left vector ``j``, and ``H[:k, :k] = U A V'``
-    is upper triangular with ``width`` superdiagonals. The right vectors
-    ``k .. stored`` are pending: the directions of ``A'U`` outside the
-    active basis, so that ``A'U = V H'`` over all stored rows, and each step
-    expands the oldest one. ``width`` random vectors start the process.
-
-    The Ritz triplets not yet released are kept as coordinates ``p``, ``q``
-    in the active basis with values ``sigma``. A release drops the first
-    one, which locks it: the next Rayleigh-Ritz step works on ``H``
-    restricted to the span of the remaining ones and the new basis vectors,
-    so a later copy of a released value is a new direction, not a rotation
-    of a released one. Triplets released before the basis was built sit in
-    front as basis rows with ``H = diag(sigma)``, outside that span, and the
-    random starts are orthogonal to them.
-    """
-
-    def __init__(self, entries: np.ndarray, seed: int, width: int, locked: tuple[SingularTriplet, ...]):
-        rows, cols = entries.shape
-        self.entries = entries
-        self.seed = seed
-        self.width = width
-        self.scale = float(np.linalg.norm(entries, ord="fro"))
-        self.u = np.empty((cols, rows))
-        self.v = np.empty((cols, cols))
-        self.h = np.zeros((cols, cols))
-        for j, triplet in enumerate(locked):
-            self.u[j], self.v[j], self.h[j, j] = triplet.u, triplet.v, triplet.sigma
-        self.k = self.stored = len(locked)
-        for _ in range(min(width, cols - self.k)):
-            self.v[self.stored] = self._fresh(self.v[: self.stored], 0)
-            self.stored += 1
-        self.p = self.q = np.zeros((self.k, 0))
-        self.sigma = self.residuals = np.zeros(0)
-
-    @staticmethod
-    def _orthogonalise(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Remove ``basis`` from ``x`` in place; return the coefficients removed."""
-        coefficients = np.zeros(basis.shape[0])
-        for _ in range(2):
-            c = basis @ x
-            x -= c @ basis
-            coefficients += c
-        return coefficients
-
-    def _fresh(self, basis: np.ndarray, side: int) -> np.ndarray:
-        """A unit vector orthogonal to ``basis``, keyed by the seed, side, width and basis size."""
-        key = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(side, self.width, basis.shape[0]))
-        x = np.random.default_rng(key).standard_normal(basis.shape[1])
-        self._orthogonalise(x, basis)
-        return x / np.linalg.norm(x)
-
-    def extend(self, limit: int) -> int:
-        """Take up to ``min(10, limit)`` steps and update the Ritz triplets.
-
-        Returns the number of steps taken (two matrix-vector products each);
-        none are left once the basis spans the whole domain. A step whose
-        new vector is numerically zero (at most ``1e-12 |A|_F``) goes on
-        from a fresh random vector orthogonal to the basis instead.
-        """
-        A = self.entries
-        cols = A.shape[1]
-        tiny = _TINY * self.scale
-        start = self.k
-        while self.k - start < min(_CHUNK, limit) and self.k < self.stored:
-            k = self.k
-            p = A @ self.v[k]
-            self.h[:k, k] = self._orthogonalise(p, self.u[:k])
-            alpha = float(np.linalg.norm(p))
-            if alpha <= tiny:  # A's range is exhausted: continue in its complement
-                alpha, p = 0.0, self._fresh(self.u[:k], 1)
-            else:
-                p /= alpha
-            self.u[k], self.h[k, k] = p, alpha
-            r = A.T @ p
-            n = self.stored
-            self.h[k, k + 1 : n] = self._orthogonalise(r, self.v[:n])[k + 1 :]
-            if n < cols:
-                beta = float(np.linalg.norm(r))
-                if beta <= tiny:  # invariant subspace: restart orthogonally to it
-                    beta, r = 0.0, self._fresh(self.v[:n], 0)
-                else:
-                    r /= beta
-                self.v[n], self.h[k, n] = r, beta
-                self.stored = n + 1
-            self.k = k + 1
-        if self.k > start:
-            self._rayleigh_ritz(start)
-        return self.k - start
-
-    def _rayleigh_ritz(self, old: int) -> None:
-        """Ritz triplets over the unreleased ones and the basis vectors from ``old`` on.
-
-        In those coordinates ``H`` is ``[[diag(sigma), P' H12], [0, H22]]``:
-        the unreleased triplets diagonalize the old block, and the new rows
-        start below the old columns. ``residuals[i] = |A'u_i - sigma_i v_i|``
-        is read off the couplings to the pending right vectors.
-        """
-        k, m = self.k, self.sigma.size
-        block = np.zeros((m + k - old, m + k - old))
-        block[:m, :m] = np.diag(self.sigma)
-        block[:m, m:] = self.p.T @ self.h[:old, old:k]
-        block[m:, m:] = self.h[old:k, old:k]
-        p, self.sigma, qt = np.linalg.svd(block)
-        self.p = np.vstack([self.p @ p[:m], p[m:]])
-        self.q = np.vstack([self.q @ qt.T[:m], qt.T[m:]])
-        self.residuals = np.linalg.norm(self.h[:k, k : self.stored].T @ self.p, axis=0)
-
-    def triplet(self) -> SingularTriplet:
-        """The largest Ritz triplet not yet released, with the sign convention applied."""
-        u, v = _fix_sign(self.p[:, 0] @ self.u[: self.k], self.q[:, 0] @ self.v[: self.k])
-        return SingularTriplet(sigma=self.sigma[0], u=u, v=v)
-
-    def release(self) -> None:
-        """Lock the largest Ritz triplet not yet released."""
-        self.p, self.q = self.p[:, 1:], self.q[:, 1:]
-        self.sigma, self.residuals = self.sigma[1:], self.residuals[1:]
+def _orthogonalise(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove the rows of ``basis`` from ``x`` in place (classical Gram-Schmidt, twice); return the coefficients."""
+    coefficients = np.zeros(basis.shape[0])
+    for _ in range(2):
+        c = basis @ x
+        x -= c @ basis
+        coefficients += c
+    return coefficients
 
 
 @dataclass
 class DeflationState:
-    """Lazy decomposition of one operator in progress.
+    """Lazy decomposition of one operator in progress: a band Golub-Kahan-Lanczos process ``A V' = U' H``.
 
-    The Krylov basis is built here, from start vectors keyed by ``seed``.
     ``triplets`` holds the released triplets in order, ``iterations[i]``
     counts the Lanczos steps taken while triplet ``i`` was pending (two
     matrix-vector products each), and ``release_residuals[i]`` is its
     residual ``|A'u - sigma v|`` at release; only :func:`next_triplet`
     extends these tuples and adds to ``matvec_count``. ``tolerance`` must be
     positive and finite, ``max_iterations`` at least 1.
+
+    The process runs here, from ``_width`` random start vectors keyed by
+    ``seed``, with ``_scale = |A|_F`` computed once. Basis vectors are rows
+    of ``_u`` and ``_v``, kept orthonormal.
+    The first ``_k`` right vectors are active: right vector ``j`` produced
+    left vector ``j``, and ``_h[:k, :k] = U A V'`` is upper triangular with
+    ``_width`` superdiagonals. The right vectors ``_k .. _stored`` are
+    pending: the directions of ``A'U`` outside the active basis, so that
+    ``A'U = V H'`` over all stored rows, and each step expands the oldest
+    one.
+
+    The Ritz triplets not yet released are kept as coordinates ``_p``,
+    ``_q`` in the active basis with values ``_sigma``. A release drops the
+    first one, which locks it: the next Rayleigh-Ritz step works on ``H``
+    restricted to the span of the remaining ones and the new basis vectors,
+    so a later copy of a released value is a new direction, not a rotation
+    of a released one. A restart (:meth:`_restart`) puts the released
+    triplets in front as basis rows with ``H = diag(sigma)``, outside that
+    span, and draws the random starts orthogonal to them.
     """
 
     operator: MatrixOperator = field(repr=False)
@@ -285,14 +190,98 @@ class DeflationState:
     matvec_count: int = field(default=0, init=False)
     iterations: tuple[int, ...] = field(default=(), init=False)
     release_residuals: tuple[float, ...] = field(default=(), init=False)
-    _basis: _Bidiagonalization = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.tolerance < np.inf:
             raise ValueError(f"lazysvd.tolerance must be positive and finite, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise ValueError(f"lazysvd.max_iterations must be at least 1, got {self.max_iterations!r}")
-        self._basis = _Bidiagonalization(self.operator.entries, self.seed, _START_WIDTH, ())
+        self._scale = float(np.linalg.norm(self.operator.entries, ord="fro"))
+        self._restart(_START_WIDTH)
+
+    def _restart(self, width: int) -> None:
+        """Start the process afresh from ``width`` random vectors, behind the released triplets."""
+        rows, cols = self.operator.entries.shape
+        self._width = width
+        self._u = np.empty((cols, rows))
+        self._v = np.empty((cols, cols))
+        self._h = np.zeros((cols, cols))
+        for j, triplet in enumerate(self.triplets):
+            self._u[j], self._v[j], self._h[j, j] = triplet.u, triplet.v, triplet.sigma
+        self._k = self._stored = len(self.triplets)
+        for _ in range(min(width, cols - self._k)):
+            self._v[self._stored] = self._fresh(self._v[: self._stored], 0)
+            self._stored += 1
+        self._p = self._q = np.zeros((self._k, 0))
+        self._sigma = self._residuals = np.zeros(0)
+
+    def _fresh(self, basis: np.ndarray, side: int) -> np.ndarray:
+        """A unit vector orthogonal to ``basis``, keyed by the seed, side, width and basis size."""
+        key = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(side, self._width, basis.shape[0]))
+        x = np.random.default_rng(key).standard_normal(basis.shape[1])
+        _orthogonalise(x, basis)
+        return x / np.linalg.norm(x)
+
+    def _extend(self, limit: int) -> int:
+        """Take up to ``min(10, limit)`` steps and update the Ritz triplets.
+
+        Returns the number of steps taken (two matrix-vector products each);
+        none are left once the basis spans the whole domain. A step whose
+        new vector is numerically zero (at most ``1e-12 |A|_F``) goes on
+        from a fresh random vector orthogonal to the basis instead.
+        """
+        A = self.operator.entries
+        cols = A.shape[1]
+        tiny = _TINY * self._scale
+        start = self._k
+        while self._k - start < min(_CHUNK, limit) and self._k < self._stored:
+            k = self._k
+            p = A @ self._v[k]
+            self._h[:k, k] = _orthogonalise(p, self._u[:k])
+            alpha = float(np.linalg.norm(p))
+            if alpha <= tiny:  # A's range is exhausted: continue in its complement
+                alpha, p = 0.0, self._fresh(self._u[:k], 1)
+            else:
+                p /= alpha
+            self._u[k], self._h[k, k] = p, alpha
+            r = A.T @ p
+            n = self._stored
+            self._h[k, k + 1 : n] = _orthogonalise(r, self._v[:n])[k + 1 :]
+            if n < cols:
+                beta = float(np.linalg.norm(r))
+                if beta <= tiny:  # invariant subspace: restart orthogonally to it
+                    beta, r = 0.0, self._fresh(self._v[:n], 0)
+                else:
+                    r /= beta
+                self._v[n], self._h[k, n] = r, beta
+                self._stored = n + 1
+            self._k = k + 1
+        if self._k > start:
+            self._rayleigh_ritz(start)
+        return self._k - start
+
+    def _rayleigh_ritz(self, old: int) -> None:
+        """Ritz triplets over the unreleased ones and the basis vectors from ``old`` on.
+
+        In those coordinates ``H`` is ``[[diag(sigma), P' H12], [0, H22]]``:
+        the unreleased triplets diagonalize the old block, and the new rows
+        start below the old columns. ``_residuals[i] = |A'u_i - sigma_i v_i|``
+        is read off the couplings to the pending right vectors.
+        """
+        k, m = self._k, self._sigma.size
+        block = np.zeros((m + k - old, m + k - old))
+        block[:m, :m] = np.diag(self._sigma)
+        block[:m, m:] = self._p.T @ self._h[:old, old:k]
+        block[m:, m:] = self._h[old:k, old:k]
+        p, self._sigma, qt = np.linalg.svd(block)
+        self._p = np.vstack([self._p @ p[:m], p[m:]])
+        self._q = np.vstack([self._q @ qt.T[:m], qt.T[m:]])
+        self._residuals = np.linalg.norm(self._h[:k, k : self._stored].T @ self._p, axis=0)
+
+    def _ritz_triplet(self) -> SingularTriplet:
+        """The largest Ritz triplet not yet released, with the sign convention applied."""
+        u, v = _fix_sign(self._p[:, 0] @ self._u[: self._k], self._q[:, 0] @ self._v[: self._k])
+        return SingularTriplet(sigma=self._sigma[0], u=u, v=v)
 
 
 def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,9 +297,9 @@ def next_triplet(state: DeflationState) -> SingularTriplet:
     The Krylov basis is extended until the largest Ritz triplet not yet
     released meets the tolerance. If as many released or converged values
     equal it (within ``sqrt(tolerance)``, relatively) as the basis has
-    random starts, further copies may lie outside the basis: it is rebuilt
-    from twice as many starts, orthogonal to the triplets already in the
-    state, before anything is released. Start vectors are drawn from
+    random starts, further copies may lie outside the basis: the process
+    restarts from twice as many starts, orthogonal to the triplets already
+    in the state, before anything is released. Start vectors are drawn from
     generators keyed by the state's ``seed`` and the basis size, so
     repeated runs are deterministic. Raises :class:`RankDeficiencyError`
     when the converged singular value is numerically zero,
@@ -321,25 +310,23 @@ def next_triplet(state: DeflationState) -> SingularTriplet:
     i = len(state.triplets)
     if i >= state.operator.domain_dim:
         raise ValueError("all singular triplets have already been computed")
-    basis = state._basis
     tol = state.tolerance
     steps = 0
     while True:
-        if basis.sigma.size:
-            sigma, residuals = basis.sigma, basis.residuals
+        if state._sigma.size:
+            sigma, residuals = state._sigma, state._residuals
             if residuals[0] <= tol * sigma[0]:
-                if sigma[0] <= _TINY * basis.scale:
+                if sigma[0] <= _TINY * state._scale:
                     raise RankDeficiencyError(f"singular value {i + 1} is numerically zero")
                 window = np.sqrt(tol) * sigma[0]
                 released = np.array([t.sigma for t in state.triplets])
                 copies = np.count_nonzero(np.abs(released - sigma[0]) <= window) + np.count_nonzero(
                     (np.abs(sigma - sigma[0]) <= window) & (residuals <= tol * sigma)
                 )
-                if copies >= basis.width:
-                    width = 2 * basis.width
-                    basis = state._basis = _Bidiagonalization(basis.entries, basis.seed, width, state.triplets)
+                if copies >= state._width:
+                    state._restart(2 * state._width)
                     continue
-                triplet = basis.triplet()
+                triplet = state._ritz_triplet()
                 if i and triplet.sigma > state.triplets[-1].sigma + window:
                     raise ConvergenceError(
                         f"triplet {i + 1} exceeds triplet {i}: a larger singular value was found late",
@@ -349,15 +336,16 @@ def next_triplet(state: DeflationState) -> SingularTriplet:
                 state.triplets += (triplet,)
                 state.iterations += (steps,)
                 state.release_residuals += (float(residuals[0]),)
-                basis.release()
+                state._p, state._q = state._p[:, 1:], state._q[:, 1:]  # lock it
+                state._sigma, state._residuals = sigma[1:], residuals[1:]
                 return triplet
             if steps >= state.max_iterations:
                 raise ConvergenceError(
                     f"triplet {i + 1} did not converge within {state.max_iterations} Lanczos steps",
-                    best=basis.triplet(),
+                    best=state._ritz_triplet(),
                     iterations=steps,
                 )
-        taken = basis.extend(state.max_iterations - steps)
+        taken = state._extend(state.max_iterations - steps)
         state.matvec_count += 2 * taken
         steps += taken
 
@@ -431,20 +419,18 @@ def sequential_solve(
             yield coeffs[-1:]
 
     tau = residual_rule(triplet_coefficients(), float(np.dot(y_raw, y_raw)), dim, config)
-    chosen = tau
-    rho: int | None = None
+    rho = None
     if selection_norm is not None:
         sigmas = [t.sigma for t in state.triplets]
-        chosen = rho = two_step(tau, coeffs, sigmas, noise.delta, config.m0, selection_norm)
+        rho = two_step(tau, coeffs, sigmas, noise.delta, config.m0, selection_norm)
+    outcome = StopOutcome(tau=tau, rho=rho, immediate_stop=tau == config.m0)
 
     estimate = np.zeros(dim)
-    for i in range(chosen):
+    for i in range(outcome.chosen):
         t = state.triplets[i]
         estimate += (coeffs[i] / t.sigma) * t.v
     return SequentialSolveResult(
-        estimate=EstimateVector(values=estimate, t=float(chosen)),
-        outcome=StopOutcome(tau=tau, rho=rho, m0=config.m0),
-        state=state,
+        estimate=EstimateVector(values=estimate, t=float(outcome.chosen)), outcome=outcome, state=state
     )
 
 

@@ -94,9 +94,9 @@ class TvBoundResult:
 
 
 def _check_i0(i0: int, dim: int) -> int:
-    i0 = _check_int(i0, "i0")
+    i0 = _check_int(i0, "adversary.i0")
     if not 1 <= i0 <= dim - 1:
-        raise ValueError(f"perturbation index {i0} outside [1, {dim - 1}]")
+        raise ValueError(f"adversary.i0, the perturbation index, must lie in [1, {dim - 1}], got {i0}")
     return i0
 
 

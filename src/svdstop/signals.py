@@ -73,7 +73,7 @@ def calibrated_signal(name: str, dim: int, delta: float, spectrum: Spectrum, tar
     try:
         kind, rate, ref_target = NAMED_PROFILES[name]
     except KeyError:
-        raise ValueError(f"unknown signal profile {name!r}; expected one of {sorted(NAMED_PROFILES)}") from None
+        raise ValueError(f"name, the signal profile, must be one of {sorted(NAMED_PROFILES)}, got {name!r}") from None
     if spectrum.dim != dim:
         raise ValueError("spectrum dimension disagrees with requested dimension")
     if target is None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable
 
@@ -79,24 +79,28 @@ class StoppingConfig:
 
 @dataclass(frozen=True)
 class StopOutcome:
-    """Result of a stopping run from the starting index ``m0``.
+    """Result of one procedure's stop: the one record of it that every caller keeps.
 
     ``rho`` is the index selected by the two-step rule when one ran (the
     stopped index if the rule did not stop immediately, the AIC index
-    otherwise) and ``None`` for a plain stop. The rule reads exactly
-    ``tau`` coefficients, so ``coefficients_consumed`` is ``tau``, and
-    ``immediate_stop`` says whether it stopped at ``m0``.
+    otherwise) and ``None`` for a plain stop. ``immediate_stop`` says
+    whether the rule stopped at its starting index ``m0``; a fixed index,
+    which no rule chose, is never one. The rule reads exactly ``tau``
+    coefficients, so ``coefficients_consumed`` is ``tau``.
     """
 
     tau: int
     rho: int | None
-    m0: InitVar[int]
+    immediate_stop: bool
     coefficients_consumed: int = field(init=False)
-    immediate_stop: bool = field(init=False)
 
-    def __post_init__(self, m0: int):
+    def __post_init__(self):
         object.__setattr__(self, "coefficients_consumed", self.tau)
-        object.__setattr__(self, "immediate_stop", self.tau == m0)
+
+    @property
+    def chosen(self) -> int:
+        """The index an estimate truncates at: ``rho`` when the second step ran, else ``tau``."""
+        return self.tau if self.rho is None else self.rho
 
 
 def normal_quantile_start(dim: int, level: float) -> int:
@@ -148,10 +152,10 @@ def make_stopping_config(
         start = normal_quantile_start(dim, level)
     elif m0_mode == "explicit":
         if m0 is None:
-            raise ValueError("explicit m0 mode requires an m0 value")
+            raise ValueError("m0, the starting index, is required in explicit m0 mode")
         start = m0
     else:
-        raise ValueError(f"unknown m0 mode {m0_mode!r}; expected one of {M0_MODES}")
+        raise ValueError(f"m0_mode must be one of {M0_MODES}, got {m0_mode!r}")
     if m0 is not None and m0_mode != "explicit":
         raise ValueError(f"m0 is only read in explicit m0 mode, not in {m0_mode!r}")
     if start > dim:

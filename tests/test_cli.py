@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +684,9 @@ def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overr
         ["stopping.m0_mode=explicit", "stopping.m0=-1"],
         ["signal.target=0"],
         ["signal.target=NaN"],
+        ["signal.name=bogus"],
+        ["stopping.m0_mode=bogus"],
+        ["replications=0"],
     ],
     ids=lambda overrides: overrides[-1],
 )
@@ -695,6 +699,27 @@ def test_a_bad_value_names_its_dotted_key(config_path, tmp_path, overrides, caps
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
     assert record["message"].count(overrides[-1].split("=")[0]) == 1, record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, config, override, key",
+    [
+        ("oracles", "efficiency_smooth.json", "dim=0", "dim"),
+        # the explicit mode reads an m0 that the shipped config leaves out
+        ("oracles", "efficiency_smooth.json", "stopping.m0_mode=explicit", "stopping.m0"),
+        ("adversary", "adversary_hide.json", "adversary.i0=5000", "adversary.i0"),
+    ],
+    ids=["dim=0", "stopping.m0_mode=explicit", "adversary.i0=5000"],
+)
+def test_a_bad_value_of_a_shipped_config_names_its_dotted_key(tmp_path, command, config, override, key, capsys):
+    """The message names ``key`` whole: ``dim`` inside ``dimension`` does not count."""
+    out = tmp_path / "out"
+    code, captured = run([command, "--config", SHIPPED / config, "--out", out, "--set", override], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert len(re.findall(rf"(?<![\w.]){re.escape(key)}(?![\w.])", record["message"])) == 1, record["message"]
     assert not any(out.iterdir())
 
 

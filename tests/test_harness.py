@@ -29,6 +29,7 @@ from svdstop.signals import NAMED_PROFILES
 from svdstop.stopping import stop_index
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "efficiency_smooth.json"
+NULL_CONFIG = REFERENCE_CONFIG.with_name("null_calibration.json")
 
 
 def small_config(**overrides):
@@ -276,6 +277,11 @@ def test_run_experiment_record_shape():
             assert record.tau == report.oracle["classical_index"]
         assert record.eff_strong >= 0.0
         assert record.eff_weak >= 0.0
+    # on pure noise from m0 = 0 the fixed index is 0 = m0, but no rule stopped there: only plain stops are immediate
+    null = {**json.loads(NULL_CONFIG.read_text()), "stopping": {"m0_mode": "zero"}, "replications": 40}
+    report = run_experiment(config_from_mapping({**null, "procedures": ["plain_stop", "fixed_oracle"]}))
+    rows = {(r.procedure, r.tau == 0, r.immediate) for r in report.records}
+    assert rows == {("fixed_oracle", True, False), ("plain_stop", True, True), ("plain_stop", False, False)}
 
 
 def test_run_experiment_is_rerun_invariant():

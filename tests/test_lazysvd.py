@@ -252,11 +252,11 @@ def test_tight_cluster_released_in_order(seed):
 
 
 def locked_state(a, locked):
-    """A fresh state on ``a`` whose engine is built around the released triplet ``locked``, as the
-    rebuild for repeated values builds one around the state's triplets."""
+    """A fresh state on ``a`` whose process is restarted around the released triplet ``locked``, as the
+    restart for repeated values puts the state's triplets in front."""
     state = DeflationState(MatrixOperator(a))
     state.triplets = (locked,)
-    state._basis = lazysvd._Bidiagonalization(state.operator.entries, state.seed, lazysvd._START_WIDTH, state.triplets)
+    state._restart(lazysvd._START_WIDTH)
     return state
 
 

@@ -50,7 +50,8 @@ def observations(max_dim=40):
 
 def plain_stop(obs, config):
     """The record of a plain stop, built as the CLI builds it."""
-    return StopOutcome(tau=stop_index(obs.y, obs.y_norm_sq, config), rho=None, m0=config.m0)
+    tau = stop_index(obs.y, obs.y_norm_sq, config)
+    return StopOutcome(tau=tau, rho=None, immediate_stop=tau == config.m0)
 
 
 def test_hand_example_stops_at_two():

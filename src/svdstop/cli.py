@@ -153,7 +153,10 @@ def _cmd_mc(mapping: dict, out: Path, base: Path, args) -> None:
 
 def _cmd_bounds(mapping: dict, out: Path, base: Path, args) -> None:
     config, exp = _experiment(mapping, base)
-    bounds = theory_bounds(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0)
+    try:
+        bounds = theory_bounds(exp.signal, exp.spectrum, exp.noise, exp.stopping)
+    except ValueError as exc:  # its one ValueError on a resolved experiment opens with delta
+        raise harness._keyed(exc, "noise") from None
     payload = {
         "config": config.to_mapping(),
         "bounds": dataclasses.asdict(bounds),

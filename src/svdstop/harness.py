@@ -183,6 +183,14 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
+def _keyed(exc: ValueError, section: str) -> ValueError:
+    """``exc`` with the argument name its message opens with as a config key: a name of the ``section``
+    being built takes the section in front (``stopping.m0``), another setting's its own (``noise.delta``)."""
+    name = str(exc).split(" ", 1)[0].rstrip(",")
+    key = f"{section}.{name}" if name in _SECTIONS[section] else _FIELD_KEYS.get(name)
+    return exc if key is None else ValueError(key + str(exc)[len(name) :])
+
+
 def _resolve_path(base: Path, name: str | None, where: str) -> Path:
     """File ``name`` from the config key ``where``, relative to ``base`` unless absolute.
 
@@ -233,8 +241,6 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
     try:  # delta**2 is finite, but its products with the calibration or the dimension may not be
         if config.signal_file is not None:
             signal = Signal(load_vector(_resolve_path(base, config.signal_file, "signal.file")))
-        elif config.signal_name == "zero":
-            signal = Signal(np.zeros(config.dim))
         else:
             signal = calibrated_signal(
                 config.signal_name, config.dim, config.delta, spectrum=spectrum, target=config.signal_target
@@ -243,10 +249,8 @@ def resolve_experiment(config: ExperimentConfig, base_dir: str | Path | None = N
         stopping = make_stopping_config(config.dim, config.delta, **settings)
     except OverflowError as exc:
         raise ValueError(f"noise.delta = {config.delta!r} is too large: {exc}") from None
-    except ValueError as exc:  # the library's message opens with the argument's name: give the key in full
-        if str(exc).split(" ", 1)[0].rstrip(",") in _SECTIONS[section]:
-            raise ValueError(f"{section}.{exc}") from None
-        raise
+    except ValueError as exc:
+        raise _keyed(exc, section) from None
     if signal.dim != config.dim or spectrum.dim != config.dim:
         raise ValueError("signal or spectrum dimension disagrees with the configured dim")
     image = spectrum.values * signal.coefficients
@@ -306,7 +310,7 @@ class EfficiencyReport:
 
 def oracle_payload(exp: ResolvedExperiment) -> dict:
     """All oracle quantities for a resolved experiment, as a plain dict."""
-    return asdict(oracle_set(exp.signal, exp.spectrum, exp.noise, exp.stopping.kappa, exp.stopping.m0))
+    return asdict(oracle_set(exp.signal, exp.spectrum, exp.noise, exp.stopping))
 
 
 def _errors(

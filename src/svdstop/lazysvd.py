@@ -110,6 +110,8 @@ class MatrixOperator:
             raise ValueError("operator entries must form a two-dimensional array")
         if arr.shape[0] < arr.shape[1]:
             raise ValueError("operator must have at least as many rows as columns")
+        if arr.shape[1] < 1:
+            raise ValueError(f"operator must have at least one column, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", arr)

@@ -31,6 +31,7 @@ from .estimator import strong_bias_sq, strong_variance, weak_bias_sq
 from .harness import ExperimentConfig, resolve_experiment, run_experiment
 from .model import NoiseModel, Signal, Spectrum, _check_int, make_polynomial_spectrum, require_same_dim
 from .oracles import oracle_set
+from .stopping import make_stopping_config
 
 __all__ = [
     "AccuracyError",
@@ -418,7 +419,7 @@ def weak_oracle_gap_instance(p: float, dim: int) -> GapReport:
     values[-1] = mu_last
     signal = Signal(values)
     noise = NoiseModel(delta=delta)
-    oracles = oracle_set(signal, spectrum, noise, kappa=dim * delta**2, m0=0)
+    oracles = oracle_set(signal, spectrum, noise, make_stopping_config(dim, delta))
     at_proxy, at_strong = strong_bias_sq(signal, oracles.proxy_time), strong_bias_sq(signal, oracles.strong_time)
     ratio = at_proxy / at_strong
     if at_proxy < 4.0 * at_strong - 1e-9:

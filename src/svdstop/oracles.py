@@ -18,8 +18,8 @@ Continuous levels are located by scanning the integer grid for a sign
 change and solving the bracketing unit interval in closed form: on
 ``[k, k+1]`` both functionals are quadratic in ``sqrt(t - k)``. Ties in
 discrete argmins resolve to the smallest index, and an infimum over an
-empty set is the dimension ``D``. :func:`theory_bounds` shares the one
-level finder with :func:`oracle_set`.
+empty set is the dimension ``D``. Both functions take a ``StoppingConfig``,
+and :func:`theory_bounds` reads its levels from :func:`oracle_set`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import FunctionalProfile, weak_bias_sq
-from .model import NoiseModel, Signal, Spectrum, _check_int
+from .model import NoiseModel, Signal, Spectrum
+from .stopping import StoppingConfig
 
 __all__ = ["OracleSet", "TheoryBounds", "oracle_set", "theory_bounds"]
 
@@ -80,16 +81,6 @@ class TheoryBounds:
     strong_oracle_rhs: float
 
 
-def _check_start(kappa: float, m0: int, dim: int) -> int:
-    """``m0`` as an ``int``; ``ValueError`` unless it lies in ``[0, dim]`` and ``kappa >= 0``."""
-    m0 = _check_int(m0, "m0")
-    if not 0 <= m0 <= dim:
-        raise ValueError(f"starting index {m0} outside [0, {dim}]")
-    if kappa < 0:
-        raise ValueError("stopping threshold must be non-negative")
-    return m0
-
-
 def _balanced_level(prof: FunctionalProfile, m0: int, norm: str, offset: float = 0.0) -> float:
     """First level ``t >= m0`` where the squared bias in ``norm`` drops to the variance plus ``offset``.
 
@@ -135,10 +126,12 @@ def _unit_root(a: float, v: float, c: float) -> float:
     return s * s
 
 
-def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: float, m0: int = 0) -> OracleSet:
-    """All oracle quantities of one instance in a single pass."""
+def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, stopping: StoppingConfig) -> OracleSet:
+    """All oracle quantities of one instance in a single pass; ``ValueError`` if ``stopping.m0`` exceeds ``D``."""
     prof = FunctionalProfile(signal, spectrum, noise)
-    m0 = _check_start(kappa, m0, prof.dim)
+    kappa, m0 = stopping.kappa, stopping.m0
+    if m0 > prof.dim:
+        raise ValueError(f"m0 = {m0} exceeds dimension {prof.dim}")
     risks = prof.int_strong_bias_sq + prof.int_strong_variance
     cls_idx = int(np.argmin(risks))
     weak_risks = prof.int_weak_bias_sq + prof.int_weak_variance
@@ -153,30 +146,27 @@ def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: flo
         classical_risk=float(risks[cls_idx]),
         classical_weak_index=weak_idx,
         classical_weak_risk=float(weak_risks[weak_idx]),
-        kappa=float(kappa),
+        kappa=kappa,
         m0=m0,
     )
 
 
-def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, kappa: float, m0: int = 0) -> TheoryBounds:
+def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, stopping: StoppingConfig) -> TheoryBounds:
     """Evaluate the right-hand sides of the deviation and oracle bounds.
 
-    Requires a strictly positive noise level. Singular-value lookups at
-    index ``floor(t)+1`` are clipped to the last available index when the
-    level sits at the right boundary.
+    Requires a strictly positive noise level; the levels are those of :func:`oracle_set`.
+    Singular-value lookups at index ``floor(t)+1`` are clipped to the last
+    available index when the level sits at the right boundary.
     """
     if noise.delta <= 0:
-        raise ValueError("theory bounds require a positive noise level")
-    prof = FunctionalProfile(signal, spectrum, noise)
-    m0 = _check_start(kappa, m0, prof.dim)
-    dim = prof.dim
+        raise ValueError(f"delta, the noise level, must be positive for the theory bounds, got {noise.delta!r}")
+    oracles = oracle_set(signal, spectrum, noise, stopping)
+    t_star, t_strong, kappa = oracles.proxy_time, oracles.strong_time, stopping.kappa
+    dim = spectrum.dim
     delta = noise.delta
     d2 = delta**2
     lam = spectrum.values
     wmu = lam * signal.coefficients
-
-    t_star = _balanced_level(prof, m0, "weak", kappa - dim * d2)
-    t_strong = _balanced_level(prof, m0, "strong")
 
     k_star = int(math.floor(t_star))
     tail_amp = float(np.max(np.abs(wmu[k_star:]))) if k_star < dim else 0.0

@@ -52,7 +52,7 @@ def family_shape(kind: str, rate: float, dim: int) -> np.ndarray:
 def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, target: float) -> float:
     """Amplitude ``c`` placing the weakly balanced level of ``c * shape`` at ``target``."""
     if delta <= 0:
-        raise ValueError("calibration requires a positive noise level")
+        raise ValueError(f"delta, the noise level, must be positive to calibrate a signal, got {delta!r}")
     if not 0.0 < target < spectrum.dim:
         raise ValueError(f"target, the weakly balanced level, is {target!r}, outside (0, {spectrum.dim})")
     unit_weak_bias = weak_bias_sq(Signal(shape), spectrum, target)
@@ -65,15 +65,19 @@ def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, tar
 
 
 def calibrated_signal(name: str, dim: int, delta: float, spectrum: Spectrum, target: float | None = None) -> Signal:
-    """One of the named stock signals, calibrated for ``(dim, delta, spectrum)``.
+    """One of the named stock signals, calibrated for ``(dim, delta, spectrum)``, or the zero signal.
 
     ``target`` defaults to the profile's reference target scaled by
-    ``dim / 10000``.
+    ``dim / 10000``. The name ``zero`` gives the null signal, which needs
+    no calibration: of the other arguments only ``dim`` is read.
     """
+    if name == "zero":
+        return Signal(np.zeros(dim))
     try:
         kind, rate, ref_target = NAMED_PROFILES[name]
     except KeyError:
-        raise ValueError(f"name, the signal profile, must be one of {sorted(NAMED_PROFILES)}, got {name!r}") from None
+        names = sorted([*NAMED_PROFILES, "zero"])
+        raise ValueError(f"name, the signal profile, must be one of {names}, got {name!r}") from None
     if spectrum.dim != dim:
         raise ValueError("spectrum dimension disagrees with requested dimension")
     if target is None:

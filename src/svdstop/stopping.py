@@ -41,9 +41,7 @@ __all__ = [
     "StoppingConfig",
     "TruncatedStreamError",
     "aic_select",
-    "default_threshold",
     "make_stopping_config",
-    "normal_quantile_start",
     "residual_rule",
     "stop_index",
     "two_step",
@@ -103,31 +101,6 @@ class StopOutcome:
         return self.tau if self.rho is None else self.rho
 
 
-def normal_quantile_start(dim: int, level: float) -> int:
-    """Starting index ``floor(q_level * sqrt(2 * dim)) + 1`` from the normal quantile.
-
-    Calibrated so that for pure noise with the default threshold the rule
-    runs past the starting index with probability roughly ``1 - level``.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if not 0.5 <= level < 1:
-        raise ValueError("quantile level must lie in [0.5, 1)")
-    q = NormalDist().inv_cdf(level)
-    return int(math.floor(q * math.sqrt(2.0 * dim))) + 1
-
-
-def default_threshold(dim: int, delta: float, drift: float) -> float:
-    """Default stopping threshold ``dim * delta**2`` with an optional drift of
-    ``drift * sqrt(dim) * delta**2`` to probe sensitivity; ``OverflowError`` past the largest float."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    kappa = (dim + drift * math.sqrt(dim)) * delta**2
-    if abs(kappa) == math.inf:
-        raise OverflowError("the default threshold (dim + drift * sqrt(dim)) * delta**2 overflows")
-    return kappa
-
-
 def make_stopping_config(
     dim: int,
     delta: float,
@@ -137,19 +110,30 @@ def make_stopping_config(
     m0: int | None = None,
     level: float = 0.99,
 ) -> StoppingConfig:
-    """Resolve a stopping configuration for a problem of size ``dim``; ``ValueError`` for a ``level`` outside
-    ``[0.5, 1)`` in any mode, and for a setting the others leave unread (``m0`` outside ``explicit`` mode, a
-    nonzero drift next to an explicit ``kappa``). A message about one argument opens with its name."""
+    """Resolve a stopping configuration for a problem of size ``dim``: the one place the settings are resolved.
+
+    The default threshold is ``(dim + kappa_drift * sqrt(dim)) * delta**2``; the drift probes the
+    rule's sensitivity to its threshold, and ``OverflowError`` is raised when the threshold passes the
+    largest float. The ``normal_quantile`` start is ``floor(q_level * sqrt(2 * dim)) + 1``, calibrated
+    so that for pure noise with the default threshold the rule runs past it with probability roughly
+    ``1 - level``. ``ValueError`` for ``dim < 1``, for a ``level`` outside ``[0.5, 1)`` in any mode, and
+    for a setting the others leave unread (``m0`` outside ``explicit`` mode, a nonzero drift next to an
+    explicit ``kappa``). A message about one argument opens with its name.
+    """
+    if _check_int(dim, "dim") < 1:
+        raise ValueError(f"dim, the dimension, must be at least 1, got {dim}")
     if not 0.5 <= level < 1:
         raise ValueError(f"level, the quantile level, must lie in [0.5, 1), got {level!r}")
     if kappa is None:
-        kappa = default_threshold(dim, delta, kappa_drift)
+        kappa = (dim + kappa_drift * math.sqrt(dim)) * delta**2
+        if abs(kappa) == math.inf:
+            raise OverflowError("the default threshold (dim + drift * sqrt(dim)) * delta**2 overflows")
     elif kappa_drift != 0:
         raise ValueError("kappa_drift only shifts the default threshold; it cannot go with an explicit kappa")
     if m0_mode == "zero":
         start = 0
     elif m0_mode == "normal_quantile":
-        start = normal_quantile_start(dim, level)
+        start = int(math.floor(NormalDist().inv_cdf(level) * math.sqrt(2.0 * dim))) + 1
     elif m0_mode == "explicit":
         if m0 is None:
             raise ValueError("m0, the starting index, is required in explicit m0 mode")

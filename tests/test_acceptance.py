@@ -42,7 +42,7 @@ from svdstop.model import (
 )
 from svdstop.oracles import oracle_set, theory_bounds
 from svdstop.signals import NAMED_PROFILES, calibrated_signal
-from svdstop.stopping import make_stopping_config, stop_index
+from svdstop.stopping import StoppingConfig, make_stopping_config, stop_index
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -104,11 +104,11 @@ def test_02_threshold_identity_and_ordering():
         mu = Signal(rng.standard_normal(dim) * rng.uniform(0, 3))
         delta = float(rng.uniform(0.01, 1.0))
         noise = NoiseModel(delta=delta)
-        at_default = oracle_set(mu, spec, noise, dim * delta**2, 0)
+        at_default = oracle_set(mu, spec, noise, StoppingConfig(dim * delta**2))
         weak_time, strong_time = at_default.weak_time, at_default.strong_time
         worst_gap = max(worst_gap, abs(at_default.proxy_time - weak_time))
         kappa = float(rng.uniform(0, 2 * dim * delta**2))
-        proxy_k = oracle_set(mu, spec, noise, kappa, 0).proxy_time
+        proxy_k = oracle_set(mu, spec, noise, StoppingConfig(kappa)).proxy_time
         slack = max(dim - kappa / delta**2, 0.0)
         if not (proxy_k - slack <= weak_time + 1e-9 and weak_time <= strong_time + 1e-9):
             chain_failures += 1
@@ -204,8 +204,8 @@ def test_06_oracle_inequality_domination():
     all_ok = True
     for name in sorted(NAMED_PROFILES):
         sig = calibrated_signal(name, dim, delta, spec)
-        oracles = oracle_set(sig, spec, noise, kappa, 0)
-        bounds = theory_bounds(sig, spec, noise, kappa, 0)
+        oracles = oracle_set(sig, spec, noise, config)
+        bounds = theory_bounds(sig, spec, noise, config)
         weak_at_proxy = weak_bias_sq(sig, spec, oracles.proxy_time)
         strong_at_balance = strong_bias_sq(sig, oracles.strong_time)
         weak_over = np.empty(reps)

@@ -709,8 +709,11 @@ def test_a_bad_value_names_its_dotted_key(config_path, tmp_path, overrides, caps
         # the explicit mode reads an m0 that the shipped config leaves out
         ("oracles", "efficiency_smooth.json", "stopping.m0_mode=explicit", "stopping.m0"),
         ("adversary", "adversary_hide.json", "adversary.i0=5000", "adversary.i0"),
+        # a named signal cannot be calibrated without noise, and the bounds need noise too
+        ("oracles", "efficiency_smooth.json", "noise.delta=0", "noise.delta"),
+        ("bounds", "null_calibration.json", "noise.delta=0", "noise.delta"),
     ],
-    ids=["dim=0", "stopping.m0_mode=explicit", "adversary.i0=5000"],
+    ids=["dim=0", "stopping.m0_mode=explicit", "adversary.i0=5000", "oracles-noise.delta=0", "bounds-noise.delta=0"],
 )
 def test_a_bad_value_of_a_shipped_config_names_its_dotted_key(tmp_path, command, config, override, key, capsys):
     """The message names ``key`` whole: ``dim`` inside ``dimension`` does not count."""
@@ -816,6 +819,32 @@ def test_plot_of_a_bad_csv_exits_three(tmp_path, body, message, capsys):
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == "ValueError" and message in record["message"]
     assert not (tmp_path / "out" / "efficiency.svg").exists()
+
+
+def test_an_unknown_signal_name_lists_the_names_that_run(tmp_path, capsys):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "signal": {"name": "bogus"}}))
+    code, captured = run(["oracles", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert code == 3
+    message = json.loads(captured.err.strip().splitlines()[-1])["message"]
+    names = json.loads(re.search(r"one of (\[.*?\])", message).group(1).replace("'", '"'))
+    assert "zero" in names and "smooth" in names
+    for name in names:
+        assert run(["oracles", "--config", path, "--out", tmp_path / name, "--set", f"signal.name={name}"]) == 0
+
+
+@pytest.mark.parametrize("rows", [3, 0])
+def test_lazysvd_matrix_without_columns_exits_three(tmp_path, rows, capsys):
+    save_matrix(tmp_path / "A.bin", np.zeros((rows, 0)))
+    np.savetxt(tmp_path / "y.txt", np.ones(3))
+    config = {"matrix": {"file": "A.bin"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.01}}
+    path = tmp_path / "lazy.json"
+    path.write_text(json.dumps(config))
+    code, captured = run(["lazysvd", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "at least one column" in record["message"]
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_lazysvd_truncated_binary_matrix_exits_three(tmp_path, capsys):

@@ -64,6 +64,9 @@ def test_operator_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         MatrixOperator(bad)
+    for shape in ((3, 0), (0, 0)):
+        with pytest.raises(ValueError, match="at least one column"):
+            MatrixOperator(np.zeros(shape))
     op = MatrixOperator(np.ones((4, 3)))
     assert (op.codomain_dim, op.domain_dim) == (4, 3)
     with pytest.raises(ValueError):

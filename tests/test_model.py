@@ -20,7 +20,6 @@ from svdstop.model import (
     save_vector,
     simulate_observation,
 )
-from svdstop.oracles import oracle_set, theory_bounds
 from svdstop.signals import family_shape
 from svdstop.stopping import StoppingConfig, aic_select, make_stopping_config
 
@@ -198,8 +197,6 @@ _SIG, _SPEC, _NOISE = Signal(np.linspace(1.0, 0.1, 10)), make_polynomial_spectru
 INTEGER_SITES = {
     "StoppingConfig": lambda v: StoppingConfig(kappa=1.0, m0=v),
     "make_stopping_config": lambda v: make_stopping_config(10, 0.1, m0_mode="explicit", m0=v),
-    "oracle_set": lambda v: oracle_set(_SIG, _SPEC, _NOISE, kappa=0.1, m0=v),
-    "theory_bounds": lambda v: theory_bounds(_SIG, _SPEC, _NOISE, kappa=0.1, m0=v),
     "aic_select": lambda v: aic_select(_SPEC.values * _SIG.coefficients, _SPEC.values, 0.1, v),
     "hide_signal": lambda v: hide_signal(_SIG, v, 0.5, 2.0),
     "residual_adversary": lambda v: residual_adversary(_SIG, _SPEC, _NOISE, v, 0.5, 2.0),

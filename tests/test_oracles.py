@@ -22,6 +22,7 @@ from svdstop.estimator import (
 )
 from svdstop.model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum
 from svdstop.oracles import oracle_set, theory_bounds
+from svdstop.stopping import StoppingConfig
 
 FLAT2 = Spectrum(np.array([1.0, 1.0]))
 UNIT = NoiseModel(delta=1.0)
@@ -31,7 +32,7 @@ def oracles(sig, spec=FLAT2, noise=UNIT, kappa=None, m0=0):
     """``oracle_set`` at the default threshold ``D * delta**2`` unless ``kappa`` is given."""
     if kappa is None:
         kappa = spec.dim * noise.delta**2
-    return oracle_set(sig, spec, noise, kappa, m0)
+    return oracle_set(sig, spec, noise, StoppingConfig(kappa, m0))
 
 
 def random_instance(seed, max_dim=60):
@@ -95,7 +96,7 @@ def test_classical_oracle_breaks_ties_small():
 def test_weak_dev_rhs_hand_value():
     d = 100
     spec = make_polynomial_spectrum(d, 0.0)
-    tb = theory_bounds(Signal(np.zeros(d)), spec, UNIT, kappa=100.0, m0=10)
+    tb = theory_bounds(Signal(np.zeros(d)), spec, UNIT, StoppingConfig(100.0, 10))
     assert tb.weak_dev_rhs == pytest.approx(234.0)
 
 
@@ -103,29 +104,31 @@ def test_zero_signal_discretization_term():
     d = 50
     spec = make_polynomial_spectrum(d, 0.5)
     noise = NoiseModel(delta=0.2)
-    tb = theory_bounds(Signal(np.zeros(d)), spec, noise, kappa=d * 0.04)
+    tb = theory_bounds(Signal(np.zeros(d)), spec, noise, StoppingConfig(d * 0.04))
     assert tb.discretization_err == pytest.approx(
         4.0 * 0.2 * (math.sqrt(math.log(math.sqrt(2.0) * d)) + 1.0)
     )
 
 
 def test_theory_bounds_requires_noise():
-    with pytest.raises(ValueError):
-        theory_bounds(Signal(np.zeros(3)), make_polynomial_spectrum(3, 0.5), NoiseModel(0.0), 1.0)
+    with pytest.raises(ValueError, match="^delta, the noise level"):
+        theory_bounds(Signal(np.zeros(3)), make_polynomial_spectrum(3, 0.5), NoiseModel(0.0), StoppingConfig(1.0))
 
 
-@pytest.mark.parametrize("kappa, m0", [(1.0, -1), (1.0, 4), (-0.5, 0)])
+@pytest.mark.parametrize("kappa, m0", [(1.0, -1), (1.0, 4), (-0.5, 0), (math.inf, 0), (math.nan, 0)])
 @pytest.mark.parametrize("evaluate", [oracle_set, theory_bounds])
 def test_start_outside_the_instance_or_negative_threshold_raises(evaluate, kappa, m0):
-    with pytest.raises(ValueError):
-        evaluate(Signal(np.array([1.0, 0.5, 0.0])), make_polynomial_spectrum(3, 0.5), UNIT, kappa, m0)
+    """A start past the dimension raises in the function. A negative start, or a threshold that is
+    negative or not finite, raises in ``StoppingConfig`` and so never reaches it."""
+    with pytest.raises(ValueError, match="exceeds dimension 3" if m0 > 3 else "^(kappa|m0), the"):
+        evaluate(Signal(np.array([1.0, 0.5, 0.0])), make_polynomial_spectrum(3, 0.5), UNIT, StoppingConfig(kappa, m0))
 
 
 @given(st.integers(0, 10_000))
 def test_kappa_identity(seed):
     sig, spec, noise = random_instance(seed)
     d = spec.dim
-    os = oracle_set(sig, spec, noise, kappa=d * noise.delta**2, m0=0)
+    os = oracle_set(sig, spec, noise, StoppingConfig(d * noise.delta**2))
     assert os.proxy_time == os.weak_time  # shared root-finder, so the match is exact
 
 
@@ -134,7 +137,7 @@ def test_ordering_chain(seed, kappa_scale):
     sig, spec, noise = random_instance(seed)
     d = spec.dim
     kappa = kappa_scale * d * noise.delta**2
-    os = oracle_set(sig, spec, noise, kappa, 0)
+    os = oracle_set(sig, spec, noise, StoppingConfig(kappa))
     tw, ts, tstar = os.weak_time, os.strong_time, os.proxy_time
     slack = max(d - kappa / noise.delta**2, 0.0)
     assert tstar - slack <= tw + 1e-9
@@ -148,7 +151,7 @@ def test_proxy_weak_transfer(seed, kappa_scale):
     d = spec.dim
     d2 = noise.delta**2
     kappa = kappa_scale * d * d2
-    os = oracle_set(sig, spec, noise, kappa, 0)
+    os = oracle_set(sig, spec, noise, StoppingConfig(kappa))
     tw, tstar = os.weak_time, os.proxy_time
     bias_gap = weak_bias_sq(sig, spec, tstar) - weak_bias_sq(sig, spec, tw)
     var_gap = weak_variance(noise, tstar) - weak_variance(noise, tw)
@@ -179,7 +182,7 @@ def test_balanced_risk_vs_classical(seed):
 def test_levels_respect_m0(seed, m0):
     sig, spec, noise = random_instance(seed)
     m0 = min(m0, spec.dim)
-    os = oracle_set(sig, spec, noise, kappa=spec.dim * noise.delta**2, m0=m0)
+    os = oracle_set(sig, spec, noise, StoppingConfig(spec.dim * noise.delta**2, m0))
     assert m0 <= os.weak_time <= os.strong_time <= spec.dim
     assert m0 <= os.proxy_time <= spec.dim
 
@@ -215,7 +218,7 @@ def test_oracle_set_consistency(seed, m0, kappa_scale):
     d2 = noise.delta**2
     m0 = min(m0, d)
     kappa = kappa_scale * d * d2
-    os = oracle_set(sig, spec, noise, kappa=kappa, m0=m0)
+    os = oracle_set(sig, spec, noise, StoppingConfig(kappa, m0))
     grid = range(d + 1)
 
     strong_bias = np.array([strong_bias_sq(sig, float(m)) for m in grid])
@@ -260,7 +263,7 @@ def test_levels_are_roots_to_rounding(seed, m0, kappa_scale, sparse, noiseless):
     d2 = noise.delta**2
     m0 = min(m0, d)
     kappa = kappa_scale * d * (d2 or 0.1)
-    os = oracle_set(sig, spec, noise, kappa=kappa, m0=m0)
+    os = oracle_set(sig, spec, noise, StoppingConfig(kappa, m0))
 
     def strong_gap(t):
         return strong_bias_sq(sig, t) - strong_variance(spec, noise, t)
@@ -295,7 +298,7 @@ def test_polynomial_variance_envelope(seed, p, tmax_scale):
 @given(st.integers(0, 10_000))
 def test_theory_bounds_finite_nonnegative(seed):
     sig, spec, noise = random_instance(seed)
-    tb = theory_bounds(sig, spec, noise, kappa=spec.dim * noise.delta**2)
+    tb = theory_bounds(sig, spec, noise, StoppingConfig(spec.dim * noise.delta**2))
     for value in (
         tb.discretization_err,
         tb.weak_dev_rhs,
@@ -312,7 +315,7 @@ def test_stochastic_factor_cap_is_inverse_spectrum_mass():
     d = 30
     spec = make_polynomial_spectrum(d, 1.0)
     sig = Signal(np.zeros(d))
-    tb = theory_bounds(sig, spec, UNIT, kappa=float(d))
+    tb = theory_bounds(sig, spec, UNIT, StoppingConfig(float(d)))
     assert tb.stochastic_factor == pytest.approx(float(np.sum(spec.values**-2.0)))
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from svdstop.estimator import weak_bias_sq
 from svdstop.model import NoiseModel, Spectrum, make_polynomial_spectrum
 from svdstop.oracles import oracle_set
+from svdstop.stopping import StoppingConfig
 from svdstop.signals import (
     NAMED_PROFILES,
     REFERENCE_DIM,
@@ -20,7 +21,7 @@ from svdstop.signals import (
 
 
 def weak_time(sig, spec, noise):
-    return oracle_set(sig, spec, noise, kappa=spec.dim * noise.delta**2).weak_time
+    return oracle_set(sig, spec, noise, StoppingConfig(spec.dim * noise.delta**2)).weak_time
 
 
 def test_family_shape_forms():

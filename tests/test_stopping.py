@@ -20,9 +20,7 @@ from svdstop.stopping import (
     StoppingConfig,
     TruncatedStreamError,
     aic_select,
-    default_threshold,
     make_stopping_config,
-    normal_quantile_start,
     residual_rule,
     stop_index,
     two_step,
@@ -521,16 +519,17 @@ def test_two_step_checks_the_selection_either_way(kappa, m0):
 
 
 def test_normal_quantile_start_reference_value():
-    assert normal_quantile_start(10_000, level=0.99) == 329
+    assert make_stopping_config(10_000, 0.01, m0_mode="normal_quantile", level=0.99).m0 == 329
 
 
 def test_default_threshold_formula():
-    assert default_threshold(100, 0.1, 0.0) == pytest.approx(1.0)
-    assert default_threshold(100, 0.1, drift=0.5) == pytest.approx(1.05)
-    with pytest.raises(ValueError):
-        default_threshold(0, 0.1, 0.0)
+    assert make_stopping_config(100, 0.1).kappa == pytest.approx(1.0)
+    assert make_stopping_config(100, 0.1, kappa_drift=0.5).kappa == pytest.approx(1.05)
+    for kappa in (None, 1.0):  # the dimension is checked whether or not the threshold reads it
+        with pytest.raises(ValueError, match="^dim, the dimension"):
+            make_stopping_config(0, 0.1, kappa=kappa)
     with pytest.raises(OverflowError, match="default threshold"):
-        default_threshold(120, 1e154, 0.0)  # delta**2 is finite, 120 delta**2 is not
+        make_stopping_config(120, 1e154)  # delta**2 is finite, 120 delta**2 is not
 
 
 def test_make_stopping_config_modes():

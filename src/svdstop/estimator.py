@@ -30,19 +30,12 @@ from .model import NoiseModel, Observation, Signal, Spectrum, _frozen_vector, re
 __all__ = [
     "EstimateVector",
     "FunctionalProfile",
-    "MissingNoiseError",
     "estimate_at",
     "split_level",
-    "stochastic_error",
     "strong_bias_sq",
     "strong_variance",
     "weak_bias_sq",
-    "weak_variance",
 ]
-
-
-class MissingNoiseError(ValueError):
-    """The observation does not carry its realised noise vector."""
 
 
 def split_level(t: float, dim: int) -> tuple[int, float]:
@@ -130,25 +123,6 @@ def weak_bias_sq(signal: Signal, spectrum: Spectrum, t: float) -> float:
 def strong_variance(spectrum: Spectrum, noise: NoiseModel, t: float) -> float:
     """Accumulated noise variance ``delta**2 * (sum_{i<=k} lam_i**-2 + frac * lam_{k+1}**-2)``."""
     return noise.delta**2 * _variance(spectrum.values**-2.0, t)
-
-
-def weak_variance(noise: NoiseModel, t: float) -> float:
-    """Accumulated noise variance in the image-space norm, ``t * delta**2``."""
-    if t < 0:
-        raise ValueError("truncation level must be non-negative")
-    return float(t) * noise.delta**2
-
-
-def stochastic_error(obs: Observation, spectrum: Spectrum, t: float) -> float:
-    """Realised squared stochastic error of the truncated estimator.
-
-    Requires the observation to carry its noise vector; the value is
-    ``delta**2 * (sum_{i<=k} lam_i**-2 eps_i**2 + frac * lam_{k+1}**-2 eps_{k+1}**2)``.
-    """
-    if obs.noise is None:
-        raise MissingNoiseError("observation carries no realised noise vector")
-    require_same_dim(obs.dim, spectrum.dim)
-    return obs.delta**2 * _variance((obs.noise / spectrum.values) ** 2, t)
 
 
 class FunctionalProfile:

@@ -1,17 +1,15 @@
-"""Lower-bound laboratory: adversarial constructions and empirical stress tests.
+"""Lower-bound constructions: adversarial signals and the total variation they rest on.
 
 The estimation-theoretic floor for data-driven truncation rests on a
 two-point argument: perturb the signal beyond an index the rule cannot
 see past, and the risk at the perturbed signal stays above the squared
-bias there. This module builds those perturbed signals, evaluates the
-total-variation and tail bounds the argument runs on, and provides
-Monte Carlo checks that pit the residual stop of an experiment against
-the predicted floors. All numeric constants in the predicates are kept
-exactly as in the underlying inequalities; none of them is optimised.
+bias there. This module builds those perturbed signals and evaluates the
+total-variation bounds the argument runs on. All numeric constants in
+the predicates are kept exactly as in the underlying inequalities; none
+of them is optimised.
 
-Everything here is either a pure construction, a closed-form bound, or
-a simulation with reported standard errors; no asymptotic statement is
-checked.
+Everything here is either a pure construction or a bound, closed-form
+or numeric; no asymptotic statement is checked.
 
 The numeric total variation (:func:`tv_numeric`) needs only numpy and
 ``math``: the crossing route of the private :mod:`svdstop._chisq`, which
@@ -21,34 +19,25 @@ also states the bound on its error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from ._chisq import AccuracyError, _tv_crossing
-from .estimator import strong_bias_sq, strong_variance, weak_bias_sq
-from .harness import ExperimentConfig, resolve_experiment, run_experiment
-from .model import NoiseModel, Signal, Spectrum, _check_int, make_polynomial_spectrum, require_same_dim
-from .oracles import oracle_set
-from .stopping import make_stopping_config
+from .estimator import strong_bias_sq, weak_bias_sq
+from .model import NoiseModel, Signal, Spectrum, _check_int, require_same_dim
 
 __all__ = [
     "AccuracyError",
     "AdversaryResult",
-    "GapReport",
-    "OverrunReport",
     "SIMPLIFIED_NORM_THRESHOLD",
-    "TailReport",
     "TvBoundResult",
     "adversary_conditions",
     "hide_signal",
-    "laurent_massart_tails",
-    "overrun_check",
     "residual_adversary",
     "tv_bound",
     "tv_numeric",
-    "weak_oracle_gap_instance",
 ]
 
 # Below this value of |theta| + |theta_bar| the simplified total-variation
@@ -102,11 +91,20 @@ def _check_i0(i0: int, dim: int) -> int:
 
 
 def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
-    """``i0`` checked by :func:`_check_i0`, after ``alpha >= 0`` and ``0 < r_bar < inf`` (NaN fails both)."""
+    """``i0`` checked by :func:`_check_i0`, after ``alpha >= 0`` and ``0 < r_bar`` with ``r_bar**2 < inf``
+    (NaN fails both).
+
+    Both adversaries square the radius: the bump of :func:`residual_adversary`
+    holds ``r_bar**2``, and the floor of :func:`hide_signal` the square of
+    ``r_bar / 2``. A Python float's ``**`` raises ``OverflowError`` past the
+    largest float, and numpy's square is infinite there.
+    """
     if not alpha >= 0:
         raise ValueError(f"adversary.alpha, the smoothness exponent, must be nonnegative, got {alpha!r}")
-    if not 0 < r_bar < math.inf:
-        raise ValueError(f"adversary.r_bar, the smoothness radius, must be positive and finite, got {r_bar!r}")
+    if not (r_bar > 0 and r_bar * r_bar < math.inf):
+        raise ValueError(
+            f"adversary.r_bar, the smoothness radius, must be positive with a finite square, got {r_bar!r}"
+        )
     return _check_i0(i0, dim)
 
 
@@ -241,198 +239,3 @@ def tv_numeric(theta_norm: float, theta_bar_norm: float, num_terms: int) -> floa
             estimate=route.value,
         )
     return min(max(route.value, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Empirical frequencies of weighted chi-square deviation events."""
-
-    x: float
-    bound: float
-    lower_frequency: float
-    lower_se: float
-    upper_frequency: float
-    upper_se: float
-    replications: int
-
-
-def laurent_massart_tails(
-    weights: np.ndarray,
-    x: float,
-    replications: int = 100000,
-    seed: int = 0,
-) -> TailReport:
-    """Monte Carlo check of the weighted chi-square deviation bounds.
-
-    For nonnegative weights ``a`` and standard Gaussians ``eps``, the
-    events ``sum a_i (eps_i**2 - 1) < -2 |a| sqrt(x)`` and
-    ``sum a_i (eps_i**2 - 1) > 2 |a| sqrt(x) + 2 max(a) x`` each have
-    probability below ``exp(-x)``. The report carries the empirical
-    frequencies with binomial standard errors.
-    """
-    a = np.asarray(weights, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("weights must form a nonempty vector")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("weights must be finite and nonnegative")
-    if x <= 0:
-        raise ValueError("deviation level must be positive")
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    norm_a = float(np.linalg.norm(a))
-    max_a = float(np.max(a))
-    lower_thr = -2.0 * norm_a * math.sqrt(x)
-    upper_thr = 2.0 * norm_a * math.sqrt(x) + 2.0 * max_a * x
-    lower_hits = 0
-    upper_hits = 0
-    done = 0
-    block = 200000 // max(a.size, 1) + 1
-    while done < replications:
-        take = min(block, replications - done)
-        sums = (rng.standard_normal((take, a.size)) ** 2 - 1.0) @ a
-        lower_hits += int(np.count_nonzero(sums < lower_thr))
-        upper_hits += int(np.count_nonzero(sums > upper_thr))
-        done += take
-    p_lo = lower_hits / replications
-    p_up = upper_hits / replications
-    return TailReport(
-        x=float(x),
-        bound=math.exp(-x),
-        lower_frequency=p_lo,
-        lower_se=math.sqrt(p_lo * (1.0 - p_lo) / replications),
-        upper_frequency=p_up,
-        upper_se=math.sqrt(p_up * (1.0 - p_up) / replications),
-        replications=replications,
-    )
-
-
-@dataclass(frozen=True)
-class OverrunReport:
-    """Monte Carlo check that large variance forces early stopping.
-
-    When ``V_m`` is at least 200 times the squared risk of the rule, the
-    probability of running to ``m`` or beyond is at most 0.9. The
-    premise is evaluated at the estimated risk; ``implication_ok`` is
-    ``None`` when the premise fails and otherwise records whether the
-    overrun probability stays below 0.9 within three standard errors.
-    """
-
-    m: int
-    variance_at_m: float
-    risk_sq_estimate: float
-    risk_sq_se: float
-    premise_holds: bool
-    overrun_probability: float
-    overrun_se: float
-    implication_ok: bool | None
-    replications: int
-
-
-def overrun_check(config: ExperimentConfig, m: int) -> OverrunReport:
-    """Stress-test the residual stop of an experiment against the overrun bound at index ``m``.
-
-    The squared strong risk of the plain stop at the configured signal and
-    the probability of stopping at or beyond ``m`` are both estimated from
-    the experiment's replications. A failed replication raises
-    ``ArithmeticError`` rather than dropping out of the averages.
-    """
-    m = _check_int(m, "m")
-    if not 1 <= m <= config.dim:
-        raise ValueError(f"index {m} outside [1, {config.dim}]")
-    if config.replications < 2:
-        raise ValueError("need at least two replications")
-    exp = resolve_experiment(config)
-    report = run_experiment(replace(config, procedures=("plain_stop",)))
-    if report.failures:
-        raise ArithmeticError(f"replications failed: {list(report.failures)}")
-    errors = np.array([r.err_strong**2 for r in report.records])
-    risk_sq = float(np.mean(errors))
-    risk_se = float(np.std(errors, ddof=1) / math.sqrt(config.replications))
-    p_over = float(np.mean([r.tau >= m for r in report.records]))
-    p_se = math.sqrt(p_over * (1.0 - p_over) / config.replications)
-    v_m = strong_variance(exp.spectrum, exp.noise, float(m))
-    premise = v_m >= 200.0 * risk_sq
-    return OverrunReport(
-        m=m,
-        variance_at_m=v_m,
-        risk_sq_estimate=risk_sq,
-        risk_sq_se=risk_se,
-        premise_holds=premise,
-        overrun_probability=p_over,
-        overrun_se=p_se,
-        implication_ok=(p_over <= 0.9 + 3.0 * p_se) if premise else None,
-        replications=config.replications,
-    )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """A concrete instance where the weak oracle loses a factor in strong norm.
-
-    For a signal concentrated on the last coordinate with the strongly
-    balanced level at ``D - 3/4``, the strong bias at the weak-norm
-    proxy level is four times the strong bias at the strongly balanced
-    level, so the factor in the bias transfer bound is genuinely paid.
-    """
-
-    feasible: bool
-    reason: str | None
-    p: float
-    dim: int
-    delta: float
-    mu_last: float
-    strong_time: float | None = None
-    proxy_time: float | None = None
-    weak_time: float | None = None
-    bias_ratio: float | None = None
-
-
-def weak_oracle_gap_instance(p: float, dim: int) -> GapReport:
-    """Search for the signal that pins the bias transfer factor at four.
-
-    With ``lambda_i = i**-p`` and the default threshold, the signal puts
-    everything on the last coordinate, sized so the strong bias and
-    variance balance at ``D - 3/4``. The construction is feasible (the
-    weak balanced level stays at most ``D - 1``) for ``p > 3/2`` and
-    ``dim`` large enough; infeasibility is reported, not raised. The
-    noise level is set to one; the instance is scale-invariant.
-    """
-    if dim < 3:
-        return GapReport(feasible=False, reason="dimension too small", p=p, dim=dim, delta=1.0, mu_last=0.0)
-    spectrum = make_polynomial_spectrum(dim, p)
-    delta = 1.0
-    inv_sq = spectrum.values**-2.0
-    # strong bias equals variance at D - 3/4: mu_D**2 / 4 = V_{D - 3/4}
-    mu_last_sq = inv_sq[-1] + 4.0 * float(np.sum(inv_sq[:-1]))
-    mu_last = math.sqrt(mu_last_sq)
-    if spectrum.values[-1] ** 2 * mu_last_sq > delta**2 * (dim - 1):
-        return GapReport(
-            feasible=False,
-            reason="weak balanced level would exceed dimension minus one",
-            p=p,
-            dim=dim,
-            delta=delta,
-            mu_last=mu_last,
-        )
-    values = np.zeros(dim)
-    values[-1] = mu_last
-    signal = Signal(values)
-    noise = NoiseModel(delta=delta)
-    oracles = oracle_set(signal, spectrum, noise, make_stopping_config(dim, delta))
-    at_proxy, at_strong = strong_bias_sq(signal, oracles.proxy_time), strong_bias_sq(signal, oracles.strong_time)
-    ratio = at_proxy / at_strong
-    if at_proxy < 4.0 * at_strong - 1e-9:
-        raise RuntimeError(f"constructed instance misses the factor four: ratio {ratio}")
-    return GapReport(
-        feasible=True,
-        reason=None,
-        p=p,
-        dim=dim,
-        delta=delta,
-        mu_last=mu_last,
-        strong_time=oracles.strong_time,
-        proxy_time=oracles.proxy_time,
-        weak_time=oracles.weak_time,
-        bias_ratio=ratio,
-    )

@@ -164,23 +164,18 @@ class Observation:
     ``y_norm_sq`` is computed from ``y`` as ``np.dot(y, y)``; it is the
     total the residual rule starts from. A streaming caller that never
     holds the whole vector passes its own total to
-    :func:`~svdstop.stopping.residual_rule` instead. ``noise`` keeps the
-    realised noise vector when the observation was simulated, which lets
-    diagnostics evaluate pathwise error decompositions exactly.
+    :func:`~svdstop.stopping.residual_rule` instead. The noise of a
+    simulated observation is not kept: the residual rule reads only ``y``.
     """
 
     y: np.ndarray
     delta: float
-    noise: np.ndarray | None = None
     y_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_vector(self.y))
         object.__setattr__(self, "y_norm_sq", float(np.dot(self.y, self.y)))
         object.__setattr__(self, "delta", _check_noise_level(self.delta))
-        if self.noise is not None:
-            object.__setattr__(self, "noise", _frozen_vector(self.noise))
-            require_same_dim(self.y.size, self.noise.size)
 
     @property
     def dim(self) -> int:
@@ -215,17 +210,16 @@ def simulate_observation(image: np.ndarray, noise: NoiseModel, seed) -> Observat
     """Draw one observation ``y = image + delta * eps`` around the noiseless image ``lam * mu``.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; identical
-    seeds give bit-identical observations. Floating-point addition is
-    commutative, so ``y`` is bitwise ``lam * mu + delta * eps`` whichever
-    term is formed first.
+    seeds give bit-identical observations. The draw is scaled and shifted
+    in its own buffer; floating-point products and sums are commutative,
+    so ``y`` is bitwise ``lam * mu + delta * eps`` whichever term is formed
+    first.
     """
-    eps = np.random.default_rng(seed).standard_normal(image.size)
-    y = noise.delta * eps
+    y = np.random.default_rng(seed).standard_normal(image.size)
+    y *= noise.delta
     y += image
-    # fresh and frozen, so the observation keeps them without copying
-    y.setflags(write=False)
-    eps.setflags(write=False)
-    return Observation(y=y, delta=noise.delta, noise=eps)
+    y.setflags(write=False)  # fresh and frozen, so the observation keeps it without copying
+    return Observation(y=y, delta=noise.delta)
 
 
 def load_vector(path) -> np.ndarray:

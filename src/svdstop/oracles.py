@@ -154,12 +154,15 @@ def oracle_set(signal: Signal, spectrum: Spectrum, noise: NoiseModel, stopping: 
 def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, stopping: StoppingConfig) -> TheoryBounds:
     """Evaluate the right-hand sides of the deviation and oracle bounds.
 
-    Requires a strictly positive noise level; the levels are those of :func:`oracle_set`.
+    Requires a noise level whose square is positive, since the bounds divide
+    by ``delta**2``; the levels are those of :func:`oracle_set`.
     Singular-value lookups at index ``floor(t)+1`` are clipped to the last
     available index when the level sits at the right boundary.
     """
-    if noise.delta <= 0:
-        raise ValueError(f"delta, the noise level, must be positive for the theory bounds, got {noise.delta!r}")
+    if not noise.delta**2 > 0:  # a positive delta's square underflows to zero below about 1.6e-162
+        raise ValueError(
+            f"delta, the noise level, must have a positive square for the theory bounds, got {noise.delta!r}"
+        )
     oracles = oracle_set(signal, spectrum, noise, stopping)
     t_star, t_strong, kappa = oracles.proxy_time, oracles.strong_time, stopping.kappa
     dim = spectrum.dim

@@ -17,21 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from svdstop.estimator import (
-    estimate_at,
-    stochastic_error,
-    strong_bias_sq,
-    weak_bias_sq,
-)
+from svdstop.estimator import estimate_at, strong_bias_sq, weak_bias_sq
 from svdstop.harness import ExperimentConfig, oracle_payload, resolve_experiment, run_experiment
 from svdstop.lazysvd import DeflationState, MatrixOperator, next_triplet, sequential_solve
-from svdstop.lowerbound import (
-    laurent_massart_tails,
-    overrun_check,
-    tv_bound,
-    tv_numeric,
-    weak_oracle_gap_instance,
-)
+from svdstop.lowerbound import tv_bound, tv_numeric
 from svdstop.model import (
     NoiseModel,
     Signal,
@@ -43,6 +32,8 @@ from svdstop.model import (
 from svdstop.oracles import oracle_set, theory_bounds
 from svdstop.signals import NAMED_PROFILES, calibrated_signal
 from svdstop.stopping import StoppingConfig, make_stopping_config, stop_index
+
+from claims import laurent_massart_tails, overrun_check, stochastic_error, weak_oracle_gap_instance
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -82,7 +73,8 @@ def test_01_pathwise_error_decomposition():
         tau = stop_index(obs.y, obs.y_norm_sq, config)
         err = estimate_at(obs, spec, float(tau)).values - sig.coefficients
         lhs = float(err @ err)
-        rhs = strong_bias_sq(sig, float(tau)) + stochastic_error(obs, spec, float(tau))
+        eps = np.random.default_rng(replication_seed(77, rep)).standard_normal(dim)
+        rhs = strong_bias_sq(sig, float(tau)) + stochastic_error(eps, spec, noise, float(tau))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     elapsed = time.time() - start
     report(
@@ -216,8 +208,9 @@ def test_06_oracle_inequality_domination():
             tau = stop_index(obs.y, obs.y_norm_sq, config)
             weak_over[rep] = max(weak_bias_sq(sig, spec, tau) - weak_at_proxy, 0.0)
             strong_over[rep] = max(strong_bias_sq(sig, tau) - strong_at_balance, 0.0)
+            eps = np.random.default_rng(replication_seed(202, rep)).standard_normal(dim)
             stochastic_over[rep] = max(
-                stochastic_error(obs, spec, tau) - stochastic_error(obs, spec, oracles.proxy_time),
+                stochastic_error(eps, spec, noise, tau) - stochastic_error(eps, spec, noise, oracles.proxy_time),
                 0.0,
             )
         for label, sample, rhs in (

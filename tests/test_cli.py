@@ -712,8 +712,17 @@ def test_a_bad_value_names_its_dotted_key(config_path, tmp_path, overrides, caps
         # a named signal cannot be calibrated without noise, and the bounds need noise too
         ("oracles", "efficiency_smooth.json", "noise.delta=0", "noise.delta"),
         ("bounds", "null_calibration.json", "noise.delta=0", "noise.delta"),
+        # a positive delta whose square underflows to zero: the bounds divide by delta**2
+        ("bounds", "efficiency_smooth.json", "noise.delta=1e-170", "noise.delta"),
     ],
-    ids=["dim=0", "stopping.m0_mode=explicit", "adversary.i0=5000", "oracles-noise.delta=0", "bounds-noise.delta=0"],
+    ids=[
+        "dim=0",
+        "stopping.m0_mode=explicit",
+        "adversary.i0=5000",
+        "oracles-noise.delta=0",
+        "bounds-noise.delta=0",
+        "bounds-noise.delta=1e-170",
+    ],
 )
 def test_a_bad_value_of_a_shipped_config_names_its_dotted_key(tmp_path, command, config, override, key, capsys):
     """The message names ``key`` whole: ``dim`` inside ``dimension`` does not count."""
@@ -723,6 +732,26 @@ def test_a_bad_value_of_a_shipped_config_names_its_dotted_key(tmp_path, command,
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
     assert len(re.findall(rf"(?<![\w.]){re.escape(key)}(?![\w.])", record["message"])) == 1, record["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["adversary.kind=residual_adversary", "adversary.r_bar=1e200"],
+        ["adversary.r_bar=1e308", "adversary.alpha=0"],
+    ],
+    ids=["residual_adversary", "hide_signal"],
+)
+def test_a_radius_whose_square_overflows_exits_three(tmp_path, overrides, capsys):
+    """Both adversaries square ``r_bar``: a finite radius whose square is not finite is refused naming the key,
+    rather than raising ``OverflowError`` or writing an infinite floor."""
+    out = tmp_path / "out"
+    args = ["adversary", "--config", SHIPPED / "adversary_hide.json", "--out", out]
+    code, captured = run(args + [arg for item in overrides for arg in ("--set", item)], capsys)
+    assert code == 3
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "adversary.r_bar" in record["message"]
     assert not any(out.iterdir())
 
 

@@ -18,11 +18,12 @@ from svdstop.estimator import (
     strong_bias_sq,
     strong_variance,
     weak_bias_sq,
-    weak_variance,
 )
 from svdstop.model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum
 from svdstop.oracles import oracle_set, theory_bounds
 from svdstop.stopping import StoppingConfig
+
+from claims import weak_variance
 
 FLAT2 = Spectrum(np.array([1.0, 1.0]))
 UNIT = NoiseModel(delta=1.0)
@@ -111,8 +112,10 @@ def test_zero_signal_discretization_term():
 
 
 def test_theory_bounds_requires_noise():
-    with pytest.raises(ValueError, match="^delta, the noise level"):
-        theory_bounds(Signal(np.zeros(3)), make_polynomial_spectrum(3, 0.5), NoiseModel(0.0), StoppingConfig(1.0))
+    """The bounds divide by ``delta**2``, which is zero for a positive delta below about 1.6e-162 too."""
+    for delta in (0.0, 1e-170):
+        with pytest.raises(ValueError, match="^delta, the noise level"):
+            theory_bounds(Signal(np.zeros(3)), make_polynomial_spectrum(3, 0.5), NoiseModel(delta), StoppingConfig(1.0))
 
 
 @pytest.mark.parametrize("kappa, m0", [(1.0, -1), (1.0, 4), (-0.5, 0), (math.inf, 0), (math.nan, 0)])

@@ -1,17 +1,24 @@
-"""``svdstop oracles`` and ``svdstop bounds`` still write the recorded bytes on the shipped configs and variants.
+"""``svdstop oracles``, ``bounds``, ``stop``, ``two-step``, ``adversary`` and ``plot`` still write the recorded bytes.
 
-Both outputs are deterministic functions of the config, so a change that
-moves a single bit of an oracle level, a bias or a bound fails here.
+Each output is a deterministic function of its config, so a change that
+moves a single bit of an oracle level, a bias, a bound, a stop, an
+adversarial signal or a drawn box fails here. The plot is drawn from the
+``mc`` CSV of ``configs/efficiency_smooth.json`` as shipped, which is the
+benchmark's recorded ``mc-smooth`` CSV at its seed 42, both by the ``plot``
+command and as ``scripts/run_efficiency_study.py`` calls ``efficiency_plot``.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from svdstop import cli
+from svdstop.harness import read_records_csv
+from svdstop.svgplot import efficiency_plot
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,11 +42,60 @@ SHA256 = {
 }
 
 
+def run(command, config, out, *overrides):
+    args = [command, "--config", str(config), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args + [arg for item in overrides for arg in ("--set", item)]) == 0
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "config, overrides, command", sorted(SHA256), ids=["-".join((c, *o, m)) for c, o, m in sorted(SHA256)]
 )
 def test_json_bytes_match_the_recorded_hashes(tmp_path, config, overrides, command):
-    args = [command, "--config", str(CONFIGS / f"{config}.json"), "--out", str(tmp_path)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(args + [arg for item in overrides for arg in ("--set", item)]) == 0
-    assert hashlib.sha256((tmp_path / f"{command}.json").read_bytes()).hexdigest() == SHA256[config, overrides, command]
+    run(command, CONFIGS / f"{config}.json", tmp_path, *overrides)
+    assert sha256(tmp_path / f"{command}.json") == SHA256[config, overrides, command]
+
+
+# (config, overrides, command, output file) -> sha256 of that file
+OUTPUT_SHA256 = {
+    ("adversary_hide", (), "adversary", "adversary.json"): (
+        "7ff025e82049318ea4b3882b65a1f66931477f4f6b1c620df2f0a807ae1a1a52"
+    ),
+    ("adversary_hide", ("adversary.kind=residual_adversary",), "adversary", "adversary.json"): (
+        "fb01f6ed68dee38b0831377b0d3165da83db2167477784ef710427088922d77a"
+    ),
+    ("efficiency_smooth", (), "stop", "stop.json"): "135ddcf1a2c284b2bab2606c687aec4fcb522c64cb6e24d1d7bb8320a2aa518b",
+    ("efficiency_smooth", (), "two-step", "two_step.json"): (
+        "0f17c7f1e92307b7500c88bbec6b7933daafc51f0f1527ffa19951bdb919bac0"
+    ),
+}
+MC_CSV_SHA256 = "f5298e8ba9699e532fc48efcba3e7e33004407a3bc31697ba307c07e601565a3"  # perfbench's full mc-smooth, seed 42
+PLOT_SHA256 = "6e50fc90cac3a9ce49d92f71c0fff7e5df04cedc43505c39887a8e5212fbf6a0"
+SCRIPT_PLOT_SHA256 = "9f27c634225720773d180fd2fe59ad2b3fcf7ae186e71ff1831db763724a1cda"
+
+
+@pytest.mark.parametrize(
+    "config, overrides, command, name",
+    sorted(OUTPUT_SHA256),
+    ids=["-".join((c, *o, m)) for c, o, m, _ in sorted(OUTPUT_SHA256)],
+)
+def test_command_output_bytes_match_the_recorded_hashes(tmp_path, config, overrides, command, name):
+    run(command, CONFIGS / f"{config}.json", tmp_path, *overrides)
+    assert sha256(tmp_path / name) == OUTPUT_SHA256[config, overrides, command, name]
+
+
+def test_plot_bytes_match_the_recorded_hashes(tmp_path):
+    run("mc", CONFIGS / "efficiency_smooth.json", tmp_path)
+    csv_path = tmp_path / "replications.csv"
+    assert sha256(csv_path) == MC_CSV_SHA256
+    mapping = {**json.loads((CONFIGS / "efficiency_smooth.json").read_text()), "plot": {"csv": "replications.csv"}}
+    (tmp_path / "plot.json").write_text(json.dumps(mapping))
+    run("plot", tmp_path / "plot.json", tmp_path / "plot")
+    assert sha256(tmp_path / "plot" / "efficiency.svg") == PLOT_SHA256
+    records, _ = read_records_csv(csv_path)
+    svg = efficiency_plot(records, title="smooth")  # as the efficiency-study script draws it
+    assert hashlib.sha256(svg.encode()).hexdigest() == SCRIPT_PLOT_SHA256

@@ -10,12 +10,14 @@ estimator, its square enters nothing.
 
 Bias-type quantities are suffix sums, variance-type quantities prefix
 sums, both accumulated in extended precision. The per-level functions
-below are the one evaluator of a bias or variance at a real level: each
-sums its tail or head in the order :class:`FunctionalProfile` sums its
-arrays, so it agrees bit for bit with the same level formed from the
-profile. The profile holds only the integer-level arrays and the
-per-coordinate terms, which together give the functionals on each unit
-interval, from which the oracle levels are solved in closed form.
+below are the one evaluator of a bias at a real level: each sums its tail
+in the order :class:`FunctionalProfile` sums its arrays, so it agrees bit
+for bit with the same level formed from the profile. The variance at a
+real level, which only the acceptance criteria read, is evaluated the
+same way in ``tests/claims.py``. The profile holds only the integer-level
+arrays and the per-coordinate terms, which together give the functionals
+on each unit interval, from which the oracle levels are solved in closed
+form.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "estimate_at",
     "split_level",
     "strong_bias_sq",
-    "strong_variance",
     "weak_bias_sq",
 ]
 
@@ -71,14 +72,12 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimateVector:
-    """Coefficient estimate truncated at level ``t``; entries beyond ``floor(t)+1`` are zero."""
+    """Coefficient estimate truncated at a level ``t``; entries beyond ``floor(t)+1`` are zero."""
 
     values: np.ndarray
-    t: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_vector(self.values))
-        object.__setattr__(self, "t", float(self.t))
 
 
 def estimate_at(obs: Observation, spectrum: Spectrum, t: float) -> EstimateVector:
@@ -90,7 +89,7 @@ def estimate_at(obs: Observation, spectrum: Spectrum, t: float) -> EstimateVecto
     if k < dim and frac > 0.0:
         values[k] = math.sqrt(frac) * obs.y[k] / spectrum.values[k]
     values.setflags(write=False)  # fresh and frozen, so the estimate keeps it without copying
-    return EstimateVector(values=values, t=float(t))
+    return EstimateVector(values)
 
 
 def _bias_sq(squares: np.ndarray, t: float) -> float:
@@ -102,13 +101,6 @@ def _bias_sq(squares: np.ndarray, t: float) -> float:
     return w * w * float(squares[k]) + float(_suffix_sums(squares[k + 1 :])[0])
 
 
-def _variance(squares: np.ndarray, t: float) -> float:
-    """``sum(squares[:k]) + frac * squares[k]``, the head summed as :func:`_prefix_sums` does."""
-    k, frac = split_level(t, squares.size)
-    head = float(_prefix_sums(squares[:k])[-1])
-    return head + frac * float(squares[k]) if k < squares.size else head
-
-
 def strong_bias_sq(signal: Signal, t: float) -> float:
     """Squared bias of the truncated estimator in the coefficient norm."""
     return _bias_sq(signal.coefficients**2, t)
@@ -118,11 +110,6 @@ def weak_bias_sq(signal: Signal, spectrum: Spectrum, t: float) -> float:
     """Squared bias in the image-space norm, i.e. of ``lam * mu``."""
     require_same_dim(signal.dim, spectrum.dim)
     return _bias_sq((spectrum.values * signal.coefficients) ** 2, t)
-
-
-def strong_variance(spectrum: Spectrum, noise: NoiseModel, t: float) -> float:
-    """Accumulated noise variance ``delta**2 * (sum_{i<=k} lam_i**-2 + frac * lam_{k+1}**-2)``."""
-    return noise.delta**2 * _variance(spectrum.values**-2.0, t)
 
 
 class FunctionalProfile:

@@ -431,9 +431,7 @@ def sequential_solve(
     for i in range(outcome.chosen):
         t = state.triplets[i]
         estimate += (coeffs[i] / t.sigma) * t.v
-    return SequentialSolveResult(
-        estimate=EstimateVector(values=estimate, t=float(outcome.chosen)), outcome=outcome, state=state
-    )
+    return SequentialSolveResult(estimate=EstimateVector(estimate), outcome=outcome, state=state)
 
 
 def save_matrix(path, entries: np.ndarray) -> None:

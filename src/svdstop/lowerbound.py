@@ -33,7 +33,6 @@ __all__ = [
     "AdversaryResult",
     "SIMPLIFIED_NORM_THRESHOLD",
     "TvBoundResult",
-    "adversary_conditions",
     "hide_signal",
     "residual_adversary",
     "tv_bound",
@@ -83,16 +82,9 @@ class TvBoundResult:
     bound_simplified: float | None = None
 
 
-def _check_i0(i0: int, dim: int) -> int:
-    i0 = _check_int(i0, "adversary.i0")
-    if not 1 <= i0 <= dim - 1:
-        raise ValueError(f"adversary.i0, the perturbation index, must lie in [1, {dim - 1}], got {i0}")
-    return i0
-
-
 def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
-    """``i0`` checked by :func:`_check_i0`, after ``alpha >= 0`` and ``0 < r_bar`` with ``r_bar**2 < inf``
-    (NaN fails both).
+    """``i0`` as a whole number in ``[1, dim - 1]``, after ``alpha >= 0`` and ``0 < r_bar`` with
+    ``r_bar**2 < inf`` (NaN fails both).
 
     Both adversaries square the radius: the bump of :func:`residual_adversary`
     holds ``r_bar**2``, and the floor of :func:`hide_signal` the square of
@@ -105,7 +97,10 @@ def _check_perturbation(i0: int, alpha: float, r_bar: float, dim: int) -> int:
         raise ValueError(
             f"adversary.r_bar, the smoothness radius, must be positive with a finite square, got {r_bar!r}"
         )
-    return _check_i0(i0, dim)
+    i0 = _check_int(i0, "adversary.i0")
+    if not 1 <= i0 <= dim - 1:
+        raise ValueError(f"adversary.i0, the perturbation index, must lie in [1, {dim - 1}], got {i0}")
+    return i0
 
 
 def _check_tv_args(theta_norm: float, theta_bar_norm: float, num_terms: int) -> tuple[float, float]:
@@ -144,34 +139,6 @@ def hide_signal(mu: Signal, i0: int, alpha: float, r_bar: float) -> AdversaryRes
     )
 
 
-def adversary_conditions(
-    mu: Signal,
-    mu_bar: Signal,
-    spectrum: Spectrum,
-    noise: NoiseModel,
-    i0: int,
-) -> dict[str, bool]:
-    """Evaluate the residual-rule adversary predicates for a signal pair.
-
-    ``prefix_equal``: the signals agree on every coordinate up to ``i0``.
-    ``weak_bias_close``: the weak squared biases at ``i0`` differ by at
-    most ``0.05 * sqrt(D - i0) / 2 * delta**2``.
-    ``weak_bias_large``: the weak bias norms at ``i0`` sum to at least
-    ``5.25 * delta``.
-    """
-    dim = require_same_dim(mu.dim, mu_bar.dim)
-    require_same_dim(dim, spectrum.dim)
-    i0 = _check_i0(i0, dim)
-    wb_mu = weak_bias_sq(mu, spectrum, float(i0))
-    wb_bar = weak_bias_sq(mu_bar, spectrum, float(i0))
-    delta_sq = noise.delta**2
-    return {
-        "prefix_equal": bool(np.array_equal(mu.coefficients[:i0], mu_bar.coefficients[:i0])),
-        "weak_bias_close": abs(wb_bar - wb_mu) <= 0.05 * math.sqrt(dim - i0) / 2.0 * delta_sq,
-        "weak_bias_large": math.sqrt(wb_mu) + math.sqrt(wb_bar) >= 5.25 * noise.delta,
-    }
-
-
 def residual_adversary(
     mu: Signal,
     spectrum: Spectrum,
@@ -188,17 +155,31 @@ def residual_adversary(
     balanced oracle at ``mu`` retains at least ``0.05`` of the squared
     bias at ``i0`` as risk at the perturbed signal, whenever the three
     reported conditions hold and ``i0`` lies at least 400 comparability
-    factors past the discrete balanced oracle.
+    factors past the discrete balanced oracle. The conditions are:
+
+    ``prefix_equal``: the signals agree on every coordinate up to ``i0``.
+    ``weak_bias_close``: the weak squared biases at ``i0`` differ by at
+    most ``0.05 * sqrt(D - i0) / 2 * delta**2``.
+    ``weak_bias_large``: the weak bias norms at ``i0`` sum to at least
+    ``5.25 * delta``.
     """
-    i0 = _check_perturbation(i0, alpha, r_bar, require_same_dim(mu.dim, spectrum.dim))
+    dim = require_same_dim(mu.dim, spectrum.dim)
+    i0 = _check_perturbation(i0, alpha, r_bar, dim)
     values = np.array(mu.coefficients)
     bump = 0.25 * r_bar**2 * float(i0 + 1) ** (-2.0 * alpha)
     values[i0] = math.copysign(math.sqrt(values[i0] ** 2 + bump), values[i0] if values[i0] else 1.0)
     mu_bar = Signal(values)
+    wb_mu = weak_bias_sq(mu, spectrum, float(i0))
+    wb_bar = weak_bias_sq(mu_bar, spectrum, float(i0))
+    conditions = {
+        "prefix_equal": bool(np.array_equal(mu.coefficients[:i0], mu_bar.coefficients[:i0])),
+        "weak_bias_close": abs(wb_bar - wb_mu) <= 0.05 * math.sqrt(dim - i0) / 2.0 * noise.delta**2,
+        "weak_bias_large": math.sqrt(wb_mu) + math.sqrt(wb_bar) >= 5.25 * noise.delta,
+    }
     return AdversaryResult(
         mu_bar=mu_bar,
         i0=i0,
-        conditions_met=adversary_conditions(mu, mu_bar, spectrum, noise, i0),
+        conditions_met=conditions,
         predicted_floor=0.05 * strong_bias_sq(mu_bar, float(i0)),
     )
 

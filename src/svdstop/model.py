@@ -164,18 +164,16 @@ class Observation:
     ``y_norm_sq`` is computed from ``y`` as ``np.dot(y, y)``; it is the
     total the residual rule starts from. A streaming caller that never
     holds the whole vector passes its own total to
-    :func:`~svdstop.stopping.residual_rule` instead. The noise of a
-    simulated observation is not kept: the residual rule reads only ``y``.
+    :func:`~svdstop.stopping.residual_rule` instead. Neither the noise of a
+    simulated observation nor its level is kept: the rule reads only these two.
     """
 
     y: np.ndarray
-    delta: float
     y_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", _frozen_vector(self.y))
         object.__setattr__(self, "y_norm_sq", float(np.dot(self.y, self.y)))
-        object.__setattr__(self, "delta", _check_noise_level(self.delta))
 
     @property
     def dim(self) -> int:
@@ -219,7 +217,7 @@ def simulate_observation(image: np.ndarray, noise: NoiseModel, seed) -> Observat
     y *= noise.delta
     y += image
     y.setflags(write=False)  # fresh and frozen, so the observation keeps it without copying
-    return Observation(y=y, delta=noise.delta)
+    return Observation(y=y)
 
 
 def load_vector(path) -> np.ndarray:

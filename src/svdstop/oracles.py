@@ -194,7 +194,8 @@ def theory_bounds(signal: Signal, spectrum: Spectrum, noise: NoiseModel, stoppin
     stochastic_factor = min(raw, float(np.sum(lam**-2.0)))
 
     drift = abs(kappa / d2 - dim) / math.sqrt(dim)
-    shifted = min(int(math.floor(t_strong + drift * math.sqrt(dim))), dim - 1)
+    # clamped before the floor, which an infinite drift (kappa / delta**2 overflowing) would fail
+    shifted = int(math.floor(min(t_strong + drift * math.sqrt(dim), dim - 1)))
     strong_oracle_rhs = (
         81.0 * float(lam[shifted]) ** -2.0 * (t_strong + (1.0 + drift) * math.sqrt(dim)) + stochastic_factor
     ) * d2

@@ -1,4 +1,4 @@
-"""Dependency-free SVG box plots for efficiency summaries.
+"""Dependency-free SVG box plots of relative efficiency.
 
 Produces self-contained, byte-deterministic SVG strings: no external
 fonts, scripts or references, fixed float formatting, and the plotted
@@ -10,61 +10,31 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxStats", "box_stats", "efficiency_plot", "render_box_plot"]
+__all__ = ["efficiency_plot"]
 
-_STRONG_FILL = "#4477aa"
-_WEAK_FILL = "#ee6677"
-
-
-@dataclass(frozen=True)
-class BoxStats:
-    """Five-number summary plus outliers for one box glyph."""
-
-    label: str
-    q1: float
-    median: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    outliers: tuple[float, ...] = ()
-    fill: str = _STRONG_FILL
-    attributes: dict | None = None
+_FILLS = {"strong": "#4477aa", "weak": "#ee6677"}
 
 
-def box_stats(label: str, values, fill: str = _STRONG_FILL, attributes: dict | None = None) -> BoxStats:
-    """Tukey box summary: whiskers at the last data point within 1.5 IQR.
+def _box(values: list[float]):
+    """Tukey summary of the finite ``values``, whiskers at the last point within 1.5 IQR, and the non-finite count.
 
-    Non-finite values are dropped and their count recorded in the
-    attributes under ``dropped``.
+    The summary is ``(q1, median, q3, whisker_low, whisker_high, outliers)``,
+    or ``None`` when no value is finite.
     """
     arr = np.asarray(values, dtype=float)
     finite = arr[np.isfinite(arr)]
+    dropped = int(arr.size - finite.size)
     if finite.size == 0:
-        raise ValueError(f"box {label!r} has no finite values")
+        return None, dropped
     q1, median, q3 = (float(q) for q in np.percentile(finite, [25, 50, 75]))
     iqr = q3 - q1
     low_limit, high_limit = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     inside = finite[(finite >= low_limit) & (finite <= high_limit)]
-    whisker_low = float(np.min(inside))
-    whisker_high = float(np.max(inside))
-    outliers = tuple(float(v) for v in np.sort(finite[(finite < low_limit) | (finite > high_limit)]))
-    attrs = dict(attributes or {})
-    attrs["dropped"] = int(arr.size - finite.size)
-    return BoxStats(
-        label=label,
-        q1=q1,
-        median=median,
-        q3=q3,
-        whisker_low=whisker_low,
-        whisker_high=whisker_high,
-        outliers=outliers,
-        fill=fill,
-        attributes=attrs,
-    )
+    outliers = [float(v) for v in np.sort(finite[(finite < low_limit) | (finite > high_limit)])]
+    return (q1, median, q3, float(np.min(inside)), float(np.max(inside)), outliers), dropped
 
 
 def _fmt(value: float) -> str:
@@ -84,21 +54,32 @@ def _tick_step(span: float) -> float:
     return 10.0 * power
 
 
-def render_box_plot(
-    boxes: list[BoxStats],
-    title: str = "",
-    y_label: str = "",
-    metadata: dict | None = None,
-) -> str:
-    """Render box glyphs to a standalone SVG string."""
-    if not boxes:
-        raise ValueError("nothing to plot")
+def efficiency_plot(records, config_mapping: dict | None = None, title: str = "Relative efficiency") -> str:
+    """Standalone SVG box plot of the strong and weak efficiencies of each procedure in ``records``.
+
+    ``records`` is an iterable of objects with ``procedure``, ``eff_strong``
+    and ``eff_weak`` attributes (replication records); box order follows
+    first appearance of each procedure. Non-finite values are left out and
+    counted in the box's ``data-dropped``; a box with no finite value is
+    drawn as its label alone. ``config_mapping`` is echoed as JSON in the
+    SVG's ``desc``.
+    """
+    values: dict[str, dict[str, list[float]]] = {}
+    for rec in records:
+        by_norm = values.setdefault(rec.procedure, {"strong": [], "weak": []})
+        by_norm["strong"].append(rec.eff_strong)
+        by_norm["weak"].append(rec.eff_weak)
+    if not values:
+        raise ValueError("no records to plot")
+    boxes = [(proc, norm, *_box(vals)) for proc, by_norm in values.items() for norm, vals in by_norm.items()]
+
     width, height = 640, 420
     left, right, top, bottom = 64, 16, 44, 76
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    lo = min(min(b.whisker_low, *(b.outliers or (b.whisker_low,))) for b in boxes)
-    hi = max(max(b.whisker_high, *(b.outliers or (b.whisker_high,))) for b in boxes)
+    drawn = [stats for _, _, stats, _ in boxes if stats is not None]
+    lo = min(min([stats[3], *stats[5]]) for stats in drawn) if drawn else 0.0
+    hi = max(max([stats[4], *stats[5]]) for stats in drawn) if drawn else 1.0
     if hi <= lo:
         hi = lo + 1.0
     pad = 0.06 * (hi - lo)
@@ -114,18 +95,17 @@ def render_box_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">'
     ]
-    if metadata is not None:
-        parts.append(f"<desc>{_escape(json.dumps(metadata, sort_keys=True))}</desc>")
+    if config_mapping is not None:
+        parts.append(f"<desc>{_escape(json.dumps(config_mapping, sort_keys=True))}</desc>")
     parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>'
         )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{_escape(y_label)}</text>'
-        )
+    parts.append(
+        f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">efficiency</text>'
+    )
 
     step = _tick_step(hi - lo)
     tick = math.ceil(lo / step) * step
@@ -144,88 +124,50 @@ def render_box_plot(
         f'stroke="#333333" stroke-width="1"/>'
     )
 
-    for i, box in enumerate(boxes):
+    for i, (proc, norm, stats, dropped) in enumerate(boxes):
         cx = left + (i + 0.5) * slot
-        x0, x1 = cx - box_w / 2, cx + box_w / 2
-        attrs = "".join(
-            f' data-{_escape(str(k))}="{_escape(str(v))}"' for k, v in sorted((box.attributes or {}).items())
-        )
-        parts.append(
-            f'<g class="box" data-label="{_escape(box.label)}" data-q1="{_fmt(box.q1)}" '
-            f'data-median="{_fmt(box.median)}" data-q3="{_fmt(box.q3)}" '
-            f'data-lo="{_fmt(box.whisker_low)}" data-hi="{_fmt(box.whisker_high)}"{attrs}>'
-        )
-        for w in (box.whisker_low, box.whisker_high):
+        label = _escape(f"{proc} {norm}")
+        attrs = f'data-dropped="{dropped}" data-norm="{norm}" data-procedure="{_escape(proc)}"'
+        if stats is None:
+            parts.append(f'<g class="box" data-label="{label}" {attrs}>')
+        else:
+            q1, median, q3, whisker_low, whisker_high, outliers = stats
+            x0, x1 = cx - box_w / 2, cx + box_w / 2
             parts.append(
-                f'<line x1="{cx - box_w / 4:.2f}" y1="{y_of(w):.2f}" x2="{cx + box_w / 4:.2f}" '
-                f'y2="{y_of(w):.2f}" stroke="#333333" stroke-width="1.2"/>'
+                f'<g class="box" data-label="{label}" data-q1="{_fmt(q1)}" data-median="{_fmt(median)}" '
+                f'data-q3="{_fmt(q3)}" data-lo="{_fmt(whisker_low)}" data-hi="{_fmt(whisker_high)}" {attrs}>'
             )
-        parts.append(
-            f'<line x1="{cx:.2f}" y1="{y_of(box.whisker_low):.2f}" x2="{cx:.2f}" '
-            f'y2="{y_of(box.q1):.2f}" stroke="#333333" stroke-width="1" stroke-dasharray="3 2"/>'
-        )
-        parts.append(
-            f'<line x1="{cx:.2f}" y1="{y_of(box.q3):.2f}" x2="{cx:.2f}" '
-            f'y2="{y_of(box.whisker_high):.2f}" stroke="#333333" stroke-width="1" stroke-dasharray="3 2"/>'
-        )
-        parts.append(
-            f'<rect x="{x0:.2f}" y="{y_of(box.q3):.2f}" width="{box_w:.2f}" '
-            f'height="{y_of(box.q1) - y_of(box.q3):.2f}" fill="{box.fill}" fill-opacity="0.55" '
-            f'stroke="#333333" stroke-width="1.2"/>'
-        )
-        parts.append(
-            f'<line x1="{x0:.2f}" y1="{y_of(box.median):.2f}" x2="{x1:.2f}" '
-            f'y2="{y_of(box.median):.2f}" stroke="#111111" stroke-width="2"/>'
-        )
-        for out in box.outliers:
+            for w in (whisker_low, whisker_high):
+                parts.append(
+                    f'<line x1="{cx - box_w / 4:.2f}" y1="{y_of(w):.2f}" x2="{cx + box_w / 4:.2f}" '
+                    f'y2="{y_of(w):.2f}" stroke="#333333" stroke-width="1.2"/>'
+                )
             parts.append(
-                f'<circle cx="{cx:.2f}" cy="{y_of(out):.2f}" r="2.2" fill="none" '
-                f'stroke="#333333" stroke-width="1"/>'
+                f'<line x1="{cx:.2f}" y1="{y_of(whisker_low):.2f}" x2="{cx:.2f}" '
+                f'y2="{y_of(q1):.2f}" stroke="#333333" stroke-width="1" stroke-dasharray="3 2"/>'
             )
+            parts.append(
+                f'<line x1="{cx:.2f}" y1="{y_of(q3):.2f}" x2="{cx:.2f}" '
+                f'y2="{y_of(whisker_high):.2f}" stroke="#333333" stroke-width="1" stroke-dasharray="3 2"/>'
+            )
+            parts.append(
+                f'<rect x="{x0:.2f}" y="{y_of(q3):.2f}" width="{box_w:.2f}" '
+                f'height="{y_of(q1) - y_of(q3):.2f}" fill="{_FILLS[norm]}" fill-opacity="0.55" '
+                f'stroke="#333333" stroke-width="1.2"/>'
+            )
+            parts.append(
+                f'<line x1="{x0:.2f}" y1="{y_of(median):.2f}" x2="{x1:.2f}" '
+                f'y2="{y_of(median):.2f}" stroke="#111111" stroke-width="2"/>'
+            )
+            for out in outliers:
+                parts.append(
+                    f'<circle cx="{cx:.2f}" cy="{y_of(out):.2f}" r="2.2" fill="none" '
+                    f'stroke="#333333" stroke-width="1"/>'
+                )
         parts.append("</g>")
         parts.append(
             f'<text x="{cx:.2f}" y="{height - bottom + 14:.2f}" text-anchor="end" font-size="10" '
-            f'transform="rotate(-30 {cx:.2f} {height - bottom + 14:.2f})">{_escape(box.label)}</text>'
+            f'transform="rotate(-30 {cx:.2f} {height - bottom + 14:.2f})">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def efficiency_plot(records, config_mapping: dict | None = None, title: str = "Relative efficiency") -> str:
-    """Box plot of strong and weak efficiencies per procedure from records.
-
-    ``records`` is an iterable of objects with ``procedure``,
-    ``eff_strong`` and ``eff_weak`` attributes (replication records);
-    box order follows first appearance of each procedure.
-    """
-    order: list[str] = []
-    strong: dict[str, list[float]] = {}
-    weak: dict[str, list[float]] = {}
-    for rec in records:
-        if rec.procedure not in strong:
-            order.append(rec.procedure)
-            strong[rec.procedure] = []
-            weak[rec.procedure] = []
-        strong[rec.procedure].append(rec.eff_strong)
-        weak[rec.procedure].append(rec.eff_weak)
-    if not order:
-        raise ValueError("no records to plot")
-    boxes = []
-    for proc in order:
-        boxes.append(
-            box_stats(
-                f"{proc} strong",
-                strong[proc],
-                fill=_STRONG_FILL,
-                attributes={"procedure": proc, "norm": "strong"},
-            )
-        )
-        boxes.append(
-            box_stats(
-                f"{proc} weak",
-                weak[proc],
-                fill=_WEAK_FILL,
-                attributes={"procedure": proc, "norm": "weak"},
-            )
-        )
-    return render_box_plot(boxes, title=title, y_label="efficiency", metadata=config_mapping)

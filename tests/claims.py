@@ -3,7 +3,9 @@
 Each computes one side of a claim the scoreboard checks: the realised
 stochastic error of criteria 1 and 6, the chi-square tail frequencies
 of criterion 8, the weak/strong oracle gap instance of criterion 10 and
-the no-overrun implication of criterion 11. They are test support, not
+the no-overrun implication of criterion 11; with them go the strong and
+weak noise variances at a real level, which only the criteria and the
+tests of the estimator and the oracles read. They are test support, not
 library API, so they take their arguments as the criteria give them and
 check none of them.
 
@@ -20,11 +22,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from svdstop.estimator import _variance, strong_bias_sq, strong_variance
+from svdstop.estimator import _prefix_sums, split_level, strong_bias_sq
 from svdstop.harness import ExperimentConfig, resolve_experiment, run_experiment
 from svdstop.model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum
 from svdstop.oracles import oracle_set
 from svdstop.stopping import make_stopping_config
+
+
+def _variance(squares: np.ndarray, t: float) -> float:
+    """``sum(squares[:k]) + frac * squares[k]``, the head summed as ``FunctionalProfile`` sums its prefixes."""
+    k, frac = split_level(t, squares.size)
+    head = float(_prefix_sums(squares[:k])[-1])
+    return head + frac * float(squares[k]) if k < squares.size else head
+
+
+def strong_variance(spectrum: Spectrum, noise: NoiseModel, t: float) -> float:
+    """Accumulated noise variance ``delta**2 * (sum_{i<=k} lam_i**-2 + frac * lam_{k+1}**-2)``."""
+    return noise.delta**2 * _variance(spectrum.values**-2.0, t)
 
 
 def weak_variance(noise: NoiseModel, t: float) -> float:

@@ -206,6 +206,23 @@ def test_mc_quartiles_between_infinities_are_infinite(tmp_path):
     assert summary["eff_strong_quartiles"] == summary["eff_weak_quartiles"] == [0.0, 0.0, "inf"]
 
 
+def test_plot_draws_a_box_of_infinite_efficiencies_as_its_label(tmp_path):
+    """``fixed_oracle`` on the zero signal has zero error, so each of its efficiencies is inf: its boxes hold no glyph."""
+    config = json.loads((SHIPPED / "null_calibration.json").read_text())
+    overrides = ["--set", "replications=20", "--set", 'procedures=["plain_stop","fixed_oracle"]']
+    assert run(["mc", "--config", SHIPPED / "null_calibration.json", "--out", tmp_path, *overrides]) == 0
+    records, _ = read_records_csv(tmp_path / "replications.csv")
+    assert all(math.isinf(r.eff_strong) and math.isinf(r.eff_weak) for r in records if r.procedure == "fixed_oracle")
+    path = tmp_path / "plot.json"
+    path.write_text(json.dumps({**config, "plot": {"csv": "replications.csv"}}))
+    assert run(["plot", "--config", path, "--out", tmp_path / "plot"]) == 0
+    svg = (tmp_path / "plot" / "efficiency.svg").read_text()
+    for norm in ("strong", "weak"):
+        group = f'<g class="box" data-label="fixed_oracle {norm}" data-dropped="20" data-norm="{norm}" '
+        assert group + 'data-procedure="fixed_oracle">\n</g>\n' in svg
+    assert svg.count('data-procedure="plain_stop"') == 2 and svg.count("<rect") == 4  # background, frame, 2 boxes
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -317,6 +334,15 @@ def test_bounds_command(config_path, tmp_path):
         "stochastic_factor",
         "strong_oracle_rhs",
     }
+
+
+@pytest.mark.parametrize("override", ["noise.delta=1e-155", "stopping.kappa=1e308"])
+def test_bounds_write_inf_where_kappa_over_delta_squared_overflows(tmp_path, override):
+    """The shipped config has kappa = 1 and delta = 0.01; either override makes ``kappa / delta**2`` infinite."""
+    assert run(["bounds", "--config", SHIPPED / "efficiency_smooth.json", "--out", tmp_path, "--set", override]) == 0
+    bounds = json.loads((tmp_path / "bounds.json").read_text())["bounds"]
+    assert bounds["strong_bias_rhs"] == bounds["strong_oracle_rhs"] == "inf"
+    assert all(math.isfinite(bounds[key]) for key in ("discretization_err", "weak_dev_rhs", "stochastic_factor"))
 
 
 def test_adversary_command(config_path, tmp_path):

@@ -19,19 +19,18 @@ from svdstop.estimator import (
     estimate_at,
     split_level,
     strong_bias_sq,
-    strong_variance,
     weak_bias_sq,
 )
 from svdstop.model import NoiseModel, Observation, Signal, Spectrum, _frozen_vector, simulate_observation
 
-from claims import stochastic_error, weak_variance
+from claims import stochastic_error, strong_variance, weak_variance
 
 LAM3 = Spectrum(np.array([1.0, 0.5, 0.25]))
 MU3 = Signal(np.array([3.0, 2.0, 1.0]))
 
 
 def make_obs(y):
-    return Observation(y=y, delta=1.0)
+    return Observation(y=y)
 
 
 def test_split_level_boundaries():
@@ -48,7 +47,6 @@ def test_estimate_at_fractional_level():
     obs = make_obs([2.0, 1.0, 0.5])
     est = estimate_at(obs, LAM3, 1.5)
     assert np.allclose(est.values, [2.0, math.sqrt(0.5) * 1.0 / 0.5, 0.0])
-    assert est.t == 1.5
 
 
 def test_estimate_at_endpoints():
@@ -80,7 +78,7 @@ def test_estimate_vector_copies_caller_arrays(view):
     if view:
         source = caller[:]
         source.setflags(write=False)
-    estimate = EstimateVector(values=source, t=2.0)
+    estimate = EstimateVector(values=source)
     assert caller.flags.writeable
     caller[:] = 7.0
     assert np.array_equal(estimate.values, [1.0, 2.0, 0.0])

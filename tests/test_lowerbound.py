@@ -30,7 +30,6 @@ from svdstop.harness import ExperimentConfig
 from svdstop.lowerbound import (
     SIMPLIFIED_NORM_THRESHOLD,
     AccuracyError,
-    adversary_conditions,
     hide_signal,
     residual_adversary,
     tv_bound,
@@ -118,16 +117,8 @@ def test_residual_adversary_floor_fraction():
     res = residual_adversary(mu, spec, NoiseModel(1.0), i0=5, alpha=0.0, r_bar=2.0)
     # bump of 1.0 sits alone past i0, so the floor is 5% of it
     assert res.predicted_floor == pytest.approx(0.05)
-
-
-def test_adversary_conditions_on_identical_pair():
-    dim = 25
-    mu = Signal(np.zeros(dim))
-    spec = make_polynomial_spectrum(dim, 0.5)
-    cond = adversary_conditions(mu, mu, spec, NoiseModel(0.1), i0=4)
-    assert cond["prefix_equal"]
-    assert cond["weak_bias_close"]
-    assert not cond["weak_bias_large"]  # both biases vanish
+    # the weak squared biases at i0 are 0 and 1: 1 > 0.05 * sqrt(25) / 2, and sqrt(0) + sqrt(1) < 5.25
+    assert res.conditions_met == {"prefix_equal": True, "weak_bias_close": False, "weak_bias_large": False}
 
 
 def test_tv_bound_hand_values():

@@ -164,7 +164,7 @@ def test_simulated_vectors_are_frozen_own_their_data_and_are_not_copied(monkeypa
 
 def _containers(values):
     """The vectors that each container built from ``values`` holds."""
-    return [Signal(values).coefficients, Spectrum(values).values, Observation(y=values, delta=0.1).y]
+    return [Signal(values).coefficients, Spectrum(values).values, Observation(y=values).y]
 
 
 @pytest.mark.parametrize("view", [False, True])

@@ -13,17 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svdstop.estimator import (
-    FunctionalProfile,
-    strong_bias_sq,
-    strong_variance,
-    weak_bias_sq,
-)
+from svdstop.estimator import FunctionalProfile, strong_bias_sq, weak_bias_sq
 from svdstop.model import NoiseModel, Signal, Spectrum, make_polynomial_spectrum
 from svdstop.oracles import oracle_set, theory_bounds
 from svdstop.stopping import StoppingConfig
 
-from claims import weak_variance
+from claims import strong_variance, weak_variance
 
 FLAT2 = Spectrum(np.array([1.0, 1.0]))
 UNIT = NoiseModel(delta=1.0)
@@ -116,6 +111,14 @@ def test_theory_bounds_requires_noise():
     for delta in (0.0, 1e-170):
         with pytest.raises(ValueError, match="^delta, the noise level"):
             theory_bounds(Signal(np.zeros(3)), make_polynomial_spectrum(3, 0.5), NoiseModel(delta), StoppingConfig(1.0))
+
+
+def test_theory_bounds_are_infinite_where_kappa_over_delta_squared_overflows():
+    """``kappa / delta**2`` is inf at delta = 1e-155 and kappa = 1; so are the two strong bounds that grow with it."""
+    spec = make_polynomial_spectrum(100, 0.5)
+    tb = theory_bounds(Signal(spec.values), spec, NoiseModel(1e-155), StoppingConfig(1.0))
+    assert tb.strong_bias_rhs == tb.strong_oracle_rhs == math.inf
+    assert all(math.isfinite(v) for v in (tb.discretization_err, tb.weak_dev_rhs, tb.stochastic_factor))
 
 
 @pytest.mark.parametrize("kappa, m0", [(1.0, -1), (1.0, 4), (-0.5, 0), (math.inf, 0), (math.nan, 0)])

@@ -27,7 +27,7 @@ from svdstop.stopping import (
 )
 
 Y3 = np.array([2.0, 1.0, 0.5])
-OBS3 = Observation(y=Y3, delta=1.0)
+OBS3 = Observation(y=Y3)
 LAM3 = np.array([1.0, 0.5, 0.25])
 
 
@@ -40,7 +40,7 @@ def observations(max_dim=40):
         y = rng.standard_normal(d) * draw(st.floats(0.1, 4.0))
         kappa = draw(st.floats(0.0, 2.0)) * float(np.sum(y**2)) + draw(st.floats(0.0, 1.0))
         m0 = draw(st.integers(0, d))
-        obs = Observation(y=y, delta=1.0)
+        obs = Observation(y=y)
         return obs, StoppingConfig(kappa=kappa, m0=m0)
 
     return build()

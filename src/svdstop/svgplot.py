@@ -77,9 +77,8 @@ def efficiency_plot(records, config_mapping: dict | None = None, title: str = "R
     left, right, top, bottom = 64, 16, 44, 76
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    drawn = [stats for _, _, stats, _ in boxes if stats is not None]
-    lo = min(min([stats[3], *stats[5]]) for stats in drawn) if drawn else 0.0
-    hi = max(max([stats[4], *stats[5]]) for stats in drawn) if drawn else 1.0
+    finite = [v for by_norm in values.values() for vals in by_norm.values() for v in vals if math.isfinite(v)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
     if hi <= lo:
         hi = lo + 1.0
     pad = 0.06 * (hi - lo)

@@ -16,9 +16,10 @@ total that normalises them.
 
 The density (:func:`_mixture_logpdf`) sums the window's terms forward
 from its first by the ratio of consecutive terms. The distribution
-function (:func:`_mixture_cdf`) takes the central upper tails from
-``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by ``Q_{k+2} = Q_k + 2
-f_{k+2}``, with the central densities stepped by ``f_{k+2} = f_k x / k``
+functions of laws of one degree parity (:func:`_mixture_cdf`) take the
+central upper tails from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 =
+exp(-x/2)`` by ``Q_{k+2} = Q_k + 2 f_{k+2}``, all laws from one ladder
+of central densities stepped by ``f_{k+2} = f_k x / k``
 (Ding, AS 275, 1992) from the closed-form ``f_1`` or ``f_2``
 (:func:`_ladder`). Both carry their running products as a significand and
 an exact power of two, so no step overflows, and a law costs two
@@ -152,6 +153,8 @@ def _mixture_logpdf(law: _Mixture, x, log_x):
     so it matches the batch to the bit. The caller adds the common ``-x/2``.
     """
     scalar = isinstance(x, float)
+    if scalar:  # a numpy float too: its terms and shifts would stay numpy values, which math.ldexp rejects
+        x, log_x = float(x), float(log_x)
     frexp, ldexp, top = (math.frexp, math.ldexp, float) if scalar else (np.frexp, np.ldexp, np.ndarray.max)
     t, s, carry = (1.0, 1.0, 0) if scalar else (np.ones_like(x), np.ones_like(x), 0)
     for j, ratio in enumerate(law.ratios, 1):
@@ -225,27 +228,34 @@ def _ladder(x: float, base: float, last: float) -> np.ndarray:
     return out
 
 
-def _mixture_cdf(law: _Mixture, x: float) -> float:
-    """Mixture distribution function at ``x > 0`` from the central upper tails ``Q_k``.
+def _mixture_cdf(laws: list[_Mixture], x: float) -> list[float]:
+    """Distribution functions at ``x > 0`` of laws of one degree parity, from the central upper tails ``Q_k``.
 
-    The degrees ``K + 2j`` share one parity, so every ``Q_k`` follows from
+    The degrees ``K + 2j`` share the parity, so every ``Q_k`` follows from
     ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by the positive-term
     recurrence ``Q_{k+2} = Q_k + 2 f_{k+2}(x)``, with the densities from
-    :func:`_ladder`, which runs from the closed form, below the window, up
-    to the window's last degree. Summed over the weights, ``sum_j w_j (1 -
-    Q_{k_j})`` is ``W_0 (1 - Q_base) - 2 sum_i f_i(x) W(i)``, where ``W(i)``
-    sums the weights of the degrees ``>= i``: ``W_0 = w_tails[0]`` up to the
-    window's first degree, and ``w_tails[j]`` at its degree ``j``.
+    one :func:`_ladder` run from the closed form, below the windows, up to
+    the largest window's last degree. The ladder steps in blocks from its
+    first degree, so each law reads the same densities, and gets the same
+    value, as from a ladder of its own. Summed over a law's weights, ``sum_j
+    w_j (1 - Q_{k_j})`` is ``W_0 (1 - Q_base) - 2 sum_i f_i(x) W(i)``, where
+    ``W(i)`` sums the weights of the degrees ``>= i``: ``W_0 = w_tails[0]``
+    up to the window's first degree, and ``w_tails[j]`` at its degree ``j``.
     """
-    base = 2.0 - law.dfs[0] % 2.0
+    base = 2.0 - laws[0].dfs[0] % 2.0
     q0 = math.erfc(math.sqrt(0.5 * x)) if base == 1.0 else math.exp(-0.5 * x)
-    f = _ladder(x, base, law.dfs[-1])
-    below = int(law.dfs[0] - base) // 2  # the ladder's degrees up to the window's first
-    return float(law.w_tails[0] * (1.0 - q0 - 2.0 * f[:below].sum()) - 2.0 * (f[below:] @ law.w_tails[1:]))
+    f = _ladder(x, base, max(law.dfs[-1] for law in laws))
+    values = []
+    for law in laws:
+        # the ladder's degrees up to the window's first, and up to its last
+        below, end = int(law.dfs[0] - base) // 2, int(law.dfs[-1] - base) // 2
+        head = law.w_tails[0] * (1.0 - q0 - 2.0 * f[:below].sum())
+        values.append(float(head - 2.0 * (f[below:end] @ law.w_tails[1:])))
+    return values
 
 
 def _cdf_error(law: _Mixture, noncentrality: float, x: float) -> float:
-    """A bound on ``|_mixture_cdf(law, x) - F(x)|`` for the exact law ``F`` with this noncentrality.
+    """A bound on ``|_mixture_cdf([law], x)[0] - F(x)|`` for the exact law ``F`` with this noncentrality.
 
     With ``h = noncentrality/2``, and ``s`` and ``r`` the ``span`` and
     ``reach`` of :func:`_weight_range`, three terms:
@@ -339,9 +349,16 @@ def _tv_crossing(a: float, b: float, num_terms: int) -> _Crossing:
     nu_g = min(a, b)**2`` as floats (densities ``f``, ``g``), the
     likelihood ratio ``f/g`` is increasing, so the distance is ``G(c*) -
     F(c*)`` at the density crossing ``c*``. The laws are windowed by
-    :func:`_mixture_terms`; :func:`_find_root` in the log density ratio,
-    which reuses the values its bracket search computed at the two ends,
-    finds a crossing ``c``, and the value is ``G(c) - F(c)``. Its error is
+    :func:`_mixture_terms`. The bracket search starts from ``[c0/2, 3
+    c0/2]``, ``c0 = K + (nu_f + nu_g)/2`` the average of the laws' means:
+    over ``K`` from 1 to 2000 and norms from 1e-4 to 100 the crossing lies
+    between ``0.5001 c0`` (``K = 1``, ``nu_g = 0``) and ``1.0001 c0``
+    (near-equal small norms). While the log ratio at the lower end is not
+    negative the end is divided by 1e4, and while it is not positive at
+    the upper end that end is doubled. :func:`_find_root` in the log
+    density ratio, which reuses the values the search computed at the two
+    ends, finds a crossing ``c``, and the value is ``G(c) - F(c)``, both
+    read off one :func:`_mixture_cdf` ladder. Its error is
     at most the sum of the following terms, to first order in ``u =
     2**-53`` and with ``exp``, ``log``, ``erfc`` and ``lgamma`` taken to err
     by at most 8 ulp:
@@ -391,17 +408,20 @@ def _tv_crossing(a: float, b: float, num_terms: int) -> _Crossing:
         seen[x] = pair = (_mixture_logpdf(f, x, log_x), _mixture_logpdf(g, x, log_x))
         return float(pair[0] - pair[1])  # -x/2 cancels
 
-    # the ratio is increasing in x, negative near 0 and positive far out
-    lo = 1e-8
+    # the ratio is increasing in x, negative near 0 and positive far out; the crossing lies between
+    # 0.5 and about 1 times the average of the laws' means
+    middle = num_terms + 0.5 * (nu_f + nu_g)
+    lo = 0.5 * middle
     while (f_lo := log_ratio(lo)) >= 0.0 and lo > 1e-250:
         lo *= 1e-4
-    hi = num_terms + nu_f + 30.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 30.0
+    hi = 1.5 * middle
     while (f_hi := log_ratio(hi)) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise AccuracyError("no density crossing found", estimate=math.nan)
     crossing = _find_root(log_ratio, lo, hi, f_lo, f_hi)
-    value = _mixture_cdf(g, crossing) - _mixture_cdf(f, crossing)
+    cdf_g, cdf_f = _mixture_cdf([g, f], crossing)  # one ladder: the two laws share K, so their parity
+    value = cdf_g - cdf_f
     bound = _cdf_error(f, nu_f, crossing) + _cdf_error(g, nu_g, crossing)
     return _Crossing(value, float(bound + _crossing_error(f, g, crossing, *seen[crossing])), crossing)
 

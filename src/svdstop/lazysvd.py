@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import EstimateVector
-from .model import NoiseModel, _frozen_array
+from .model import NoiseModel, _frozen_array, write_new_file
 from .stopping import StopOutcome, StoppingConfig, _check_selection, residual_rule, two_step
 
 __all__ = [
@@ -439,22 +439,20 @@ def save_matrix(path, entries: np.ndarray) -> None:
 
     Paths ending in ``.bin`` use the binary layout (magic ``SVDM``, two
     little-endian int64 dimensions, float64 entries); anything else is
-    whitespace-separated text with the header on the first line.
+    whitespace-separated text with the header on the first line. Either is
+    written as a new file, so a link at ``path`` is replaced, not written
+    through.
     """
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2:
         raise ValueError("expected a two-dimensional array")
     rows, cols = entries.shape
     if str(path).endswith(".bin"):
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<qq", rows, cols))
-            fh.write(np.ascontiguousarray(entries).astype("<f8").tobytes())
+        body = np.ascontiguousarray(entries, dtype="<f8").tobytes()
+        write_new_file(path, _BINARY_MAGIC + struct.pack("<qq", rows, cols) + body)
     else:
-        with open(path, "w") as fh:
-            fh.write(f"{rows} {cols}\n")
-            for row in entries:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        lines = [f"{rows} {cols}\n"] + [" ".join(f"{x:.17g}" for x in row) + "\n" for row in entries]
+        write_new_file(path, "".join(lines))
 
 
 def load_matrix(path) -> np.ndarray:

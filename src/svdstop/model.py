@@ -235,8 +235,8 @@ def save_vector(path, values) -> None:
     write_new_file(path, text.getvalue())
 
 
-def write_new_file(path, text: str) -> None:
-    """Write ``text`` to ``path`` as a new file.
+def write_new_file(path, data: str | bytes) -> None:
+    """Write ``data``, text or bytes, to ``path`` as a new file.
 
     A file already at ``path`` is removed first rather than truncated, so a
     link there is replaced, not written through. On ext4 with
@@ -246,4 +246,7 @@ def write_new_file(path, text: str) -> None:
     """
     path = Path(path)
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)

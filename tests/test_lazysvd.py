@@ -520,6 +520,21 @@ def test_matrix_roundtrip(tmp_path, suffix):
     assert MatrixOperator(loaded).entries is loaded  # frozen and owning its data: kept without a copy
 
 
+@pytest.mark.parametrize("suffix", ["txt", "bin"])
+def test_save_matrix_replaces_a_link(tmp_path, suffix):
+    """A link at the path is replaced by the new file, as every other writer replaces its path; the file it
+    pointed to keeps its bytes."""
+    target = tmp_path / f"target.{suffix}"
+    save_matrix(target, np.ones((2, 3)))
+    before = target.read_bytes()
+    link = tmp_path / f"m.{suffix}"
+    link.symlink_to(target)
+    save_matrix(link, np.eye(2))
+    assert not link.is_symlink() and target.read_bytes() == before
+    assert np.array_equal(load_matrix(link), np.eye(2))
+    assert np.array_equal(load_matrix(target), np.ones((2, 3)))
+
+
 def test_text_matrix_has_dimension_header(tmp_path):
     path = tmp_path / "m.txt"
     save_matrix(path, np.ones((3, 2)))

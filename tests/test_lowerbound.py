@@ -1,6 +1,7 @@
 """Lower-bound machinery: adversarial signals and TV bounds; and the tail, overrun and gap
 instruments of the acceptance criteria, which live in ``tests/claims.py``."""
 
+import collections
 import functools
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import svdstop
-from svdstop import harness, lowerbound
+from svdstop import _chisq, harness, lowerbound
 from svdstop._chisq import (
     _find_root,
     _ladder,
@@ -213,7 +214,7 @@ def test_chi2_distribution_function_closed_forms():
         central = _mixture_terms(k, 0.0)  # one weight, one degree
         assert np.array_equal(central.w, [1.0]) and np.array_equal(central.dfs, [k])
         for x in xs:
-            assert _mixture_cdf(central, x) == pytest.approx(cdf(x), abs=1e-14), (k, x)
+            assert _mixture_cdf([central], x) == [pytest.approx(cdf(x), abs=1e-14)], (k, x)
 
 
 @pytest.mark.parametrize("num_terms", [1, 2, 5, 400])
@@ -258,7 +259,7 @@ def test_a_law_takes_at_most_two_lgamma_calls(monkeypatch, noncentrality):
     x = 5.0 + noncentrality
     _mixture_logpdf(law, x, math.log(x))
     _mixture_logpdf(law, np.array([0.5 * x, x]), np.log([0.5 * x, x]))
-    _mixture_cdf(law, x)
+    _mixture_cdf([law], x)
     assert 1 <= len(calls) <= 2
     calls.clear()
     tv_numeric(8.0, 6.0, 5)
@@ -286,12 +287,28 @@ def test_the_weight_range_holds_the_premises_of_the_error_bound():
 
 @pytest.mark.parametrize("a, b", [(40.0, 0.0), (100.0, 99.5), (300.0, 299.0), (1000.0, 999.0)])
 def test_windowed_laws_keep_the_brackets_lower_end(a, b):
-    """At ``K = 1`` the root finder's bracket, which starts at ``x = 1e-8``, still sees a negative log
-    ratio once the laws are windowed: the larger law's first degree is at least the smaller one's."""
+    """At ``K = 1`` the bracket search's first ends, half and 1.5 times ``c0 = K + (nu_f + nu_g)/2``, already
+    see the log ratio's two signs once the laws are windowed: the larger law's first degree is at least the
+    smaller one's. At ``(40, 0)`` the crossing lies at ``0.5002 c0``."""
     f, g = _mixture_terms(1, a * a), _mixture_terms(1, b * b)
     assert f.dfs[0] > 1.0  # windowed
-    x = 1e-8
-    assert _mixture_logpdf(f, x, math.log(x)) - _mixture_logpdf(g, x, math.log(x)) < 0.0
+    middle = 1.0 + 0.5 * (a * a + b * b)
+    for x, sign in ((0.5 * middle, -1.0), (1.5 * middle, 1.0)):
+        assert sign * (_mixture_logpdf(f, x, math.log(x)) - _mixture_logpdf(g, x, math.log(x))) > 0.0, x
+
+
+@pytest.mark.parametrize("num_terms", [1, 2, 5, 50])
+def test_laws_of_one_parity_share_one_ladder(num_terms):
+    """Several laws read off one ladder, up to the largest window's last degree, get the bits each gets from a
+    ladder of its own: the ladder steps in blocks from its first degree, whatever its last. The windows end at
+    different degrees, the largest more than 1,000 ladder steps up, and the two largest start above ``j = 0``."""
+    laws = [_mixture_terms(num_terms, nc) for nc in (0.0, 4.0, 64.0, 2_000.0, 3_000.0)]
+    assert (laws[-1].dfs[-1] - num_terms) / 2.0 > 1_000.0 and laws[-2].dfs[0] > num_terms
+    assert len({law.dfs[-1] for law in laws}) == len(laws)
+    for x in (1e-3, 0.5, 30.0, 1_000.0, 2_000.0, 3_000.0):
+        alone = [_mixture_cdf([law], x)[0] for law in laws]
+        assert _mixture_cdf(laws, x) == alone, x
+        assert _mixture_cdf(laws[::-1], x) == alone[::-1], x
 
 
 @pytest.mark.parametrize("base", [1.0, 2.0])
@@ -398,8 +415,10 @@ def quadrature_tv(a, b, num_terms, crossing):
         return np.abs(np.exp(_mixture_logpdf(f, x, log_x) - half_x) - np.exp(_mixture_logpdf(g, x, log_x) - half_x))
 
     upper = num_terms + nu_f + 40.0 * math.sqrt(2.0 * num_terms + 4.0 * nu_f) + 60.0
-    while 2.0 - _mixture_cdf(f, upper) - _mixture_cdf(g, upper) > 1e-10:
+    cdf_f, cdf_g = _mixture_cdf([f, g], upper)
+    while 2.0 - cdf_f - cdf_g > 1e-10:
         upper *= 1.5
+        cdf_f, cdf_g = _mixture_cdf([f, g], upper)
     return 0.5 * integrate_abs_diff(abs_diff, crossing, upper)
 
 
@@ -425,15 +444,49 @@ def test_tv_numeric_matches_the_quadrature_on_the_criterion_7_grid():
         assert_matches_the_quadrature(a, b, num_terms)
 
 
-@given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(1, 400))
-@example(0.5, 0.0, 1)
-@example(100.0, 99.0, 1)
-@example(0.0, 82.0, 1)
-def test_tv_numeric_matches_the_quadrature_on_random_laws(a, b, num_terms):
+@given(
+    st.one_of(
+        st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(1, 400)),
+        # the bracket search's edges: at K = 1 against the central law the crossing lies just above c0/2,
+        st.tuples(st.floats(0.0, 100.0), st.just(0.0), st.just(1)),
+        # and at near-equal tiny norms just above c0
+        st.builds(lambda a, shrink, k: (a, a * shrink, k), st.floats(1e-4, 1e-2), st.floats(0.5, 0.9999),
+                  st.integers(1, 400)),
+    )
+)
+@example((0.5, 0.0, 1))
+@example((100.0, 99.0, 1))
+@example((0.0, 82.0, 1))
+@example((100.0, 0.0, 1))
+@example((1e-4, 0.9999e-4, 1))
+def test_tv_numeric_matches_the_quadrature_on_random_laws(law):
     """Norms up to 100 (noncentralities up to 1e4), and one degree of freedom, where the quadrature's
     square-root head handles the density's singularity at the origin. At ``(0, 82, 1)`` evenly spaced
     panels alone left the quadrature 1.2e-6 short; as a runtime check it raised there."""
-    assert_matches_the_quadrature(a, b, num_terms)
+    assert_matches_the_quadrature(*law)
+
+
+def test_the_crossing_takes_a_counted_number_of_evaluations_on_the_criterion_7_grid(monkeypatch):
+    """Over the 84-point grid the bracket search and root finder evaluate the log density ratio 568 times
+    (two log densities each), and the distribution functions take 60 ladders, one per crossing: from a
+    bracket started at 1e-8 and ``K + nu_f + 30 sqrt(2K + 4 nu_f) + 30``, with a ladder per law, they were
+    654 and 120."""
+    calls = collections.Counter()
+
+    def counted(name):
+        function = getattr(_chisq, name)
+
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    for name in ("_mixture_logpdf", "_ladder"):
+        monkeypatch.setattr(_chisq, name, counted(name))
+    for a, b, num_terms in CRITERION_7_GRID:
+        tv_numeric(a, b, num_terms)
+    assert (calls["_mixture_logpdf"] / 2, calls["_ladder"]) == (568, 60)
 
 
 @pytest.mark.parametrize("a, b, num_terms", [(100.0, 99.5, 5), (300.0, 299.0, 5), (1000.0, 999.0, 5)])
@@ -493,6 +546,18 @@ def test_mixture_logpdf_matches_the_logsumexp(num_terms, noncentrality, exponent
     assert np.array_equal(values, singles)
 
 
+def test_a_numpy_float_takes_the_float_path_to_the_bit():
+    """``np.float64`` is a ``float``: its terms and rescaling shifts used to stay numpy values, and
+    ``math.ldexp`` rejected the shift."""
+    law = _mixture_terms(1, 900.0)
+    value = _mixture_logpdf(law, 2000.0, math.log(2000.0))
+    assert value == 879.6101792413931
+    assert _mixture_logpdf(law, np.float64(2000.0), math.log(2000.0)) == value
+    assert _mixture_logpdf(law, np.float64(2000.0), np.log(np.float64(2000.0))) == value
+    assert _tv_crossing(np.float64(30.0), 0.0, 1) == _tv_crossing(30.0, 0.0, 1)
+    assert _tv_crossing(np.float64(8.0), np.float64(6.0), 5) == _tv_crossing(8.0, 6.0, 5)
+
+
 def test_mixture_logpdf_rescales_large_terms():
     """At ``nc = 1e4`` and ``x`` near 1e4 the window's terms sum to near 2**1800 times its first, past the
     largest float, so every point takes the power-of-two rescaling; an overflow warning would fail the suite."""
@@ -529,7 +594,7 @@ def test_chi2_pieces_match_scipy():
             gap = np.abs(_mixture_logpdf(law, xs, log_xs) - 0.5 * xs - mixed)
             assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(mixed))), (num_terms, noncentrality)
             cdf = law.w @ stats.chi2.cdf(xs[:, None], dfs).T
-            mine = np.array([_mixture_cdf(law, x) for x in xs])
+            mine = np.array([_mixture_cdf([law], x)[0] for x in xs])
             assert np.max(np.abs(mine - cdf)) <= 1e-13, (num_terms, noncentrality)
 
 

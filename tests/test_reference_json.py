@@ -1,4 +1,4 @@
-"""``svdstop oracles``, ``bounds``, ``stop``, ``two-step``, ``adversary`` and ``plot`` still write the recorded bytes.
+"""``svdstop oracles``, ``bounds``, ``stop``, ``two-step``, ``adversary``, ``lazysvd`` and ``plot`` still write the recorded bytes.
 
 Each output is a deterministic function of its config, so a change that
 moves a single bit of an oracle level, a bias, a bound, a stop, an
@@ -14,10 +14,13 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from svdstop import cli
 from svdstop.harness import read_records_csv
+from svdstop.lazysvd import save_matrix
+from svdstop.model import save_vector
 from svdstop.svgplot import efficiency_plot
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -99,3 +102,44 @@ def test_plot_bytes_match_the_recorded_hashes(tmp_path):
     records, _ = read_records_csv(csv_path)
     svg = efficiency_plot(records, title="smooth")  # as the efficiency-study script draws it
     assert hashlib.sha256(svg.encode()).hexdigest() == SCRIPT_PLOT_SHA256
+
+
+# an immediate stop at m0 = 5 under a huge threshold, so the AIC re-selection runs
+RESELECT = ("lazysvd.selection_norm=strong", "stopping.m0_mode=explicit", "stopping.m0=5", "stopping.kappa=1000")
+
+# (matrix file, overrides) -> sha256 of the lazysvd.json and the estimate.txt that ``lazysvd`` writes
+LAZY_ESTIMATE_SHA256 = "42cd7f29299abc1a6b6508be0b9ab33c04fe40f504c8f36df42cac07a0fb1b97"  # tau = 29
+RESELECTED_ESTIMATE_SHA256 = "994e665660935586ae5eaa8569c92327019f7f4711c12f58b8bd32f8f441f89c"  # tau = rho = 5
+LAZY_SHA256 = {
+    ("A.txt", ()): ("b00358e40ea69f82ae1a383d8e389dbf603f43064592dfa3cff4aaae9a093461", LAZY_ESTIMATE_SHA256),
+    ("A.bin", ()): ("c5e2b83fef406503385d39a2c5939284a41d188dbab8c192cdf0db6ea2093bba", LAZY_ESTIMATE_SHA256),
+    ("A.txt", RESELECT): (
+        "ab5d070be75a9c650a6516c32bd58fb2fbe7ba80d14be1086da2656a4cbb8c67",
+        RESELECTED_ESTIMATE_SHA256,
+    ),
+    ("A.bin", RESELECT): (
+        "6b7630be27bdcc825ad561d10a3d3ec9b98b022bbf28adc2e24420fb7b062953",
+        RESELECTED_ESTIMATE_SHA256,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "matrix, overrides", sorted(LAZY_SHA256), ids=["-".join((m, *o)) for m, o in sorted(LAZY_SHA256)]
+)
+def test_lazysvd_output_bytes_match_the_recorded_hashes(tmp_path, matrix, overrides):
+    """A 60x30 Gaussian matrix with columns scaled by ``1/i``, in text and in binary, and data from a random signal."""
+    rng = np.random.default_rng(3)
+    entries = rng.standard_normal((60, 30)) @ np.diag(np.arange(1, 31, dtype=float) ** -1.0)
+    save_matrix(tmp_path / matrix, entries)
+    save_vector(tmp_path / "y.txt", entries @ rng.standard_normal(30) + 0.05 * rng.standard_normal(60))
+    config = {
+        "matrix": {"file": matrix},
+        "data": {"file": "y.txt"},
+        "noise": {"delta": 0.05},
+        "stopping": {"m0_mode": "zero"},
+    }
+    (tmp_path / "lazy.json").write_text(json.dumps(config))
+    run("lazysvd", tmp_path / "lazy.json", tmp_path / "out", *overrides)
+    hashes = sha256(tmp_path / "out" / "lazysvd.json"), sha256(tmp_path / "out" / "estimate.txt")
+    assert hashes == LAZY_SHA256[matrix, overrides]

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import harness, lazysvd, lowerbound
 from .estimator import estimate_at
-from .harness import _EXPERIMENT_KEYS, _check_float, _check_keys, _resolve_path
-from .model import _check_int, load_vector, save_vector, write_new_file
+from .harness import _EXPERIMENT_KEYS, _check_keys, _resolve_path
+from .model import _check_float, _check_int, load_vector, save_vector, write_new_file
 from .oracles import theory_bounds
 from .stopping import StopOutcome, StoppingConfig, _check_selection
 from .svgplot import efficiency_plot
@@ -141,9 +141,9 @@ def _cmd_stop(mapping: dict, out: Path, base: Path, args) -> None:
 
 
 def _cmd_mc(mapping: dict, out: Path, base: Path, args) -> None:
-    config = harness.config_from_mapping(mapping)
+    report = harness.run_experiment(harness.config_from_mapping(mapping), base_dir=base)
     csv_path = out / "replications.csv"
-    report = harness.run_experiment(config, csv_path=csv_path, base_dir=base)
+    harness.write_records_csv(csv_path, report.records, report.config)  # through the module, which the trace wraps
     print(f"wrote {csv_path}")
     _write_json(out / "report.json", report.as_record())
     if report.failures:
@@ -197,19 +197,11 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
     # the zero signal fills a required slot
     matrix_model = {**mapping, "dim": operator.codomain_dim, "signal": {"name": "zero"}}
     config, exp = _experiment(matrix_model, base, "matrix", "data", "lazysvd")
-    checks = {"tolerance": _check_float, "max_iterations": _check_int}
-    options = {key: check(section[key], f"lazysvd.{key}") for key, check in checks.items() if key in section}
-    budget = section.get("triplet_budget")
-    result = lazysvd.sequential_solve(
-        operator,
-        y_raw,
-        exp.noise,
-        exp.stopping,
-        seed=config.base_seed,
-        triplet_budget=None if budget is None else _check_int(budget, "lazysvd.triplet_budget"),
-        selection_norm=section.get("selection_norm"),
-        **options,
-    )
+    if exp.stopping.m0 > operator.domain_dim:  # checked against the rows above, but the rule runs over the columns
+        key = "stopping.m0_mode" if config.m0 is None else "stopping.m0"
+        raise ValueError(f"{key} sets the start {exp.stopping.m0}, beyond the {operator.domain_dim} matrix columns")
+    # the solver checks the lazysvd settings, naming each key
+    result = lazysvd.sequential_solve(operator, y_raw, exp.noise, exp.stopping, seed=config.base_seed, **section)
     _write_record(
         out,
         "lazysvd.json",

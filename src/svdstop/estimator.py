@@ -63,11 +63,8 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    """``out[m] = sum(x[m:])`` for ``m = 0..len(x)``, accumulated in extended precision."""
-    out = np.empty(x.size + 1)
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(x[::-1].astype(np.longdouble))[::-1].astype(float)
-    return out
+    """``out[m] = sum(x[m:])`` for ``m = 0..len(x)``: the prefix sums of ``x`` reversed, read backwards."""
+    return _prefix_sums(x[::-1])[::-1]
 
 
 @dataclass(frozen=True)

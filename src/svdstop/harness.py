@@ -31,6 +31,7 @@ from .model import (
     Observation,
     Signal,
     Spectrum,
+    _check_float,
     _check_int,
     _check_noise_level,
     load_vector,
@@ -144,14 +145,6 @@ class ExperimentConfig:
             values = {key: getattr(self, field) for key, field in keys.items()}
             mapping[name] = {key: value for key, value in values.items() if value is not None or name == "stopping"}
         return mapping
-
-
-def _check_float(value, where: str) -> float:
-    """``value`` as a float; the ``TypeError`` or ``ValueError`` of ``float`` names the config key ``where``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{where} must be a number, got {value!r}") from None
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str = "config") -> None:
@@ -401,12 +394,8 @@ def _run_one(
         return [], (rep, f"{type(exc).__name__}: {exc}")
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    csv_path: str | Path | None = None,
-    base_dir: str | Path | None = None,
-) -> EfficiencyReport:
-    """Run all replications in index order and aggregate; optionally write the record CSV."""
+def run_experiment(config: ExperimentConfig, base_dir: str | Path | None = None) -> EfficiencyReport:
+    """Run all replications in index order and aggregate; :func:`write_records_csv` writes the records."""
     exp = resolve_experiment(config, base_dir)
     oracle_record = oracle_payload(exp)
     fixed_index = oracle_record["classical_index"]
@@ -429,16 +418,13 @@ def run_experiment(
     summaries = tuple(
         _summarise(proc, [r for r in records if r.procedure == proc]) for proc in exp.config.procedures
     )
-    report = EfficiencyReport(
+    return EfficiencyReport(
         config=config.to_mapping(),
         oracle=oracle_record,
         summaries=summaries,
         records=tuple(records),
         failures=tuple(failures),
     )
-    if csv_path is not None:
-        write_records_csv(csv_path, report.records, report.config)
-    return report
 
 
 def _summarise(procedure: str, records: list[ReplicationRecord]) -> ProcedureSummary:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import EstimateVector
-from .model import NoiseModel, _frozen_array, write_new_file
+from .model import NoiseModel, _check_float, _check_int, _frozen_array, _frozen_vector, write_new_file
 from .stopping import StopOutcome, StoppingConfig, _check_selection, residual_rule, two_step
 
 __all__ = [
@@ -134,10 +134,8 @@ class SingularTriplet:
     v: np.ndarray
 
     def __post_init__(self):
-        for name in ("u", "v"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "u", _frozen_vector(self.u))
+        object.__setattr__(self, "v", _frozen_vector(self.v))
         object.__setattr__(self, "sigma", float(self.sigma))
         if self.sigma < 0:
             raise ValueError("singular value must be non-negative")
@@ -162,7 +160,7 @@ class DeflationState:
     matrix-vector products each), and ``release_residuals[i]`` is its
     residual ``|A'u - sigma v|`` at release; only :func:`next_triplet`
     extends these tuples and adds to ``matvec_count``. ``tolerance`` must be
-    positive and finite, ``max_iterations`` at least 1.
+    positive and finite, ``max_iterations`` an integer of at least 1.
 
     The process runs here, from ``_width`` random start vectors keyed by
     ``seed``, with ``_scale = |A|_F`` computed once. Basis vectors are rows
@@ -194,6 +192,8 @@ class DeflationState:
     release_residuals: tuple[float, ...] = field(default=(), init=False)
 
     def __post_init__(self):
+        self.tolerance = _check_float(self.tolerance, "lazysvd.tolerance")
+        self.max_iterations = _check_int(self.max_iterations, "lazysvd.max_iterations")
         if not 0 < self.tolerance < np.inf:
             raise ValueError(f"lazysvd.tolerance must be positive and finite, got {self.tolerance!r}")
         if self.max_iterations < 1:
@@ -391,9 +391,10 @@ def sequential_solve(
     :func:`~svdstop.stopping.two_step` re-selects over the computed
     triplets after an immediate stop. A ``triplet_budget`` smaller than
     the demanded stopping index raises :class:`TripletBudgetError`; data
-    that is not finite, a negative budget, a bad ``tolerance``, an unknown
-    ``selection_norm`` or a ``config.m0`` beyond the column count raises
-    ``ValueError`` before any triplet is computed.
+    that is not finite, a budget that is not a non-negative integer, a bad
+    ``tolerance`` or ``max_iterations``, an unknown ``selection_norm`` or a
+    ``config.m0`` beyond the column count raises ``ValueError`` before any
+    triplet is computed.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):
@@ -403,8 +404,10 @@ def sequential_solve(
     if selection_norm is not None:
         _check_selection(selection_norm, "lazysvd.selection_norm")
     dim = operator.domain_dim
-    if triplet_budget is not None and triplet_budget < 0:
-        raise ValueError(f"lazysvd.triplet_budget must be at least 0, got {triplet_budget}")
+    if triplet_budget is not None:
+        triplet_budget = _check_int(triplet_budget, "lazysvd.triplet_budget")
+        if triplet_budget < 0:
+            raise ValueError(f"lazysvd.triplet_budget must be at least 0, got {triplet_budget}")
     state = DeflationState(operator, seed, tolerance, max_iterations)
     coeffs: list[float] = []
 

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "InvalidDimensionError",
     "NoiseModel",
     "Observation",
     "Signal",
@@ -40,10 +39,6 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """Paired vectors disagree in length."""
-
-
-class InvalidDimensionError(ValueError):
-    """Problem dimension is empty or otherwise unusable."""
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -84,6 +79,14 @@ def _check_int(value, where: str) -> int:
     return int(value)
 
 
+def _check_float(value, where: str) -> float:
+    """``value`` as a float; the ``TypeError`` or ``ValueError`` of ``float`` names the config key ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where} must be a number, got {value!r}") from None
+
+
 def require_same_dim(*lengths: int) -> int:
     """Return the common length, raising :class:`DimensionMismatchError` otherwise."""
     first = int(lengths[0])
@@ -102,7 +105,7 @@ class Spectrum:
         object.__setattr__(self, "values", _frozen_vector(self.values))
         v = self.values
         if v.size == 0:
-            raise InvalidDimensionError("spectrum must contain at least one singular value")
+            raise ValueError("spectrum must contain at least one singular value")
         if not np.all(np.isfinite(v)) or not np.all(v > 0):
             raise ValueError("singular values must be finite and strictly positive")
         if np.any(np.diff(v) > 0):
@@ -122,7 +125,7 @@ class Signal:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _frozen_vector(self.coefficients))
         if self.coefficients.size == 0:
-            raise InvalidDimensionError("signal must contain at least one coefficient")
+            raise ValueError("signal must contain at least one coefficient")
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("signal coefficients must be finite")
 
@@ -183,7 +186,7 @@ class Observation:
 def make_polynomial_spectrum(dim: int, p: float, key: str = "p") -> Spectrum:
     """Spectrum ``lam_i = i**-p``; ``ValueError`` naming ``key`` unless ``p >= 0`` and ``dim**-p > 0``."""
     if _check_int(dim, "dim") < 1:
-        raise InvalidDimensionError("dimension must be at least 1")
+        raise ValueError("dimension must be at least 1")
     if not p >= 0:  # NaN fails too
         raise ValueError(f"decay exponent {key} must be non-negative, got {p!r}")
     values = np.arange(1, dim + 1, dtype=float) ** -float(p)

@@ -21,9 +21,9 @@ import math
 import numpy as np
 
 from .estimator import weak_bias_sq
-from .model import Signal, Spectrum, _check_int
+from .model import Signal, Spectrum
 
-__all__ = ["NAMED_PROFILES", "REFERENCE_DIM", "calibrated_signal", "family_shape"]
+__all__ = ["NAMED_PROFILES", "REFERENCE_DIM", "calibrated_signal"]
 
 REFERENCE_DIM = 10000
 
@@ -33,20 +33,6 @@ NAMED_PROFILES: dict[str, tuple[str, float, float]] = {
     "smooth": ("power", 0.5, 316.0),
     "rough": ("power", 0.3, 1356.0),
 }
-
-
-def family_shape(kind: str, rate: float, dim: int) -> np.ndarray:
-    """Unit-amplitude shape vector of one of the two decay families."""
-    if _check_int(dim, "dim") < 1:
-        raise ValueError("dimension must be at least 1")
-    if rate < 0:
-        raise ValueError("decay rate must be non-negative")
-    idx = np.arange(1, dim + 1, dtype=float)
-    if kind == "power":
-        return idx ** -float(rate)
-    if kind == "exponential":
-        return np.exp(-float(rate) * idx)
-    raise ValueError(f"unknown family kind {kind!r}; expected 'power' or 'exponential'")
 
 
 def calibrate_amplitude(shape: np.ndarray, spectrum: Spectrum, delta: float, target: float) -> float:
@@ -82,6 +68,7 @@ def calibrated_signal(name: str, dim: int, delta: float, spectrum: Spectrum, tar
         raise ValueError("spectrum dimension disagrees with requested dimension")
     if target is None:
         target = ref_target * dim / REFERENCE_DIM
-    shape = family_shape(kind, rate, dim)
+    idx = np.arange(1, dim + 1, dtype=float)
+    shape = idx**-rate if kind == "power" else np.exp(-rate * idx)
     c = calibrate_amplitude(shape, spectrum, delta, float(target))
     return Signal(c * shape)

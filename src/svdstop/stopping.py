@@ -143,7 +143,8 @@ def make_stopping_config(
     if m0 is not None and m0_mode != "explicit":
         raise ValueError(f"m0 is only read in explicit m0 mode, not in {m0_mode!r}")
     if start > dim:
-        raise ValueError(f"{'starting index' if m0 is None else 'm0 ='} {start} exceeds dimension {dim}")
+        source = f"m0_mode {m0_mode!r}: starting index" if m0 is None else "m0 ="
+        raise ValueError(f"{source} {start} exceeds dimension {dim}")
     return StoppingConfig(kappa=float(kappa), m0=start)
 
 

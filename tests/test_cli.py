@@ -427,22 +427,25 @@ def test_lazysvd_null_calibration_on_rows(tmp_path):
 
 
 def test_lazysvd_start_beyond_columns_exits_three(tmp_path, capsys):
-    """On 200x20 the quantile start from the data length is 47, beyond the 20 columns: exit 3, no output."""
+    """On 200x20 the quantile start from the data length is 47, within the rows but beyond the 20 columns, as
+    is an explicit start of 30: exit 3 naming the key that set the start, no output."""
     write_lazy_inputs(tmp_path, 200, 20)
-    config = {
-        "matrix": {"file": "A.txt"},
-        "data": {"file": "y.txt"},
-        "noise": {"delta": 0.05},
-        "stopping": {"m0_mode": "normal_quantile"},
-    }
-    path = tmp_path / "lazy.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    code, captured = run(["lazysvd", "--config", path, "--out", out], capsys)
-    assert code == 3
-    record = json.loads(captured.err.strip().splitlines()[-1])
-    assert record["error"] == "ValueError" and "47" in record["message"]
-    assert not any(out.iterdir())
+    starts = [
+        ("stopping.m0_mode", {"m0_mode": "normal_quantile"}, 47),
+        ("stopping.m0", {"m0_mode": "explicit", "m0": 30}, 30),
+    ]
+    for key, stopping, start in starts:
+        config = {"matrix": {"file": "A.txt"}, "data": {"file": "y.txt"}, "noise": {"delta": 0.05}}
+        config["stopping"] = stopping
+        path = tmp_path / "lazy.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / key
+        code, captured = run(["lazysvd", "--config", path, "--out", out], capsys)
+        assert code == 3
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError" and record["message"].startswith(key + " "), record["message"]
+        assert str(start) in record["message"]
+        assert not any(out.iterdir())
 
 
 def test_lazysvd_nonfinite_data_exits_three(tmp_path, capsys):
@@ -712,6 +715,8 @@ def test_misspelled_nested_key_exits_three(config_path, tmp_path, command, overr
         ["signal.target=NaN"],
         ["signal.name=bogus"],
         ["stopping.m0_mode=bogus"],
+        # the quantile start floor(2.33 * sqrt(2)) + 1 = 4 lies beyond the one coefficient
+        ["dim=1", "signal.target=0.5", "stopping.m0_mode=normal_quantile"],
         ["replications=0"],
     ],
     ids=lambda overrides: overrides[-1],

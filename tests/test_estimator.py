@@ -184,3 +184,19 @@ def test_pathwise_error_decomposition(data, seed):
         )
     rhs = strong_bias_sq(sig, t) + stochastic_error(eps, spec, noise, t) + cross
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+def suffix_sums_reference(x):
+    """The suffix sums as their own kernel: the reversed cumulative sum in extended precision, reversed back."""
+    out = np.empty(x.size + 1)
+    out[-1] = 0.0
+    out[:-1] = np.cumsum(x[::-1].astype(np.longdouble))[::-1].astype(float)
+    return out
+
+
+@given(st.integers(0, 2000), st.integers(0, 2**31 - 1))
+def test_suffix_sums_are_the_reversed_prefix_sums_bit_for_bit(n, seed):
+    """Casting and reversing commute, so the suffix sums read off the prefix kernel keep every bit."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n)  # magnitudes whose float sums would round
+    assert estimator._suffix_sums(x).tobytes() == suffix_sums_reference(x).tobytes()

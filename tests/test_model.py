@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from svdstop import model
+from svdstop.lazysvd import DeflationState, MatrixOperator, sequential_solve
 from svdstop.lowerbound import hide_signal, residual_adversary, tv_bound, tv_numeric
 from svdstop.model import (
     DimensionMismatchError,
@@ -19,7 +20,6 @@ from svdstop.model import (
     save_vector,
     simulate_observation,
 )
-from svdstop.signals import family_shape
 from svdstop.stopping import StoppingConfig, aic_select, make_stopping_config
 
 
@@ -192,6 +192,7 @@ def test_containers_keep_a_frozen_vector_that_owns_its_data():
 
 
 _SIG, _SPEC, _NOISE = Signal(np.linspace(1.0, 0.1, 10)), make_polynomial_spectrum(10, 0.5), NoiseModel(0.1)
+_OPERATOR = MatrixOperator(np.diag(_SPEC.values))  # with a threshold above |y|**2 the solve stops at 0
 
 # every entry point that takes an index or a count, called with it
 INTEGER_SITES = {
@@ -203,16 +204,19 @@ INTEGER_SITES = {
     "tv_bound": lambda v: tv_bound(1.0, 0.5, v),
     "tv_numeric": lambda v: tv_numeric(1.0, 0.5, v),
     "make_polynomial_spectrum": lambda v: make_polynomial_spectrum(v, 0.5),
-    "family_shape": lambda v: family_shape("power", 0.5, v),
+    "DeflationState(max_iterations)": lambda v: DeflationState(_OPERATOR, max_iterations=v),
+    "sequential_solve(triplet_budget)": lambda v: sequential_solve(
+        _OPERATOR, _SIG.coefficients, _NOISE, StoppingConfig(kappa=100.0, m0=0), triplet_budget=v
+    ),
 }
 
 
 @pytest.mark.parametrize("site", sorted(INTEGER_SITES))
 def test_integer_arguments_accept_integral_values_and_reject_fractions(site):
-    """A fractional index raises instead of being truncated; an integral float or a numpy integer is taken."""
+    """A fractional or boolean index raises instead of being truncated; an integral float or a numpy integer is taken."""
     call = INTEGER_SITES[site]
-    for fraction in (3.7, 3.5):
+    for bad in (3.7, 3.5, True):
         with pytest.raises(ValueError, match="must be an integer"):
-            call(fraction)
+            call(bad)
     call(4.0)
     call(np.int64(4))

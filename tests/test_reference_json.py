@@ -1,4 +1,4 @@
-"""``svdstop oracles``, ``bounds``, ``stop``, ``two-step``, ``adversary``, ``lazysvd`` and ``plot`` still write the recorded bytes.
+"""``oracles``, ``bounds``, ``stop``, ``two-step``, ``adversary``, ``lazysvd`` and ``plot`` still write the recorded bytes.
 
 Each output is a deterministic function of its config, so a change that
 moves a single bit of an oracle level, a bias, a bound, a stop, an

@@ -16,21 +16,11 @@ from svdstop.signals import (
     REFERENCE_DIM,
     calibrate_amplitude,
     calibrated_signal,
-    family_shape,
 )
 
 
 def weak_time(sig, spec, noise):
     return oracle_set(sig, spec, noise, StoppingConfig(spec.dim * noise.delta**2)).weak_time
-
-
-def test_family_shape_forms():
-    exp = family_shape("exponential", 0.25, 5)
-    assert exp == pytest.approx(np.exp(-0.25 * np.arange(1, 6)))
-    pow_ = family_shape("power", 0.5, 4)
-    assert pow_ == pytest.approx(np.arange(1, 5, dtype=float) ** -0.5)
-    with pytest.raises(ValueError):
-        family_shape("wavelet", 0.5, 4)
 
 
 def test_named_profiles_cover_spec_targets():
@@ -97,12 +87,15 @@ def test_calibration_scales_with_dim_and_noise(name, dim, delta):
 
 
 def test_amplitude_is_positive_scaling_of_shape():
+    """Each stock signal is its family's shape, exponential or power, times one positive amplitude."""
     spec = make_polynomial_spectrum(200, 0.5)
-    sig = calibrated_signal("super_smooth", 200, 0.1, spectrum=spec, target=20.0)
-    shape = family_shape(*NAMED_PROFILES["super_smooth"][:2], 200)
-    ratio = sig.coefficients / shape
-    assert np.all(ratio > 0)
-    assert np.ptp(ratio) < 1e-9 * ratio[0]
+    idx = np.arange(1, 201, dtype=float)
+    shapes = {"super_smooth": np.exp(-0.25 * idx), "smooth": idx**-0.5, "rough": idx**-0.3}
+    for name, shape in shapes.items():
+        sig = calibrated_signal(name, 200, 0.1, spectrum=spec, target=20.0)
+        ratio = sig.coefficients / shape
+        assert np.all(ratio > 0)
+        assert np.ptp(ratio) < 1e-9 * ratio[0]
 
 
 @pytest.mark.parametrize(

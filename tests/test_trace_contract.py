@@ -7,12 +7,15 @@ silently empty, so this runs tiny instances under the benchmark's own
 tracer and checks the spans.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import numpy as np
 
-from svdstop import harness, lazysvd, lowerbound
+from svdstop import cli, harness, lazysvd, lowerbound
 from svdstop.model import NoiseModel
 from svdstop.stopping import StoppingConfig
 
@@ -60,6 +63,21 @@ def test_benchmark_trace_records_every_layer():
     assert calls["lazysvd.triplet"] == result.outcome.tau == len(result.state.triplets)
     assert tracer.counts["stopping.coeffs_read"] == 3 * 5
     assert tracer.counts["lazysvd.matvecs"] == result.matvec_count
+
+
+def test_benchmark_trace_sees_one_csv_write_per_mc_run(tmp_path):
+    """``svdstop mc`` writes its records through ``harness.write_records_csv``, the name the trace wraps."""
+    config = {"dim": 40, "noise": {"delta": 0.1}, "signal": {"name": "smooth", "target": 10.0}, "replications": 3}
+    (tmp_path / "mc.json").write_text(json.dumps(config))
+    tracer_cls = _load("tracing").Tracer
+    install = _load("worker")._install
+    with tracer_cls() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        install(tracer)
+        assert cli.main(["mc", "--config", str(tmp_path / "mc.json"), "--out", str(tmp_path / "out")]) == 0
+    calls = tracer.calls()
+
+    assert calls["cli.main"] == calls["harness.run_experiment"] == calls["harness.csv"] == 1
+    assert tracer.counts["harness.csv_bytes"] == (tmp_path / "out" / "replications.csv").stat().st_size
 
 
 def test_benchmark_trace_records_the_lowerbound_layer():

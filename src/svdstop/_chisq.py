@@ -15,7 +15,8 @@ of log ratios; one reverse cumulative sum gives their tails and the
 total that normalises them.
 
 The density (:func:`_mixture_logpdf`) sums the window's terms forward
-from its first by the ratio of consecutive terms. The distribution
+from its first by the ratio of consecutive terms, four to a loop step.
+The distribution
 functions of laws of one degree parity (:func:`_mixture_cdf`) take the
 central upper tails from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 =
 exp(-x/2)`` by ``Q_{k+2} = Q_k + 2 f_{k+2}``, all laws from one ladder
@@ -33,7 +34,12 @@ Stability of Numerical Algorithms*, 2002), to first order in ``u =
 
 :func:`_tv_crossing` is the total variation between two such laws, the
 difference of their distribution functions at the density crossing, with
-a bound on its error whose terms its docstring lists.
+a bound on its error whose terms its docstring lists. It finds the
+crossing by Chandrupatla's method (Adv. Eng. Software 28, 1997), in
+:func:`_find_root`: the point it returns is an end of a final bracket, at
+most :func:`_bracket_width` of that end wide, across which the log
+density ratio changes sign, and the bound's crossing term rests on that
+width.
 """
 
 from __future__ import annotations
@@ -145,25 +151,36 @@ def _mixture_logpdf(law: _Mixture, x, log_x):
     """``log f(x) + x/2`` at points ``x`` with logs ``log_x``, both arrays or both floats, in O(points) memory.
 
     ``log f(x) + x/2 = head_const + head_slope * log x + log s(x)``, and
-    ``s`` sums the terms forward in place: ``t *= x; t *= ratios[i]; s +=
-    t``. Every fourth degree, each point whose term passed 2**500 has its
-    term and sum scaled down by a power of two, and the exponent goes into
-    the log. That is exact, so a point's value does not depend on its
-    batch; a float runs the same steps and ends in the same numpy ``log``,
-    so it matches the batch to the bit. The caller adds the common ``-x/2``.
+    ``s`` sums the terms forward: ``t = t * x * ratios[i]; s += t``, the
+    loop unrolled by four. After every fourth term, each point whose term
+    passed 2**500 has its term and sum scaled down by a power of two, and
+    the exponent goes into the log. That is exact, so a point's value does
+    not depend on its batch; a float runs the same steps and ends in the
+    same numpy ``log``, so it matches the batch to the bit. The caller adds
+    the common ``-x/2``.
     """
     scalar = isinstance(x, float)
     if scalar:  # a numpy float too: its terms and shifts would stay numpy values, which math.ldexp rejects
         x, log_x = float(x), float(log_x)
     frexp, ldexp, top = (math.frexp, math.ldexp, float) if scalar else (np.frexp, np.ldexp, np.ndarray.max)
     t, s, carry = (1.0, 1.0, 0) if scalar else (np.ones_like(x), np.ones_like(x), 0)
-    for j, ratio in enumerate(law.ratios, 1):
-        t *= x
-        t *= ratio
+    ratios = law.ratios
+    whole = len(ratios) - len(ratios) % 4
+    for r0, r1, r2, r3 in zip(*[iter(ratios)] * 4):  # the groups of four; the rest follows
+        t = t * x * r0
         s += t
-        if j % 4 == 0 and top(t) > _RESCALE_AT:
+        t = t * x * r1
+        s += t
+        t = t * x * r2
+        s += t
+        t = t * x * r3
+        s += t
+        if top(t) > _RESCALE_AT:
             shift = frexp(t)[1] * (t > _RESCALE_AT)  # a zero shift leaves a point as it is
             t, s, carry = ldexp(t, -shift), ldexp(s, -shift), carry + shift
+    for ratio in ratios[whole:]:
+        t = t * x * ratio
+        s += t
     return law.head_const + law.head_slope * log_x + (np.log(s) + carry * math.log(2.0))
 
 
@@ -291,19 +308,31 @@ def _cdf_error(law: _Mixture, noncentrality: float, x: float) -> float:
 
 
 def _bracket_width(x: float) -> float:
-    """The width at which :func:`_find_root` stops, at a last point ``x``."""
+    """The width at which :func:`_find_root` stops, at the end ``x`` it returns."""
     return 1e-12 + 8.9e-16 * abs(x)
 
 
 def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of ``f`` in ``[lo, hi]`` by the Illinois variant of regula falsi.
+    """Root of ``f`` in ``[lo, hi]`` by Chandrupatla's method (Adv. Eng. Software 28, 1997).
 
     The caller passes the end values ``f_lo = f(lo)`` and ``f_hi = f(hi)``,
-    which its bracket search has already computed. Returns an end point
-    where ``f`` is zero, and raises :class:`AccuracyError` unless ``f_lo``
-    and ``f_hi`` differ in sign (a NaN differs from nothing). Stops once
-    the bracket is at most :func:`_bracket_width` of its last point wide,
-    and raises :class:`AccuracyError` if that takes more than 200 steps.
+    which its bracket search has already computed, and ``f`` is never
+    called at ``lo`` or ``hi`` again. Raises :class:`AccuracyError` unless
+    ``f_lo`` and ``f_hi`` differ in sign (a NaN differs from nothing), and
+    as soon as ``f`` is NaN at a trial point. Each step keeps a bracket
+    whose ends differ in sign, its last point ``a``, its other end ``b``,
+    and the end ``c`` it dropped last. It goes to ``a + t (b - a)``, where
+    ``t`` is the inverse quadratic interpolation through the three if
+    ``phi**2 < xi`` and ``(1 - phi)**2 < 1 - xi``, ``xi = (a - b)/(c -
+    b)``, ``phi = (f(a) - f(b))/(f(c) - f(b))`` (Chandrupatla's test that
+    the interpolant is monotone there), and 1/2 otherwise; ``t`` is
+    clamped to ``[l, 1 - l]``, ``l = w / (2 |b - a|)``, for the stopping
+    width ``w``, and a trial point that rounds onto an end is moved to the
+    midpoint, so every trial point lies strictly inside the bracket.
+    Returns a zero of ``f`` where it meets one, else the end of the final
+    bracket at which ``|f|`` is smaller, once that bracket is at most
+    :func:`_bracket_width` of the end wide; raises :class:`AccuracyError`
+    if that takes more than 200 steps.
     """
     if f_lo == 0.0:
         return lo
@@ -311,27 +340,34 @@ def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f
         return hi
     if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
         raise AccuracyError(f"no sign change in [{lo:.17g}, {hi:.17g}]: f = {f_lo!r}, {f_hi!r}", estimate=math.nan)
-    side = 0
+    a, b, f_a, f_b = hi, lo, f_hi, f_lo
+    t = 0.5
     for _ in range(200):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        x = a + t * (b - a)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
         f_x = f(x)
         if f_x == 0.0:
             return x
-        if (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f_x
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
+        if math.isnan(f_x):
+            raise AccuracyError(f"f is NaN at {x:.17g} in [{min(a, b):.17g}, {max(a, b):.17g}]", estimate=math.nan)
+        if (f_x < 0.0) == (f_a < 0.0):
+            c, f_c = a, f_a
         else:
-            hi, f_hi = x, f_x
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        if hi - lo <= _bracket_width(x):
-            return x
-    raise AccuracyError(f"root finder did not converge in [{lo:.17g}, {hi:.17g}]", estimate=0.5 * (lo + hi))
+            c, f_c, b, f_b = b, f_b, a, f_a
+        a, f_a = x, f_x
+        end = a if abs(f_a) < abs(f_b) else b
+        width, stop = abs(b - a), _bracket_width(end)
+        if width <= stop:
+            return end
+        xi, phi = (a - b) / (c - b), (f_a - f_b) / (f_c - f_b)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = f_a / (f_b - f_a) * f_c / (f_b - f_c) + (c - a) / (b - a) * f_a / (f_c - f_a) * f_b / (f_c - f_b)
+        else:
+            t = 0.5
+        limit = 0.5 * stop / width
+        t = min(max(t, limit), 1.0 - limit)
+    raise AccuracyError(f"root finder did not converge in [{min(a, b):.17g}, {max(a, b):.17g}]", estimate=0.5 * (a + b))
 
 
 class _Crossing(NamedTuple):
@@ -355,10 +391,13 @@ def _tv_crossing(a: float, b: float, num_terms: int) -> _Crossing:
     between ``0.5001 c0`` (``K = 1``, ``nu_g = 0``) and ``1.0001 c0``
     (near-equal small norms). While the log ratio at the lower end is not
     negative the end is divided by 1e4, and while it is not positive at
-    the upper end that end is doubled. :func:`_find_root` in the log
-    density ratio, which reuses the values the search computed at the two
-    ends, finds a crossing ``c``, and the value is ``G(c) - F(c)``, both
-    read off one :func:`_mixture_cdf` ladder. Its error is
+    the upper end that end is doubled. Chandrupatla's method
+    (:func:`_find_root`) in the log density ratio, which reuses the values
+    the search computed at the two ends, returns a crossing ``c``: an end
+    of a final bracket at most :func:`_bracket_width` of ``c`` wide, across
+    which the computed ratio changes sign, or a point where it is zero.
+    The value is ``G(c) - F(c)``, both read off one :func:`_mixture_cdf`
+    ladder. Its error is
     at most the sum of the following terms, to first order in ``u =
     2**-53`` and with ``exp``, ``log``, ``erfc`` and ``lgamma`` taken to err
     by at most 8 ulp:
@@ -391,8 +430,8 @@ def _tv_crossing(a: float, b: float, num_terms: int) -> _Crossing:
     with the bound ``min(d, d / sqrt(nu_g))``, ``d = (nu_f - nu_g)/2``: by
     the mixture's data processing and Pinsker's inequality, the Poisson
     laws' distance bounds the exact one. Raises :class:`AccuracyError` when
-    no crossing is found, or the root finder finds no sign change or does
-    not converge.
+    no crossing is found, or the root finder finds no sign change, meets a
+    NaN or does not converge.
     """
     # order so that f is the law with the larger noncentrality
     nu_f, nu_g = max(a, b) ** 2, min(a, b) ** 2

@@ -48,7 +48,7 @@ import numpy as np
 
 from .estimator import EstimateVector
 from .model import NoiseModel, _check_float, _check_int, _frozen_array, _frozen_vector, write_new_file
-from .stopping import StopOutcome, StoppingConfig, _check_selection, residual_rule, two_step
+from .stopping import StopOutcome, StoppingConfig, _check_selection, _check_start, residual_rule, two_step
 
 __all__ = [
     "ConvergenceError",
@@ -394,7 +394,8 @@ def sequential_solve(
     that is not finite, a budget that is not a non-negative integer, a bad
     ``tolerance`` or ``max_iterations``, an unknown ``selection_norm`` or a
     ``config.m0`` beyond the column count raises ``ValueError`` before any
-    triplet is computed.
+    triplet is computed, and before the Lanczos state is built but for the
+    two settings that state checks itself.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):
@@ -404,6 +405,7 @@ def sequential_solve(
     if selection_norm is not None:
         _check_selection(selection_norm, "lazysvd.selection_norm")
     dim = operator.domain_dim
+    _check_start(config, dim)
     if triplet_budget is not None:
         triplet_budget = _check_int(triplet_budget, "lazysvd.triplet_budget")
         if triplet_budget < 0:

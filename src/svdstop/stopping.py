@@ -216,8 +216,7 @@ def residual_rule(
     non-finite norm or coefficient) also takes this path. So each index
     returned is the one the exact test returns.
     """
-    if config.m0 > dim:
-        raise ValueError(f"starting index {config.m0} exceeds dimension {dim}")
+    _check_start(config, dim)
     y_norm_sq, kappa = float(y_norm_sq), config.kappa
     if config.m0 == 0 and y_norm_sq <= kappa:
         return 0
@@ -367,6 +366,12 @@ def _aic_penalty(lam_head: bytes, delta: float, m0: int, norm: str) -> tuple[np.
         inv2, penalty = None, pen * np.arange(m0 + 1, dtype=float)
     penalty.setflags(write=False)
     return inv2, penalty
+
+
+def _check_start(config: StoppingConfig, dim: int) -> None:
+    """``ValueError`` unless the rule's starting index ``config.m0`` is at most ``dim``."""
+    if config.m0 > dim:
+        raise ValueError(f"starting index {config.m0} exceeds dimension {dim}")
 
 
 def _check_selection(norm: str, key: str) -> None:

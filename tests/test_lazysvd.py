@@ -501,6 +501,17 @@ def test_solve_rejects_bad_settings_before_any_triplet(monkeypatch, options, key
     assert calls == []
 
 
+def test_solve_rejects_a_start_beyond_the_columns_before_building_its_state(monkeypatch):
+    """The message is the residual rule's; the Frobenius pass, the basis arrays and the first start
+    vectors used to come first."""
+    restarts = []
+    monkeypatch.setattr(DeflationState, "_restart", lambda self, width: restarts.append(width))
+    op = MatrixOperator(random_tall(5, rows=12, cols=8))
+    with pytest.raises(ValueError, match=r"^starting index 10 exceeds dimension 8$"):
+        sequential_solve(op, np.ones(12), NoiseModel(0.1), StoppingConfig(kappa=0.0, m0=10))
+    assert restarts == []
+
+
 def test_solve_rejects_mismatched_data():
     op = MatrixOperator(np.ones((4, 2)))
     with pytest.raises(ValueError):

@@ -467,10 +467,11 @@ def test_tv_numeric_matches_the_quadrature_on_random_laws(law):
 
 
 def test_the_crossing_takes_a_counted_number_of_evaluations_on_the_criterion_7_grid(monkeypatch):
-    """Over the 84-point grid the bracket search and root finder evaluate the log density ratio 568 times
-    (two log densities each), and the distribution functions take 60 ladders, one per crossing: from a
-    bracket started at 1e-8 and ``K + nu_f + 30 sqrt(2K + 4 nu_f) + 30``, with a ladder per law, they were
-    654 and 120."""
+    """Over the 84-point grid the bracket search and root finder evaluate the log density ratio 379 times
+    (two log densities each), and the distribution functions take 60 ladders, one per crossing. A ratchet
+    that only moves down: from a bracket started at 1e-8 and ``K + nu_f + 30 sqrt(2K + 4 nu_f) + 30``,
+    with a ladder per law, they were 654 and 120; from the laws' means with one ladder, 568 and 60 under
+    the Illinois variant of regula falsi, and 379 under Chandrupatla's method."""
     calls = collections.Counter()
 
     def counted(name):
@@ -486,7 +487,7 @@ def test_the_crossing_takes_a_counted_number_of_evaluations_on_the_criterion_7_g
         monkeypatch.setattr(_chisq, name, counted(name))
     for a, b, num_terms in CRITERION_7_GRID:
         tv_numeric(a, b, num_terms)
-    assert (calls["_mixture_logpdf"] / 2, calls["_ladder"]) == (568, 60)
+    assert (calls["_mixture_logpdf"] / 2, calls["_ladder"]) == (379, 60)
 
 
 @pytest.mark.parametrize("a, b, num_terms", [(100.0, 99.5, 5), (300.0, 299.0, 5), (1000.0, 999.0, 5)])
@@ -558,6 +559,44 @@ def test_a_numpy_float_takes_the_float_path_to_the_bit():
     assert _tv_crossing(np.float64(8.0), np.float64(6.0), 5) == _tv_crossing(8.0, 6.0, 5)
 
 
+def two_statement_logpdf(law, x, log_x):
+    """:func:`_mixture_logpdf` as it was before its term loop was unrolled by four: ``t *= x; t *= ratio``
+    a term, and the rescaling checked at every fourth by ``j % 4 == 0``."""
+    scalar = isinstance(x, float)
+    if scalar:
+        x, log_x = float(x), float(log_x)
+    frexp, ldexp, top = (math.frexp, math.ldexp, float) if scalar else (np.frexp, np.ldexp, np.ndarray.max)
+    t, s, carry = (1.0, 1.0, 0) if scalar else (np.ones_like(x), np.ones_like(x), 0)
+    for j, ratio in enumerate(law.ratios, 1):
+        t *= x
+        t *= ratio
+        s += t
+        if j % 4 == 0 and top(t) > _chisq._RESCALE_AT:
+            shift = frexp(t)[1] * (t > _chisq._RESCALE_AT)
+            t, s, carry = ldexp(t, -shift), ldexp(s, -shift), carry + shift
+    return law.head_const + law.head_slope * log_x + (np.log(s) + carry * math.log(2.0))
+
+
+@given(
+    st.integers(1, 2000),
+    st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.floats(0.0, 1e6)),
+    st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=3),
+)
+@example(5, 1e6, [0.999, 1.0, 1.001])
+@example(1, 1e4, [0.5, 1.0, 2.0])
+@example(2000, 0.0, [1e-3, 1.0])
+def test_the_unrolled_term_loop_keeps_every_bit(num_terms, noncentrality, scales):
+    """``t = t * x * r`` rounds as ``t *= x; t *= r`` does, in the same order, so the unrolled loop gives
+    the reference's bits, for arrays and floats alike; at ``nc = 1e6`` every point near the mean takes the
+    power-of-two rescaling many times over."""
+    law = _mixture_terms(num_terms, noncentrality)
+    xs = (num_terms + noncentrality) * np.array(scales)
+    log_xs = np.log(xs)
+    assert np.array_equal(_mixture_logpdf(law, xs, log_xs), two_statement_logpdf(law, xs, log_xs))
+    for x, log_x in zip(xs.tolist(), log_xs.tolist()):
+        assert _mixture_logpdf(law, x, log_x) == two_statement_logpdf(law, x, log_x), (num_terms, noncentrality, x)
+
+
 def test_mixture_logpdf_rescales_large_terms():
     """At ``nc = 1e4`` and ``x`` near 1e4 the window's terms sum to near 2**1800 times its first, past the
     largest float, so every point takes the power-of-two rescaling; an overflow warning would fail the suite."""
@@ -618,6 +657,90 @@ def test_find_root_takes_the_end_values_it_is_given():
 
     assert _find_root(f, 0.0, 1.0, -0.25, 0.75) == pytest.approx(0.25, abs=1e-12)
     assert seen and 0.0 not in seen and 1.0 not in seen
+
+
+MONOTONE = {
+    "linear": lambda d: d,
+    "cube": lambda d: d**3,
+    "square root": lambda d: math.copysign(math.sqrt(abs(d)), d),
+    "arctan": lambda d: math.atan(1e6 * d),
+    "step": lambda d: math.copysign(1.0, d) if d else 0.0,
+}
+
+
+def watched(shape, root, sign):
+    """A monotone ``f`` with its zero at ``root``, increasing for ``sign = 1``, that records its values and
+    asserts every point it is called at lies strictly inside the tightest bracket of the points before it,
+    which it tracks."""
+    bracket, values = [], {}  # bracket: [below, above], the last points where sign * f < 0 and > 0
+
+    def f(x):
+        if bracket:
+            assert bracket[0] < x < bracket[1] or bracket[1] < x < bracket[0], (x, bracket)
+        values[x] = value = sign * MONOTONE[shape](x - root)
+        if bracket and value:
+            bracket[value * sign > 0.0] = x
+        return value
+
+    return f, bracket, values
+
+
+@given(
+    st.sampled_from(sorted(MONOTONE)),
+    st.floats(-6.0, 12.0),
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2.0).map(lambda e: 10.0**e)),
+    st.one_of(st.floats(0.0, 1.0), st.floats(-12.0, 2.0).map(lambda e: 10.0**e)),
+    st.booleans(),
+)
+@example("linear", 0.0, 1.0, 1e-13, 5.0, False)
+@example("step", 9.0, -1.0, 0.5, 2.0, True)
+@example("arctan", -3.0, 1.0, 1.0, 0.1, False)
+def test_find_root_ends_on_a_narrow_bracket_with_a_sign_change(shape, exponent, sign, near, far, flip):
+    """Roots from 1e-6 to 1e12, brackets up to 100 times the root wide on a side and ends as close as a
+    tenth of :func:`_bracket_width` (``near`` scales the near end's distance by it). The result is a zero,
+    or an end of a final bracket with a sign change at most that width wide, every trial point lay strictly
+    inside the bracket of the points before it, and so the two given ends were never evaluated again."""
+    root = 10.0**exponent
+    near_gap = max(near * _chisq._bracket_width(root), 2.0 * math.ulp(root))
+    lo, hi = root - near_gap, root + far * root
+    if flip:
+        lo, hi = root - far * root, root + near_gap
+    f, bracket, values = watched(shape, root, sign)
+    f_lo, f_hi = f(lo), f(hi)
+    bracket[:] = (lo, hi) if sign * f_hi > 0.0 else (hi, lo)
+    x = _find_root(f, lo, hi, f_lo, f_hi)
+    if values[x] != 0.0:
+        below, above = bracket
+        assert x in bracket and sign * values[below] < 0.0 < sign * values[above]
+        assert abs(above - below) <= _chisq._bracket_width(x)
+
+
+def test_find_root_raises_on_a_nan_at_a_trial_point():
+    """A NaN is neither sign: the root finder stops at the first one, and calls ``f`` no further."""
+    for first_nan in (1, 2, 5):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if len(calls) == first_nan else -1.0 if x < 0.3 else 1.0
+
+        with pytest.raises(AccuracyError, match="NaN"):
+            _find_root(f, 0.0, 1.0, -1.0, 1.0)
+        assert len(calls) == first_nan
+
+
+def test_find_root_raises_after_200_steps():
+    """On a step function only bisection is taken, and 200 halvings leave ``[0, 2**300]`` 2**100 wide."""
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.0 else 1.0
+
+    with pytest.raises(AccuracyError, match="did not converge") as raised:
+        _find_root(step, 0.0, 2.0**300, -1.0, 1.0)
+    assert len(calls) == 200 and raised.value.estimate > 0.0
 
 
 def test_laurent_massart_report_fields():

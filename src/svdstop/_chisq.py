@@ -16,10 +16,10 @@ total that normalises them.
 
 The density (:func:`_mixture_logpdf`) sums the window's terms forward
 from its first by the ratio of consecutive terms, four to a loop step.
-The distribution
-functions of laws of one degree parity (:func:`_mixture_cdf`) take the
-central upper tails from ``Q_1 = erfc(sqrt(x/2))`` or ``Q_2 =
-exp(-x/2)`` by ``Q_{k+2} = Q_k + 2 f_{k+2}``, all laws from one ladder
+The distribution functions of laws of one degree parity
+(:func:`_mixture_cdf`) take the central upper tails from ``Q_1 =
+erfc(sqrt(x/2))`` or ``Q_2 = exp(-x/2)`` by ``Q_{k+2} = Q_k + 2
+f_{k+2}``, all laws from one ladder
 of central densities stepped by ``f_{k+2} = f_k x / k``
 (Ding, AS 275, 1992) from the closed-form ``f_1`` or ``f_2``
 (:func:`_ladder`). Both carry their running products as a significand and
@@ -325,14 +325,14 @@ def _find_root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f
     ``t`` is the inverse quadratic interpolation through the three if
     ``phi**2 < xi`` and ``(1 - phi)**2 < 1 - xi``, ``xi = (a - b)/(c -
     b)``, ``phi = (f(a) - f(b))/(f(c) - f(b))`` (Chandrupatla's test that
-    the interpolant is monotone there), and 1/2 otherwise; ``t`` is
-    clamped to ``[l, 1 - l]``, ``l = w / (2 |b - a|)``, for the stopping
-    width ``w``, and a trial point that rounds onto an end is moved to the
-    midpoint, so every trial point lies strictly inside the bracket.
-    Returns a zero of ``f`` where it meets one, else the end of the final
-    bracket at which ``|f|`` is smaller, once that bracket is at most
-    :func:`_bracket_width` of the end wide; raises :class:`AccuracyError`
-    if that takes more than 200 steps.
+    the interpolant is monotone there), and 1/2 at the first step and
+    otherwise; ``t`` is clamped to ``[l, 1 - l]``, ``l = w / (2 |b -
+    a|)``, for the stopping width ``w``, and a trial point that rounding
+    puts on an end or past it is moved to the midpoint, so every trial
+    point lies strictly inside the bracket. Returns a zero of ``f`` where
+    it meets one, else the end of the final bracket at which ``|f|`` is
+    smaller, once that bracket is at most :func:`_bracket_width` of the end
+    wide; raises :class:`AccuracyError` if that takes more than 200 steps.
     """
     if f_lo == 0.0:
         return lo

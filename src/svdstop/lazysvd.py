@@ -390,12 +390,12 @@ def sequential_solve(
     ``selection_norm`` set, the sequence-space
     :func:`~svdstop.stopping.two_step` re-selects over the computed
     triplets after an immediate stop. A ``triplet_budget`` smaller than
-    the demanded stopping index raises :class:`TripletBudgetError`; data
-    that is not finite, a budget that is not a non-negative integer, a bad
-    ``tolerance`` or ``max_iterations``, an unknown ``selection_norm`` or a
-    ``config.m0`` beyond the column count raises ``ValueError`` before any
-    triplet is computed, and before the Lanczos state is built but for the
-    two settings that state checks itself.
+    the demanded stopping index raises :class:`TripletBudgetError`. Data
+    that is not finite, a budget that is not a non-negative integer, an
+    unknown ``selection_norm`` or a ``config.m0`` beyond the column count
+    raises ``ValueError`` before the Lanczos state is built; a bad
+    ``tolerance`` or ``max_iterations`` raises it as the state is built,
+    before its first pass over the matrix.
     """
     y_raw = np.asarray(y_raw, dtype=float)
     if y_raw.shape != (operator.codomain_dim,):

@@ -140,6 +140,24 @@ def test_stop_records_are_pinned(
 
 
 @pytest.mark.parametrize(
+    "seed, csv_sha256",
+    [
+        (0, "a25a352ea0c7180f6c958bf9f27005da1d5bc21f2e0e5250786be34e78dee536"),
+        (7, "60e18717b3a12d1f34ba8e71390c3c38e5f5663294ee5e80fca1eb4771bdc927"),
+    ],
+)
+def test_mc_reselections_in_both_norms_are_pinned(tmp_path, seed, csv_sha256):
+    """The shipped smooth config on the super-smooth signal stops immediately in about 99% of
+    replications, so both two-step procedures re-select by AIC at scale (D = 10^4, m0 = 330)."""
+    overrides = ["signal.name=super_smooth", 'procedures=["two_step_weak","two_step_strong"]', "replications=200"]
+    args = ["mc", "--config", SHIPPED / "efficiency_smooth.json", "--out", tmp_path, "--seed", seed]
+    assert run([*args, *(item for key in overrides for item in ("--set", key))]) == 0
+    records, _ = read_records_csv(tmp_path / "replications.csv")
+    assert sum(record.immediate for record in records) >= 0.98 * len(records)
+    assert hashlib.sha256((tmp_path / "replications.csv").read_bytes()).hexdigest() == csv_sha256
+
+
+@pytest.mark.parametrize(
     "command, config, selection, overrides, procedure",
     [
         ("stop", "efficiency_smooth", [], [], "plain_stop"),

@@ -25,7 +25,6 @@ already read.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -33,7 +32,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .estimator import _prefix_sums
 from .model import _check_int, require_same_dim
 
 __all__ = [
@@ -329,8 +327,9 @@ def aic_select(y: np.ndarray, lam: np.ndarray, delta: float, m0: int, norm: str 
 
     ``y`` holds the coefficients and ``lam`` the singular values, of equal
     length at least ``m0``. The strong-norm criterion is
-    ``-sum_{i<=m} lam_i**-2 Y_i**2 + 2 * delta**2 * sum_{i<=m} lam_i**-2``
-    and the weak-norm criterion ``-sum_{i<=m} Y_i**2 + 2 * m * delta**2``.
+    ``sum_{i<=m} lam_i**-2 * (2 * delta**2 - Y_i**2)`` and the weak-norm
+    criterion ``sum_{i<=m} (2 * delta**2 - Y_i**2)``, each one float
+    cumulative sum that starts from 0 at ``m = 0``.
     """
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -339,33 +338,12 @@ def aic_select(y: np.ndarray, lam: np.ndarray, delta: float, m0: int, norm: str 
     if not 0 <= m0 <= dim:
         raise ValueError(f"selection range end {m0} outside [0, {dim}]")
     _check_selection(norm, "norm")
-    y2 = y[:m0] ** 2
-    inv2, penalty = _aic_penalty(lam[:m0].tobytes(), delta, m0, norm)
-    crit = -_prefix_sums(y2 if inv2 is None else inv2 * y2) + penalty
-    return int(np.argmin(crit))
-
-
-@functools.lru_cache(maxsize=2)
-def _aic_penalty(lam_head: bytes, delta: float, m0: int, norm: str) -> tuple[np.ndarray | None, np.ndarray]:
-    """The half of :func:`aic_select`'s criterion that the data leave alone, as read-only arrays.
-
-    ``lam_head`` holds the bytes of ``lam[:m0]``. Returns ``lam[:m0]**-2``
-    (``None`` for the weak norm) and the penalty at ``m = 0..m0``. An
-    experiment selects on one instance over and over, so the arrays are
-    kept for the last two keys: an experiment running both two-step
-    procedures alternates the two norms. The expressions are those the
-    criterion always used, so a memoised call selects the same index bit
-    for bit.
-    """
-    pen = 2.0 * delta**2
+    gain = 2.0 * delta**2 - y[:m0] ** 2
     if norm == "strong":
-        inv2 = np.frombuffer(lam_head, dtype=float) ** -2.0
-        penalty = pen * _prefix_sums(inv2)
-        inv2.setflags(write=False)
-    else:
-        inv2, penalty = None, pen * np.arange(m0 + 1, dtype=float)
-    penalty.setflags(write=False)
-    return inv2, penalty
+        gain *= lam[:m0] ** -2.0
+    crit = np.zeros(m0 + 1)
+    np.cumsum(gain, out=crit[1:])
+    return int(np.argmin(crit))
 
 
 def _check_start(config: StoppingConfig, dim: int) -> None:

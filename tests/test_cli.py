@@ -148,7 +148,7 @@ def test_stop_records_are_pinned(
 )
 def test_mc_reselections_in_both_norms_are_pinned(tmp_path, seed, csv_sha256):
     """The shipped smooth config on the super-smooth signal stops immediately in about 99% of
-    replications, so both two-step procedures re-select by AIC at scale (D = 10^4, m0 = 330)."""
+    replications, so both two-step procedures re-select by AIC at scale (D = 10^4, m0 = 329)."""
     overrides = ["signal.name=super_smooth", 'procedures=["two_step_weak","two_step_strong"]', "replications=200"]
     args = ["mc", "--config", SHIPPED / "efficiency_smooth.json", "--out", tmp_path, "--seed", seed]
     assert run([*args, *(item for key in overrides for item in ("--set", key))]) == 0

@@ -1,10 +1,12 @@
 """The residual stopping rule over coefficient blocks, AIC selection and the two-step rule."""
 
 import itertools
+import json
 import math
 import operator
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from svdstop import harness, stopping
 from svdstop.estimator import _prefix_sums
-from svdstop.model import Observation, make_polynomial_spectrum, replication_seed, simulate_observation
+from svdstop.model import Observation, replication_seed, simulate_observation
 from svdstop.stopping import (
     M0_MODES,
     StopOutcome,
@@ -25,6 +27,8 @@ from svdstop.stopping import (
     stop_index,
     two_step,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 Y3 = np.array([2.0, 1.0, 0.5])
 OBS3 = Observation(y=Y3)
@@ -436,10 +440,14 @@ def test_aic_zero_noise_keeps_everything():
 def test_aic_ties_resolve_to_smallest():
     # y2=0 with positive penalty: criterion strictly favours truncation at 0..
     assert aic_select(np.zeros(2), np.ones(2), 1.0, m0=2, norm="strong") == 0
+    # without noise, zero coefficients past the first leave the criterion at its minimum: an exact tie
+    for norm in ("strong", "weak"):
+        assert aic_select(np.array([1.0, 0.0, 0.0]), np.ones(3), 0.0, m0=3, norm=norm) == 1
 
 
-def _aic_unmemoized(y, lam, delta, m0, norm):
-    """The AIC criterion formed in full on every call, as ``aic_select`` did before its penalty was memoised."""
+def _aic_two_sums(y, lam, delta, m0, norm):
+    """The AIC index from the criterion's two halves, each an extended-precision prefix sum, as
+    ``aic_select`` formed it before it became one float cumulative sum of per-coefficient gains."""
     y2 = y[:m0] ** 2
     pen = 2.0 * delta**2
     if norm == "strong":
@@ -461,36 +469,52 @@ def _aic_unmemoized(y, lam, delta, m0, norm):
         )
     )
 )
-def test_aic_memo_selects_the_unmemoized_index(case):
+def test_aic_selects_an_exact_minimiser_up_to_rounding(case):
+    """Against the criterion in exact arithmetic on the given floats, the chosen index is within twice
+    the float criterion's error bound of the minimum, and is the smallest minimiser once the minimum
+    beats every other index by more than that.
+
+    A gain ``lam**-2 * (2 * delta**2 - Y**2)`` takes five roundings: ``delta**2``, ``Y**2``, the
+    difference, ``lam**-2.0`` (allowed 4 ulp, for a vectorised ``pow``) and the product. The difference
+    of two rounded terms can cancel, so the gain is off by less than ``16 u lam**-2 (2 delta**2 + Y**2)``,
+    ``u = 2**-53``; underflow adds less than ``2**-1050`` a gain at these sizes. The float prefix
+    sum of ``m <= m0`` gains adds ``(m - 1) u (1 + o(1))`` times the sum of their magnitudes. So each
+    criterion value is off by less than ``E = 1.01 (m0 + 16) u T + m0 2**-1050``, with ``T`` the sum of
+    ``lam**-2 (2 delta**2 + Y**2)`` over ``i <= m0``, and the chosen index's exact criterion exceeds
+    the minimum by at most ``2 E``.
+    """
     y, lam, delta, m0, norm = case
     y, lam = np.array(y), np.array(lam)
-    expected = _aic_unmemoized(y, lam, delta, m0, norm)
-    assert aic_select(y, lam, delta, m0, norm) == expected
-    assert aic_select(y, lam, delta, m0, norm) == expected  # now from the memo
+    chosen = aic_select(y, lam, delta, m0, norm)
+
+    pen = 2 * Fraction(delta) ** 2
+    weights = [Fraction(1) / Fraction(value) ** 2 if norm == "strong" else Fraction(1) for value in lam[:m0]]
+    crit = [Fraction(0)]
+    for w, value in zip(weights, y[:m0]):
+        crit.append(crit[-1] + w * (pen - Fraction(value) ** 2))
+    total = sum(w * (pen + Fraction(value) ** 2) for w, value in zip(weights, y[:m0]))
+    bound = 2 * (Fraction(101, 100) * Fraction(m0 + 16, 2**53) * total + Fraction(m0, 2**1050))
+
+    best = min(crit)
+    assert crit[chosen] - best <= bound
+    first = crit.index(best)
+    runner_up = min((value for index, value in enumerate(crit) if index != first), default=None)
+    if runner_up is None or runner_up - best > bound:
+        assert chosen == first
 
 
-def test_aic_memo_recomputes_when_the_instance_changes():
-    d = 30
-    rng = np.random.default_rng(11)
-    lam = make_polynomial_spectrum(d, 0.5).values
-    base = dict(y=lam * np.linspace(3.0, 0.0, d) + 0.3 * rng.standard_normal(d), lam=lam, delta=0.3, m0=20)
-    base.update(norm="strong")
-    stopping._aic_penalty.cache_clear()
-
-    def select(**change):
-        args = {**base, **change}
-        assert aic_select(**args) == _aic_unmemoized(**args)
-        return stopping._aic_penalty.cache_info()
-
-    assert select().misses == 1
-    # new data, or a spectrum changed past m0, reuse the penalty
-    assert select(y=base["y"][::-1].copy(), lam=np.concatenate((lam[:20], lam[20:] / 2))).hits == 1
-    changes = [{"lam": lam * 1.5}, {"delta": 0.31}, {"m0": 19}, {"norm": "weak"}]
-    for count, change in enumerate(changes, start=2):
-        assert select(**change).misses == count
-    inv2, penalty = stopping._aic_penalty(lam[:20].tobytes(), 0.3, 20, "strong")
-    assert not inv2.flags.writeable and not penalty.flags.writeable
-
+@pytest.mark.parametrize("signal", ["super_smooth", "smooth", "rough"])
+def test_aic_selects_the_two_sum_index_on_the_shipped_instance(signal):
+    """The shipped smooth config (D = 10**4, m0 = 329) on each stock signal: the one float sum selects
+    the index the two extended-precision sums did, in both norms, on every seeded draw."""
+    mapping = {**json.loads((CONFIGS / "efficiency_smooth.json").read_text()), "signal": {"name": signal}}
+    exp = harness.resolve_experiment(harness.config_from_mapping(mapping))
+    lam, delta, m0 = exp.spectrum.values, exp.noise.delta, exp.stopping.m0
+    assert m0 == 329
+    for rep in range(100):
+        y = simulate_observation(exp.image, exp.noise, replication_seed(42, rep)).y
+        for norm in ("strong", "weak"):
+            assert aic_select(y, lam, delta, m0, norm) == _aic_two_sums(y, lam, delta, m0, norm)
 
 
 def test_two_step_keeps_late_stop():

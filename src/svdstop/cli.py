@@ -171,6 +171,9 @@ def _cmd_adversary(mapping: dict, out: Path, base: Path, args) -> None:
     kind = section.get("kind")
     if kind not in ("hide_signal", "residual_adversary"):
         raise ValueError("adversary.kind must be 'hide_signal' or 'residual_adversary'")
+    for key in ("i0", "r_bar"):
+        if key not in section:
+            raise ValueError(f"adversary.{key} is required")
     i0 = _check_int(section["i0"], "adversary.i0")
     alpha = _check_float(section.get("alpha", 0.0), "adversary.alpha")
     r_bar = _check_float(section["r_bar"], "adversary.r_bar")

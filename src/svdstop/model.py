@@ -80,7 +80,11 @@ def _check_int(value, where: str) -> int:
 
 
 def _check_float(value, where: str) -> float:
-    """``value`` as a float; the ``TypeError`` or ``ValueError`` of ``float`` names the config key ``where``."""
+    """``value`` as a float; the ``TypeError`` or ``ValueError`` of ``float`` names the config key ``where``.
+
+    A boolean is not a number here, though ``float(True)`` is 1.0; a numeric string such as ``'.01'`` is one."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:

@@ -25,6 +25,7 @@ already read.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -208,48 +209,48 @@ def residual_rule(
     ``r_m <= fl(kappa + M)``. Every index before it fails. If it also has
     ``r_m < fl(kappa - M)``, it passes, and the rule returns it. If there
     is no such index, the block holds no stop. Otherwise a residual lies
-    within the margin of ``kappa``, and the exact test decides. It first
-    replays the blocks read so far to carry their error, and then it runs
-    on every later block of the call. A margin that is not finite (a
-    non-finite norm or coefficient) also takes this path. So each index
-    returned is the one the exact test returns.
+    within the margin of ``kappa``, and the exact test decides. One
+    exact-error call over the blocks read so far carries their error, and
+    then the test runs on every later block of the call. A margin that is
+    not finite (a non-finite norm or coefficient) also takes this path. So
+    each index returned is the one the exact test returns.
     """
     _check_start(config, dim)
     y_norm_sq, kappa = float(y_norm_sq), config.kappa
-    if config.m0 == 0 and y_norm_sq <= kappa:
+    if dim == 0 or (config.m0 == 0 and y_norm_sq <= kappa):  # no coefficient is needed
         return 0
     start = max(config.m0, 1)
     read = 0
     total = 0.0  # float running sum of squares
     error = None  # the exact rounding error of total, once the exact test runs
-    screened = []  # the blocks the screen decided and their float sums, which the exact test replays
+    screened = []  # the values and float sums of the blocks the screen decided, whose error the exact test needs
     for block in blocks:
         values = np.asarray(block, dtype=float)[: dim - read]
+        if not values.size:
+            continue
         sums = np.square(values)
         # seeding the first term continues the sequential sum across blocks
         sums[:1] += total
         np.cumsum(sums, out=sums)
         first = max(start - read - 1, 0)
-        if error is None and sums.size:
+        if error is None:
             stop = _screen(y_norm_sq, kappa, sums, first, read + sums.size)
             if stop is None:
-                error = _replay(screened)
+                error = _sum_errors(*map(np.concatenate, zip(*screened)), 0.0, 0.0)[-1] if screened else 0.0
             elif stop < sums.size:
                 return read + stop + 1
             else:
                 screened.append((values, sums))
         if error is not None:
-            errors = _sum_errors(values, np.square(values), sums, total, error)
+            errors = _sum_errors(values, sums, total, error)
             hits = np.nonzero(y_norm_sq - sums[first:] - errors[first:] <= kappa)[0]
             if hits.size:
                 return read + first + int(hits[0]) + 1
-            if sums.size:
-                error = errors[-1]
+            error = errors[-1]
         read += sums.size
         if read == dim:
             return dim
-        if sums.size:
-            total = sums[-1]
+        total = sums[-1]
     raise TruncatedStreamError(f"coefficients ended after {read} of {dim}; residual still above threshold")
 
 
@@ -259,37 +260,23 @@ def _screen(y_norm_sq: float, kappa: float, sums: np.ndarray, first: int, count:
     margin = _UNIT * (2.01 * count * sums.item(-1) + 4.0 * (kappa + abs(y_norm_sq))) + count * _TINY
     if not (margin < math.inf and count < _MAX_SCREENED):
         return None
-    # bisect for the first residual at or below kappa + margin: the float residuals never increase
-    lo, hi, upper = first, sums.size, kappa + margin
-    if lo >= hi or y_norm_sq - sums.item(-1) > upper:
-        return hi
-    hi -= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if y_norm_sq - sums.item(mid) <= upper:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo if y_norm_sq - sums.item(lo) < kappa - margin else None
+    upper = kappa + margin
+    if first >= sums.size or y_norm_sq - sums.item(-1) > upper:
+        return sums.size
+    # the first residual at or below kappa + margin: the float residuals never increase
+    stop = bisect.bisect_left(range(sums.size - 1), True, first, key=lambda i: y_norm_sq - sums.item(i) <= upper)
+    return stop if y_norm_sq - sums.item(stop) < kappa - margin else None
 
 
-def _replay(screened: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """The exact rounding error of the float sum of squares over the screened ``(values, sums)`` blocks."""
-    total, error = 0.0, 0.0
-    for values, sums in screened:
-        error = _sum_errors(values, np.square(values), sums, total, error)[-1]
-        total = sums[-1]
-    return error
-
-
-def _sum_errors(values: np.ndarray, squares: np.ndarray, sums: np.ndarray, total: float, error: float) -> np.ndarray:
+def _sum_errors(values: np.ndarray, sums: np.ndarray, total: float, error: float) -> np.ndarray:
     """``sum_{i<=m} Y_i**2 - sums[m]`` in exact terms, accumulated onto ``error``.
 
-    ``squares`` holds ``fl(Y**2)`` and ``sums`` the sequential float sum
-    of ``squares`` seeded with ``total``. Each square splits exactly into
+    ``sums`` holds the sequential float sum of the squares ``fl(Y**2)`` of
+    ``values``, seeded with ``total``. Each square splits exactly into
     ``fl(Y**2) + lo`` (Dekker's product), and each step of the sum
     contributes its exact rounding error (Knuth's two-sum).
     """
+    squares = np.square(values)
     scaled = _SPLIT * values
     top = scaled - (scaled - values)
     low = values - top

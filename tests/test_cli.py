@@ -549,6 +549,53 @@ def test_null_number_exits_three_naming_the_key(tmp_path, key, raw, error, capsy
 
 
 @pytest.mark.parametrize(
+    "key, command",
+    [
+        ("noise.delta", "oracles"),
+        ("spectrum.p", "oracles"),
+        ("stopping.kappa", "oracles"),
+        ("stopping.level", "oracles"),
+        ("adversary.alpha", "adversary"),
+        ("lazysvd.tolerance", "lazysvd"),
+    ],
+)
+def test_a_boolean_number_exits_three_naming_the_key(tmp_path, key, command, capsys):
+    """``float(True)`` is 1.0, but a JSON ``true`` where a number belongs is refused, as it is for an integer."""
+    out = tmp_path / "out"
+    args = [command, "--config", config_for(tmp_path, command), "--out", out, "--set", f"{key}=true"]
+    code, captured = run(args, capsys)
+    assert code == 3
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": f"{key} must be a number, got True",
+    }
+    assert not any(out.iterdir())
+
+
+def test_a_numeric_string_is_read_as_a_number(config_path, tmp_path):
+    """``.05`` is not JSON, so the override arrives as a string, and a string that reads as a number is one."""
+    out = tmp_path / "out"
+    assert run(["oracles", "--config", config_path, "--out", out, "--set", "noise.delta=.05"]) == 0
+    assert json.loads((out / "oracles.json").read_text())["config"]["noise"]["delta"] == 0.05
+
+
+@pytest.mark.parametrize("key", ["i0", "r_bar"])
+def test_a_missing_adversary_key_is_named(tmp_path, key, capsys):
+    config = json.loads((SHIPPED / "adversary_hide.json").read_text())
+    del config["adversary"][key]
+    path = tmp_path / "adversary.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, captured = run(["adversary", "--config", path, "--out", out], capsys)
+    assert code == 3
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": f"adversary.{key} is required",
+    }
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
     "key, raw",
     [
         ("lazysvd.tolerance", "NaN"),

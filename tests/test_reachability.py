@@ -9,7 +9,8 @@ objects differ between Python versions. The runs cover ``oracles``,
 ``stop``, ``bounds``, ``two-step`` in both norms, ``mc`` with all four
 procedures and on the null config, ``plot``, ``adversary`` of both kinds,
 ``lazysvd`` on binary and text matrices with and without a selection
-norm, and failing configs that exit 2, 3 and 4. A function that becomes
+norm, ``stop`` with a threshold within the rule's margin of a residual,
+and failing configs that exit 2, 3 and 4. A function that becomes
 reachable leaves :data:`UNREACHED`; a new function that no command enters
 either gets a run that reaches it or an entry here that says why not.
 """
@@ -19,23 +20,27 @@ import contextlib
 import importlib
 import inspect
 import io
+import itertools
 import json
+import operator
 import pkgutil
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import svdstop
+from svdstop import harness
 from svdstop.cli import main
 from svdstop.lazysvd import save_matrix
+from svdstop.model import replication_seed, simulate_observation
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 _LOWER_BOUND_ONLY = "the numeric total variation, which no command runs yet"
-_NEAR_TIE = "runs only when a residual lies within the rule's proven margin of kappa, which no run here meets"
 UNREACHED = {
     "_chisq.AccuracyError.__init__": _LOWER_BOUND_ONLY,
     "_chisq._bracket_width": _LOWER_BOUND_ONLY,
@@ -54,9 +59,9 @@ UNREACHED = {
     "lowerbound.tv_bound": _LOWER_BOUND_ONLY,
     "lowerbound.tv_numeric": _LOWER_BOUND_ONLY,
     "lazysvd.save_matrix": "the commands read matrices and never write one",
-    "stopping._replay": _NEAR_TIE,
-    "stopping._sum_errors": _NEAR_TIE,
 }
+SMALL = {"dim": 120, "spectrum": {"p": 0.5}, "noise": {"delta": 0.05}, "signal": {"name": "smooth", "target": 25.0}}
+NEAR_TIE_INDEX = 40
 
 
 def package_functions() -> dict[types.CodeType, str]:
@@ -106,6 +111,15 @@ def lazy_inputs(directory: Path) -> dict[str, Path]:
     return paths
 
 
+def near_tie() -> tuple[np.ndarray, float, float]:
+    """Replication 0's coefficients and squared norm under :data:`SMALL`, and their float residual at
+    :data:`NEAR_TIE_INDEX`: a threshold there lies within the rule's margin, so only its exact test decides."""
+    exp = harness.resolve_experiment(harness.config_from_mapping(SMALL))
+    obs = simulate_observation(exp.image, exp.noise, replication_seed(0, 0))
+    y = obs.y
+    return y, obs.y_norm_sq, float(obs.y_norm_sq - np.cumsum(y * y)[NEAR_TIE_INDEX - 1])
+
+
 def runs(directory: Path) -> list[tuple[list[str], int]]:
     """``(argv, exit code)`` of each command run, with the config files they read written to ``directory``."""
 
@@ -122,10 +136,8 @@ def runs(directory: Path) -> list[tuple[list[str], int]]:
     )
     few = sets("replications=20")
     rescue = sets("stopping.kappa=1000", "stopping.m0_mode=explicit", "stopping.m0=100", "selection.norm=weak")
-    small = config(
-        "small",
-        {"dim": 120, "spectrum": {"p": 0.5}, "noise": {"delta": 0.05}, "signal": {"name": "smooth", "target": 25.0}},
-    )
+    small = config("small", SMALL)
+    *_, kappa = near_tie()
     inputs = lazy_inputs(directory)
     lazy = {"data": {"file": inputs["data"].name}, "noise": {"delta": 0.05}, "stopping": {"m0_mode": "zero"}}
     lazy_bin = config("lazy_bin", {**lazy, "matrix": {"file": inputs["bin"].name}})
@@ -139,6 +151,7 @@ def runs(directory: Path) -> list[tuple[list[str], int]]:
         (["bounds", "--config", smooth], 0),
         (["two-step", "--config", smooth], 0),
         (["two-step", "--config", small, *rescue], 0),
+        (["stop", "--config", small, *sets(f"stopping.kappa={kappa!r}"), "--out", str(directory / "near_tie")], 0),
         (["mc", "--config", smooth, "--out", str(mc_out), *few, *all_procedures], 0),
         (["mc", "--config", null, *few], 0),
         (["plot", "--config", plot], 0),
@@ -157,9 +170,13 @@ def runs(directory: Path) -> list[tuple[list[str], int]]:
 
 
 @pytest.fixture(scope="module")
-def entered(tmp_path_factory):
+def directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("reach")
+
+
+@pytest.fixture(scope="module")
+def entered(directory):
     """The code objects entered while every command runs, and the commands' exit codes against the expected."""
-    directory = tmp_path_factory.mktemp("reach")
     plan = runs(directory)
     codes, seen = [], set()
 
@@ -190,3 +207,11 @@ def test_unreached_functions_are_the_pinned_ones(entered):
     assert sorted(unreached - UNREACHED.keys()) == [], "functions no command enters: reach them or pin them"
     assert sorted(UNREACHED.keys() - unreached) == [], "pinned functions a command now enters: unpin them"
 
+
+def test_a_near_tie_stops_at_the_exact_index(entered, directory):
+    """The threshold is a float residual, so the exact residuals decide the index, which the run must keep."""
+    y, y_norm_sq, kappa = near_tie()
+    residuals = itertools.accumulate((Fraction(v) ** 2 for v in y.tolist()), operator.sub, initial=Fraction(y_norm_sq))
+    exact = next(m for m, residual in enumerate(residuals) if residual <= Fraction(kappa))
+    tau = json.loads((directory / "near_tie" / "stop.json").read_text())["outcome"]["tau"]
+    assert tau == exact == NEAR_TIE_INDEX

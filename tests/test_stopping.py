@@ -108,6 +108,13 @@ def test_truncated_stream_raises():
         residual_rule([np.array([2.0])], y_norm_sq=5.25, dim=3, config=StoppingConfig(kappa=0.0))
 
 
+def test_an_empty_problem_stops_at_zero():
+    """With no coefficient to read, the rule stops at 0 whatever the norm, and pulls no block."""
+    config = StoppingConfig(kappa=0.0)
+    assert residual_rule([np.empty(0)], 1.0, 0, config) == residual_rule([], 1.0, 0, config) == 0
+    assert stop_index(np.empty(0), 1.0, config) == 0
+
+
 @given(observations(), st.lists(st.integers(0, 40), max_size=6))
 def test_stop_index_matches_streaming_rule(case, cuts):
     """One block, one-coefficient blocks and random splits give the same index."""

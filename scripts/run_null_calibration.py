@@ -10,6 +10,7 @@ the options override its values.
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 from svdstop.harness import config_from_mapping, run_experiment
@@ -26,12 +27,14 @@ def main():
                         help="threshold drifts in units of sqrt(D)*delta**2")
     args = parser.parse_args()
 
+    dim, delta = shipped["dim"], shipped["noise"]["delta"]
     print(f"{args.replications} replications per drift, zero signal, D=10000, delta=0.01")
     for drift in args.drifts:
         config = config_from_mapping(
             {
                 **shipped,
-                "stopping": {**shipped["stopping"], "kappa_drift": drift},
+                # the default threshold D * delta**2, shifted by the drift
+                "stopping": {**shipped["stopping"], "kappa": (dim + drift * math.sqrt(dim)) * delta**2},
                 "replications": args.replications,
                 "base_seed": args.seed,
             }

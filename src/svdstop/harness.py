@@ -358,65 +358,44 @@ def _replicate(
     return obs, outcomes
 
 
-def _run_one(
-    rep: int,
-    exp: ResolvedExperiment,
-    fixed_index: int,
-    numerators: tuple[float, float],
-    gaps: tuple[np.ndarray, np.ndarray],
-) -> tuple[list[ReplicationRecord], tuple[int, str] | None]:
-    mu, lam = exp.signal.coefficients, exp.spectrum.values
-    num_strong, num_weak = numerators
-    try:
-        obs, outcomes = _replicate(exp, rep, exp.config.procedures, fixed_index)
-        records = []
-        scored = {}  # chosen index -> its errors: procedures that choose the same index share them
-        for proc, outcome in zip(exp.config.procedures, outcomes):
-            chosen = outcome.chosen
-            if chosen not in scored:
-                scored[chosen] = _errors(obs.y, chosen, mu, lam, gaps)
-            err_strong, err_weak = scored[chosen]
-            records.append(
-                ReplicationRecord(
-                    rep=rep,
-                    procedure=proc,
-                    tau=outcome.tau,
-                    rho=outcome.rho,
-                    immediate=outcome.immediate_stop,
-                    err_strong=err_strong,
-                    err_weak=err_weak,
-                    eff_strong=num_strong / err_strong if err_strong > 0 else math.inf,
-                    eff_weak=num_weak / err_weak if err_weak > 0 else math.inf,
-                )
-            )
-        return records, None
-    except ArithmeticError as exc:  # a numeric failure is recorded; the other replications still run
-        return [], (rep, f"{type(exc).__name__}: {exc}")
-
-
 def run_experiment(config: ExperimentConfig, base_dir: str | Path | None = None) -> EfficiencyReport:
     """Run all replications in index order and aggregate; :func:`write_records_csv` writes the records."""
     exp = resolve_experiment(config, base_dir)
     oracle_record = oracle_payload(exp)
     fixed_index = oracle_record["classical_index"]
-    numerators = (
-        math.sqrt(oracle_record["classical_risk"]),
-        math.sqrt(oracle_record["classical_weak_risk"]),
-    )
+    num_strong, num_weak = math.sqrt(oracle_record["classical_risk"]), math.sqrt(oracle_record["classical_weak_risk"])
 
-    gap = -exp.signal.coefficients
-    gaps = (gap, exp.spectrum.values * gap)  # the zero estimate's errors, reused by every replication
-
+    mu, lam = exp.signal.coefficients, exp.spectrum.values
+    gaps = (-mu, lam * -mu)  # the zero estimate's errors, reused by every replication
     records: list[ReplicationRecord] = []
     failures: list[tuple[int, str]] = []
     for rep in range(config.replications):
-        recs, failure = _run_one(rep, exp, fixed_index, numerators, gaps)
-        records.extend(recs)
-        if failure is not None:
-            failures.append(failure)
+        try:  # records are appended only after every step that can raise
+            obs, outcomes = _replicate(exp, rep, config.procedures, fixed_index)
+            scored = {}  # chosen index -> its errors: procedures that choose the same index share them
+            for outcome in outcomes:
+                if outcome.chosen not in scored:
+                    scored[outcome.chosen] = _errors(obs.y, outcome.chosen, mu, lam, gaps)
+            for proc, outcome in zip(config.procedures, outcomes):
+                err_strong, err_weak = scored[outcome.chosen]
+                records.append(
+                    ReplicationRecord(
+                        rep=rep,
+                        procedure=proc,
+                        tau=outcome.tau,
+                        rho=outcome.rho,
+                        immediate=outcome.immediate_stop,
+                        err_strong=err_strong,
+                        err_weak=err_weak,
+                        eff_strong=num_strong / err_strong if err_strong > 0 else math.inf,
+                        eff_weak=num_weak / err_weak if err_weak > 0 else math.inf,
+                    )
+                )
+        except ArithmeticError as exc:  # a numeric failure is recorded; the other replications still run
+            failures.append((rep, f"{type(exc).__name__}: {exc}"))
 
     summaries = tuple(
-        _summarise(proc, [r for r in records if r.procedure == proc]) for proc in exp.config.procedures
+        _summarise(proc, [r for r in records if r.procedure == proc]) for proc in config.procedures
     )
     return EfficiencyReport(
         config=config.to_mapping(),

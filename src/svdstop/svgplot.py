@@ -61,8 +61,9 @@ def efficiency_plot(records, config_mapping: dict | None = None, title: str = "R
     and ``eff_weak`` attributes (replication records); box order follows
     first appearance of each procedure. Non-finite values are left out and
     counted in the box's ``data-dropped``; a box with no finite value is
-    drawn as its label alone. ``config_mapping`` is echoed as JSON in the
-    SVG's ``desc``.
+    drawn as its label alone, and ``ValueError`` is raised for finite values
+    spread too wide to scale to the plot. ``config_mapping`` is echoed as
+    JSON in the SVG's ``desc``.
     """
     values: dict[str, dict[str, list[float]]] = {}
     for rec in records:
@@ -71,7 +72,6 @@ def efficiency_plot(records, config_mapping: dict | None = None, title: str = "R
         by_norm["weak"].append(rec.eff_weak)
     if not values:
         raise ValueError("no records to plot")
-    boxes = [(proc, norm, *_box(vals)) for proc, by_norm in values.items() for norm, vals in by_norm.items()]
 
     width, height = 640, 420
     left, right, top, bottom = 64, 16, 44, 76
@@ -79,10 +79,13 @@ def efficiency_plot(records, config_mapping: dict | None = None, title: str = "R
 
     finite = [v for by_norm in values.values() for vals in by_norm.values() for v in vals if math.isfinite(v)]
     lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= lo:  # past 2**53, lo + 1 rounds back to lo, so the width grows with lo there
+        hi = lo + max(1.0, abs(lo) * 2**-40)
     pad = 0.06 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    if not plot_h * (hi - lo) < math.inf:  # y_of scales a difference of at most hi - lo by plot_h
+        raise ValueError(f"efficiencies from {min(finite)!r} to {max(finite)!r} span too wide a range to plot")
+    boxes = [(proc, norm, *_box(vals)) for proc, by_norm in values.items() for norm, vals in by_norm.items()]
 
     def y_of(v: float) -> float:
         return top + plot_h * (hi - v) / (hi - lo)
@@ -117,6 +120,8 @@ def efficiency_plot(records, config_mapping: dict | None = None, title: str = "R
         parts.append(
             f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{_fmt(tick)}</text>'
         )
+        if tick + step == tick:  # a step below half an ulp of the tick no longer moves it
+            break
         tick += step
     parts.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" '

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -944,6 +947,41 @@ def test_plot_of_a_bad_csv_exits_three(tmp_path, body, message, capsys):
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record["error"] == "ValueError" and message in record["message"]
     assert not (tmp_path / "out" / "efficiency.svg").exists()
+
+
+def _plot_config(tmp_path, efficiencies) -> Path:
+    """A plot config reading a CSV with one record per efficiency, strong and weak alike."""
+    rows = [f"{rep},1,,0,1.0,1.0,{eff!r},{eff!r},plain_stop" for rep, eff in enumerate(efficiencies)]
+    (tmp_path / "r.csv").write_text("\n".join([harness.CSV_HEADER, *rows]) + "\n")
+    path = tmp_path / "plot.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "plot": {"csv": "r.csv"}}))
+    return path
+
+
+def test_plot_of_equal_efficiencies_past_two_to_the_53_exits_zero(tmp_path):
+    """``lo + 1`` rounds back to ``lo`` there, so the range is widened relative to its size."""
+    assert run(["plot", "--config", _plot_config(tmp_path, [1e17] * 3), "--out", tmp_path / "out"]) == 0
+    svg = (tmp_path / "out" / "efficiency.svg").read_text()
+    assert 'data-median="1e+17"' in svg and not re.search(r'="[^"]*(nan|inf)', svg)
+
+
+def test_plot_of_adjacent_efficiencies_past_two_to_the_53_ends(tmp_path):
+    """A tick step below half an ulp of 1e17 does not move the tick; run in a child so a hang fails the test."""
+    path = _plot_config(tmp_path, [1e17, math.nextafter(1e17, math.inf)])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = [sys.executable, "-m", "svdstop.cli", "plot", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert subprocess.run(args, env=env, capture_output=True, timeout=60).returncode == 0
+    assert (tmp_path / "out" / "efficiency.svg").read_text().count("<text") == 5  # title, axis, tick, 2 labels
+
+
+def test_plot_of_efficiencies_too_wide_to_scale_exits_three(tmp_path, capsys):
+    """A padded range times the plot height must stay finite for every coordinate to be finite."""
+    path = _plot_config(tmp_path, [0.0, 1e306])
+    code, captured = run(["plot", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert code == 3
+    assert "too wide a range to plot" in json.loads(captured.err.strip().splitlines()[-1])["message"]
+    assert run(["plot", "--config", _plot_config(tmp_path, [0.0, 1e305]), "--out", tmp_path / "out"]) == 0
 
 
 def test_an_unknown_signal_name_lists_the_names_that_run(tmp_path, capsys):

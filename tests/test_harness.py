@@ -346,6 +346,22 @@ def test_only_numeric_replication_failures_are_recorded(monkeypatch):
         run_experiment(small_config(replications=2))
 
 
+def test_a_replication_failing_at_its_last_index_adds_no_record(monkeypatch):
+    errors, scored = harness._errors, []
+
+    def flaky(y, k, mu, lam, gaps):
+        scored.append(k)
+        if len(scored) == 2:  # the second distinct index replication 0 scores
+            raise FloatingPointError("overflow in the estimate")
+        return errors(y, k, mu, lam, gaps)
+
+    monkeypatch.setattr(harness, "_errors", flaky)
+    report = run_experiment(small_config(replications=2, procedures=("plain_stop", "fixed_oracle")))
+    assert scored[0] != scored[1]
+    assert report.failures == ((0, "FloatingPointError: overflow in the estimate"),)
+    assert [(r.rep, r.procedure) for r in report.records] == [(1, "plain_stop"), (1, "fixed_oracle")]
+
+
 def test_csv_roundtrip(tmp_path):
     config = small_config(replications=8, procedures=("plain_stop", "two_step_strong"))
     report = run_experiment(config)
@@ -430,11 +446,8 @@ def _check_errors_the_old_way(config: ExperimentConfig, base: Path) -> set[int]:
     assert sorted(permuted.records, key=lambda r: (r.rep, r.procedure)) == sorted(
         report.records, key=lambda r: (r.rep, r.procedure)
     )
-    # and running one replication twice on the same gap vectors gives the same records
-    numerators = (math.sqrt(oracle["classical_risk"]), math.sqrt(oracle["classical_weak_risk"]))
-    runs = [harness._run_one(0, exp, oracle["classical_index"], numerators, gaps) for _ in range(2)]
-    assert runs[0] == runs[1] == ([r for r in report.records if r.rep == 0], None)
-    assert all(np.array_equal(g, p) for g, p in zip(gaps, pristine))
+    # and running the experiment again gives the same records
+    assert run_experiment(config, base_dir=base).records == report.records
     return chosen_seen
 
 

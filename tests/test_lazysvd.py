@@ -1,6 +1,7 @@
 """Lazy one-at-a-time SVD by Golub-Kahan-Lanczos, and the matrix-space stopping loop."""
 
 import importlib.util
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -53,6 +54,24 @@ def load_demo():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# matvecs of the benchmark's lazy-solve instance, by start seed: a ratchet that only moves down, since the
+# benchmark's work_count is this count and allows 3%
+BENCHMARK_MATVECS = (260, 260, 260, 280, 280, 260, 260, 280)
+
+
+def test_the_benchmark_instance_takes_at_most_its_pinned_matvecs(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    assert module.SIZES[False]["lazy-solve"] == (800, 500)
+    matrix, y, config, noise = module.lazy_instance(800, 500)
+    operator = MatrixOperator(matrix)
+    counts = [sequential_solve(operator, y, noise, config, seed=seed).matvec_count for seed in range(8)]
+    assert all(count <= pinned for count, pinned in zip(counts, BENCHMARK_MATVECS)), counts
 
 
 def test_operator_validation():

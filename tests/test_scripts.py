@@ -1,12 +1,13 @@
 """The example scripts, run end to end at a few replications."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from svdstop.harness import config_from_mapping, read_records_csv
+from svdstop.harness import config_from_mapping, read_records_csv, run_experiment
 from svdstop.signals import NAMED_PROFILES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,13 +38,20 @@ def test_efficiency_study(tmp_path):
 
 
 def test_null_calibration():
-    stdout = run_script("run_null_calibration.py", "--replications", 20, "--drifts", 0)
+    stdout = run_script("run_null_calibration.py", "--replications", 200, "--drifts", -1, 0, 1)
     match = re.search(r"drift \+0\.0: overrun fraction ([0-9.]+)  mean stopping index ([0-9.]+)", stdout)
     assert match is not None, stdout
     overrun, mean_index = float(match[1]), float(match[2])
     assert 0.0 <= overrun <= 1.0
     # the normal-quantile start at D=10000 is 329, and the rule never stops before it
     assert mean_index >= 329.0
+    # the script's own threshold is the one the stopping.kappa_drift key sets
+    shipped = json.loads((ROOT / "configs" / "null_calibration.json").read_text())
+    for drift in (-1.0, 1.0):
+        mapping = {**shipped, "stopping": {**shipped["stopping"], "kappa_drift": drift}, "replications": 200}
+        summary = run_experiment(config_from_mapping(mapping)).summaries[0]
+        expected = f"drift {drift:+.1f}: overrun fraction {1.0 - summary.immediate_fraction:.4f}"
+        assert f"  {expected}  mean stopping index {summary.tau_mean:.1f}\n" in stdout, stdout
 
 
 def test_lazysvd_demo():

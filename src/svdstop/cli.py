@@ -213,6 +213,7 @@ def _cmd_lazysvd(mapping: dict, out: Path, base: Path, args) -> None:
         result.estimate,
         exp.stopping,
         matvec_count=result.matvec_count,
+        passes=result.state.passes,
         iterations=list(result.state.iterations),
         release_residuals=list(result.state.release_residuals),
         singular_values=[t.sigma for t in result.state.triplets],

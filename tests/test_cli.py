@@ -1192,7 +1192,7 @@ def test_lazysvd_json_key_paths_are_pinned(tmp_path):
     assert run(["lazysvd", "--config", path, "--out", out]) == 0
     # the raw config is echoed, so its paths are the input's
     expected = key_paths({"config": config}) | OUTCOME_PATHS
-    expected |= {"iterations", "matvec_count", "release_residuals", "singular_values"}
+    expected |= {"iterations", "matvec_count", "passes", "release_residuals", "singular_values"}
     assert key_paths(json.loads((out / "lazysvd.json").read_text())) == expected
 
 

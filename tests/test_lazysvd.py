@@ -56,9 +56,16 @@ def load_demo():
     return module
 
 
-# matvecs of the benchmark's lazy-solve instance, by start seed: a ratchet that only moves down, since the
-# benchmark's work_count is this count and allows 3%
+def assert_orthonormal_bases(state):
+    """The process's left and right basis rows are orthonormal to rounding."""
+    for basis in (state._u[: state._k], state._v[: state._stored]):
+        assert np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0])), initial=0.0) <= 1e-13
+
+
+# matvecs and sweeps over A of the benchmark's lazy-solve instance, by start seed: ratchets that only move
+# down, since the benchmark's work_count is the matvec count and allows 3%
 BENCHMARK_MATVECS = (260, 260, 260, 280, 280, 260, 260, 280)
+BENCHMARK_PASSES = (143, 143, 143, 154, 154, 143, 143, 154)
 
 
 def test_the_benchmark_instance_takes_at_most_its_pinned_matvecs(monkeypatch):
@@ -70,8 +77,41 @@ def test_the_benchmark_instance_takes_at_most_its_pinned_matvecs(monkeypatch):
     assert module.SIZES[False]["lazy-solve"] == (800, 500)
     matrix, y, config, noise = module.lazy_instance(800, 500)
     operator = MatrixOperator(matrix)
-    counts = [sequential_solve(operator, y, noise, config, seed=seed).matvec_count for seed in range(8)]
+    states = [sequential_solve(operator, y, noise, config, seed=seed).state for seed in range(8)]
+    counts = [state.matvec_count for state in states]
     assert all(count <= pinned for count, pinned in zip(counts, BENCHMARK_MATVECS)), counts
+    passes = [state.passes for state in states]
+    assert all(count <= pinned for count, pinned in zip(passes, BENCHMARK_PASSES)), passes
+
+
+@pytest.mark.parametrize("rows, cols", [(7, 4), (5, 5), (1, 3)], ids=["odd-rows", "square", "one-row"])
+def test_products_agree_with_plain_products(rows, cols):
+    """The sweep over row blocks gives ``A v`` and ``A'p``, together or alone, each entry within twice the
+    dot-product error bound ``n eps sum_j |a_ij x_j|`` of the plain product (a single row leaves one block
+    empty)."""
+    rng = np.random.default_rng(rows * cols)
+    a, v, p = rng.standard_normal((rows, cols)), rng.standard_normal(cols), rng.standard_normal(rows)
+    eps = np.finfo(float).eps
+    bound_av, bound_atp = 2 * cols * eps * (np.abs(a) @ np.abs(v)), 2 * rows * eps * (np.abs(p) @ np.abs(a))
+    for av, atp in (lazysvd._products(a, v, p), (lazysvd._products(a, v, None)[0], lazysvd._products(a, None, p)[1])):
+        assert av.shape == (rows,) and atp.shape == (cols,)
+        assert np.all(np.abs(av - a @ v) <= bound_av) and np.all(np.abs(atp - a.T @ p) <= bound_atp)
+    assert lazysvd._products(a, v, None)[1] is None and lazysvd._products(a, None, p)[0] is None
+
+
+@pytest.mark.parametrize("band", [0, 2])
+def test_orthogonalise_repeats_a_pass_that_cancels_most_of_the_vector(band):
+    """A vector within 1e-10 of the basis's span: one classical Gram-Schmidt pass leaves it about 1e-7 from
+    orthogonal, relatively, so the pass is repeated, which brings that to rounding; the coefficients rebuild
+    the vector."""
+    rng = np.random.default_rng(0)
+    basis = np.linalg.qr(rng.standard_normal((40, 6)))[0].T
+    x = basis.T @ rng.standard_normal(6) + 1e-10 * rng.standard_normal(40)
+    y = x.copy()
+    coefficients, norm = lazysvd._orthogonalise(y, basis, band)
+    assert norm == pytest.approx(np.linalg.norm(y), rel=1e-15)
+    assert np.max(np.abs(basis @ y)) <= 1e-14 * norm
+    assert np.max(np.abs(coefficients @ basis + y - x)) <= 1e-15 * np.linalg.norm(x)
 
 
 def test_operator_validation():
@@ -166,6 +206,8 @@ def test_matvec_accounting():
         next_triplet(state)
     assert state.matvec_count == 2 * sum(state.iterations)
     assert len(state.iterations) == 5
+    # each chunk of t >= 1 steps sweeps A t + 1 times
+    assert sum(state.iterations) < state.passes <= state.matvec_count
 
 
 def test_next_triplet_is_deterministic():
@@ -214,6 +256,17 @@ def test_convergence_error_carries_best_iterate():
     assert state.triplets == () and state.iterations == ()
 
 
+@pytest.mark.parametrize("max_iterations", [2, 3])
+def test_a_restart_with_no_step_left_raises(max_iterations):
+    """A value three times over: the two-start basis holds two converged copies by its last allowed step, and
+    the restart that would look for the third has no step left, so the state raises instead of looping."""
+    state = DeflationState(MatrixOperator(embedded_diagonal([1.0, 1.0, 1.0], rows=4)), max_iterations=max_iterations)
+    with pytest.raises(ConvergenceError) as info:
+        next_triplet(state)
+    assert info.value.iterations == max_iterations and info.value.best.sigma == pytest.approx(1.0)
+    assert state.triplets == () and state.matvec_count == 2 * max_iterations
+
+
 def test_release_residuals_are_the_true_residuals():
     """The residual read off the pending couplings is ``|A'u - sigma v|``; a
     loose tolerance releases triplets whose residuals stand well above
@@ -256,6 +309,7 @@ def test_many_copies_released_in_order(layout, seed):
     assert [t.sigma for t in got] == pytest.approx(sigmas, abs=1e-8)
     vmat = np.array([t.v for t in got])
     assert vmat @ vmat.T == pytest.approx(np.eye(21), abs=1e-8)
+    assert_orthonormal_bases(state)
     with pytest.raises(ValueError):
         next_triplet(state)
 
@@ -377,6 +431,7 @@ def test_solve_matches_dense_reference(sigmas, extra_rows, seed, delta):
     got = np.array([t.sigma for t in result.state.triplets])
     assert got.size == tau
     assert np.max(np.abs(got - s[:tau]), initial=0.0) <= 1e-8
+    assert_orthonormal_bases(result.state)
 
     def lazy_estimate(m):
         return sum(((t.u @ y) / t.sigma) * t.v for t in result.state.triplets[:m]) + np.zeros(dim)

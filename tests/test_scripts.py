@@ -55,10 +55,11 @@ def test_null_calibration():
 
 
 def test_lazysvd_demo():
-    """The figures the README quotes for the demo: 41 of 250 triplets, 240 matrix-vector products."""
+    """The figures the README quotes for the demo: 41 of 250 triplets, 240 matrix-vector products in 132 passes."""
     stdout = run_script("run_lazysvd_demo.py")
     assert "matrix 400x250, stopped after 41 triplets" in stdout
     assert "matrix-vector products: 240\n" in stdout
+    assert "passes over the matrix: 132\n" in stdout
 
 
 def test_check_reference_hashes():

@@ -108,17 +108,17 @@ def test_plot_bytes_match_the_recorded_hashes(tmp_path):
 RESELECT = ("lazysvd.selection_norm=strong", "stopping.m0_mode=explicit", "stopping.m0=5", "stopping.kappa=1000")
 
 # (matrix file, overrides) -> sha256 of the lazysvd.json and the estimate.txt that ``lazysvd`` writes
-LAZY_ESTIMATE_SHA256 = "42cd7f29299abc1a6b6508be0b9ab33c04fe40f504c8f36df42cac07a0fb1b97"  # tau = 29
-RESELECTED_ESTIMATE_SHA256 = "994e665660935586ae5eaa8569c92327019f7f4711c12f58b8bd32f8f441f89c"  # tau = rho = 5
+LAZY_ESTIMATE_SHA256 = "a9d18d71f464f987b9e7abfa55e40ec6b37dd87a2049fb523ecd7d327434e94a"  # tau = 29
+RESELECTED_ESTIMATE_SHA256 = "f8bbeab341a889e243895e7c2a639910967e3e238ce77c8f7150ed2687bae04b"  # tau = rho = 5
 LAZY_SHA256 = {
-    ("A.txt", ()): ("b00358e40ea69f82ae1a383d8e389dbf603f43064592dfa3cff4aaae9a093461", LAZY_ESTIMATE_SHA256),
-    ("A.bin", ()): ("c5e2b83fef406503385d39a2c5939284a41d188dbab8c192cdf0db6ea2093bba", LAZY_ESTIMATE_SHA256),
+    ("A.txt", ()): ("f5c7c09ee2314bfa4319365ee2ca45265049a962bc6333a201e0e041ac1b0b4f", LAZY_ESTIMATE_SHA256),
+    ("A.bin", ()): ("8aa055079293ef511469313ec35b1e9aee1e673f531ec4d85e82ba2285b16b4f", LAZY_ESTIMATE_SHA256),
     ("A.txt", RESELECT): (
-        "ab5d070be75a9c650a6516c32bd58fb2fbe7ba80d14be1086da2656a4cbb8c67",
+        "2a5eeed8fed8d0aeeff3ec4a82d75124c3032b081bf3df01b1d74e32a5e4ad99",
         RESELECTED_ESTIMATE_SHA256,
     ),
     ("A.bin", RESELECT): (
-        "6b7630be27bdcc825ad561d10a3d3ec9b98b022bbf28adc2e24420fb7b062953",
+        "b02e44d90ebaba790553d8ba44a87a686c679229ff45a42ed32de76250b57795",
         RESELECTED_ESTIMATE_SHA256,
     ),
 }

@@ -11,11 +11,11 @@ sweep over the rows of ``A`` (Howell, Demmel, Fulton, Hammarling &
 Marmol 2008), so a chunk of ``t`` steps reads ``A`` ``t + 1`` times
 instead of ``2t``. The sweep takes ``A`` in two halves, each of which
 serves both products while it is still in cache; more and smaller blocks
-lose BLAS threading (``_SWEEP_BLOCKS``). Each new
-basis vector first loses its band coefficients, which are the large
-ones, then goes through one classical Gram-Schmidt pass over the whole
-basis, and through a second only when the first cancels more than half
-its squared norm (Daniel, Gragg, Kaufman & Stewart 1976). With
+lose BLAS threading (``_SWEEP_BLOCKS``). Each new basis vector first
+loses its band coefficients, which are the large ones, then goes through
+one classical Gram-Schmidt pass over the whole basis, and through a
+second only when the first cancels more than half its squared norm
+(Daniel, Gragg, Kaufman & Stewart 1976). With
 ``A V' = U' H`` and ``H = P diag(sigma) Q'`` the Ritz triplet
 ``(sigma_i, U' p_i, V' q_i)`` satisfies ``A v = sigma u`` (up to the
 residuals of earlier releases), and its residual
@@ -288,13 +288,12 @@ class DeflationState:
         since at least two right vectors are pending. So a chunk of ``t``
         steps takes ``t + 1`` sweeps, counted in ``passes``; its first
         ``A v`` and its last ``A'u`` are swept alone, and no product is
-        formed for a step that is not taken. Each new vector loses its
-        band coefficients first (the newest ``_width`` left vectors, or
-        the pending right vectors), then one Gram-Schmidt pass over the
-        whole basis, and a second only if the first cancels more than half
-        its squared norm. A step whose new vector is numerically zero (at
-        most ``1e-12 |A|_F``) goes on from a fresh random vector
-        orthogonal to the basis instead.
+        formed for a step that is not taken. The band that
+        :func:`_orthogonalise` removes first is the newest ``_width`` left
+        vectors for ``A v``, and the pending right vectors for ``A'u``. A
+        step whose new vector is numerically zero (at most ``1e-12
+        |A|_F``) goes on from a fresh random vector orthogonal to the basis
+        instead.
         """
         A = self.operator.entries
         cols = A.shape[1]
